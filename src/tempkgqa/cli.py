@@ -358,19 +358,22 @@ def stage_predict(cfg: RunConfig) -> None:
     params, projection = checkpoint.load_head(_ckpt_path(cfg, HEAD_CKPT))
     indicator_sets = _indicator_sets(cfg, store, "test", projection)
     subgraphs = _subgraphs(cfg, store, "test")
-    records = []
-    for question in test:
-        built = indicator_sets.get(question.uid)
-        if built is None:
-            records.append({"uid": question.uid, "answers": []})
-            continue
-        bundle = render_instruction(store, question.text, subgraphs[question.uid].facts)
-        example = head_mod.assemble(built, bundle)
-        ranked = head_mod.predict_topk(example, params, PREDICT_DEPTH)
-        records.append({
-            "uid": question.uid,
-            "answers": evaluation.parse_generated("\t".join(ranked)),
-        })
+    answered = [q for q in test if q.uid in indicator_sets]
+    examples = [
+        head_mod.assemble(
+            indicator_sets[q.uid],
+            render_instruction(store, q.text, subgraphs[q.uid].facts),
+        )
+        for q in answered
+    ]
+    ranked = dict(zip(
+        (q.uid for q in answered), head_mod.predict_topk(examples, params, PREDICT_DEPTH)
+    ))
+    records = [
+        {"uid": q.uid,
+         "answers": evaluation.parse_generated("\t".join(ranked.get(q.uid, [])))}
+        for q in test
+    ]
     _write_jsonl(_dump_path(cfg, "predictions.jsonl"), records)
 
 

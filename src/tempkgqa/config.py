@@ -95,6 +95,10 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config ({exc.strerror or exc})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: config is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc.msg})") from None
     if not isinstance(raw, dict):

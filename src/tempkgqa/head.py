@@ -12,6 +12,15 @@ matrix, and the indicator projection jointly; gradients flow through the
 projection because the forward pass re-projects the stored encoder-width
 indicator vectors on every step.  The four mixing weights stay fixed at
 1/4 so the feature remains the plain mean.
+
+Training is batched.  :func:`train` compiles the dataset into arrays once:
+the mix-weighted encoder-width indicators as one ``(N, d)`` matrix, and the
+question tokens and gold answers as padded id arrays whose averaging
+weights are zero on the padding.  Each step scatters its rows' ids into a
+dense ``(B, n_tokens)`` token bag and a ``(B, n_answers)`` target, so the
+forward pass, the loss and all three gradients are a few matrix products
+per batch.  Compiled memory grows with tokens per question; only the
+per-batch bag and target span the vocabulary and the answer space.
 """
 
 from __future__ import annotations
@@ -115,37 +124,79 @@ def init_head(
     )
 
 
-def _token_rows(params: HeadParams, text: str) -> np.ndarray:
-    tokens = tokenize(text) or [UNKNOWN_TOKEN]
-    return np.array([params.token_vocab.get(t, 0) for t in tokens])
+# ---------------------------------------------------------------------------
+# the batched forward pass
+# ---------------------------------------------------------------------------
+
+def _pad(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id lists into an ``(N, width)`` id array and its averaging
+    weights: ``1/len`` on each entry of a row, zero on the padding."""
+    width = max(map(len, rows))
+    ids = np.zeros((len(rows), width), dtype=np.intp)
+    weights = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+        weights[i, : len(row)] = 1.0 / len(row)
+    return ids, weights
 
 
-def _feature(params: HeadParams, vectors: np.ndarray, token_rows: np.ndarray) -> np.ndarray:
-    question_vec = params.token_emb[token_rows].mean(axis=0)
-    parts = np.vstack([vectors, question_vec])
-    return params.mix @ parts
+def _scatter(ids: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
+    """Dense ``(B, width)`` rows of summed weights; a repeated id adds up."""
+    flat = (np.arange(len(ids))[:, None] * width + ids).ravel()
+    dense = np.bincount(flat, weights.ravel(), minlength=len(ids) * width)
+    return dense.reshape(len(ids), width)
 
 
-def score(example: AssembledInput, params: HeadParams) -> np.ndarray:
-    """Answer distribution for one example; strictly positive, sums to one."""
-    if example.vectors.shape != (3, params.dim):
-        raise HeadError(
-            f"vector block {example.vectors.shape} does not match head width {params.dim}"
-        )
-    feature = _feature(params, example.vectors, _token_rows(params, example.question_text))
+def _token_ids(params: HeadParams, texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    vocab = params.token_vocab
+    return _pad([[vocab.get(t, 0) for t in tokenize(text) or [UNKNOWN_TOKEN]]
+                 for text in texts])
+
+
+def _forward(
+    params: HeadParams, projected: np.ndarray, token_ids: np.ndarray,
+    token_weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Token bag, feature and log-probabilities of a block of rows.
+    ``projected`` holds the mix-weighted sum of each row's projected
+    indicators, ``(B, d_llm)``."""
+    bag = _scatter(token_ids, token_weights, params.token_emb.shape[0])
+    feature = projected + params.mix[3] * (bag @ params.token_emb)
     logits = feature @ params.scoring
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return bag, feature, log_probs
 
 
-def predict_topk(example: AssembledInput, params: HeadParams, k: int) -> list[str]:
-    """Top-``k`` answer labels by descending probability, ties broken by
-    ascending answer id."""
+def score(examples: Sequence[AssembledInput], params: HeadParams) -> np.ndarray:
+    """Answer distributions, one row per example; strictly positive, each
+    row sums to one."""
+    if not examples:
+        raise HeadError("no examples to score")
+    for example in examples:
+        if example.vectors.shape != (3, params.dim):
+            raise HeadError(
+                f"vector block {example.vectors.shape} does not match head width {params.dim}"
+            )
+    projected = params.mix[:3] @ np.array([example.vectors for example in examples])
+    token_ids, token_weights = _token_ids(params, (e.question_text for e in examples))
+    return np.exp(_forward(params, projected, token_ids, token_weights)[2])
+
+
+def predict_topk(
+    examples: Sequence[AssembledInput], params: HeadParams, k: int
+) -> list[list[str]]:
+    """Top-``k`` answer labels per example by descending probability, ties
+    broken by ascending answer id.  Scores ``d_llm`` examples at a time, so
+    no probability block outgrows the scoring matrix."""
     if k < 1:
         raise HeadError("k must be >= 1")
-    probs = score(example, params)
-    order = np.argsort(-probs, kind="stable")
-    return [params.answer_labels[i] for i in order[:k]]
+    ranked: list[list[str]] = []
+    for lo in range(0, len(examples), params.dim):
+        probs = score(examples[lo : lo + params.dim], params)
+        order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+        ranked.extend([params.answer_labels[i] for i in row] for row in order)
+    return ranked
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +214,46 @@ class HeadTrainConfig:
 TrainExample = tuple[AssembledInput, Sequence[int]]
 
 
+@dataclass(frozen=True)
+class CompiledBatch:
+    """Training examples as arrays, one row each (see the module docstring)."""
+
+    indicators: np.ndarray     # (N, d) mix-weighted encoder-width indicators
+    token_ids: np.ndarray      # (N, max tokens), padded with row 0
+    token_weights: np.ndarray  # (N, max tokens), zero on the padding
+    gold_ids: np.ndarray       # (N, max golds), padded with answer 0
+    gold_weights: np.ndarray   # (N, max golds), zero on the padding
+
+    def __len__(self) -> int:
+        return len(self.indicators)
+
+    def take(self, rows: np.ndarray | slice) -> "CompiledBatch":
+        return CompiledBatch(self.indicators[rows], self.token_ids[rows],
+                             self.token_weights[rows], self.gold_ids[rows],
+                             self.gold_weights[rows])
+
+
+def compile_examples(examples: Sequence[TrainExample], params: HeadParams) -> CompiledBatch:
+    """Validate training examples and turn them into a :class:`CompiledBatch`."""
+    if not examples:
+        raise HeadError("no training examples")
+    n_answers = params.scoring.shape[1]
+    blocks = []
+    for example, golds in examples:
+        if not golds:
+            raise HeadError("training example without gold answers")
+        if max(golds) >= n_answers or min(golds) < 0:
+            raise HeadError("gold answer index outside the answer space")
+        indicators = example.indicators
+        if indicators is None:
+            raise HeadError("training requires encoder-width indicators")
+        blocks.append((indicators.sub_vec, indicators.rel_vec, indicators.obj_vec))
+    token_ids, token_weights = _token_ids(params, (e.question_text for e, _ in examples))
+    gold_ids, gold_weights = _pad([golds for _, golds in examples])
+    return CompiledBatch(params.mix[:3] @ np.array(blocks), token_ids, token_weights,
+                         gold_ids, gold_weights)
+
+
 @dataclass
 class HeadGradients:
     token_emb: np.ndarray
@@ -171,48 +262,25 @@ class HeadGradients:
 
 
 def loss_and_grads(
-    batch: Sequence[TrainExample], params: HeadParams, projection: Projection
+    batch: Sequence[TrainExample] | CompiledBatch, params: HeadParams, projection: Projection
 ) -> tuple[float, HeadGradients]:
     """Summed multi-gold cross-entropy over ``batch`` with gradients for the
-    token embeddings, the scoring matrix, and the projection."""
-    grads = HeadGradients(
-        np.zeros_like(params.token_emb),
-        np.zeros_like(params.scoring),
-        np.zeros_like(projection.weight),
+    token embeddings, the scoring matrix, and the projection.  A batch of
+    examples is compiled first; :func:`train` passes rows it compiled once."""
+    if not isinstance(batch, CompiledBatch):
+        batch = compile_examples(batch, params)
+    projected = batch.indicators @ projection.weight
+    bag, feature, log_probs = _forward(params, projected, batch.token_ids, batch.token_weights)
+    rows = np.arange(len(batch))[:, None]
+    loss = -float((log_probs[rows, batch.gold_ids] * batch.gold_weights).sum())
+    target = _scatter(batch.gold_ids, batch.gold_weights, log_probs.shape[1])
+    d_logits = np.exp(log_probs) - target
+    d_feature = d_logits @ params.scoring.T
+    return loss, HeadGradients(
+        token_emb=bag.T @ (params.mix[3] * d_feature),
+        scoring=feature.T @ d_logits,
+        projection=batch.indicators.T @ d_feature,
     )
-    total = 0.0
-    n_answers = params.scoring.shape[1]
-    for example, golds in batch:
-        if not golds:
-            raise HeadError("training example without gold answers")
-        if max(golds) >= n_answers or min(golds) < 0:
-            raise HeadError("gold answer index outside the answer space")
-        indicators = example.indicators
-        if indicators is None:
-            raise HeadError("training requires encoder-width indicators")
-        enhanced = np.stack([indicators.sub_vec, indicators.rel_vec, indicators.obj_vec])
-        vectors = enhanced @ projection.weight
-        token_rows = _token_rows(params, example.question_text)
-        question_vec = params.token_emb[token_rows].mean(axis=0)
-        parts = np.vstack([vectors, question_vec])
-        feature = params.mix @ parts
-
-        logits = feature @ params.scoring
-        shifted = logits - logits.max()
-        log_norm = np.log(np.exp(shifted).sum())
-        probs = np.exp(shifted - log_norm)
-        total += float(log_norm - shifted[list(golds)].mean())
-
-        d_logits = probs.copy()
-        for gold in golds:
-            d_logits[gold] -= 1.0 / len(golds)
-        grads.scoring += np.outer(feature, d_logits)
-        d_feature = params.scoring @ d_logits
-        d_parts = np.outer(params.mix, d_feature)
-        d_question = d_parts[3]
-        np.add.at(grads.token_emb, token_rows, d_question / len(token_rows))
-        grads.projection += enhanced.T @ d_parts[:3]
-    return total, grads
 
 
 def train(
@@ -222,24 +290,26 @@ def train(
     config: HeadTrainConfig,
 ) -> tuple[HeadParams, Projection, list[float]]:
     """Seeded mini-batch SGD; returns trained copies and per-epoch summed loss."""
-    if not dataset:
-        raise HeadError("empty training dataset")
     if config.batch_size < 1 or config.epochs < 0:
         raise HeadError("bad training config")
     params = params.copy()
     projection = projection.copy()
+    compiled = compile_examples(dataset, params)
     rng = np.random.default_rng(config.seed)
     losses: list[float] = []
     for _ in range(config.epochs):
-        order = rng.permutation(len(dataset))
+        shuffled = compiled.take(rng.permutation(len(compiled)))
         total = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            batch = [dataset[i] for i in order[lo : lo + config.batch_size]]
+        for lo in range(0, len(shuffled), config.batch_size):
+            batch = shuffled.take(slice(lo, lo + config.batch_size))
             loss, grads = loss_and_grads(batch, params, projection)
             total += loss
             step = config.learning_rate / len(batch)
-            params.token_emb -= step * grads.token_emb
-            params.scoring -= step * grads.scoring
-            projection.weight -= step * grads.projection
+            # scale the fresh gradients in place: no temporaries per step
+            for param, grad in ((params.token_emb, grads.token_emb),
+                                (params.scoring, grads.scoring),
+                                (projection.weight, grads.projection)):
+                grad *= step
+                param -= grad
         losses.append(total)
     return params, projection, losses

@@ -161,6 +161,22 @@ class TestErrorHandling:
         assert main(["build-kg", "--config", str(bad)]) == 2
         assert "d must be" in caplog.text
 
+    def test_missing_config_returns_2(self, tmp_path, caplog):
+        missing = tmp_path / "missing.json"
+        assert main(["e2e", "--config", str(missing)]) == 2
+        assert str(missing) in caplog.text
+        assert "cannot read config" in caplog.text
+
+    def test_unreadable_config_returns_2(self, tmp_path, caplog):
+        directory = tmp_path / "config.json"
+        directory.mkdir()
+        assert main(["e2e", "--config", str(directory)]) == 2
+        assert f"{directory}: cannot read config" in caplog.text
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{")
+        assert main(["e2e", "--config", str(binary)]) == 2
+        assert f"{binary}: config is not UTF-8 text" in caplog.text
+
     def test_missing_facts_file_returns_2(self, tmp_path):
         config = fast_config(tmp_path, tkg_path=str(tmp_path / "nowhere.txt"))
         assert main(["build-kg", "--config", str(config)]) == 2

@@ -5,9 +5,12 @@ from tempkgqa.embeddings import init_random
 from tempkgqa.head import (
     UNKNOWN_TOKEN,
     AssembledInput,
+    CompiledBatch,
     HeadError,
+    HeadGradients,
     HeadTrainConfig,
     assemble,
+    compile_examples,
     init_head,
     loss_and_grads,
     predict_topk,
@@ -49,6 +52,59 @@ def make_example(question="who ran the mill in 1990?", answer=None, seed=0):
         indicators=indicators,
     )
     return example, params, projection
+
+
+def looped_loss_and_grads(batch, params, projection):
+    """Reference: the per-example loop the batched kernel replaced."""
+    grads = HeadGradients(
+        np.zeros_like(params.token_emb),
+        np.zeros_like(params.scoring),
+        np.zeros_like(projection.weight),
+    )
+    total = 0.0
+    for example, golds in batch:
+        indicators = example.indicators
+        enhanced = np.stack([indicators.sub_vec, indicators.rel_vec, indicators.obj_vec])
+        vectors = enhanced @ projection.weight
+        tokens = tokenize(example.question_text) or [UNKNOWN_TOKEN]
+        token_rows = np.array([params.token_vocab.get(t, 0) for t in tokens])
+        question_vec = params.token_emb[token_rows].mean(axis=0)
+        feature = params.mix @ np.vstack([vectors, question_vec])
+
+        logits = feature @ params.scoring
+        shifted = logits - logits.max()
+        log_norm = np.log(np.exp(shifted).sum())
+        probs = np.exp(shifted - log_norm)
+        total += float(log_norm - shifted[list(golds)].mean())
+
+        d_logits = probs.copy()
+        for gold in golds:
+            d_logits[gold] -= 1.0 / len(golds)
+        grads.scoring += np.outer(feature, d_logits)
+        d_feature = params.scoring @ d_logits
+        d_parts = np.outer(params.mix, d_feature)
+        np.add.at(grads.token_emb, token_rows, d_parts[3] / len(token_rows))
+        grads.projection += enhanced.T @ d_parts[:3]
+    return total, grads
+
+
+WORDS = ("who", "ran", "the", "mill", "in", "1990", "led", "after", "alice")
+UNKNOWN_WORDS = ("zorp", "blick")
+
+
+def random_batch(rng, size):
+    """Examples with repeated and unknown tokens and duplicate gold ids."""
+    params = init_head([" ".join(WORDS)], ANSWERS, D_LLM, int(rng.integers(100)))
+    batch = []
+    for _ in range(size):
+        indicators, projection = make_indicators(int(rng.integers(100)))
+        words = rng.choice(WORDS + UNKNOWN_WORDS, size=int(rng.integers(0, 8)))
+        question = " ".join(words) + " the the " + str(rng.choice(UNKNOWN_WORDS))
+        example = AssembledInput(np.zeros((3, D_LLM)), "i", question,
+                                 indicators=indicators)
+        golds = rng.choice(len(ANSWERS), size=int(rng.integers(1, 4))).tolist()
+        batch.append((example, golds + golds[:1]))
+    return batch, params, projection
 
 
 class TestTokenize:
@@ -117,10 +173,18 @@ class TestAssemble:
 class TestScore:
     def test_distribution(self):
         example, params, _ = make_example()
-        probs = score(example, params)
-        assert probs.shape == (len(ANSWERS),)
+        probs = score([example], params)
+        assert probs.shape == (1, len(ANSWERS))
         assert np.all(probs > 0)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_rows_match_single_examples(self):
+        a, params, _ = make_example(seed=0)
+        b, _, _ = make_example(question="zorp who led after alice?", seed=5)
+        both = score([a, b], params)
+        assert np.allclose(both[0], score([a], params)[0], rtol=1e-12, atol=0)
+        assert np.allclose(both[1], score([b], params)[0], rtol=1e-12, atol=0)
+        assert np.allclose(both.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_unknown_tokens_fall_back_to_row_zero(self):
         example, params, _ = make_example()
@@ -129,33 +193,44 @@ class TestScore:
         empty = AssembledInput(example.vectors, "i", "",
                                indicators=example.indicators)
         # both reduce to the unknown row, so the distributions agree
-        assert np.allclose(score(oov, params), score(empty, params))
+        assert np.allclose(score([oov], params), score([empty], params))
 
     def test_width_mismatch_rejected(self):
         example, params, _ = make_example()
         bad = AssembledInput(np.zeros((3, D_LLM + 1)), "i", "q")
         with pytest.raises(HeadError, match="width"):
-            score(bad, params)
+            score([example, bad], params)
+        with pytest.raises(HeadError, match="no examples"):
+            score([], params)
 
 
 class TestPredictTopk:
     def test_orders_by_probability(self):
         example, params, _ = make_example()
-        probs = score(example, params)
-        top = predict_topk(example, params, len(ANSWERS))
+        probs = score([example], params)[0]
+        top, = predict_topk([example], params, len(ANSWERS))
         resorted = sorted(range(len(ANSWERS)), key=lambda i: (-probs[i], i))
         assert top == [ANSWERS[i] for i in resorted]
 
     def test_ties_break_by_ascending_answer_id(self):
         example, params, _ = make_example()
         params.scoring[:] = 0.0  # all answers equally likely
-        assert predict_topk(example, params, 3) == list(ANSWERS[:3])
+        assert predict_topk([example], params, 3) == [list(ANSWERS[:3])]
+
+    def test_blocks_of_head_width_match_single_examples(self):
+        examples, params = [], None
+        for seed in range(D_LLM + 2):  # more examples than one scoring block
+            example, params, _ = make_example(seed=seed)
+            examples.append(example)
+        ranked = predict_topk(examples, params, 3)
+        assert ranked == [predict_topk([e], params, 3)[0] for e in examples]
 
     def test_k_bounds(self):
         example, params, _ = make_example()
         with pytest.raises(HeadError):
-            predict_topk(example, params, 0)
-        assert len(predict_topk(example, params, 100)) == len(ANSWERS)
+            predict_topk([example], params, 0)
+        assert len(predict_topk([example], params, 100)[0]) == len(ANSWERS)
+        assert predict_topk([], params, 3) == []
 
 
 class TestLossAndGrads:
@@ -163,7 +238,7 @@ class TestLossAndGrads:
         example, params, projection = make_example()
         golds = [0, 2]
         loss, _ = loss_and_grads([(example, golds)], params, projection)
-        probs = score(example, params)
+        probs = score([example], params)[0]
         assert loss == pytest.approx(-np.mean(np.log(probs[golds])), rel=1e-9)
 
     def test_additive_over_examples(self):
@@ -200,6 +275,41 @@ class TestLossAndGrads:
         with pytest.raises(HeadError, match="indicators"):
             loss_and_grads([(stripped, [0])], params, projection)
 
+
+    def test_empty_batch_rejected(self):
+        _, params, projection = make_example()
+        with pytest.raises(HeadError, match="no training examples"):
+            loss_and_grads([], params, projection)
+
+    @pytest.mark.parametrize("size", (1, 3, 8))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_example_loop(self, size, seed):
+        rng = np.random.default_rng(seed * 10 + size)
+        batch, params, projection = random_batch(rng, size)
+        loss, grads = loss_and_grads(batch, params, projection)
+        ref_loss, ref_grads = looped_loss_and_grads(batch, params, projection)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for name in ("token_emb", "scoring", "projection"):
+            error = relative_error(getattr(grads, name), getattr(ref_grads, name))
+            assert error < 1e-12, f"{name}: {error:.2e}"
+
+    def test_compiled_batch_matches_examples(self):
+        rng = np.random.default_rng(7)
+        batch, params, projection = random_batch(rng, 5)
+        compiled = compile_examples(batch, params)
+        assert isinstance(compiled, CompiledBatch) and len(compiled) == 5
+        # sized by tokens and golds per question, not by vocabulary or answers
+        longest = max(len(tokenize(e.question_text)) for e, _ in batch)
+        assert compiled.token_ids.shape == (5, longest)
+        assert compiled.gold_ids.shape == (5, max(len(g) for _, g in batch))
+        assert np.allclose(compiled.token_weights.sum(axis=1), 1.0)
+        assert np.allclose(compiled.gold_weights.sum(axis=1), 1.0)
+        rows = np.array([3, 0, 4])
+        direct = loss_and_grads([batch[i] for i in rows], params, projection)
+        taken = loss_and_grads(compiled.take(rows), params, projection)
+        assert taken[0] == pytest.approx(direct[0], rel=1e-12)
+        for name in ("token_emb", "scoring", "projection"):
+            assert relative_error(getattr(taken[1], name), getattr(direct[1], name)) < 1e-12
 
 class TestTrain:
     def dataset(self):
@@ -244,3 +354,31 @@ class TestTrain:
             train([], params, projection, HeadTrainConfig())
         with pytest.raises(HeadError):
             train(dataset, params, projection, HeadTrainConfig(batch_size=0))
+
+    def test_one_epoch_equals_stepping_loss_and_grads(self):
+        rng = np.random.default_rng(3)
+        dataset, params, projection = random_batch(rng, 7)
+        config = HeadTrainConfig(learning_rate=0.4, epochs=1, batch_size=3, seed=11)
+        trained, trained_projection, losses = train(dataset, params, projection, config)
+
+        params, projection = params.copy(), projection.copy()
+        order = np.random.default_rng(config.seed).permutation(len(dataset))
+        total = 0.0
+        for lo in range(0, len(order), config.batch_size):
+            batch = [dataset[i] for i in order[lo : lo + config.batch_size]]
+            loss, grads = loss_and_grads(batch, params, projection)
+            total += loss
+            step = config.learning_rate / len(batch)
+            params.token_emb -= step * grads.token_emb
+            params.scoring -= step * grads.scoring
+            projection.weight -= step * grads.projection
+        assert losses[0] == pytest.approx(total, rel=1e-12)
+        assert np.allclose(trained.token_emb, params.token_emb, rtol=1e-12, atol=0)
+        assert np.allclose(trained.scoring, params.scoring, rtol=1e-12, atol=0)
+        assert np.allclose(trained_projection.weight, projection.weight, rtol=1e-12, atol=0)
+
+    def test_invalid_example_rejected_before_training(self):
+        dataset, params, projection = self.dataset()
+        dataset.append((dataset[0][0], [len(ANSWERS)]))
+        with pytest.raises(HeadError, match="answer space"):
+            train(dataset, params, projection, HeadTrainConfig(epochs=0))
