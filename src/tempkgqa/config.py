@@ -68,6 +68,11 @@ class RunConfig:
             problems.append("epochs must be >= 0")
         if self.learning_rate < 0:
             problems.append("learning_rate must be >= 0")
+        for name in ("base_epochs", "tgnn_epochs", "head_epochs", "tgnn_max_steps",
+                     "base_learning_rate", "tgnn_learning_rate", "head_learning_rate"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                problems.append(f"{name} must be >= 0")
         if self.pooling not in POOL_MODES:
             problems.append(f"pooling must be one of {POOL_MODES}")
         if self.time_mode not in TIME_MODES:

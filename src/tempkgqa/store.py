@@ -156,7 +156,7 @@ class TkgStore:
         self.relations = relations
         self.times = times
         self.facts: tuple[Quadruple, ...] = tuple(facts)
-        self._by_entity: dict[int, list[int]] = {}
+        self._by_entity: dict[int, tuple[int, ...]] = {}
         self._by_relation: dict[int, list[int]] = {}
         for idx, fact in enumerate(self.facts):
             self._check_ids(fact)
@@ -164,6 +164,11 @@ class TkgStore:
             if fact.object != fact.subject:
                 self._by_entity.setdefault(fact.object, []).append(idx)
             self._by_relation.setdefault(fact.relation, []).append(idx)
+        # Frozen once, so lookups hand out the index itself instead of a copy.
+        # Each list is replaced in place and freed at once, so the lists and
+        # the tuples never all coexist.
+        for entity, ids in self._by_entity.items():
+            self._by_entity[entity] = tuple(ids)
 
     def _check_ids(self, fact: Quadruple) -> None:
         if fact.subject >= len(self.entities) or fact.object >= len(self.entities):
@@ -176,7 +181,7 @@ class TkgStore:
     # -- lookups ---------------------------------------------------------
 
     def fact_ids_by_entity(self, entity: int) -> tuple[int, ...]:
-        return tuple(self._by_entity.get(entity, ()))
+        return self._by_entity.get(entity, ())
 
     def fact_ids_by_relation(self, relation: int) -> tuple[int, ...]:
         return tuple(self._by_relation.get(relation, ()))

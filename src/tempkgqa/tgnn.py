@@ -8,11 +8,20 @@ and an edge time:
     alpha_.j = softmax of u over the incoming edges of j
     e_j' = sum_i alpha_ij m_ij
 
-Nodes without incoming edges keep their previous embedding; the masked node
+Nodes without incoming edges keep their previous embedding; a masked node
 starts from the zero vector and is only ever written by aggregation.  A
-linear decoder over the masked node's final embedding gives the entity
+linear decoder over a masked node's final embedding gives the entity
 distribution.  The relu sits on the attention scalar itself and there is no
 ``sqrt(d)`` scaling.
+
+Every entry point runs one kernel over a :class:`SubgraphBatch`, which may be
+the disjoint union of many query subgraphs (:func:`merge_batches`, the
+mini-batching of PyTorch Geometric).  Edges are grouped by destination once,
+so the neighbourhood softmax and the aggregation are segment reductions
+(``np.maximum.reduceat`` / ``np.add.reduceat``) over every graph at once, and
+one ``(B, d) @ (d, |E|)`` product decodes all ``B`` masked nodes.
+Pre-training builds one such union per mini-batch, takes one gradient of the
+summed loss, and updates only the embedding rows the mini-batch touches.
 
 All gradients are derived by hand (reverse mode) and checked against central
 finite differences in the test suite; no autodiff framework is involved.
@@ -61,6 +70,9 @@ class TgnnParams:
         )
 
 
+_PARAM_FIELDS = ("w_msg", "w_query", "w_key", "decoder_w", "decoder_b")
+
+
 def init_params(d: int, n_entities: int, seed: int, layers: int = 1) -> TgnnParams:
     if d < 1 or n_entities < 1 or layers < 1:
         raise TgnnError("bad parameter shape request")
@@ -78,16 +90,19 @@ def init_params(d: int, n_entities: int, seed: int, layers: int = 1) -> TgnnPara
 
 @dataclass
 class SubgraphBatch:
-    """Node and edge arrays for one subgraph.
+    """Node and edge arrays for one subgraph, or a disjoint union of several.
 
     ``nodes[i]`` is an entity id or :data:`MASK`; edges are rows
     ``(src_node, dst_node, relation_row, t_start, t_end)`` indexing into
-    ``nodes`` and into the embedding table.
+    ``nodes`` and into the embedding table.  ``order`` holds the edge ids
+    stably sorted by destination and ``indptr`` cuts it into one segment per
+    node: the in-edges of node ``j`` are ``order[indptr[j]:indptr[j + 1]]``.
     """
 
     nodes: np.ndarray
     edges: np.ndarray
-    in_edges: list[np.ndarray] = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)
+    indptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.nodes = np.asarray(self.nodes, dtype=np.int64)
@@ -97,10 +112,10 @@ class SubgraphBatch:
             endpoints = self.edges[:, :2]
             if endpoints.min() < 0 or endpoints.max() >= n:
                 raise TgnnError("edge endpoint outside node list")
-        grouped: list[list[int]] = [[] for _ in range(n)]
-        for edge_id, dst in enumerate(self.edges[:, 1]):
-            grouped[dst].append(edge_id)
-        self.in_edges = [np.asarray(g, dtype=np.int64) for g in grouped]
+        dst = self.edges[:, 1]
+        self.order = np.argsort(dst, kind="stable")
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=n), out=self.indptr[1:])
 
     @property
     def n_nodes(self) -> int:
@@ -113,11 +128,30 @@ class SubgraphBatch:
         return int(positions[0])
 
 
+def merge_batches(batches: Sequence[SubgraphBatch]) -> SubgraphBatch:
+    """Disjoint union of ``batches``: nodes concatenated in order, edge
+    endpoints shifted by each graph's node offset.  Masked nodes keep the
+    order of their graphs."""
+    if not batches:
+        raise TgnnError("cannot merge zero batches")
+    offsets = np.cumsum([0] + [b.n_nodes for b in batches[:-1]])
+    edges = np.concatenate([b.edges for b in batches])
+    edges[:, :2] += np.repeat(offsets, [len(b.edges) for b in batches])[:, None]
+    return SubgraphBatch(np.concatenate([b.nodes for b in batches]), edges)
+
+
 def message(
     source: np.ndarray, relation: np.ndarray, time: np.ndarray, params: TgnnParams
 ) -> np.ndarray:
     """Single edge message ``W_msg (e + r + t)``."""
     return params.w_msg @ (source + relation + time)
+
+
+def _segment_softmax(u: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Softmax of ``u`` within each run ``u[starts[k] : starts[k] + counts[k]]``;
+    the runs are contiguous and cover ``u``."""
+    shifted = np.exp(u - np.repeat(np.maximum.reduceat(u, starts), counts))
+    return shifted / np.repeat(np.add.reduceat(shifted, starts), counts)
 
 
 def attention_weights(
@@ -130,16 +164,36 @@ def attention_weights(
     """
     if not len(messages):
         raise TgnnError("attention needs at least one message")
-    transformed_query = params.w_query @ query
-    u = np.array([max(0.0, transformed_query @ (params.w_key @ m)) for m in messages])
-    shifted = np.exp(u - u.max())
-    return shifted / shifted.sum()
+    keys = np.asarray(messages, dtype=float) @ params.w_key.T
+    u = np.maximum(keys @ (params.w_query @ query), 0.0)
+    return _segment_softmax(u, np.zeros(1, dtype=np.intp), np.array([len(u)]))
 
 
-def _edge_times(batch: SubgraphBatch, table: EmbeddingTable, time_mode: str) -> np.ndarray:
-    if time_mode not in TIME_MODES:
-        raise TgnnError(f"unknown time mode {time_mode!r}")
-    starts, ends = batch.edges[:, 3], batch.edges[:, 4]
+@dataclass
+class _Segments:
+    """A batch's edges in destination order, one segment per receiving node."""
+
+    edges: np.ndarray      # edge rows sorted by destination, (E, 5)
+    receivers: np.ndarray  # nodes with at least one in-edge, ascending
+    starts: np.ndarray     # offset of each receiver's first edge in ``edges``
+    counts: np.ndarray     # in-degree of each receiver
+
+    @classmethod
+    def of(cls, batch: SubgraphBatch) -> "_Segments":
+        degree = np.diff(batch.indptr)
+        receivers = np.flatnonzero(degree)
+        return cls(batch.edges[batch.order], receivers, batch.indptr[receivers],
+                   degree[receivers])
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(values, self.starts, axis=0)
+
+    def spread(self, per_segment: np.ndarray) -> np.ndarray:
+        return np.repeat(per_segment, self.counts, axis=0)
+
+
+def _edge_times(edges: np.ndarray, table: EmbeddingTable, time_mode: str) -> np.ndarray:
+    starts, ends = edges[:, 3], edges[:, 4]
     if time_mode == "start":
         return table.time[starts]
     if time_mode == "end":
@@ -156,44 +210,43 @@ def _layer_inputs(batch: SubgraphBatch, table: EmbeddingTable) -> np.ndarray:
 
 @dataclass
 class _LayerCache:
-    x: np.ndarray        # layer input, (N, d)
+    sources: np.ndarray  # layer input at each edge's source, (E, d)
     summed: np.ndarray   # e + r + t per edge, (E, d)
     messages: np.ndarray # (E, d)
     queries: np.ndarray  # (E, d)
     keys: np.ndarray     # (E, d)
     z: np.ndarray        # raw attention scalars, (E,)
-    alpha: np.ndarray    # normalised weights aligned with edges, (E,)
+    alpha: np.ndarray    # normalised weights, (E,)
 
 
 def _forward_layer(
-    batch: SubgraphBatch, x: np.ndarray, table: EmbeddingTable,
+    seg: _Segments, x: np.ndarray, table: EmbeddingTable,
     params: TgnnParams, time_mode: str,
 ) -> tuple[np.ndarray, _LayerCache]:
-    n_edges = len(batch.edges)
-    d = table.dim
-    if n_edges == 0:
-        empty = np.zeros((0, d))
-        cache = _LayerCache(x, empty, empty, empty, empty, np.zeros(0), np.zeros(0))
-        return x.copy(), cache
-    src = batch.edges[:, 0]
-    rel = batch.edges[:, 2]
-    summed = x[src] + table.relation[rel] + _edge_times(batch, table, time_mode)
+    sources = x[seg.edges[:, 0]]
+    summed = sources + table.relation[seg.edges[:, 2]] + _edge_times(seg.edges, table, time_mode)
     messages_ = summed @ params.w_msg.T
-    queries = x[src] @ params.w_query.T
+    queries = sources @ params.w_query.T
     keys = messages_ @ params.w_key.T
     z = np.einsum("ed,ed->e", queries, keys)
-    u = np.maximum(z, 0.0)
-
+    alpha = _segment_softmax(np.maximum(z, 0.0), seg.starts, seg.counts)
     y = x.copy()
-    alpha = np.zeros(n_edges)
-    for node, incoming in enumerate(batch.in_edges):
-        if len(incoming) == 0:
-            continue
-        shifted = np.exp(u[incoming] - u[incoming].max())
-        weights = shifted / shifted.sum()
-        alpha[incoming] = weights
-        y[node] = weights @ messages_[incoming]
-    return y, _LayerCache(x, summed, messages_, queries, keys, z, alpha)
+    y[seg.receivers] = seg.sum(alpha[:, None] * messages_)
+    return y, _LayerCache(sources, summed, messages_, queries, keys, z, alpha)
+
+
+def _forward_with_caches(
+    batch: SubgraphBatch, table: EmbeddingTable, params: TgnnParams, time_mode: str
+) -> tuple[np.ndarray, _Segments, list[_LayerCache]]:
+    if time_mode not in TIME_MODES:
+        raise TgnnError(f"unknown time mode {time_mode!r}")
+    seg = _Segments.of(batch)
+    x = _layer_inputs(batch, table)
+    caches: list[_LayerCache] = []
+    for _ in range(params.layers):
+        x, cache = _forward_layer(seg, x, table, params, time_mode)
+        caches.append(cache)
+    return x, seg, caches
 
 
 def forward(
@@ -203,24 +256,29 @@ def forward(
     time_mode: str = "start",
 ) -> np.ndarray:
     """Final node embeddings after ``params.layers`` rounds of aggregation."""
-    y, _ = _forward_with_caches(batch, table, params, time_mode)
-    return y
+    return _forward_with_caches(batch, table, params, time_mode)[0]
 
 
-def _forward_with_caches(
-    batch: SubgraphBatch, table: EmbeddingTable, params: TgnnParams, time_mode: str
-) -> tuple[np.ndarray, list[_LayerCache]]:
-    x = _layer_inputs(batch, table)
-    caches: list[_LayerCache] = []
-    for _ in range(params.layers):
-        x, cache = _forward_layer(batch, x, table, params, time_mode)
-        caches.append(cache)
-    return x, caches
+def _masked_rows(
+    batch: SubgraphBatch, target: int | Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masked node rows and one target entity per row.  A single ``target``
+    needs exactly one masked node; a sequence gives one per masked node, in
+    node order."""
+    if np.ndim(target) == 0:
+        return np.array([batch.mask_index()]), np.array([target], dtype=np.int64)
+    rows = np.flatnonzero(batch.nodes == MASK)
+    targets = np.asarray(target, dtype=np.int64)
+    if not len(rows) or targets.shape != rows.shape:
+        raise TgnnError(f"{len(targets)} targets for {len(rows)} masked nodes")
+    return rows, targets
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
+def _decode(final: np.ndarray, rows: np.ndarray, params: TgnnParams) -> np.ndarray:
+    """Log-probabilities over entities for the masked ``rows``, ``(B, n_entities)``."""
+    logits = final[rows] @ params.decoder_w + params.decoder_b
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def mask_predict(
@@ -230,22 +288,22 @@ def mask_predict(
     time_mode: str = "start",
 ) -> np.ndarray:
     """Entity distribution decoded from the masked node's final embedding."""
+    rows = np.array([batch.mask_index()])
     final = forward(batch, table, params, time_mode)
-    logits = final[batch.mask_index()] @ params.decoder_w + params.decoder_b
-    return _softmax(logits)
+    return np.exp(_decode(final, rows, params)[0])
 
 
 def masked_loss(
     batch: SubgraphBatch,
     table: EmbeddingTable,
     params: TgnnParams,
-    target: int,
+    target: int | Sequence[int],
     time_mode: str = "start",
 ) -> float:
-    final, _ = _forward_with_caches(batch, table, params, time_mode)
-    logits = final[batch.mask_index()] @ params.decoder_w + params.decoder_b
-    shifted = logits - logits.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[target])
+    """Cross entropy of the masked prediction, summed over masked nodes."""
+    rows, targets = _masked_rows(batch, target)
+    log_probs = _decode(forward(batch, table, params, time_mode), rows, params)
+    return float(-log_probs[np.arange(len(rows)), targets].sum())
 
 
 @dataclass
@@ -259,76 +317,38 @@ class TgnnGradients:
     relation: np.ndarray
     time: np.ndarray
 
-    def scaled(self, factor: float) -> "TgnnGradients":
-        return TgnnGradients(*(getattr(self, f) * factor for f in _GRADIENT_FIELDS))
-
-    def add_(self, other: "TgnnGradients") -> None:
-        for name in _GRADIENT_FIELDS:
-            getattr(self, name).__iadd__(getattr(other, name))
-
-
-_GRADIENT_FIELDS = (
-    "w_msg", "w_query", "w_key", "decoder_w", "decoder_b", "entity", "relation", "time"
-)
-
-
-def _zero_gradients(table: EmbeddingTable, params: TgnnParams) -> TgnnGradients:
-    return TgnnGradients(
-        np.zeros_like(params.w_msg),
-        np.zeros_like(params.w_query),
-        np.zeros_like(params.w_key),
-        np.zeros_like(params.decoder_w),
-        np.zeros_like(params.decoder_b),
-        np.zeros_like(table.entity),
-        np.zeros_like(table.relation),
-        np.zeros_like(table.time),
-    )
-
 
 def _backward_layer(
-    batch: SubgraphBatch,
+    seg: _Segments,
     cache: _LayerCache,
     d_out: np.ndarray,
-    table: EmbeddingTable,
     params: TgnnParams,
     grads: TgnnGradients,
     time_mode: str,
 ) -> np.ndarray:
     """Backpropagate one layer; returns the gradient wrt the layer input."""
-    d_x = np.zeros_like(cache.x)
-    n_edges = len(batch.edges)
-    if n_edges == 0:
-        return d_out.copy()
-    src = batch.edges[:, 0]
-    rel = batch.edges[:, 2]
-    starts, ends = batch.edges[:, 3], batch.edges[:, 4]
+    src, dst, rel = seg.edges[:, 0], seg.edges[:, 1], seg.edges[:, 2]
+    starts, ends = seg.edges[:, 3], seg.edges[:, 4]
+    d_x = d_out.copy()
+    d_x[seg.receivers] = 0.0  # aggregation replaced these rows
 
-    d_messages = np.zeros_like(cache.messages)
-    d_u = np.zeros(n_edges)
-    for node, incoming in enumerate(batch.in_edges):
-        d_node = d_out[node]
-        if len(incoming) == 0:
-            d_x[node] += d_node
-            continue
-        weights = cache.alpha[incoming]
-        d_alpha = cache.messages[incoming] @ d_node
-        d_messages[incoming] += weights[:, None] * d_node[None, :]
-        d_u[incoming] = weights * (d_alpha - weights @ d_alpha)
+    d_received = d_out[dst]
+    d_alpha = np.einsum("ed,ed->e", cache.messages, d_received)
+    d_messages = cache.alpha[:, None] * d_received
+    d_u = cache.alpha * (d_alpha - seg.spread(seg.sum(cache.alpha * d_alpha)))
 
     d_z = d_u * (cache.z > 0.0)
     d_queries = d_z[:, None] * cache.keys
     d_keys = d_z[:, None] * cache.queries
 
-    grads.w_query += d_queries.T @ cache.x[src]
-    np.add.at(d_x, src, d_queries @ params.w_query)
-
+    grads.w_query += d_queries.T @ cache.sources
     grads.w_key += d_keys.T @ cache.messages
     d_messages += d_keys @ params.w_key
 
     grads.w_msg += d_messages.T @ cache.summed
     d_summed = d_messages @ params.w_msg
 
-    np.add.at(d_x, src, d_summed)
+    np.add.at(d_x, src, d_queries @ params.w_query + d_summed)
     np.add.at(grads.relation, rel, d_summed)
     if time_mode == "start":
         np.add.at(grads.time, starts, d_summed)
@@ -344,30 +364,41 @@ def gradients(
     batch: SubgraphBatch,
     table: EmbeddingTable,
     params: TgnnParams,
-    target: int,
+    target: int | Sequence[int],
     time_mode: str = "start",
 ) -> tuple[float, TgnnGradients]:
     """Cross-entropy loss of the masked prediction and its full gradient,
     covering the three projection matrices, the decoder, and every embedding
-    row the subgraph touches."""
-    final, caches = _forward_with_caches(batch, table, params, time_mode)
-    mask_idx = batch.mask_index()
-    logits = final[mask_idx] @ params.decoder_w + params.decoder_b
-    shifted = logits - logits.max()
-    log_norm = np.log(np.exp(shifted).sum())
-    loss = float(log_norm - shifted[target])
-    probs = np.exp(shifted - log_norm)
+    row the subgraph touches.
 
-    grads = _zero_gradients(table, params)
-    d_logits = probs.copy()
-    d_logits[target] -= 1.0
-    grads.decoder_w += np.outer(final[mask_idx], d_logits)
-    grads.decoder_b += d_logits
+    ``target`` is one entity id for a batch with one masked node, or one id
+    per masked node (node order) for a merged batch; loss and gradients are
+    then sums over the masked nodes.  Table gradients are table-shaped
+    ``np.zeros`` buffers, nonzero only on the rows the batch touches.
+    """
+    rows, targets = _masked_rows(batch, target)
+    final, seg, caches = _forward_with_caches(batch, table, params, time_mode)
+    log_probs = _decode(final, rows, params)
+    picked = (np.arange(len(rows)), targets)
+    loss = float(-log_probs[picked].sum())
 
-    d_nodes = np.zeros_like(final)
-    d_nodes[mask_idx] = params.decoder_w @ d_logits
+    d_logits = np.exp(log_probs)
+    d_logits[picked] -= 1.0
+    d = params.dim
+    grads = TgnnGradients(
+        w_msg=np.zeros((d, d)),
+        w_query=np.zeros((d, d)),
+        w_key=np.zeros((d, d)),
+        decoder_w=final[rows].T @ d_logits,
+        decoder_b=d_logits.sum(axis=0),
+        entity=np.zeros(table.entity.shape),
+        relation=np.zeros(table.relation.shape),
+        time=np.zeros(table.time.shape),
+    )
+    d_nodes = np.zeros(final.shape)
+    d_nodes[rows] = d_logits @ params.decoder_w.T
     for cache in reversed(caches):
-        d_nodes = _backward_layer(batch, cache, d_nodes, table, params, grads, time_mode)
+        d_nodes = _backward_layer(seg, cache, d_nodes, params, grads, time_mode)
 
     real = batch.nodes != MASK
     np.add.at(grads.entity, batch.nodes[real], d_nodes[real])
@@ -424,7 +455,7 @@ def build_query_subgraph(
     """
     anchor = fact.subject if mask_object else fact.object
     target = fact.object if mask_object else fact.subject
-    neighbour_ids = list(store.fact_ids_by_entity(anchor))
+    neighbour_ids = store.fact_ids_by_entity(anchor)
     max_facts = max(0, cap_edges // 2)
     if len(neighbour_ids) > max_facts:
         chosen = rng.choice(len(neighbour_ids), size=max_facts, replace=False)
@@ -452,6 +483,20 @@ def build_query_subgraph(
     return SubgraphBatch(np.array(nodes), np.array(edges)), target
 
 
+def _query_batch(
+    store: TkgStore,
+    table: EmbeddingTable,
+    queries: Iterable[tuple[Quadruple, bool]],
+    rng: np.random.Generator,
+    cap_edges: int,
+) -> tuple[SubgraphBatch, list[int]]:
+    """Disjoint union of the subgraphs of ``(fact, mask_object)`` queries,
+    built in order, and the target of each."""
+    built = [build_query_subgraph(store, table, fact, mask_object, rng, cap_edges)
+             for fact, mask_object in queries]
+    return merge_batches([b for b, _ in built]), [t for _, t in built]
+
+
 # ---------------------------------------------------------------------------
 # pre-training
 # ---------------------------------------------------------------------------
@@ -468,6 +513,33 @@ class TgnnPretrainConfig:
     max_steps: int | None = None
 
 
+def _sgd_step(
+    table: EmbeddingTable,
+    params: TgnnParams,
+    grads: TgnnGradients,
+    batch: SubgraphBatch,
+    step: float,
+    freeze_table: bool,
+) -> None:
+    """In-place SGD step; embedding rows the batch does not touch are not
+    written, so they stay bit-identical.  Scales ``grads`` in place."""
+    for name in _PARAM_FIELDS:
+        update = getattr(grads, name)
+        update *= step
+        param = getattr(params, name)
+        param -= update
+    if freeze_table:
+        return
+    # A row id listed twice writes the same value twice, so the ids need no
+    # deduplication.
+    for array, grad, rows in (
+        (table.entity, grads.entity, batch.nodes[batch.nodes != MASK]),
+        (table.relation, grads.relation, batch.edges[:, 2]),
+        (table.time, grads.time, batch.edges[:, 3:].ravel()),
+    ):
+        array[rows] -= step * grad[rows]
+
+
 def pretrain(
     store: TkgStore,
     table: EmbeddingTable,
@@ -478,8 +550,10 @@ def pretrain(
     """Masked-entity pre-training over both directions of every fact.
 
     Each epoch visits every (fact, direction) query once in a seeded random
-    order; the reported per-epoch loss is the sum of per-query cross
-    entropies accumulated before the corresponding update.
+    order.  A mini-batch of queries is merged into one disjoint-union graph
+    and takes one :func:`gradients` call; the reported per-epoch loss is the
+    sum of per-query cross entropies accumulated before the corresponding
+    update.
     """
     if config.batch_size < 1 or config.epochs < 0:
         raise TgnnError("bad pretraining config")
@@ -498,26 +572,15 @@ def pretrain(
         for lo in range(0, len(order), config.batch_size):
             if config.max_steps is not None and steps >= config.max_steps:
                 break
-            chunk = order[lo : lo + config.batch_size]
-            accum = _zero_gradients(table, params)
-            for query_idx in chunk:
-                fact_id, mask_object = queries[query_idx]
-                batch, target = build_query_subgraph(
-                    store, table, store.facts[fact_id], mask_object, rng, config.cap_edges
-                )
-                loss, grads = gradients(batch, table, params, target, config.time_mode)
-                total += loss
-                accum.add_(grads)
-            step = config.learning_rate / len(chunk)
-            params.w_msg -= step * accum.w_msg
-            params.w_query -= step * accum.w_query
-            params.w_key -= step * accum.w_key
-            params.decoder_w -= step * accum.decoder_w
-            params.decoder_b -= step * accum.decoder_b
-            if not config.freeze_table:
-                table.entity -= step * accum.entity
-                table.relation -= step * accum.relation
-                table.time -= step * accum.time
+            chunk = [queries[i] for i in order[lo : lo + config.batch_size]]
+            batch, targets = _query_batch(
+                store, table, ((store.facts[fid], mask) for fid, mask in chunk),
+                rng, config.cap_edges,
+            )
+            loss, grads = gradients(batch, table, params, targets, config.time_mode)
+            total += loss
+            _sgd_step(table, params, grads, batch, config.learning_rate / len(chunk),
+                      config.freeze_table)
             steps += 1
         losses.append(total)
     return table, params, losses
@@ -531,17 +594,19 @@ def evaluate_masked(
     config: TgnnPretrainConfig,
 ) -> list[int]:
     """Pessimistic 1-based rank of the answer entity for both directions of
-    each held-out fact, with subgraphs drawn from ``store`` only."""
+    each held-out fact, with subgraphs drawn from ``store`` only.  Queries
+    are decoded ``config.batch_size`` at a time."""
     rng = np.random.default_rng(config.seed)
+    queries = [(fact, mask_object) for fact in facts for mask_object in (True, False)]
     ranks: list[int] = []
-    for fact in facts:
-        for mask_object in (True, False):
-            batch, target = build_query_subgraph(
-                store, table, fact, mask_object, rng, config.cap_edges
-            )
-            probs = mask_predict(batch, table, params, config.time_mode)
-            others = np.arange(len(probs)) != target
-            ranks.append(1 + int(np.sum(probs[others] >= probs[target])))
+    for lo in range(0, len(queries), config.batch_size):
+        batch, targets = _query_batch(
+            store, table, queries[lo : lo + config.batch_size], rng, config.cap_edges
+        )
+        rows, targets = _masked_rows(batch, targets)
+        probs = np.exp(_decode(forward(batch, table, params, config.time_mode), rows, params))
+        answer = probs[np.arange(len(rows)), targets]
+        ranks.extend(int(r) for r in np.sum(probs >= answer[:, None], axis=1))
     return ranks
 
 

@@ -161,6 +161,20 @@ class TestErrorHandling:
         assert main(["build-kg", "--config", str(bad)]) == 2
         assert "d must be" in caplog.text
 
+    @pytest.mark.parametrize("key, value", [
+        ("tgnn_epochs", -1), ("base_epochs", -2), ("head_epochs", -1),
+        ("tgnn_learning_rate", -0.1), ("base_learning_rate", -1.0),
+        ("head_learning_rate", -0.5), ("tgnn_max_steps", -1),
+    ])
+    def test_negative_stage_override_returns_2(self, tmp_path, caplog, key, value):
+        config = fast_config(tmp_path, **{key: value})
+        assert main(["pretrain-tgnn", "--config", str(config)]) == 2
+        assert f"{key} must be >= 0" in caplog.text
+
+    def test_zero_stage_overrides_accepted(self, tmp_path):
+        config = fast_config(tmp_path, tgnn_epochs=0, tgnn_max_steps=0, tgnn_learning_rate=0.0)
+        assert main(["build-kg", "--config", str(config)]) == 0
+
     def test_missing_config_returns_2(self, tmp_path, caplog):
         missing = tmp_path / "missing.json"
         assert main(["e2e", "--config", str(missing)]) == 2

@@ -158,6 +158,17 @@ class TestStoreIndexes:
         store = build_store([("a", "r", "a", 1990, 1990)])
         assert store.fact_ids_by_entity(0) == (0,)
 
+    def test_fact_ids_by_entity_returns_the_index_without_copying(self, tiny_store):
+        ada = tiny_store.entities.id("ada")
+        first = tiny_store.fact_ids_by_entity(ada)
+        second = tiny_store.fact_ids_by_entity(ada)
+        assert first is second
+        assert isinstance(first, tuple)
+        assert first == tuple(
+            i for i, f in enumerate(tiny_store.facts) if ada in (f.subject, f.object)
+        )
+        assert tiny_store.fact_ids_by_entity(len(tiny_store.entities)) == ()
+
     def test_out_of_range_ids_rejected(self):
         entities = Vocabulary("entity", ["a"])
         relations = Vocabulary("relation", ["r"])

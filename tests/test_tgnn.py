@@ -5,6 +5,7 @@ from tempkgqa import tgnn
 from tempkgqa.embeddings import init_random
 from tempkgqa.tgnn import (
     MASK,
+    TIME_MODES,
     SubgraphBatch,
     TgnnError,
     TgnnParams,
@@ -19,6 +20,7 @@ from tempkgqa.tgnn import (
     init_params,
     mask_predict,
     masked_loss,
+    merge_batches,
     message,
     pretrain,
 )
@@ -49,6 +51,149 @@ def random_batch(rng, n_nodes=8, n_edges=12):
     src = int(rng.integers(0, n_nodes))
     edges.append([src, mask_idx, rng.integers(0, 2 * N_RELATIONS), 0, N_TIMES - 1])
     return SubgraphBatch(np.array(nodes), np.array(edges))
+
+
+def random_graph(rng, mask_reachable=True, n_nodes=7, n_edges=10):
+    """Random single-mask subgraph whose last node has no in-edges; the
+    masked node has in-edges only when ``mask_reachable``."""
+    nodes = rng.integers(0, N_ENTITIES, size=n_nodes)
+    mask_idx = int(rng.integers(0, n_nodes - 1))
+    nodes[mask_idx] = MASK
+    receivers = [j for j in range(n_nodes - 1) if mask_reachable or j != mask_idx]
+    edges = []
+    for _ in range(n_edges):
+        start, end = sorted(rng.integers(0, N_TIMES, size=2))
+        edges.append([rng.integers(0, n_nodes), rng.choice(receivers),
+                      rng.integers(0, 2 * N_RELATIONS), start, end])
+    if mask_reachable:
+        edges[-1][1] = mask_idx
+    return SubgraphBatch(np.array(nodes), np.array(edges))
+
+
+def incoming(batch, node):
+    """Edge ids into ``node``, read from the batch's segment layout."""
+    return batch.order[batch.indptr[node] : batch.indptr[node + 1]]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-node looped encoder that the batched kernel replaced.
+# It handles one single-mask graph at a time and returns dense gradients.
+# ---------------------------------------------------------------------------
+
+PARAM_NAMES = ("w_msg", "w_query", "w_key", "decoder_w", "decoder_b")
+TABLE_NAMES = ("entity", "relation", "time")
+
+
+def reference_in_edges(batch):
+    grouped = [[] for _ in range(batch.n_nodes)]
+    for edge_id, dst in enumerate(batch.edges[:, 1]):
+        grouped[dst].append(edge_id)
+    return [np.asarray(g, dtype=np.int64) for g in grouped]
+
+
+def reference_edge_times(batch, table, time_mode):
+    starts, ends = batch.edges[:, 3], batch.edges[:, 4]
+    if time_mode == "start":
+        return table.time[starts]
+    if time_mode == "end":
+        return table.time[ends]
+    return 0.5 * (table.time[starts] + table.time[ends])
+
+
+def reference_forward(batch, table, params, time_mode="start"):
+    """Final node embeddings and per-layer caches, aggregated node by node."""
+    in_edges = reference_in_edges(batch)
+    x = np.zeros((batch.n_nodes, table.dim))
+    real = batch.nodes != MASK
+    x[real] = table.entity[batch.nodes[real]]
+    src, rel = batch.edges[:, 0], batch.edges[:, 2]
+    caches = []
+    for _ in range(params.layers):
+        summed = x[src] + table.relation[rel] + reference_edge_times(batch, table, time_mode)
+        messages = summed @ params.w_msg.T
+        queries = x[src] @ params.w_query.T
+        keys = messages @ params.w_key.T
+        z = np.einsum("ed,ed->e", queries, keys)
+        u = np.maximum(z, 0.0)
+        y = x.copy()
+        alpha = np.zeros(len(batch.edges))
+        for node, into in enumerate(in_edges):
+            if len(into) == 0:
+                continue
+            shifted = np.exp(u[into] - u[into].max())
+            weights = shifted / shifted.sum()
+            alpha[into] = weights
+            y[node] = weights @ messages[into]
+        caches.append((x, summed, messages, queries, keys, z, alpha))
+        x = y
+    return x, caches
+
+
+def reference_gradients(batch, table, params, target, time_mode="start"):
+    """Loss and dense gradients (a dict by field name) of one query graph."""
+    in_edges = reference_in_edges(batch)
+    final, caches = reference_forward(batch, table, params, time_mode)
+    mask_idx = batch.mask_index()
+    logits = final[mask_idx] @ params.decoder_w + params.decoder_b
+    shifted = logits - logits.max()
+    log_norm = np.log(np.exp(shifted).sum())
+    loss = float(log_norm - shifted[target])
+    d_logits = np.exp(shifted - log_norm)
+    d_logits[target] -= 1.0
+
+    grads = {name: np.zeros_like(getattr(params, name)) for name in PARAM_NAMES}
+    grads.update({name: np.zeros_like(getattr(table, name)) for name in TABLE_NAMES})
+    grads["decoder_w"] += np.outer(final[mask_idx], d_logits)
+    grads["decoder_b"] += d_logits
+    d_nodes = np.zeros_like(final)
+    d_nodes[mask_idx] = params.decoder_w @ d_logits
+    src, rel = batch.edges[:, 0], batch.edges[:, 2]
+    starts, ends = batch.edges[:, 3], batch.edges[:, 4]
+    for x, summed, messages, queries, keys, z, alpha in reversed(caches):
+        d_x = np.zeros_like(x)
+        d_messages = np.zeros_like(messages)
+        d_u = np.zeros(len(batch.edges))
+        for node, into in enumerate(in_edges):
+            d_node = d_nodes[node]
+            if len(into) == 0:
+                d_x[node] += d_node
+                continue
+            weights = alpha[into]
+            d_alpha = messages[into] @ d_node
+            d_messages[into] += weights[:, None] * d_node[None, :]
+            d_u[into] = weights * (d_alpha - weights @ d_alpha)
+        d_z = d_u * (z > 0.0)
+        d_queries = d_z[:, None] * keys
+        d_keys = d_z[:, None] * queries
+        grads["w_query"] += d_queries.T @ x[src]
+        np.add.at(d_x, src, d_queries @ params.w_query)
+        grads["w_key"] += d_keys.T @ messages
+        d_messages += d_keys @ params.w_key
+        grads["w_msg"] += d_messages.T @ summed
+        d_summed = d_messages @ params.w_msg
+        np.add.at(d_x, src, d_summed)
+        np.add.at(grads["relation"], rel, d_summed)
+        if time_mode == "start":
+            np.add.at(grads["time"], starts, d_summed)
+        elif time_mode == "end":
+            np.add.at(grads["time"], ends, d_summed)
+        else:
+            np.add.at(grads["time"], starts, 0.5 * d_summed)
+            np.add.at(grads["time"], ends, 0.5 * d_summed)
+        d_nodes = d_x
+    real = batch.nodes != MASK
+    np.add.at(grads["entity"], batch.nodes[real], d_nodes[real])
+    return loss, grads
+
+
+def summed_reference(graphs, targets, table, params, time_mode="start"):
+    """Sum of the looped per-query losses and gradients."""
+    total, summed = 0.0, None
+    for graph, target in zip(graphs, targets):
+        loss, grads = reference_gradients(graph, table, params, target, time_mode)
+        total += loss
+        summed = grads if summed is None else {k: summed[k] + grads[k] for k in grads}
+    return total, summed
 
 
 class TestMessage:
@@ -94,9 +239,11 @@ class TestBatch:
             np.array([0, 1, 2]),
             np.array([[0, 1, 0, 0, 0], [2, 1, 1, 0, 0], [1, 0, 0, 0, 0]]),
         )
-        assert batch.in_edges[1].tolist() == [0, 1]
-        assert batch.in_edges[0].tolist() == [2]
-        assert batch.in_edges[2].tolist() == []
+        assert incoming(batch, 1).tolist() == [0, 1]
+        assert incoming(batch, 0).tolist() == [2]
+        assert incoming(batch, 2).tolist() == []
+        assert batch.order.tolist() == [2, 0, 1]
+        assert batch.indptr.tolist() == [0, 1, 3, 3]
 
     def test_mask_index_requires_exactly_one(self):
         no_mask = SubgraphBatch(np.array([0, 1]), np.zeros((0, 5)))
@@ -220,6 +367,110 @@ class TestGradients:
         assert relative_error(grads.entity, numeric) < 1e-4
 
 
+class TestBatchedKernel:
+    """The disjoint-union kernel against the per-node looped reference."""
+
+    @pytest.mark.parametrize("time_mode", TIME_MODES)
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("n_graphs", [1, 3, 8])
+    def test_union_matches_sum_of_looped_queries(self, n_graphs, layers, time_mode):
+        rng, table, params = random_world(40 + n_graphs + 10 * layers)
+        params.layers = layers
+        graphs = [random_graph(rng, mask_reachable=k % 3 != 1) for k in range(n_graphs)]
+        targets = [int(t) for t in rng.integers(0, N_ENTITIES, size=n_graphs)]
+        if n_graphs == 1:
+            loss, grads = gradients(graphs[0], table, params, targets[0], time_mode)
+        else:
+            loss, grads = gradients(merge_batches(graphs), table, params, targets, time_mode)
+        expected_loss, expected = summed_reference(graphs, targets, table, params, time_mode)
+        assert loss == pytest.approx(expected_loss, rel=1e-12)
+        for name in PARAM_NAMES + TABLE_NAMES:
+            assert getattr(grads, name).shape == expected[name].shape, name
+            assert relative_error(getattr(grads, name), expected[name]) < 1e-12, name
+
+    def test_loss_of_union_is_sum_of_masked_losses(self):
+        rng, table, params = random_world(60)
+        graphs = [random_graph(rng) for _ in range(4)]
+        targets = [1, 3, 0, 5]
+        merged = masked_loss(merge_batches(graphs), table, params, targets)
+        single = sum(masked_loss(g, table, params, t) for g, t in zip(graphs, targets))
+        assert merged == pytest.approx(single, rel=1e-12)
+
+    def test_repeated_graph_doubles_gradients(self):
+        rng, table, params = random_world(61)
+        graph = random_graph(rng)
+        loss, grads = gradients(graph, table, params, 2)
+        loss2, grads2 = gradients(merge_batches([graph, graph]), table, params, [2, 2])
+        assert loss2 == pytest.approx(2 * loss, rel=1e-12)
+        for name in PARAM_NAMES + TABLE_NAMES:
+            assert relative_error(getattr(grads2, name), 2 * getattr(grads, name)) < 1e-12
+
+    def test_unreachable_mask_and_isolated_node(self):
+        rng, table, params = random_world(62)
+        graph = random_graph(rng, mask_reachable=False)
+        mask = graph.mask_index()
+        isolated = graph.n_nodes - 1
+        assert len(incoming(graph, mask)) == 0 and len(incoming(graph, isolated)) == 0
+        final = forward(graph, table, params)
+        assert np.array_equal(final[mask], np.zeros(D))
+        assert np.array_equal(final[isolated], table.entity[graph.nodes[isolated]])
+        _, grads = gradients(graph, table, params, 0)
+        _, expected = reference_gradients(graph, table, params, 0)
+        assert np.array_equal(grads.decoder_w, np.zeros_like(grads.decoder_w))
+        for name in PARAM_NAMES + TABLE_NAMES:
+            assert relative_error(getattr(grads, name), expected[name]) < 1e-12, name
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_forward_of_union_matches_looped_forward(self, layers):
+        rng, table, params = random_world(63)
+        params.layers = layers
+        graphs = [random_graph(rng, mask_reachable=k != 1) for k in range(3)]
+        final = forward(merge_batches(graphs), table, params, "mid")
+        expected = np.concatenate([reference_forward(g, table, params, "mid")[0] for g in graphs])
+        assert relative_error(final, expected) < 1e-12
+
+    def test_mask_predict_matches_looped_forward(self):
+        rng, table, params = random_world(64)
+        graph = random_graph(rng)
+        final, _ = reference_forward(graph, table, params)
+        logits = final[graph.mask_index()] @ params.decoder_w + params.decoder_b
+        expected = np.exp(logits - logits.max())
+        expected /= expected.sum()
+        assert relative_error(mask_predict(graph, table, params), expected) < 1e-12
+
+    def test_target_count_must_match_masks(self):
+        rng, table, params = random_world(65)
+        merged = merge_batches([random_graph(rng), random_graph(rng)])
+        with pytest.raises(TgnnError, match="targets for 2 masked nodes"):
+            gradients(merged, table, params, [1])
+        with pytest.raises(TgnnError, match="exactly one masked node"):
+            gradients(merged, table, params, 1)
+        unmasked = SubgraphBatch(np.array([0, 1]), np.array([[0, 1, 0, 0, 0]]))
+        with pytest.raises(TgnnError, match="0 masked nodes"):
+            masked_loss(unmasked, table, params, [])
+
+
+class TestMerge:
+    def test_offsets_and_order(self):
+        a = SubgraphBatch(np.array([3, MASK]), np.array([[0, 1, 2, 0, 1]]))
+        b = SubgraphBatch(np.array([MASK, 4, 5]), np.array([[1, 0, 1, 1, 1], [2, 0, 0, 0, 0]]))
+        merged = merge_batches([a, b])
+        assert merged.nodes.tolist() == [3, MASK, MASK, 4, 5]
+        assert merged.edges.tolist() == [[0, 1, 2, 0, 1], [3, 2, 1, 1, 1], [4, 2, 0, 0, 0]]
+        assert incoming(merged, 2).tolist() == [1, 2]
+        assert np.flatnonzero(merged.nodes == MASK).tolist() == [1, 2]
+
+    def test_graph_without_edges(self):
+        a = SubgraphBatch(np.array([MASK]), np.zeros((0, 5)))
+        b = SubgraphBatch(np.array([0, MASK]), np.array([[0, 1, 0, 0, 0]]))
+        merged = merge_batches([a, b])
+        assert merged.edges.tolist() == [[1, 2, 0, 0, 0]]
+
+    def test_rejects_empty(self):
+        with pytest.raises(TgnnError):
+            merge_batches([])
+
+
 class TestSubgraphConstruction:
     def test_batch_from_facts_layout(self, tiny_store):
         facts = tiny_store.facts[:2]
@@ -246,8 +497,8 @@ class TestSubgraphConstruction:
         assert batch.nodes[1] == MASK
         assert batch.mask_index() == 1
         # the mask is reachable: its in-edges carry the query relation row
-        incoming = batch.edges[batch.in_edges[1]]
-        assert fact.relation in incoming[:, 2]
+        incoming_edges = batch.edges[incoming(batch, 1)]
+        assert fact.relation in incoming_edges[:, 2]
 
     def test_query_subgraph_subject_masking(self, tiny_store):
         table = init_random(len(tiny_store.entities), len(tiny_store.relations),
@@ -256,8 +507,8 @@ class TestSubgraphConstruction:
         fact = tiny_store.facts[0]
         batch, target = build_query_subgraph(tiny_store, table, fact, False, rng)
         assert target == fact.subject
-        incoming = batch.edges[batch.in_edges[1]]
-        assert table.n_relations + fact.relation in incoming[:, 2]
+        incoming_edges = batch.edges[incoming(batch, 1)]
+        assert table.n_relations + fact.relation in incoming_edges[:, 2]
 
     def test_query_subgraph_respects_edge_cap(self, tiny_store):
         table = init_random(len(tiny_store.entities), len(tiny_store.relations),
@@ -270,8 +521,8 @@ class TestSubgraphConstruction:
 
 
 class TestPretrain:
-    def make_world(self):
-        store = build_store([
+    def make_world(self, facts=None):
+        store = build_store(facts or [
             ("a", "r1", "b", 1990, 1991),
             ("b", "r1", "c", 1991, 1992),
             ("c", "r2", "a", 1990, 1992),
@@ -328,6 +579,77 @@ class TestPretrain:
         assert all(1 <= r <= len(store.entities) for r in ranks)
 
 
+    @pytest.mark.parametrize("time_mode", TIME_MODES)
+    @pytest.mark.parametrize("freeze_table", [False, True])
+    def test_one_step_matches_hand_step(self, freeze_table, time_mode):
+        # no end year is also a start year, so each time mode touches other rows
+        store, table, params = self.make_world([
+            ("a", "r1", "b", 1990, 1993),
+            ("b", "r1", "c", 1991, 1994),
+            ("c", "r2", "a", 1990, 1995),
+            ("a", "r2", "c", 1992, 1996),
+        ])
+        params.layers = 2  # gradients then reach the anchors' neighbours too
+        config = TgnnPretrainConfig(learning_rate=0.5, epochs=1, batch_size=3, seed=4,
+                                    max_steps=1, freeze_table=freeze_table,
+                                    time_mode=time_mode)
+        trained_table, trained_params, losses = pretrain(store, table, params, config)
+
+        rng = np.random.default_rng(config.seed)
+        queries = [(fid, m) for fid in range(len(store.facts)) for m in (True, False)]
+        graphs, targets = [], []
+        for idx in rng.permutation(len(queries))[: config.batch_size]:
+            fid, mask_object = queries[idx]
+            graph, target = build_query_subgraph(
+                store, table, store.facts[fid], mask_object, rng, config.cap_edges)
+            graphs.append(graph)
+            targets.append(target)
+        loss, expected = summed_reference(graphs, targets, table, params, time_mode)
+        step = config.learning_rate / config.batch_size
+        assert losses == [pytest.approx(loss, rel=1e-12)]
+        for name in PARAM_NAMES:
+            stepped = getattr(params, name) - step * expected[name]
+            assert relative_error(getattr(trained_params, name), stepped) < 1e-12, name
+        for name in TABLE_NAMES:
+            if freeze_table:
+                assert np.array_equal(getattr(trained_table, name), getattr(table, name))
+            else:
+                stepped = getattr(table, name) - step * expected[name]
+                assert relative_error(getattr(trained_table, name), stepped) < 1e-12, name
+
+    def test_untouched_rows_stay_bit_identical(self):
+        store = build_store([
+            ("a", "r1", "b", 1990, 1991),
+            ("c", "r2", "d", 1995, 1996),
+        ])
+        table = init_random(len(store.entities), len(store.relations), len(store.times), D, 0)
+        params = init_params(D, len(store.entities), 1)
+        config = TgnnPretrainConfig(learning_rate=0.5, epochs=1, batch_size=2, seed=0)
+        trained, _, _ = pretrain(store, table, params, config, fact_indices=[0])
+        a, b, c, d = (store.entities.id(x) for x in "abcd")
+        r2 = store.relations.id("r2")
+        late = [store.times.id(y) for y in ("1995", "1996")]
+        assert not np.array_equal(trained.entity[[a, b]], table.entity[[a, b]])
+        assert np.array_equal(trained.entity[[c, d]], table.entity[[c, d]])
+        assert np.array_equal(trained.relation[[r2, len(store.relations) + r2]],
+                              table.relation[[r2, len(store.relations) + r2]])
+        assert np.array_equal(trained.time[late], table.time[late])
+
+    def test_evaluate_masked_matches_single_queries(self):
+        store, table, params = self.make_world()
+        config = TgnnPretrainConfig(batch_size=3, seed=2)
+        ranks = evaluate_masked(store, table, params, store.facts, config)
+        rng = np.random.default_rng(config.seed)
+        expected = []
+        for fact in store.facts:
+            for mask_object in (True, False):
+                graph, target = build_query_subgraph(store, table, fact, mask_object, rng)
+                probs = mask_predict(graph, table, params)
+                others = np.arange(len(probs)) != target
+                expected.append(1 + int(np.sum(probs[others] >= probs[target])))
+        assert ranks == expected
+
+
 class TestEncodeEntities:
     def test_covers_all_entities_of_facts(self, tiny_store):
         table = init_random(len(tiny_store.entities), len(tiny_store.relations),
@@ -339,6 +661,17 @@ class TestEncodeEntities:
         assert set(encoded) == expected
         for vector in encoded.values():
             assert vector.shape == (D,)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_matches_looped_forward(self, tiny_store, layers):
+        table = init_random(len(tiny_store.entities), len(tiny_store.relations),
+                            len(tiny_store.times), D, 0)
+        params = init_params(D, len(tiny_store.entities), 0, layers)
+        encoded = encode_entities(tiny_store.facts, table, params, "end")
+        batch, node_of = batch_from_facts(tiny_store.facts, len(tiny_store.relations))
+        final, _ = reference_forward(batch, table, params, "end")
+        for entity, idx in node_of.items():
+            assert relative_error(encoded[entity], final[idx]) < 1e-12
 
     def test_deterministic(self, tiny_store):
         table = init_random(len(tiny_store.entities), len(tiny_store.relations),
