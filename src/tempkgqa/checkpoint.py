@@ -9,17 +9,20 @@ as row-major ``float32``.  Layouts:
 - ``TGNN``  version, d, layer count, n_entities, then w_msg, w_query,
   w_key (all d x d), decoder_w (d x n_entities), decoder_b (n_entities).
 - ``HEAD``  version, d_llm, d_in, n_tokens, n_answers, then token_emb
-  (n_tokens x d_llm), scoring (d_llm x n_answers), mix (4), projection
+  (n_tokens x d_llm), scoring (d_llm x n_answers), projection
   (d_in x d_llm).  Token and answer labels travel in a JSON sidecar written
   next to the binary file.
 
 Matrices are stored as ``float32`` and widened back to ``float64`` on load.
+Version 2 dropped the head's fixed mixing weights; version 1 files are
+rejected.  A load error names the file it was reading.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,7 @@ from .head import HeadParams
 from .indicators import Projection
 from .tgnn import TgnnParams
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MAGIC_TABLE = b"TKGE"
 MAGIC_TGNN = b"TGNN"
 MAGIC_HEAD = b"HEAD"
@@ -56,10 +59,23 @@ def _read_header(handle, magic: bytes, layout: str) -> tuple[int, ...]:
     if observed != magic:
         raise CheckpointError(f"bad magic {observed!r}, expected {magic!r}")
     size = struct.calcsize(layout)
-    fields = struct.unpack(layout, handle.read(size))
+    raw = handle.read(size)
+    if len(raw) != size:
+        raise CheckpointError("truncated checkpoint header")
+    fields = struct.unpack(layout, raw)
     if fields[0] != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format version {fields[0]}")
     return fields[1:]
+
+
+@contextmanager
+def _reading(path: str | Path):
+    """Open a checkpoint for reading; a format error names the file."""
+    try:
+        with open(path, "rb") as handle:
+            yield handle
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def save_table(path: str | Path, table: EmbeddingTable) -> None:
@@ -80,7 +96,7 @@ def save_table(path: str | Path, table: EmbeddingTable) -> None:
 
 
 def load_table(path: str | Path) -> EmbeddingTable:
-    with open(path, "rb") as handle:
+    with _reading(path) as handle:
         d, n_entities, n_relation_rows, n_times = _read_header(
             handle, MAGIC_TABLE, "<IIQQQ"
         )
@@ -110,7 +126,7 @@ def save_tgnn(path: str | Path, params: TgnnParams) -> None:
 
 
 def load_tgnn(path: str | Path) -> TgnnParams:
-    with open(path, "rb") as handle:
+    with _reading(path) as handle:
         d, layers, n_entities = _read_header(handle, MAGIC_TGNN, "<IIIQ")
         return TgnnParams(
             w_msg=_read_array(handle, (d, d)),
@@ -141,7 +157,7 @@ def save_head(path: str | Path, params: HeadParams, projection: Projection) -> N
                 params.scoring.shape[1],
             )
         )
-        for array in (params.token_emb, params.scoring, params.mix, projection.weight):
+        for array in (params.token_emb, params.scoring, projection.weight):
             _write_array(handle, array)
     tokens = [""] * len(params.token_vocab)
     for token, row in params.token_vocab.items():
@@ -157,21 +173,19 @@ def save_head(path: str | Path, params: HeadParams, projection: Projection) -> N
 
 
 def load_head(path: str | Path) -> tuple[HeadParams, Projection]:
-    with open(path, "rb") as handle:
+    with _reading(path) as handle:
         d_llm, d_in, n_tokens, n_answers = _read_header(handle, MAGIC_HEAD, "<IIIQQ")
         token_emb = _read_array(handle, (n_tokens, d_llm))
         scoring = _read_array(handle, (d_llm, n_answers))
-        mix = _read_array(handle, (4,))
         weight = _read_array(handle, (d_in, d_llm))
-    sidecar = json.loads(_sidecar_path(path).read_text(encoding="utf-8"))
-    tokens = sidecar["tokens"]
-    if len(tokens) != n_tokens or len(sidecar["answer_labels"]) != n_answers:
-        raise CheckpointError("sidecar does not match checkpoint shapes")
+        sidecar = json.loads(_sidecar_path(path).read_text(encoding="utf-8"))
+        tokens = sidecar["tokens"]
+        if len(tokens) != n_tokens or len(sidecar["answer_labels"]) != n_answers:
+            raise CheckpointError("sidecar does not match checkpoint shapes")
     params = HeadParams(
         token_vocab={token: row for row, token in enumerate(tokens)},
         token_emb=token_emb,
         scoring=scoring,
-        mix=mix,
         answer_labels=tuple(sidecar["answer_labels"]),
     )
     return params, Projection(weight)

@@ -236,18 +236,16 @@ def stage_retrieve(cfg: RunConfig) -> None:
         _write_jsonl(_dump_path(cfg, f"subgraphs_{split}.jsonl"), records)
 
 
-def _subgraphs(cfg: RunConfig, store: TkgStore, split: str) -> dict[str, object]:
-    records = _read_jsonl(_dump_path(cfg, f"subgraphs_{split}.jsonl"))
-    return {r["uid"]: subgraph_from_record(store, r) for r in records}
-
-
 def stage_build_prompts(cfg: RunConfig) -> None:
     store, train, test = _load_world(cfg)
     for split, questions in zip(SPLITS, (train, test)):
-        subgraphs = _subgraphs(cfg, store, split)
+        path = _dump_path(cfg, f"subgraphs_{split}.jsonl")
+        subgraphs = {r["uid"]: subgraph_from_record(store, r) for r in _read_jsonl(path)}
         records = []
         for question in questions:
-            subgraph = subgraphs[question.uid]
+            subgraph = subgraphs.get(question.uid)
+            if subgraph is None:
+                raise CliError(f"question {question.uid!r} is missing from {path}; rerun retrieve")
             answer = _answer_text(store, question) if split == "train" else None
             bundle = render_instruction(store, question.text, subgraph.facts, answer)
             records.append({
@@ -262,7 +260,6 @@ def stage_build_indicators(cfg: RunConfig) -> None:
     store, _, _ = _load_world(cfg)
     table = checkpoint.load_table(_ckpt_path(cfg, TGNN_TABLE_CKPT))
     params = checkpoint.load_tgnn(_ckpt_path(cfg, TGNN_CKPT))
-    projection = ind_mod.init_projection(cfg.d, cfg.d_llm, cfg.seed)
     for split in SPLITS:
         records = []
         for record in _read_jsonl(_dump_path(cfg, f"subgraphs_{split}.jsonl")):
@@ -270,19 +267,13 @@ def stage_build_indicators(cfg: RunConfig) -> None:
             if subgraph.empty:
                 continue
             encoded = tgnn.encode_entities(subgraph.facts, table, params, cfg.time_mode)
-            built = ind_mod.build_indicators(
-                subgraph, encoded, table, projection, cfg.pooling
-            )
+            built = ind_mod.build_indicators(subgraph, encoded, table, cfg.pooling)
             records.append({
                 "uid": subgraph.uid,
                 "d": cfg.d,
-                "d_llm": cfg.d_llm,
                 "sub": _encode_vector(built.sub_vec),
                 "rel": _encode_vector(built.rel_vec),
                 "obj": _encode_vector(built.obj_vec),
-                "sub_proj": _encode_vector(built.sub_proj),
-                "rel_proj": _encode_vector(built.rel_proj),
-                "obj_proj": _encode_vector(built.obj_proj),
                 "t_min": store.times.label(built.t_min),
                 "t_max": store.times.label(built.t_max),
             })
@@ -290,35 +281,27 @@ def stage_build_indicators(cfg: RunConfig) -> None:
 
 
 def _indicator_sets(
-    cfg: RunConfig, store: TkgStore, split: str, projection: ind_mod.Projection
+    cfg: RunConfig, store: TkgStore, split: str
 ) -> dict[str, ind_mod.IndicatorSet]:
-    """Rebuild indicator sets from a dump, re-projecting with ``projection``."""
+    """Rebuild the encoder-width indicator sets of a split from its dump."""
     sets = {}
     for record in _read_jsonl(_dump_path(cfg, f"indicators_{split}.jsonl")):
-        if record["d"] != cfg.d or record["d_llm"] != cfg.d_llm:
-            raise CliError(
-                f"indicator widths {record['d']}/{record['d_llm']} do not match config"
-            )
-        raw = ind_mod.IndicatorSet(
+        if record["d"] != cfg.d:
+            raise CliError(f"indicator width {record['d']} does not match config")
+        sets[record["uid"]] = ind_mod.IndicatorSet(
             sub_vec=_decode_vector(record["sub"], cfg.d),
             rel_vec=_decode_vector(record["rel"], cfg.d),
             obj_vec=_decode_vector(record["obj"], cfg.d),
-            sub_proj=np.zeros(cfg.d_llm),
-            rel_proj=np.zeros(cfg.d_llm),
-            obj_proj=np.zeros(cfg.d_llm),
             t_min=store.times.id(record["t_min"]),
             t_max=store.times.id(record["t_max"]),
         )
-        sets[record["uid"]] = ind_mod.project(raw, projection)
     return sets
 
 
 def stage_train_head(cfg: RunConfig) -> None:
     store, train, _ = _load_world(cfg)
     projection = ind_mod.init_projection(cfg.d, cfg.d_llm, cfg.seed)
-    indicator_sets = _indicator_sets(cfg, store, "train", projection)
-    subgraphs = _subgraphs(cfg, store, "train")
-
+    indicator_sets = _indicator_sets(cfg, store, "train")
     params = head_mod.init_head(
         (q.text for q in train), answer_space(store), cfg.d_llm, cfg.seed
     )
@@ -329,11 +312,7 @@ def stage_train_head(cfg: RunConfig) -> None:
         if built is None:
             skipped += 1
             continue
-        bundle = render_instruction(
-            store, question.text, subgraphs[question.uid].facts,
-            _answer_text(store, question),
-        )
-        dataset.append((head_mod.assemble(built, bundle), gold_answer_ids(store, question)))
+        dataset.append(((built, question.text), gold_answer_ids(store, question)))
     if skipped:
         log.warning("skipping %d training questions without evidence", skipped)
 
@@ -356,18 +335,12 @@ def stage_train_head(cfg: RunConfig) -> None:
 def stage_predict(cfg: RunConfig) -> None:
     store, _, test = _load_world(cfg)
     params, projection = checkpoint.load_head(_ckpt_path(cfg, HEAD_CKPT))
-    indicator_sets = _indicator_sets(cfg, store, "test", projection)
-    subgraphs = _subgraphs(cfg, store, "test")
+    indicator_sets = _indicator_sets(cfg, store, "test")
     answered = [q for q in test if q.uid in indicator_sets]
-    examples = [
-        head_mod.assemble(
-            indicator_sets[q.uid],
-            render_instruction(store, q.text, subgraphs[q.uid].facts),
-        )
-        for q in answered
-    ]
+    examples = [(indicator_sets[q.uid], q.text) for q in answered]
     ranked = dict(zip(
-        (q.uid for q in answered), head_mod.predict_topk(examples, params, PREDICT_DEPTH)
+        (q.uid for q in answered),
+        head_mod.predict_topk(examples, params, projection, PREDICT_DEPTH),
     ))
     records = [
         {"uid": q.uid,
@@ -488,7 +461,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     stage = stage_e2e if args.command == "e2e" else STAGES[args.command]
     try:
         stage(cfg)
-    except (StoreError, CliError, OSError) as exc:
+    except (StoreError, CliError, checkpoint.CheckpointError, OSError) as exc:
         log.error("%s", exc)
         return 2
     return 0

@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-POOL_MODES = ("mean", "max")
-TIME_MODES = ("start", "end", "mid")
+from .indicators import POOL_MODES
+from .tgnn import TIME_MODES
 
 _PATH_FIELDS = ("tkg_path", "questions_train", "questions_test", "dump_dir", "checkpoint_dir")
 

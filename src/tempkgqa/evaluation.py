@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Mapping, Sequence
 
-from .store import COMPLEX_TYPES, SIMPLE_TYPES, QuestionType
+from .store import COMPLEX_TYPES, SIMPLE_TYPES
 
 
 class EvaluationError(ValueError):
@@ -138,8 +138,3 @@ def record_payload(record: RankRecord) -> dict:
         "atype": record.atype,
         "rank": record.rank,
     }
-
-
-def question_type_label(value: str) -> str:
-    """Validate and normalise a question type string."""
-    return QuestionType(value).value

@@ -1,17 +1,19 @@
 """Trainable answer head over indicator vectors and question tokens.
 
-The score of an answer candidate is a softmax over ``feature @ scoring``
-where the feature is the weighted mean of four language-model-width vectors:
-the three projected indicators and the mean embedding of the question's
-tokens.  The answer space is the entity vocabulary followed by the time
-vocabulary, so one scoring matrix covers both answer types.
+An example pairs an :class:`~tempkgqa.indicators.IndicatorSet` with its
+question text.  The score of an answer candidate is a softmax over
+``feature @ scoring`` where the feature is the weighted mean of four
+language-model-width vectors: the three indicators mapped by the indicator
+projection, and the mean embedding of the question's tokens.  The mixing
+weights are the fixed constant :data:`MIX`, 1/4 each, so the feature is the
+plain mean.  The projection is linear, so the three encoder-width
+indicators are mixed first and projected once, in :func:`_forward`.  The
+answer space is the entity vocabulary followed by the time vocabulary, so
+one scoring matrix covers both answer types.
 
 Training minimises cross-entropy against the gold answers (mean over golds
 for multi-answer questions) and updates the token embeddings, the scoring
-matrix, and the indicator projection jointly; gradients flow through the
-projection because the forward pass re-projects the stored encoder-width
-indicator vectors on every step.  The four mixing weights stay fixed at
-1/4 so the feature remains the plain mean.
+matrix, and the indicator projection jointly.
 
 Training is batched.  :func:`train` compiles the dataset into arrays once:
 the mix-weighted encoder-width indicators as one ``(N, d)`` matrix, and the
@@ -19,63 +21,33 @@ question tokens and gold answers as padded id arrays whose averaging
 weights are zero on the padding.  Each step scatters its rows' ids into a
 dense ``(B, n_tokens)`` token bag and a ``(B, n_answers)`` target, so the
 forward pass, the loss and all three gradients are a few matrix products
-per batch.  Compiled memory grows with tokens per question; only the
+per batch, and the gradients land in one set of arrays that every step
+reuses.  Compiled memory grows with tokens per question; only the
 per-batch bag and target span the vocabulary and the answer space.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .indicators import IndicatorSet, Projection
-from .prompts import PromptBundle
+from .prompts import tokenize
 
 UNKNOWN_TOKEN = "<unk>"
 
-_TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
+#: Fixed weights of the subject, relation and object indicators and of the
+#: question tokens in the feature: the plain mean.
+MIX = np.full(4, 0.25)
+
+#: One example: the indicators of its evidence and the question text.
+Example = tuple[IndicatorSet, str]
 
 
 class HeadError(ValueError):
     pass
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase split on whitespace and punctuation."""
-    return _TOKEN_PATTERN.findall(text.lower())
-
-
-@dataclass(frozen=True)
-class AssembledInput:
-    """One scoring-ready example: virtual vectors plus the text parts.
-
-    ``vectors`` rows are the projected subject/relation/object indicators;
-    ``indicators`` keeps the encoder-width source so training can re-project.
-    """
-
-    vectors: np.ndarray  # (3, d_llm)
-    instruction_text: str
-    question_text: str
-    answer_text: str | None = None
-    indicators: IndicatorSet | None = None
-
-
-def assemble(indicators: IndicatorSet, bundle: PromptBundle) -> AssembledInput:
-    """Pair an indicator set with a rendered instruction prompt."""
-    question = bundle.substitutions.get("question")
-    if question is None:
-        raise HeadError("bundle does not carry a question substitution")
-    answer = bundle.substitutions.get("answer") or None
-    return AssembledInput(
-        vectors=np.stack([indicators.sub_proj, indicators.rel_proj, indicators.obj_proj]),
-        instruction_text=bundle.text,
-        question_text=question,
-        answer_text=answer,
-        indicators=indicators,
-    )
 
 
 @dataclass
@@ -83,7 +55,6 @@ class HeadParams:
     token_vocab: dict[str, int]      # token -> row, UNKNOWN_TOKEN at row 0
     token_emb: np.ndarray            # (n_tokens, d_llm)
     scoring: np.ndarray              # (d_llm, n_answers)
-    mix: np.ndarray                  # (4,), fixed at 1/4 each
     answer_labels: tuple[str, ...]
 
     @property
@@ -95,7 +66,6 @@ class HeadParams:
             dict(self.token_vocab),
             self.token_emb.copy(),
             self.scoring.copy(),
-            self.mix.copy(),
             self.answer_labels,
         )
 
@@ -119,7 +89,6 @@ def init_head(
         token_vocab=vocab,
         token_emb=rng.uniform(-scale, scale, size=(len(vocab), d_llm)),
         scoring=rng.uniform(-scale, scale, size=(d_llm, len(answer_labels))),
-        mix=np.full(4, 0.25),
         answer_labels=tuple(answer_labels),
     )
 
@@ -147,44 +116,54 @@ def _scatter(ids: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
     return dense.reshape(len(ids), width)
 
 
-def _token_ids(params: HeadParams, texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+def _features(
+    examples: Sequence[Example], params: HeadParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feature rows of ``examples``: the mix-weighted encoder-width
+    indicators ``(N, d)``, and the padded question token ids with their
+    averaging weights."""
+    blocks = [(ind.sub_vec, ind.rel_vec, ind.obj_vec) for ind, _ in examples]
+    if len({vector.shape for block in blocks for vector in block}) != 1:
+        raise HeadError("indicator vectors differ in width")
     vocab = params.token_vocab
-    return _pad([[vocab.get(t, 0) for t in tokenize(text) or [UNKNOWN_TOKEN]]
-                 for text in texts])
+    token_ids, token_weights = _pad([
+        [vocab.get(t, 0) for t in tokenize(question) or [UNKNOWN_TOKEN]]
+        for _, question in examples
+    ])
+    return MIX[:3] @ np.array(blocks), token_ids, token_weights
 
 
 def _forward(
-    params: HeadParams, projected: np.ndarray, token_ids: np.ndarray,
-    token_weights: np.ndarray,
+    params: HeadParams, projection: Projection, indicators: np.ndarray,
+    token_ids: np.ndarray, token_weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Token bag, feature and log-probabilities of a block of rows.
-    ``projected`` holds the mix-weighted sum of each row's projected
-    indicators, ``(B, d_llm)``."""
+    """Token bag, feature and log-probabilities of a block of feature rows
+    (see :func:`_features`); the mixed indicators are projected here."""
+    if indicators.shape[1] != projection.dim_in or projection.dim_out != params.dim:
+        raise HeadError(
+            f"projection {projection.weight.shape} does not map encoder width "
+            f"{indicators.shape[1]} to head width {params.dim}"
+        )
     bag = _scatter(token_ids, token_weights, params.token_emb.shape[0])
-    feature = projected + params.mix[3] * (bag @ params.token_emb)
+    feature = indicators @ projection.weight + MIX[3] * (bag @ params.token_emb)
     logits = feature @ params.scoring
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return bag, feature, log_probs
 
 
-def score(examples: Sequence[AssembledInput], params: HeadParams) -> np.ndarray:
+def score(
+    examples: Sequence[Example], params: HeadParams, projection: Projection
+) -> np.ndarray:
     """Answer distributions, one row per example; strictly positive, each
     row sums to one."""
     if not examples:
         raise HeadError("no examples to score")
-    for example in examples:
-        if example.vectors.shape != (3, params.dim):
-            raise HeadError(
-                f"vector block {example.vectors.shape} does not match head width {params.dim}"
-            )
-    projected = params.mix[:3] @ np.array([example.vectors for example in examples])
-    token_ids, token_weights = _token_ids(params, (e.question_text for e in examples))
-    return np.exp(_forward(params, projected, token_ids, token_weights)[2])
+    return np.exp(_forward(params, projection, *_features(examples, params))[2])
 
 
 def predict_topk(
-    examples: Sequence[AssembledInput], params: HeadParams, k: int
+    examples: Sequence[Example], params: HeadParams, projection: Projection, k: int
 ) -> list[list[str]]:
     """Top-``k`` answer labels per example by descending probability, ties
     broken by ascending answer id.  Scores ``d_llm`` examples at a time, so
@@ -193,7 +172,7 @@ def predict_topk(
         raise HeadError("k must be >= 1")
     ranked: list[list[str]] = []
     for lo in range(0, len(examples), params.dim):
-        probs = score(examples[lo : lo + params.dim], params)
+        probs = score(examples[lo : lo + params.dim], params, projection)
         order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
         ranked.extend([params.answer_labels[i] for i in row] for row in order)
     return ranked
@@ -211,7 +190,7 @@ class HeadTrainConfig:
     seed: int = 0
 
 
-TrainExample = tuple[AssembledInput, Sequence[int]]
+TrainExample = tuple[Example, Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -238,19 +217,13 @@ def compile_examples(examples: Sequence[TrainExample], params: HeadParams) -> Co
     if not examples:
         raise HeadError("no training examples")
     n_answers = params.scoring.shape[1]
-    blocks = []
-    for example, golds in examples:
+    for _, golds in examples:
         if not golds:
             raise HeadError("training example without gold answers")
         if max(golds) >= n_answers or min(golds) < 0:
             raise HeadError("gold answer index outside the answer space")
-        indicators = example.indicators
-        if indicators is None:
-            raise HeadError("training requires encoder-width indicators")
-        blocks.append((indicators.sub_vec, indicators.rel_vec, indicators.obj_vec))
-    token_ids, token_weights = _token_ids(params, (e.question_text for e, _ in examples))
     gold_ids, gold_weights = _pad([golds for _, golds in examples])
-    return CompiledBatch(params.mix[:3] @ np.array(blocks), token_ids, token_weights,
+    return CompiledBatch(*_features([example for example, _ in examples], params),
                          gold_ids, gold_weights)
 
 
@@ -260,27 +233,36 @@ class HeadGradients:
     scoring: np.ndarray
     projection: np.ndarray
 
+    @classmethod
+    def empty(cls, params: HeadParams, projection: Projection) -> "HeadGradients":
+        return cls(np.empty_like(params.token_emb), np.empty_like(params.scoring),
+                   np.empty_like(projection.weight))
+
 
 def loss_and_grads(
-    batch: Sequence[TrainExample] | CompiledBatch, params: HeadParams, projection: Projection
+    batch: Sequence[TrainExample] | CompiledBatch, params: HeadParams, projection: Projection,
+    out: HeadGradients | None = None,
 ) -> tuple[float, HeadGradients]:
     """Summed multi-gold cross-entropy over ``batch`` with gradients for the
     token embeddings, the scoring matrix, and the projection.  A batch of
-    examples is compiled first; :func:`train` passes rows it compiled once."""
+    examples is compiled first; :func:`train` passes rows it compiled once.
+    The gradients are written into ``out`` when it is given: :func:`train`
+    reuses one set, so no step allocates arrays the size of the parameters."""
     if not isinstance(batch, CompiledBatch):
         batch = compile_examples(batch, params)
-    projected = batch.indicators @ projection.weight
-    bag, feature, log_probs = _forward(params, projected, batch.token_ids, batch.token_weights)
+    bag, feature, log_probs = _forward(params, projection, batch.indicators,
+                                       batch.token_ids, batch.token_weights)
     rows = np.arange(len(batch))[:, None]
     loss = -float((log_probs[rows, batch.gold_ids] * batch.gold_weights).sum())
     target = _scatter(batch.gold_ids, batch.gold_weights, log_probs.shape[1])
     d_logits = np.exp(log_probs) - target
     d_feature = d_logits @ params.scoring.T
-    return loss, HeadGradients(
-        token_emb=bag.T @ (params.mix[3] * d_feature),
-        scoring=feature.T @ d_logits,
-        projection=batch.indicators.T @ d_feature,
-    )
+    if out is None:
+        out = HeadGradients.empty(params, projection)
+    np.matmul(bag.T, MIX[3] * d_feature, out=out.token_emb)
+    np.matmul(feature.T, d_logits, out=out.scoring)
+    np.matmul(batch.indicators.T, d_feature, out=out.projection)
+    return loss, out
 
 
 def train(
@@ -295,6 +277,7 @@ def train(
     params = params.copy()
     projection = projection.copy()
     compiled = compile_examples(dataset, params)
+    grads = HeadGradients.empty(params, projection)
     rng = np.random.default_rng(config.seed)
     losses: list[float] = []
     for _ in range(config.epochs):
@@ -302,10 +285,10 @@ def train(
         total = 0.0
         for lo in range(0, len(shuffled), config.batch_size):
             batch = shuffled.take(slice(lo, lo + config.batch_size))
-            loss, grads = loss_and_grads(batch, params, projection)
+            loss, _ = loss_and_grads(batch, params, projection, grads)
             total += loss
             step = config.learning_rate / len(batch)
-            # scale the fresh gradients in place: no temporaries per step
+            # scale the gradients in place: no temporaries per step
             for param, grad in ((params.token_emb, grads.token_emb),
                                 (params.scoring, grads.scoring),
                                 (projection.weight, grads.projection)):

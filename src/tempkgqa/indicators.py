@@ -4,9 +4,10 @@ For a subgraph we pool the graph-encoder embeddings of all subject entities,
 the base embeddings of all relations (forward rows), and the graph-encoder
 embeddings of all object entities, one pooled vector each.  Every pooled
 vector is then shifted by the embeddings of the subgraph's earliest and
-latest time ids, and finally projected by a shared matrix into the language
-model's input width.  Pooling is per fact occurrence, so a fact appearing
-twice counts twice.
+latest time ids.  These encoder-width vectors are the only indicator data;
+the answer head maps them into the language model's width with the
+:class:`Projection` it trains (see :mod:`tempkgqa.head`).  Pooling is per
+fact occurrence, so a fact appearing twice counts twice.
 """
 
 from __future__ import annotations
@@ -54,14 +55,11 @@ def init_projection(d: int, d_llm: int, seed: int) -> Projection:
 
 @dataclass(frozen=True)
 class IndicatorSet:
-    """Pooled-and-enhanced vectors (encoder width) plus their projections."""
+    """Pooled-and-enhanced vectors at encoder width."""
 
     sub_vec: np.ndarray
     rel_vec: np.ndarray
     obj_vec: np.ndarray
-    sub_proj: np.ndarray
-    rel_proj: np.ndarray
-    obj_proj: np.ndarray
     t_min: int
     t_max: int
 
@@ -87,10 +85,9 @@ def build_indicators(
     subgraph: RetrievedSubgraph,
     node_embeddings: Mapping[int, np.ndarray],
     table: EmbeddingTable,
-    projection: Projection,
     mode: str = "mean",
 ) -> IndicatorSet:
-    """Pool, enhance, and project one retrieved subgraph.
+    """Pool and enhance one retrieved subgraph.
 
     ``node_embeddings`` maps every entity occurring in the subgraph to its
     graph-encoder vector (see :func:`tempkgqa.tgnn.encode_entities`).
@@ -112,30 +109,10 @@ def build_indicators(
         temporal_enhance(local_pool(vecs, mode), t_min_vec, t_max_vec)
         for vecs in (subject_vecs, relation_vecs, object_vecs)
     ]
-    if any(vec.shape[0] != projection.dim_in for vec in enhanced):
-        raise IndicatorError("projection width does not match encoder width")
-    projected = [vec @ projection.weight for vec in enhanced]
     return IndicatorSet(
         sub_vec=enhanced[0],
         rel_vec=enhanced[1],
         obj_vec=enhanced[2],
-        sub_proj=projected[0],
-        rel_proj=projected[1],
-        obj_proj=projected[2],
         t_min=t_min,
         t_max=t_max,
-    )
-
-
-def project(indicators: IndicatorSet, projection: Projection) -> IndicatorSet:
-    """Re-project the enhanced vectors, e.g. after the projection was trained."""
-    return IndicatorSet(
-        sub_vec=indicators.sub_vec,
-        rel_vec=indicators.rel_vec,
-        obj_vec=indicators.obj_vec,
-        sub_proj=indicators.sub_vec @ projection.weight,
-        rel_proj=indicators.rel_vec @ projection.weight,
-        obj_proj=indicators.obj_vec @ projection.weight,
-        t_min=indicators.t_min,
-        t_max=indicators.t_max,
     )

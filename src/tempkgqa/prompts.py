@@ -203,6 +203,14 @@ def _render(template_id: str, template: str, substitutions: Mapping[str, str]) -
     )
 
 
+_TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase split on whitespace and punctuation (underscores included)."""
+    return _TOKEN_PATTERN.findall(text.lower())
+
+
 # ---------------------------------------------------------------------------
 # fact serialization
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Sequence
 
 from .llm import GenerationParams, LlmClient, TransportError
-from .prompts import render_relation_ranking, render_time_mining
+from .prompts import fact_fields, render_relation_ranking, render_time_mining, tokenize
 from .store import (
     ANCHORED_TYPES,
     Quadruple,
@@ -117,10 +117,6 @@ class TemporalConstraint:
         return cls(ConstraintKind.BETWEEN, t1, t2)
 
 
-def constraint_satisfied(fact: Quadruple, constraint: TemporalConstraint) -> bool:
-    return constraint.admits(fact)
-
-
 @dataclass(frozen=True)
 class RetrievedSubgraph:
     """Evidence selected for one question, with provenance flags."""
@@ -153,11 +149,8 @@ def candidate_relations(store: TkgStore, question: Question) -> list[int]:
     return list(seen)
 
 
-_TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
-
-
 def _token_set(text: str) -> frozenset[str]:
-    return frozenset(_TOKEN_PATTERN.findall(text.lower().replace("_", " ")))
+    return frozenset(tokenize(text))
 
 
 def lexical_rank(store: TkgStore, question: Question, candidates: Sequence[int]) -> list[int]:
@@ -317,11 +310,6 @@ class TimeMining:
     reply: str | None = None
 
 
-#: Question types whose constraint is mined with the language model; the
-#: remaining types resolve trivially (explicit year or no constraint).
-MINED_TYPES = ANCHORED_TYPES
-
-
 def _mining_type_label(question: Question) -> str:
     if question.qtype in (QuestionType.BEFORE_AFTER, QuestionType.IMPLICIT):
         return _keyword_direction(question.text) or question.qtype.value
@@ -362,13 +350,13 @@ def mine_time(
     explicit = _first_vocabulary_year(store, question.text)
     if explicit is not None:
         return TimeMining(TemporalConstraint.at(explicit), False)
-    if question.qtype not in MINED_TYPES or not anchors:
+    if question.qtype not in ANCHORED_TYPES or not anchors:
         return TimeMining(rule_time(store, question, anchors), False)
 
     anchor = anchors[0]
     bundle = render_time_mining(
         question.text,
-        _serialize_anchor(store, anchor),
+        fact_fields(store, anchor),
         _mining_type_label(question),
     )
     try:
@@ -380,16 +368,6 @@ def mine_time(
         logger.debug("question %s: unusable mining reply %r", question.uid, reply)
         return TimeMining(rule_time(store, question, anchors), True, reply)
     return TimeMining(constraint, False, reply)
-
-
-def _serialize_anchor(store: TkgStore, fact: Quadruple) -> list[str]:
-    return [
-        store.entities.label(fact.subject),
-        store.relations.label(fact.relation),
-        store.entities.label(fact.object),
-        store.times.label(fact.t_start),
-        store.times.label(fact.t_end),
-    ]
 
 
 # ---------------------------------------------------------------------------

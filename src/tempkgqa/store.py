@@ -143,7 +143,7 @@ class Question:
 
 
 class TkgStore:
-    """Immutable fact store with per-entity and per-relation indexes."""
+    """Immutable fact store with a per-entity index."""
 
     def __init__(
         self,
@@ -157,13 +157,11 @@ class TkgStore:
         self.times = times
         self.facts: tuple[Quadruple, ...] = tuple(facts)
         self._by_entity: dict[int, tuple[int, ...]] = {}
-        self._by_relation: dict[int, list[int]] = {}
         for idx, fact in enumerate(self.facts):
             self._check_ids(fact)
             self._by_entity.setdefault(fact.subject, []).append(idx)
             if fact.object != fact.subject:
                 self._by_entity.setdefault(fact.object, []).append(idx)
-            self._by_relation.setdefault(fact.relation, []).append(idx)
         # Frozen once, so lookups hand out the index itself instead of a copy.
         # Each list is replaced in place and freed at once, so the lists and
         # the tuples never all coexist.
@@ -183,14 +181,8 @@ class TkgStore:
     def fact_ids_by_entity(self, entity: int) -> tuple[int, ...]:
         return self._by_entity.get(entity, ())
 
-    def fact_ids_by_relation(self, relation: int) -> tuple[int, ...]:
-        return tuple(self._by_relation.get(relation, ()))
-
     def facts_by_entity(self, entity: int) -> tuple[Quadruple, ...]:
         return tuple(self.facts[i] for i in self._by_entity.get(entity, ()))
-
-    def facts_by_relation(self, relation: int) -> tuple[Quadruple, ...]:
-        return tuple(self.facts[i] for i in self._by_relation.get(relation, ()))
 
     def year(self, time_id: int) -> int:
         return int(self.times.label(time_id))
@@ -290,6 +282,8 @@ def load_questions(path: str | Path, store: TkgStore) -> list[Question]:
         for label in record["entities"]:
             _require_verbatim(str(label), text, uid)
             entity_ids.append(store.entities.id(str(label)))
+        if not entity_ids:
+            raise StoreError(f"line {lineno}: question {uid!r} has no annotated entities")
         time_ids = []
         for year in record["times"]:
             _require_verbatim(str(year), text, uid)

@@ -553,7 +553,8 @@ def pretrain(
     order.  A mini-batch of queries is merged into one disjoint-union graph
     and takes one :func:`gradients` call; the reported per-epoch loss is the
     sum of per-query cross entropies accumulated before the corresponding
-    update.
+    update.  Training ends after ``config.max_steps`` mini-batches, so the
+    loss list has one entry per epoch that ran.
     """
     if config.batch_size < 1 or config.epochs < 0:
         raise TgnnError("bad pretraining config")
@@ -566,11 +567,14 @@ def pretrain(
     rng = np.random.default_rng(config.seed)
     losses: list[float] = []
     steps = 0
+    limit = np.inf if config.max_steps is None else config.max_steps
     for _ in range(config.epochs):
+        if steps >= limit:
+            break
         order = rng.permutation(len(queries))
         total = 0.0
         for lo in range(0, len(order), config.batch_size):
-            if config.max_steps is not None and steps >= config.max_steps:
+            if steps >= limit:
                 break
             chunk = [queries[i] for i in order[lo : lo + config.batch_size]]
             batch, targets = _query_batch(

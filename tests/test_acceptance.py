@@ -17,7 +17,7 @@ import pytest
 from tempkgqa.cli import main
 from tempkgqa.embeddings import init_random
 from tempkgqa.evaluation import RankRecord, build_report, hits_at_k
-from tempkgqa.head import AssembledInput, init_head, loss_and_grads
+from tempkgqa.head import init_head, loss_and_grads
 from tempkgqa.indicators import IndicatorSet, init_projection
 from tempkgqa.prompts import (
     fact_fields,
@@ -112,20 +112,11 @@ def test_01_gradient_fidelity():
         sub, rel, obj = (rng.normal(size=d) for _ in range(3))
         indicators = IndicatorSet(
             sub_vec=sub, rel_vec=rel, obj_vec=obj,
-            sub_proj=sub @ projection.weight,
-            rel_proj=rel @ projection.weight,
-            obj_proj=obj @ projection.weight,
             t_min=0, t_max=n_times - 1,
         )
         head = init_head(["who held the post", "when did it end"],
                          [f"answer{i}" for i in range(7)], d_llm, seed + 300)
-        example = AssembledInput(
-            vectors=np.stack([indicators.sub_proj, indicators.rel_proj,
-                              indicators.obj_proj]),
-            instruction_text="instruction",
-            question_text="who held the post",
-            indicators=indicators,
-        )
+        example = (indicators, "who held the post")
         head_batch = [(example, [int(rng.integers(0, 7)), int(rng.integers(0, 7))])]
         _, head_grads = loss_and_grads(head_batch, head, projection)
         head_loss = lambda: loss_and_grads(head_batch, head, projection)[0]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tempkgqa.checkpoint import (
+    FORMAT_VERSION,
     CheckpointError,
     load_head,
     load_table,
@@ -62,6 +63,13 @@ class TestTableCheckpoint:
         with pytest.raises(CheckpointError, match="magic"):
             load_table(path)
 
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "table.ckpt"
+        save_table(path, init_random(5, 3, 4, D, 0))
+        path.write_bytes(path.read_bytes()[:12])
+        with pytest.raises(CheckpointError, match="truncated checkpoint header"):
+            load_table(path)
+
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "table.ckpt"
         save_table(path, init_random(5, 3, 4, D, 0))
@@ -109,8 +117,37 @@ class TestHeadCheckpoint:
         assert loaded_params.answer_labels == params.answer_labels
         assert np.array_equal(loaded_params.token_emb, float32_copy(params.token_emb))
         assert np.array_equal(loaded_params.scoring, float32_copy(params.scoring))
-        assert np.array_equal(loaded_params.mix, float32_copy(params.mix))
         assert np.array_equal(loaded_projection.weight, float32_copy(projection.weight))
+
+    def test_layout_has_no_mixing_weights(self, tmp_path):
+        params, projection = self.make()
+        path = tmp_path / "head.ckpt"
+        save_head(path, params, projection)
+        n_tokens, n_answers = params.token_emb.shape[0], params.scoring.shape[1]
+        floats = n_tokens * D_LLM + D_LLM * n_answers + D * D_LLM
+        assert path.stat().st_size == 4 + 4 * 3 + 8 * 2 + 4 * floats
+
+    def test_version_1_rejected(self, tmp_path):
+        params, projection = self.make()
+        path = tmp_path / "head.ckpt"
+        save_head(path, params, projection)
+        data = bytearray(path.read_bytes())
+        assert data[4] == FORMAT_VERSION == 2
+        data[4] = 1  # the layout that still carried the mixing weights
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="unsupported format version 1"):
+            load_head(path)
+
+    @pytest.mark.parametrize("keep", [4, 10, 100])
+    def test_truncated_rejected_with_path(self, tmp_path, keep):
+        params, projection = self.make()
+        path = tmp_path / "head.ckpt"
+        save_head(path, params, projection)
+        path.write_bytes(path.read_bytes()[:keep])
+        message = "truncated checkpoint header" if keep < 32 else "truncated checkpoint$"
+        with pytest.raises(CheckpointError, match=message) as caught:
+            load_head(path)
+        assert str(path) in str(caught.value)
 
     def test_width_mismatch_rejected_at_save(self, tmp_path):
         params, _ = self.make()

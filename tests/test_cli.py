@@ -1,5 +1,6 @@
 import base64
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -44,6 +45,13 @@ def pipeline(tmp_path_factory):
     config = fast_config(tmp_path)
     assert main(["e2e", "--config", str(config)]) == 0
     return tmp_path / "dumps", config
+
+
+def copied_run(pipeline, tmp_path):
+    """A config over a private copy of the shared run's artifacts."""
+    dumps, _ = pipeline
+    shutil.copytree(dumps, tmp_path / "dumps")
+    return fast_config(tmp_path)
 
 
 def read_jsonl(path):
@@ -111,11 +119,12 @@ class TestArtifacts:
         records = read_jsonl(dumps / "indicators_test.jsonl")
         assert records, "no indicator records"
         for record in records[:5]:
-            assert record["d"] == 8 and record["d_llm"] == 16
-            for key, width in (("sub", 8), ("rel", 8), ("obj", 8),
-                               ("sub_proj", 16), ("rel_proj", 16), ("obj_proj", 16)):
+            # encoder-width vectors only; the head projects them at use
+            assert set(record) == {"uid", "d", "sub", "rel", "obj", "t_min", "t_max"}
+            assert record["d"] == 8
+            for key in ("sub", "rel", "obj"):
                 raw = np.frombuffer(base64.b64decode(record[key]), dtype="<f4")
-                assert raw.shape == (width,), key
+                assert raw.shape == (8,), key
                 assert np.all(np.isfinite(raw))
 
     def test_predictions(self, pipeline):
@@ -146,6 +155,26 @@ class TestStageSequencing:
         config = fast_config(tmp_path)
         assert main(["predict", "--config", str(config)]) == 2
         assert "head.ckpt" in caplog.text
+
+    def test_question_missing_from_subgraphs_fails_with_guidance(
+        self, pipeline, tmp_path, caplog
+    ):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "subgraphs_train.jsonl"
+        records = read_jsonl(path)
+        records[0]["uid"] = "renamed"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["build-prompts", "--config", str(config)]) == 2
+        assert str(path) in caplog.text
+        assert "rerun retrieve" in caplog.text
+
+    @pytest.mark.parametrize("keep", [12, 200], ids=["short-header", "short-body"])
+    def test_truncated_head_checkpoint_returns_2(self, pipeline, tmp_path, caplog, keep):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "checkpoints" / "head.ckpt"
+        path.write_bytes(path.read_bytes()[:keep])
+        assert main(["predict", "--config", str(config)]) == 2
+        assert f"{path}: truncated checkpoint" in caplog.text
 
     def test_single_stage_reruns_cleanly(self, pipeline):
         dumps, config = pipeline

@@ -8,7 +8,6 @@ from tempkgqa.evaluation import (
     build_report,
     hits_at_k,
     parse_generated,
-    question_type_label,
     rank_of,
     record_payload,
     render_report,
@@ -164,8 +163,3 @@ class TestRender:
         payload = record_payload(record(3, "before_after", "time", "q9"))
         assert payload == {"uid": "q9", "qtype": "before_after",
                            "atype": "time", "rank": 3}
-
-    def test_question_type_label_validates(self):
-        assert question_type_label("simple_entity") == "simple_entity"
-        with pytest.raises(ValueError):
-            question_type_label("made_up_type")

@@ -3,23 +3,23 @@ import pytest
 
 from tempkgqa.embeddings import init_random
 from tempkgqa.head import (
+    MIX,
     UNKNOWN_TOKEN,
-    AssembledInput,
     CompiledBatch,
     HeadError,
     HeadGradients,
     HeadTrainConfig,
-    assemble,
+    _features,
+    _forward,
     compile_examples,
     init_head,
     loss_and_grads,
     predict_topk,
     score,
-    tokenize,
     train,
 )
-from tempkgqa.indicators import build_indicators, init_projection
-from tempkgqa.prompts import render_instruction
+from tempkgqa.indicators import IndicatorSet, Projection, build_indicators, init_projection
+from tempkgqa.prompts import tokenize
 from tempkgqa.retrieval import RetrievedSubgraph, TemporalConstraint
 from tempkgqa.store import Quadruple
 
@@ -36,22 +36,14 @@ def make_indicators(seed=0, facts=None):
     projection = init_projection(D, D_LLM, seed + 2)
     facts = facts or [Quadruple(0, 0, 1, 1, 2), Quadruple(2, 1, 3, 0, 3)]
     subgraph = RetrievedSubgraph("q0", tuple(facts), (0,), TemporalConstraint.none())
-    return build_indicators(subgraph, nodes, table, projection), projection
+    return build_indicators(subgraph, nodes, table), projection
 
 
-def make_example(question="who ran the mill in 1990?", answer=None, seed=0):
+def make_example(question="who ran the mill in 1990?", seed=0):
     indicators, projection = make_indicators(seed)
     store_texts = [question, "who led after alice?"]
     params = init_head(store_texts, ANSWERS, D_LLM, seed)
-    example = AssembledInput(
-        vectors=np.stack([indicators.sub_proj, indicators.rel_proj,
-                          indicators.obj_proj]),
-        instruction_text="instruction",
-        question_text=question,
-        answer_text=answer,
-        indicators=indicators,
-    )
-    return example, params, projection
+    return (indicators, question), params, projection
 
 
 def looped_loss_and_grads(batch, params, projection):
@@ -62,14 +54,13 @@ def looped_loss_and_grads(batch, params, projection):
         np.zeros_like(projection.weight),
     )
     total = 0.0
-    for example, golds in batch:
-        indicators = example.indicators
+    for (indicators, question), golds in batch:
         enhanced = np.stack([indicators.sub_vec, indicators.rel_vec, indicators.obj_vec])
         vectors = enhanced @ projection.weight
-        tokens = tokenize(example.question_text) or [UNKNOWN_TOKEN]
+        tokens = tokenize(question) or [UNKNOWN_TOKEN]
         token_rows = np.array([params.token_vocab.get(t, 0) for t in tokens])
         question_vec = params.token_emb[token_rows].mean(axis=0)
-        feature = params.mix @ np.vstack([vectors, question_vec])
+        feature = MIX @ np.vstack([vectors, question_vec])
 
         logits = feature @ params.scoring
         shifted = logits - logits.max()
@@ -82,7 +73,7 @@ def looped_loss_and_grads(batch, params, projection):
             d_logits[gold] -= 1.0 / len(golds)
         grads.scoring += np.outer(feature, d_logits)
         d_feature = params.scoring @ d_logits
-        d_parts = np.outer(params.mix, d_feature)
+        d_parts = np.outer(MIX, d_feature)
         np.add.at(grads.token_emb, token_rows, d_parts[3] / len(token_rows))
         grads.projection += enhanced.T @ d_parts[:3]
     return total, grads
@@ -100,10 +91,8 @@ def random_batch(rng, size):
         indicators, projection = make_indicators(int(rng.integers(100)))
         words = rng.choice(WORDS + UNKNOWN_WORDS, size=int(rng.integers(0, 8)))
         question = " ".join(words) + " the the " + str(rng.choice(UNKNOWN_WORDS))
-        example = AssembledInput(np.zeros((3, D_LLM)), "i", question,
-                                 indicators=indicators)
         golds = rng.choice(len(ANSWERS), size=int(rng.integers(1, 4))).tolist()
-        batch.append((example, golds + golds[:1]))
+        batch.append(((indicators, question), golds + golds[:1]))
     return batch, params, projection
 
 
@@ -125,7 +114,7 @@ class TestInitHead:
         assert params.token_vocab == {UNKNOWN_TOKEN: 0, "b": 1, "a": 2, "c": 3}
         assert params.token_emb.shape == (4, D_LLM)
         assert params.scoring.shape == (D_LLM, len(ANSWERS))
-        assert np.allclose(params.mix, 0.25)
+        assert np.array_equal(MIX, np.full(4, 0.25))
 
     def test_argument_errors(self):
         with pytest.raises(HeadError):
@@ -142,95 +131,102 @@ class TestInitHead:
         assert "zzz" not in params.token_vocab
 
 
-class TestAssemble:
-    def test_pairs_indicators_with_prompt(self, tiny_store):
-        indicators, _ = make_indicators()
-        bundle = render_instruction(tiny_store, "who leads?", tiny_store.facts[:1],
-                                    "ada")
-        example = assemble(indicators, bundle)
-        assert example.question_text == "who leads?"
-        assert example.answer_text == "ada"
-        assert example.instruction_text == bundle.text
-        assert np.array_equal(example.vectors[0], indicators.sub_proj)
-        assert np.array_equal(example.vectors[2], indicators.obj_proj)
-        assert example.indicators is indicators
-
-    def test_open_prompt_has_no_answer(self, tiny_store):
-        indicators, _ = make_indicators()
-        bundle = render_instruction(tiny_store, "who leads?", tiny_store.facts[:1])
-        assert assemble(indicators, bundle).answer_text is None
-
-    def test_bundle_without_question_rejected(self, tiny_store):
-        indicators, _ = make_indicators()
-        from tempkgqa.prompts import PromptBundle
-        bundle = PromptBundle(messages=({"role": "user", "content": "x"},),
-                              template_id="relation_ranking",
-                              substitutions={"sentence": "x"})
-        with pytest.raises(HeadError, match="question"):
-            assemble(indicators, bundle)
-
-
 class TestScore:
     def test_distribution(self):
-        example, params, _ = make_example()
-        probs = score([example], params)
+        example, params, projection = make_example()
+        probs = score([example], params, projection)
         assert probs.shape == (1, len(ANSWERS))
         assert np.all(probs > 0)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rows_match_single_examples(self):
-        a, params, _ = make_example(seed=0)
+        a, params, projection = make_example(seed=0)
         b, _, _ = make_example(question="zorp who led after alice?", seed=5)
-        both = score([a, b], params)
-        assert np.allclose(both[0], score([a], params)[0], rtol=1e-12, atol=0)
-        assert np.allclose(both[1], score([b], params)[0], rtol=1e-12, atol=0)
+        both = score([a, b], params, projection)
+        assert np.allclose(both[0], score([a], params, projection)[0], rtol=1e-12, atol=0)
+        assert np.allclose(both[1], score([b], params, projection)[0], rtol=1e-12, atol=0)
         assert np.allclose(both.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_unknown_tokens_fall_back_to_row_zero(self):
-        example, params, _ = make_example()
-        oov = AssembledInput(example.vectors, "i", "zorp blick",
-                             indicators=example.indicators)
-        empty = AssembledInput(example.vectors, "i", "",
-                               indicators=example.indicators)
+        (indicators, _), params, projection = make_example()
+        oov = (indicators, "zorp blick")
+        empty = (indicators, "")
         # both reduce to the unknown row, so the distributions agree
-        assert np.allclose(score([oov], params), score([empty], params))
+        assert np.allclose(score([oov], params, projection),
+                           score([empty], params, projection))
 
     def test_width_mismatch_rejected(self):
-        example, params, _ = make_example()
-        bad = AssembledInput(np.zeros((3, D_LLM + 1)), "i", "q")
+        example, params, projection = make_example()
+        wide = np.zeros(D + 1)
+        bad = (IndicatorSet(wide, wide, wide, 0, 0), "q")
         with pytest.raises(HeadError, match="width"):
-            score([example, bad], params)
+            score([example, bad], params, projection)
         with pytest.raises(HeadError, match="no examples"):
-            score([], params)
+            score([], params, projection)
+
+    def test_projection_width_mismatch_rejected(self):
+        example, params, _ = make_example()
+        narrow = Projection(np.zeros((D - 1, D_LLM)))
+        with pytest.raises(HeadError, match="width"):
+            score([example], params, narrow)
+        with pytest.raises(HeadError, match="width"):
+            loss_and_grads([(example, [0])], params, narrow)
+        with pytest.raises(HeadError, match="width"):
+            score([example], params, Projection(np.zeros((D, D_LLM + 1))))
+
+    def test_projects_with_the_given_matrix(self):
+        # project each indicator, then mix: the order the head no longer uses
+        (indicators, question), params, _ = make_example()
+        retrained = init_projection(D, D_LLM, 99)
+        vectors = np.stack([indicators.sub_vec, indicators.rel_vec,
+                            indicators.obj_vec]) @ retrained.weight
+        rows = [params.token_vocab.get(t, 0) for t in tokenize(question)]
+        feature = MIX @ np.vstack([vectors, params.token_emb[rows].mean(axis=0)])
+        logits = feature @ params.scoring
+        expected = np.exp(logits - logits.max())
+        expected /= expected.sum()
+        probs = score([(indicators, question)], params, retrained)[0]
+        assert np.allclose(probs, expected, rtol=1e-12, atol=0)
+
+    def test_rows_equal_training_forward(self):
+        rng = np.random.default_rng(5)
+        batch, params, projection = random_batch(rng, 6)
+        compiled = compile_examples(batch, params)
+        _, _, log_probs = _forward(params, projection, compiled.indicators,
+                                   compiled.token_ids, compiled.token_weights)
+        probs = score([example for example, _ in batch], params, projection)
+        assert np.array_equal(probs, np.exp(log_probs))
+        feature_rows = _features([example for example, _ in batch], params)
+        assert np.array_equal(feature_rows[0], compiled.indicators)
 
 
 class TestPredictTopk:
     def test_orders_by_probability(self):
-        example, params, _ = make_example()
-        probs = score([example], params)[0]
-        top, = predict_topk([example], params, len(ANSWERS))
+        example, params, projection = make_example()
+        probs = score([example], params, projection)[0]
+        top, = predict_topk([example], params, projection, len(ANSWERS))
         resorted = sorted(range(len(ANSWERS)), key=lambda i: (-probs[i], i))
         assert top == [ANSWERS[i] for i in resorted]
 
     def test_ties_break_by_ascending_answer_id(self):
-        example, params, _ = make_example()
+        example, params, projection = make_example()
         params.scoring[:] = 0.0  # all answers equally likely
-        assert predict_topk([example], params, 3) == [list(ANSWERS[:3])]
+        assert predict_topk([example], params, projection, 3) == [list(ANSWERS[:3])]
 
     def test_blocks_of_head_width_match_single_examples(self):
-        examples, params = [], None
+        examples, params, projection = [], None, None
         for seed in range(D_LLM + 2):  # more examples than one scoring block
-            example, params, _ = make_example(seed=seed)
+            example, params, projection = make_example(seed=seed)
             examples.append(example)
-        ranked = predict_topk(examples, params, 3)
-        assert ranked == [predict_topk([e], params, 3)[0] for e in examples]
+        ranked = predict_topk(examples, params, projection, 3)
+        assert ranked == [predict_topk([e], params, projection, 3)[0] for e in examples]
 
     def test_k_bounds(self):
-        example, params, _ = make_example()
+        example, params, projection = make_example()
         with pytest.raises(HeadError):
-            predict_topk([example], params, 0)
-        assert len(predict_topk([example], params, 100)[0]) == len(ANSWERS)
-        assert predict_topk([], params, 3) == []
+            predict_topk([example], params, projection, 0)
+        assert len(predict_topk([example], params, projection, 100)[0]) == len(ANSWERS)
+        assert predict_topk([], params, projection, 3) == []
 
 
 class TestLossAndGrads:
@@ -238,7 +234,7 @@ class TestLossAndGrads:
         example, params, projection = make_example()
         golds = [0, 2]
         loss, _ = loss_and_grads([(example, golds)], params, projection)
-        probs = score([example], params)[0]
+        probs = score([example], params, projection)[0]
         assert loss == pytest.approx(-np.mean(np.log(probs[golds])), rel=1e-9)
 
     def test_additive_over_examples(self):
@@ -271,10 +267,17 @@ class TestLossAndGrads:
             loss_and_grads([(example, [])], params, projection)
         with pytest.raises(HeadError, match="answer space"):
             loss_and_grads([(example, [99])], params, projection)
-        stripped = AssembledInput(example.vectors, "i", "q")
-        with pytest.raises(HeadError, match="indicators"):
-            loss_and_grads([(stripped, [0])], params, projection)
 
+
+    def test_out_receives_the_gradients(self):
+        rng = np.random.default_rng(2)
+        batch, params, projection = random_batch(rng, 4)
+        fresh_loss, fresh = loss_and_grads(batch, params, projection)
+        out = HeadGradients.empty(params, projection)
+        loss, written = loss_and_grads(batch, params, projection, out)
+        assert written is out and loss == fresh_loss
+        for name in ("token_emb", "scoring", "projection"):
+            assert np.array_equal(getattr(out, name), getattr(fresh, name)), name
 
     def test_empty_batch_rejected(self):
         _, params, projection = make_example()
@@ -299,7 +302,7 @@ class TestLossAndGrads:
         compiled = compile_examples(batch, params)
         assert isinstance(compiled, CompiledBatch) and len(compiled) == 5
         # sized by tokens and golds per question, not by vocabulary or answers
-        longest = max(len(tokenize(e.question_text)) for e, _ in batch)
+        longest = max(len(tokenize(question)) for (_, question), _ in batch)
         assert compiled.token_ids.shape == (5, longest)
         assert compiled.gold_ids.shape == (5, max(len(g) for _, g in batch))
         assert np.allclose(compiled.token_weights.sum(axis=1), 1.0)

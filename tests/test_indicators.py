@@ -4,11 +4,9 @@ import pytest
 from tempkgqa.embeddings import init_random
 from tempkgqa.indicators import (
     IndicatorError,
-    Projection,
     build_indicators,
     init_projection,
     local_pool,
-    project,
     temporal_enhance,
 )
 from tempkgqa.retrieval import RetrievedSubgraph, TemporalConstraint
@@ -25,8 +23,7 @@ def make_world(n_entities=4, n_relations=2, n_times=5, seed=0):
     table = init_random(n_entities, n_relations, n_times, D, seed)
     rng = np.random.default_rng(seed + 1)
     nodes = {e: rng.normal(size=D) for e in range(n_entities)}
-    projection = init_projection(D, D_LLM, seed + 2)
-    return table, nodes, projection
+    return table, nodes
 
 
 class TestProjection:
@@ -80,9 +77,9 @@ class TestPooling:
 
 class TestBuildIndicators:
     def test_matches_manual_computation(self):
-        table, nodes, projection = make_world()
+        table, nodes = make_world()
         facts = [Quadruple(0, 0, 1, 1, 2), Quadruple(2, 1, 3, 0, 3)]
-        result = build_indicators(make_subgraph(facts), nodes, table, projection)
+        result = build_indicators(make_subgraph(facts), nodes, table)
 
         t_vecs = table.time[0] + table.time[3]  # earliest start, latest end
         sub = (nodes[0] + nodes[2]) / 2 + t_vecs
@@ -92,73 +89,39 @@ class TestBuildIndicators:
         assert np.allclose(result.sub_vec, sub)
         assert np.allclose(result.rel_vec, rel)
         assert np.allclose(result.obj_vec, obj)
-        assert np.allclose(result.sub_proj, sub @ projection.weight)
-        assert np.allclose(result.rel_proj, rel @ projection.weight)
-        assert np.allclose(result.obj_proj, obj @ projection.weight)
 
     def test_repeated_facts_count_twice(self):
-        table, nodes, projection = make_world()
+        table, nodes = make_world()
         fact = Quadruple(0, 0, 1, 1, 2)
         other = Quadruple(2, 1, 3, 1, 2)
-        once = build_indicators(make_subgraph([fact, other]), nodes, table, projection)
-        twice = build_indicators(make_subgraph([fact, fact, other]), nodes, table,
-                                 projection)
+        once = build_indicators(make_subgraph([fact, other]), nodes, table)
+        twice = build_indicators(make_subgraph([fact, fact, other]), nodes, table)
         assert not np.allclose(once.sub_vec, twice.sub_vec)
         expected = (2 * nodes[0] + nodes[2]) / 3 + table.time[1] + table.time[2]
         assert np.allclose(twice.sub_vec, expected)
 
     def test_max_pooling_mode(self):
-        table, nodes, projection = make_world()
+        table, nodes = make_world()
         facts = [Quadruple(0, 0, 1, 1, 2), Quadruple(2, 1, 3, 1, 2)]
-        result = build_indicators(make_subgraph(facts), nodes, table, projection,
-                                  mode="max")
+        result = build_indicators(make_subgraph(facts), nodes, table, mode="max")
         t_vecs = table.time[1] + table.time[2]
         assert np.allclose(result.sub_vec,
                            np.maximum(nodes[0], nodes[2]) + t_vecs)
 
     def test_time_range_unions_all_endpoints(self):
-        table, nodes, projection = make_world()
+        table, nodes = make_world()
         facts = [Quadruple(0, 0, 1, 2, 2), Quadruple(2, 1, 3, 1, 4)]
-        result = build_indicators(make_subgraph(facts), nodes, table, projection)
+        result = build_indicators(make_subgraph(facts), nodes, table)
         assert (result.t_min, result.t_max) == (1, 4)
 
     def test_empty_subgraph_rejected(self):
-        table, nodes, projection = make_world()
+        table, nodes = make_world()
         with pytest.raises(IndicatorError, match="empty"):
-            build_indicators(make_subgraph([]), nodes, table, projection)
+            build_indicators(make_subgraph([]), nodes, table)
 
     def test_missing_node_embedding_rejected(self):
-        table, nodes, projection = make_world()
+        table, nodes = make_world()
         del nodes[1]
         with pytest.raises(IndicatorError, match="entity 1"):
             build_indicators(make_subgraph([Quadruple(0, 0, 1, 0, 0)]),
-                             nodes, table, projection)
-
-    def test_width_mismatch_rejected(self):
-        table, nodes, _ = make_world()
-        narrow = Projection(np.zeros((D - 1, D_LLM)))
-        with pytest.raises(IndicatorError, match="width"):
-            build_indicators(make_subgraph([Quadruple(0, 0, 1, 0, 0)]),
-                             nodes, table, narrow)
-
-
-class TestReproject:
-    def test_project_swaps_only_projections(self):
-        table, nodes, projection = make_world()
-        facts = [Quadruple(0, 0, 1, 1, 2)]
-        base = build_indicators(make_subgraph(facts), nodes, table, projection)
-        retrained = init_projection(D, D_LLM, 99)
-        result = project(base, retrained)
-        assert np.array_equal(result.sub_vec, base.sub_vec)
-        assert np.array_equal(result.rel_vec, base.rel_vec)
-        assert np.array_equal(result.obj_vec, base.obj_vec)
-        assert np.allclose(result.sub_proj, base.sub_vec @ retrained.weight)
-        assert (result.t_min, result.t_max) == (base.t_min, base.t_max)
-
-    def test_project_with_same_matrix_is_stable(self):
-        table, nodes, projection = make_world()
-        base = build_indicators(make_subgraph([Quadruple(0, 0, 1, 1, 2)]),
-                                nodes, table, projection)
-        again = project(base, projection)
-        assert np.allclose(again.sub_proj, base.sub_proj)
-        assert np.allclose(again.obj_proj, base.obj_proj)
+                             nodes, table)

@@ -150,10 +150,6 @@ class TestStoreIndexes:
         objects = {tiny_store.entities.label(f.object) for f in facts}
         assert "ada" in subjects and "ada" in objects
 
-    def test_facts_by_relation(self, tiny_store):
-        leads = tiny_store.relations.id("leads")
-        assert len(tiny_store.facts_by_relation(leads)) == 3
-
     def test_self_loop_indexed_once(self):
         store = build_store([("a", "r", "a", 1990, 1990)])
         assert store.fact_ids_by_entity(0) == (0,)
@@ -273,6 +269,11 @@ class TestQuestionFile:
     def test_empty_answers_rejected(self, tmp_path, tiny_store):
         with pytest.raises(StoreError, match="no gold answers"):
             load_questions(self.write(tmp_path, [self.record(answers=[])]), tiny_store)
+
+    def test_empty_entities_rejected(self, tmp_path, tiny_store):
+        records = [self.record(), self.record(uid="q7", entities=[])]
+        with pytest.raises(StoreError, match=r"line 2: question 'q7' has no annotated"):
+            load_questions(self.write(tmp_path, records), tiny_store)
 
     def test_invalid_json_line_numbered(self, tmp_path, tiny_store):
         path = tmp_path / "questions.jsonl"

@@ -554,6 +554,23 @@ class TestPretrain:
         b = pretrain(store, table, params, one_epoch)[1]
         assert np.array_equal(a.w_msg, b.w_msg)
 
+    @pytest.mark.parametrize("max_steps, epochs_run", [(0, 0), (3, 1), (4, 2), (6, 2)])
+    def test_max_steps_ends_training(self, max_steps, epochs_run):
+        # 8 queries in batches of 3: three steps per epoch
+        store, table, params = self.make_world()
+        config = TgnnPretrainConfig(learning_rate=0.5, epochs=5, batch_size=3,
+                                    max_steps=max_steps)
+        trained_table, trained_params, losses = pretrain(store, table, params, config)
+        assert len(losses) == epochs_run
+        assert all(loss > 0.0 for loss in losses)
+        # the epochs after the cap change nothing
+        just_enough = TgnnPretrainConfig(learning_rate=0.5, epochs=epochs_run,
+                                         batch_size=3, max_steps=max_steps)
+        table_ref, params_ref, losses_ref = pretrain(store, table, params, just_enough)
+        assert losses == losses_ref
+        assert np.array_equal(trained_table.entity, table_ref.entity)
+        assert np.array_equal(trained_params.decoder_w, params_ref.decoder_w)
+
     def test_deterministic(self):
         store, table, params = self.make_world()
         config = TgnnPretrainConfig(learning_rate=0.3, epochs=2, batch_size=3, seed=9)
