@@ -16,6 +16,7 @@ __all__ = [
     "cli",
     "config",
     "embeddings",
+    "errors",
     "evaluation",
     "head",
     "indicators",

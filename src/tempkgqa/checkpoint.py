@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingTable
+from .errors import TempkgqaError
 from .head import HeadParams
 from .indicators import Projection
 from .tgnn import TgnnParams
@@ -38,7 +39,7 @@ MAGIC_TGNN = b"TGNN"
 MAGIC_HEAD = b"HEAD"
 
 
-class CheckpointError(ValueError):
+class CheckpointError(TempkgqaError, ValueError):
     pass
 
 
@@ -178,14 +179,20 @@ def load_head(path: str | Path) -> tuple[HeadParams, Projection]:
         token_emb = _read_array(handle, (n_tokens, d_llm))
         scoring = _read_array(handle, (d_llm, n_answers))
         weight = _read_array(handle, (d_in, d_llm))
-        sidecar = json.loads(_sidecar_path(path).read_text(encoding="utf-8"))
-        tokens = sidecar["tokens"]
-        if len(tokens) != n_tokens or len(sidecar["answer_labels"]) != n_answers:
-            raise CheckpointError("sidecar does not match checkpoint shapes")
+    sidecar = _sidecar_path(path)
+    try:
+        record = json.loads(sidecar.read_text(encoding="utf-8"))
+        tokens, answer_labels = list(record["tokens"]), tuple(record["answer_labels"])
+    except KeyError as exc:
+        raise CheckpointError(f"{sidecar}: head sidecar has no key {exc}") from None
+    except (ValueError, TypeError) as exc:  # undecodable text or JSON, wrong types
+        raise CheckpointError(f"{sidecar}: malformed head sidecar ({exc})") from None
+    if len(tokens) != n_tokens or len(answer_labels) != n_answers:
+        raise CheckpointError(f"{sidecar}: sidecar does not match the shapes in {path}")
     params = HeadParams(
         token_vocab={token: row for row, token in enumerate(tokens)},
         token_emb=token_emb,
         scoring=scoring,
-        answer_labels=tuple(sidecar["answer_labels"]),
+        answer_labels=answer_labels,
     )
     return params, Projection(weight)

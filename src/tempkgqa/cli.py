@@ -23,17 +23,11 @@ import numpy as np
 from . import checkpoint, evaluation, head as head_mod, indicators as ind_mod, tgnn
 from .config import ConfigError, RunConfig, load_config
 from .embeddings import BasePretrainConfig, init_random, pretrain_base
+from .errors import TempkgqaError
 from .llm import GenerationParams, LlmClient, MockLlmClient, RemoteLlmClient
 from .prompts import render_instruction
 from .retrieval import retrieve_question, subgraph_from_record, subgraph_record
-from .store import (
-    AnswerType,
-    Question,
-    StoreError,
-    TkgStore,
-    load_questions,
-    load_tkg,
-)
+from .store import AnswerType, Question, TkgStore, load_questions, load_tkg
 
 log = logging.getLogger("tempkgqa")
 
@@ -48,7 +42,7 @@ HEAD_CKPT = "head.ckpt"
 SPLITS = ("train", "test")
 
 
-class CliError(RuntimeError):
+class CliError(TempkgqaError, RuntimeError):
     pass
 
 
@@ -336,6 +330,16 @@ def stage_predict(cfg: RunConfig) -> None:
     store, _, test = _load_world(cfg)
     params, projection = checkpoint.load_head(_ckpt_path(cfg, HEAD_CKPT))
     indicator_sets = _indicator_sets(cfg, store, "test")
+    # build-indicators skips exactly the questions with empty evidence; those
+    # get an empty answer list, any other gap is a stale dump.
+    empty = {r["uid"] for r in _read_jsonl(_dump_path(cfg, "subgraphs_test.jsonl"))
+             if r["empty"]}
+    for question in test:
+        if question.uid not in indicator_sets and question.uid not in empty:
+            path = _dump_path(cfg, "indicators_test.jsonl")
+            raise CliError(
+                f"question {question.uid!r} is missing from {path}; rerun build-indicators"
+            )
     answered = [q for q in test if q.uid in indicator_sets]
     examples = [(indicator_sets[q.uid], q.text) for q in answered]
     ranked = dict(zip(
@@ -461,7 +465,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     stage = stage_e2e if args.command == "e2e" else STAGES[args.command]
     try:
         stage(cfg)
-    except (StoreError, CliError, checkpoint.CheckpointError, OSError) as exc:
+    except (TempkgqaError, OSError) as exc:
         log.error("%s", exc)
         return 2
     return 0

@@ -13,13 +13,14 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import TempkgqaError
 from .indicators import POOL_MODES
 from .tgnn import TIME_MODES
 
 _PATH_FIELDS = ("tkg_path", "questions_train", "questions_test", "dump_dir", "checkpoint_dir")
 
 
-class ConfigError(ValueError):
+class ConfigError(TempkgqaError, ValueError):
     pass
 
 

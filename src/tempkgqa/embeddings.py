@@ -20,10 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import TempkgqaError
 from .store import Quadruple, TkgStore
 
 
-class EmbeddingError(ValueError):
+class EmbeddingError(TempkgqaError, ValueError):
     pass
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Mapping, Sequence
 
+from .errors import TempkgqaError
 from .store import COMPLEX_TYPES, SIMPLE_TYPES
 
 
-class EvaluationError(ValueError):
+class EvaluationError(TempkgqaError, ValueError):
     pass
 
 

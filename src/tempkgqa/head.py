@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import TempkgqaError
 from .indicators import IndicatorSet, Projection
 from .prompts import tokenize
 
@@ -46,7 +47,7 @@ MIX = np.full(4, 0.25)
 Example = tuple[IndicatorSet, str]
 
 
-class HeadError(ValueError):
+class HeadError(TempkgqaError, ValueError):
     pass
 
 

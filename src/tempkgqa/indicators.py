@@ -18,12 +18,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
+from .errors import TempkgqaError
 from .retrieval import RetrievedSubgraph
 
 POOL_MODES = ("mean", "max")
 
 
-class IndicatorError(ValueError):
+class IndicatorError(TempkgqaError, ValueError):
     pass
 
 

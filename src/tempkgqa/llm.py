@@ -18,6 +18,8 @@ from typing import Mapping, Protocol, Sequence
 
 import requests
 
+from .errors import TempkgqaError
+
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "TEMPKGQA_API_KEY"
@@ -26,7 +28,7 @@ RETRYABLE_STATUSES = (429, 500, 502, 503, 504)
 Message = Mapping[str, str]
 
 
-class TransportError(RuntimeError):
+class TransportError(TempkgqaError, RuntimeError):
     """The client could not obtain a completion; carries diagnostics."""
 
     def __init__(self, message: str, status: int | None = None, attempts: int = 1) -> None:

@@ -16,10 +16,11 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .errors import TempkgqaError
 from .store import Quadruple, StoreError, TkgStore
 
 
-class PromptError(ValueError):
+class PromptError(TempkgqaError, ValueError):
     """A template slot could not be filled, or output still contains one."""
 
 

@@ -6,27 +6,38 @@ implied by the question (again LLM-assisted with a rule-based oracle as both
 fallback and offline mode), and then filter the fact store down to a small
 evidence set.
 
-Interval satisfaction semantics live here, on :class:`TemporalConstraint`;
-:func:`tempkgqa.store.facts_filtered` reuses them through ``admits``.
+The three per-question scans (:func:`candidate_relations`,
+:func:`anchor_facts` and :func:`tempkgqa.store.facts_filtered`) gather the
+annotated entities' rows from the store's CSR index, mask them on the fact
+columns and order them with one ``np.lexsort``; only the kept ids become
+:class:`Quadruple` objects.  Interval satisfaction has one definition,
+:meth:`TemporalConstraint.satisfied` in :mod:`tempkgqa.store`, which the
+filter applies to whole columns.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
+from .errors import TempkgqaError
 from .llm import GenerationParams, LlmClient, TransportError
 from .prompts import fact_fields, render_relation_ranking, render_time_mining, tokenize
 from .store import (
     ANCHORED_TYPES,
+    ConstraintKind,
     Quadruple,
     Question,
     QuestionType,
+    TemporalConstraint,
     TkgStore,
     facts_filtered,
+    member_mask,
 )
 
 logger = logging.getLogger(__name__)
@@ -38,83 +49,12 @@ AFTER_PATTERN = re.compile(r"after\s+(\d{4})", re.IGNORECASE)
 BEFORE_PATTERN = re.compile(r"before\s+(\d{4})", re.IGNORECASE)
 
 
-class RetrievalError(RuntimeError):
+class RetrievalError(TempkgqaError, RuntimeError):
     """Retrieval failed for a question; carries the question uid."""
 
     def __init__(self, uid: str, message: str) -> None:
         super().__init__(f"question {uid!r}: {message}")
         self.uid = uid
-
-
-class ConstraintKind(str, Enum):
-    NONE = "none"
-    AT = "at"
-    BEFORE = "before"
-    AFTER = "after"
-    BETWEEN = "between"
-
-
-@dataclass(frozen=True)
-class TemporalConstraint:
-    """Temporal filter over fact intervals; ``t1``/``t2`` are time ids.
-
-    Satisfaction, with ``[s, e]`` the fact interval:
-
-    - ``none``          always
-    - ``at(t)``         ``s <= t <= e``
-    - ``before(t)``     ``s < t``   (the fact starts strictly before ``t``)
-    - ``after(t)``      ``e > t``   (the fact ends strictly after ``t``)
-    - ``between(a, b)`` the closed intervals ``[s, e]`` and ``[a, b]`` overlap
-    """
-
-    kind: ConstraintKind = ConstraintKind.NONE
-    t1: int | None = None
-    t2: int | None = None
-
-    def __post_init__(self) -> None:
-        needs_one = self.kind in (ConstraintKind.AT, ConstraintKind.BEFORE, ConstraintKind.AFTER)
-        if self.kind is ConstraintKind.NONE and (self.t1 is not None or self.t2 is not None):
-            raise ValueError("constraint 'none' carries no times")
-        if needs_one and (self.t1 is None or self.t2 is not None):
-            raise ValueError(f"constraint '{self.kind.value}' needs exactly t1")
-        if self.kind is ConstraintKind.BETWEEN:
-            if self.t1 is None or self.t2 is None:
-                raise ValueError("constraint 'between' needs t1 and t2")
-            if self.t1 > self.t2:
-                raise ValueError("constraint 'between' runs backwards")
-
-    def admits(self, fact: Quadruple) -> bool:
-        if self.kind is ConstraintKind.NONE:
-            return True
-        if self.kind is ConstraintKind.AT:
-            return fact.t_start <= self.t1 <= fact.t_end
-        if self.kind is ConstraintKind.BEFORE:
-            return fact.t_start < self.t1
-        if self.kind is ConstraintKind.AFTER:
-            return fact.t_end > self.t1
-        return max(fact.t_start, self.t1) <= min(fact.t_end, self.t2)
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def none(cls) -> "TemporalConstraint":
-        return cls(ConstraintKind.NONE)
-
-    @classmethod
-    def at(cls, t: int) -> "TemporalConstraint":
-        return cls(ConstraintKind.AT, t)
-
-    @classmethod
-    def before(cls, t: int) -> "TemporalConstraint":
-        return cls(ConstraintKind.BEFORE, t)
-
-    @classmethod
-    def after(cls, t: int) -> "TemporalConstraint":
-        return cls(ConstraintKind.AFTER, t)
-
-    @classmethod
-    def between(cls, t1: int, t2: int) -> "TemporalConstraint":
-        return cls(ConstraintKind.BETWEEN, t1, t2)
 
 
 @dataclass(frozen=True)
@@ -142,15 +82,22 @@ def candidate_relations(store: TkgStore, question: Question) -> list[int]:
     first-occurrence order."""
     if not question.entities:
         raise RetrievalError(question.uid, "no annotated entities")
-    seen: dict[int, None] = {}
-    for entity in question.entities:
-        for fact in store.facts_by_entity(entity):
-            seen.setdefault(fact.relation, None)
-    return list(seen)
+    ids = np.concatenate([store.fact_ids_by_entity(e) for e in question.entities])
+    relations = store.relation[ids]
+    # first[r]: position of relation r's first fact; absent relations keep len.
+    first = np.full(len(store.relations), len(relations))
+    np.minimum.at(first, relations, np.arange(len(relations)))
+    return relations[np.sort(first[first < len(relations)])].tolist()
 
 
 def _token_set(text: str) -> frozenset[str]:
     return frozenset(tokenize(text))
+
+
+@functools.lru_cache(maxsize=1024)
+def _label_tokens(label: str) -> frozenset[str]:
+    """Token set of a relation label, which every question re-ranks."""
+    return _token_set(label)
 
 
 def lexical_rank(store: TkgStore, question: Question, candidates: Sequence[int]) -> list[int]:
@@ -159,7 +106,7 @@ def lexical_rank(store: TkgStore, question: Question, candidates: Sequence[int])
     question_tokens = _token_set(question.text)
 
     def f1(relation: int) -> float:
-        label_tokens = _token_set(store.relations.label(relation))
+        label_tokens = _label_tokens(store.relations.label(relation))
         if not label_tokens or not question_tokens:
             return 0.0
         overlap = len(label_tokens & question_tokens)
@@ -237,26 +184,12 @@ def anchor_facts(store: TkgStore, question: Question, relations: Sequence[int]) 
     facts touching a single annotated entity; each group is ordered by
     ``(t_start, t_end, insertion order)``.
     """
-    annotated = set(question.entities)
-    relation_set = set(relations)
-    linked: list[int] = []
-    touched: list[int] = []
-    seen: set[int] = set()
-    for entity in question.entities:
-        for fact_id in store.fact_ids_by_entity(entity):
-            if fact_id in seen:
-                continue
-            seen.add(fact_id)
-            fact = store.facts[fact_id]
-            if fact.relation not in relation_set:
-                continue
-            if fact.subject in annotated and fact.object in annotated:
-                linked.append(fact_id)
-            else:
-                touched.append(fact_id)
-    linked.sort(key=store.sort_key)
-    touched.sort(key=store.sort_key)
-    return [store.facts[i] for i in linked + touched]
+    ids = store.incident_fact_ids(question.entities)
+    ids = ids[member_mask(store.relation[ids], relations)]
+    linked = (member_mask(store.subject[ids], question.entities)
+              & member_mask(store.object[ids], question.entities))
+    order = np.lexsort((ids, store.t_end[ids], store.t_start[ids], ~linked))
+    return store.facts_of(ids[order])
 
 
 def _first_vocabulary_year(store: TkgStore, text: str) -> int | None:

@@ -35,6 +35,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
+from .errors import TempkgqaError
 from .store import Quadruple, TkgStore
 
 MASK = -1
@@ -42,7 +43,7 @@ MASK = -1
 TIME_MODES = ("start", "end", "mid")
 
 
-class TgnnError(ValueError):
+class TgnnError(TempkgqaError, ValueError):
     pass
 
 
@@ -459,7 +460,8 @@ def build_query_subgraph(
     max_facts = max(0, cap_edges // 2)
     if len(neighbour_ids) > max_facts:
         chosen = rng.choice(len(neighbour_ids), size=max_facts, replace=False)
-        neighbour_ids = [neighbour_ids[i] for i in sorted(chosen)]
+        neighbour_ids = neighbour_ids[np.sort(chosen)]
+    neighbour_ids = neighbour_ids.tolist()
 
     node_of: dict[int, int] = {anchor: 0}
     nodes: list[int] = [anchor, MASK]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,18 @@ class TestHeadCheckpoint:
         text = sidecar.read_text(encoding="utf-8").replace('"ada", ', "")
         sidecar.write_text(text, encoding="utf-8")
         with pytest.raises(CheckpointError, match="sidecar"):
+            load_head(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"tokens": [', '{"tokens": []}', '{"answer_labels": []}', "[]", "\udcff",
+    ], ids=["truncated", "no-labels", "no-tokens", "list", "not-utf8"])
+    def test_malformed_sidecar_rejected_with_its_path(self, tmp_path, text):
+        params, projection = self.make()
+        path = tmp_path / "head.ckpt"
+        save_head(path, params, projection)
+        sidecar = tmp_path / "head.json"
+        sidecar.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(sidecar))}: "):
             load_head(path)
 
     def test_missing_sidecar_raises(self, tmp_path):

@@ -5,8 +5,12 @@ import shutil
 import numpy as np
 import pytest
 
+from tempkgqa import (checkpoint, cli, config, embeddings, evaluation, head, indicators,
+                      llm, prompts, retrieval, store, tgnn)
 from tempkgqa.checkpoint import load_head, load_table, load_tgnn
 from tempkgqa.cli import main
+from tempkgqa.errors import TempkgqaError
+from tempkgqa.llm import TransportError
 
 from conftest import DATA
 
@@ -176,6 +180,48 @@ class TestStageSequencing:
         assert main(["predict", "--config", str(config)]) == 2
         assert f"{path}: truncated checkpoint" in caplog.text
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"tokens": [', "malformed head sidecar"),
+        ('{"tokens": []}', "has no key 'answer_labels'"),
+        ("[1, 2]", "malformed head sidecar"),
+    ], ids=["truncated", "missing-key", "not-an-object"])
+    def test_malformed_head_sidecar_returns_2(self, pipeline, tmp_path, caplog, text, message):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "checkpoints" / "head.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["predict", "--config", str(config)]) == 2
+        assert f"{path}: " in caplog.text
+        assert message in caplog.text
+
+    def test_question_missing_from_indicators_fails_with_guidance(
+        self, pipeline, tmp_path, caplog
+    ):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "indicators_test.jsonl"
+        records = read_jsonl(path)
+        uid = records[0]["uid"]
+        records[0]["uid"] = "renamed"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["predict", "--config", str(config)]) == 2
+        assert f"question {uid!r} is missing from {path}" in caplog.text
+        assert "rerun build-indicators" in caplog.text
+
+    def test_question_with_empty_evidence_gets_no_answers(self, pipeline, tmp_path):
+        config = copied_run(pipeline, tmp_path)
+        dumps = tmp_path / "dumps"
+        subgraphs = read_jsonl(dumps / "subgraphs_test.jsonl")
+        uid = subgraphs[0]["uid"]
+        subgraphs[0].update(facts=[], empty=True)
+        indicators = [r for r in read_jsonl(dumps / "indicators_test.jsonl") if r["uid"] != uid]
+        for name, records in (("subgraphs_test.jsonl", subgraphs),
+                              ("indicators_test.jsonl", indicators)):
+            (dumps / name).write_text(
+                "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["predict", "--config", str(config)]) == 0
+        predictions = {r["uid"]: r["answers"] for r in read_jsonl(dumps / "predictions.jsonl")}
+        assert predictions[uid] == []
+        assert len(predictions) == 76
+
     def test_single_stage_reruns_cleanly(self, pipeline):
         dumps, config = pipeline
         before = (dumps / "report.json").read_bytes()
@@ -223,6 +269,31 @@ class TestErrorHandling:
     def test_missing_facts_file_returns_2(self, tmp_path):
         config = fast_config(tmp_path, tkg_path=str(tmp_path / "nowhere.txt"))
         assert main(["build-kg", "--config", str(config)]) == 2
+
+    def test_failing_endpoint_returns_2_naming_the_question(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        class DownClient:
+            def __init__(self, endpoint):
+                pass
+
+            def send(self, messages, params):
+                raise TransportError("connection refused", attempts=3)
+
+        monkeypatch.setattr(cli, "RemoteLlmClient", DownClient)
+        config = fast_config(tmp_path, oracle=False, endpoint="http://localhost:9/v1")
+        assert main(["retrieve", "--config", str(config)]) == 2
+        first = read_jsonl(DESK / "questions_train.jsonl")[0]["uid"]
+        assert f"question {first!r}" in caplog.text
+        assert "transport failure" in caplog.text
+
+    def test_every_module_error_shares_one_base(self):
+        errors = [checkpoint.CheckpointError, cli.CliError, config.ConfigError,
+                  embeddings.EmbeddingError, evaluation.EvaluationError,
+                  head.HeadError, indicators.IndicatorError, llm.TransportError,
+                  prompts.PromptError, retrieval.RetrievalError, store.StoreError,
+                  tgnn.TgnnError]
+        assert all(issubclass(error, TempkgqaError) for error in errors)
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):

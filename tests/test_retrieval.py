@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +25,15 @@ from tempkgqa.retrieval import (
     subgraph_from_record,
     subgraph_record,
 )
-from tempkgqa.store import AnswerType, Quadruple, Question, QuestionType, TkgStore, Vocabulary
+from tempkgqa.store import (
+    AnswerType,
+    Quadruple,
+    Question,
+    QuestionType,
+    TkgStore,
+    Vocabulary,
+    facts_filtered,
+)
 
 from conftest import build_store
 
@@ -443,3 +454,245 @@ class TestRecords:
         record = subgraph_record(tiny_store, empty)
         assert record["empty"] is True
         assert subgraph_from_record(tiny_store, record) == empty
+
+
+# ---------------------------------------------------------------------------
+# the columnar scans against per-fact loops
+# ---------------------------------------------------------------------------
+
+def looped_index(store):
+    """Per-entity fact ids built fact by fact: subject, then object unless the
+    fact is a self-loop."""
+    by_entity = {}
+    for fact_id, fact in enumerate(store.facts):
+        by_entity.setdefault(fact.subject, []).append(fact_id)
+        if fact.object != fact.subject:
+            by_entity.setdefault(fact.object, []).append(fact_id)
+    return by_entity
+
+
+def looped_admits(constraint, fact):
+    kind, t1, t2 = constraint.kind, constraint.t1, constraint.t2
+    if kind is ConstraintKind.NONE:
+        return True
+    if kind is ConstraintKind.AT:
+        return fact.t_start <= t1 <= fact.t_end
+    if kind is ConstraintKind.BEFORE:
+        return fact.t_start < t1
+    if kind is ConstraintKind.AFTER:
+        return fact.t_end > t1
+    return max(fact.t_start, t1) <= min(fact.t_end, t2)
+
+
+def looped_sort_key(store):
+    return lambda fact_id: (store.facts[fact_id].t_start, store.facts[fact_id].t_end, fact_id)
+
+
+def looped_candidate_relations(store, by_entity, question):
+    seen = {}
+    for entity in question.entities:
+        for fact_id in by_entity.get(entity, ()):
+            seen.setdefault(store.facts[fact_id].relation, None)
+    return list(seen)
+
+
+def looped_anchor_facts(store, by_entity, question, relations):
+    annotated = set(question.entities)
+    relation_set = set(relations)
+    linked, touched, seen = [], [], set()
+    for entity in question.entities:
+        for fact_id in by_entity.get(entity, ()):
+            if fact_id in seen:
+                continue
+            seen.add(fact_id)
+            fact = store.facts[fact_id]
+            if fact.relation not in relation_set:
+                continue
+            if fact.subject in annotated and fact.object in annotated:
+                linked.append(fact_id)
+            else:
+                touched.append(fact_id)
+    linked.sort(key=looped_sort_key(store))
+    touched.sort(key=looped_sort_key(store))
+    return [store.facts[i] for i in linked + touched]
+
+
+def looped_facts_filtered(store, by_entity, entities, relations, constraint):
+    relation_set = set(relations)
+    candidate_ids = set()
+    for entity in set(entities):
+        candidate_ids.update(by_entity.get(entity, ()))
+    kept = [
+        fact_id for fact_id in candidate_ids
+        if store.facts[fact_id].relation in relation_set
+        and looped_admits(constraint, store.facts[fact_id])
+    ]
+    kept.sort(key=looped_sort_key(store))
+    return [store.facts[i] for i in kept]
+
+
+N_ENTITIES, N_GHOSTS, N_RELATIONS, N_TIMES = 200, 5, 8, 40
+
+
+def zipf_store(seed):
+    """Seeded store whose subjects follow Zipf's law (a few hubs with hundreds
+    of facts), with self-loops and ``N_GHOSTS`` entities that have no facts."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, N_ENTITIES + 1)
+    n_facts = 3000
+    subjects = rng.choice(N_ENTITIES, size=n_facts, p=weights / weights.sum())
+    objects = rng.integers(0, N_ENTITIES, size=n_facts)
+    loops = rng.random(n_facts) < 0.05
+    objects[loops] = subjects[loops]
+    starts = rng.integers(0, N_TIMES - 6, size=n_facts)
+    ends = starts + rng.integers(0, 6, size=n_facts)
+    relations = rng.integers(0, N_RELATIONS, size=n_facts)
+    facts = [Quadruple(*map(int, row))
+             for row in zip(subjects, relations, objects, starts, ends)]
+    return TkgStore(
+        Vocabulary("entity", (f"e{i}" for i in range(N_ENTITIES + N_GHOSTS))),
+        Vocabulary("relation", (f"r{i}" for i in range(N_RELATIONS))),
+        Vocabulary("time", (str(1900 + i) for i in range(N_TIMES))),
+        facts,
+    )
+
+
+def random_constraint(rng, kind):
+    t1 = int(rng.integers(0, N_TIMES))
+    if kind is ConstraintKind.NONE:
+        return TemporalConstraint.none()
+    if kind is ConstraintKind.BETWEEN:
+        return TemporalConstraint.between(t1, min(N_TIMES - 1, t1 + int(rng.integers(0, 8))))
+    return TemporalConstraint(kind, t1)
+
+
+def sampled_questions(store, rng, count):
+    """Single-entity questions (hubs, self-loop entities and ghosts among them)
+    and multi-entity ones, half of them built around a linking fact."""
+    loop_entities = sorted({f.subject for f in store.facts if f.subject == f.object})
+    pools = [
+        lambda: (0,), lambda: (1,),
+        lambda: (int(rng.choice(loop_entities)),),
+        lambda: (N_ENTITIES + int(rng.integers(0, N_GHOSTS)),),
+        lambda: (int(rng.integers(0, N_ENTITIES)),),
+        lambda: tuple(int(e) for e in rng.choice(N_ENTITIES + N_GHOSTS, size=3)),
+    ]
+    questions = []
+    for index in range(count):
+        if index % 2:
+            fact = store.facts[int(rng.integers(len(store.facts)))]
+            others = (int(rng.integers(0, N_ENTITIES + N_GHOSTS)),) * int(rng.integers(0, 2))
+            entities = (fact.object, fact.subject) + others
+        else:
+            entities = pools[index // 2 % len(pools)]()
+        questions.append(Question(f"q{index}", "which relation?", entities, (),
+                                  QuestionType.SIMPLE_ENTITY, AnswerType.ENTITY,
+                                  frozenset({0})))
+    return questions
+
+
+class TestColumnarScansMatchLoops:
+    @pytest.fixture(scope="class", params=[0, 1, 2])
+    def world(self, request):
+        store = zipf_store(request.param)
+        return store, looped_index(store), np.random.default_rng(100 + request.param)
+
+    def test_store_has_hubs_loops_and_ghosts(self, world):
+        store, by_entity, _ = world
+        assert max(len(ids) for ids in by_entity.values()) > 300
+        assert any(f.subject == f.object for f in store.facts)
+        assert all(N_ENTITIES + g not in by_entity for g in range(N_GHOSTS))
+
+    def test_entity_index(self, world):
+        store, by_entity, _ = world
+        for entity in range(len(store.entities)):
+            assert store.fact_ids_by_entity(entity).tolist() == by_entity.get(entity, [])
+
+    def test_candidate_relations(self, world):
+        store, by_entity, rng = world
+        for question in sampled_questions(store, rng, 120):
+            assert (candidate_relations(store, question)
+                    == looped_candidate_relations(store, by_entity, question))
+
+    def test_anchor_facts(self, world):
+        store, by_entity, rng = world
+        for question in sampled_questions(store, rng, 120):
+            relations = rng.choice(N_RELATIONS, size=int(rng.integers(1, 4)), replace=False)
+            relations = [int(r) for r in relations]
+            assert (anchor_facts(store, question, relations)
+                    == looped_anchor_facts(store, by_entity, question, relations))
+
+    @pytest.mark.parametrize("kind", list(ConstraintKind))
+    def test_facts_filtered(self, world, kind):
+        store, by_entity, rng = world
+        nonempty = 0
+        for question in sampled_questions(store, rng, 120):
+            relations = [int(r) for r in rng.choice(N_RELATIONS, size=2, replace=False)]
+            constraint = random_constraint(rng, kind)
+            got = facts_filtered(store, question.entities, relations, constraint)
+            assert got == looped_facts_filtered(
+                store, by_entity, question.entities, relations, constraint)
+            nonempty += bool(got)
+        assert nonempty > 20
+
+    def test_linked_facts_present(self, world):
+        store, by_entity, rng = world
+        relations = list(range(N_RELATIONS))
+        linked = 0
+        for question in sampled_questions(store, rng, 60):
+            anchors = anchor_facts(store, question, relations)
+            linked += sum(f.subject in question.entities and f.object in question.entities
+                          for f in anchors)
+        assert linked > 0
+
+
+# ---------------------------------------------------------------------------
+# dump records round-trip
+# ---------------------------------------------------------------------------
+
+RECORD_STORE = build_store([
+    ("ada", "leads", "lab", 1990, 1994),
+    ("ben", "leads", "lab", 1995, 1998),
+    ("cara", "leads", "lab", 1999, 2001),
+    ("ada", "works at", "mill", 1988, 1996),
+    ("ben", "works at", "mill", 1990, 1999),
+    ("dan", "advises", "ada", 1991, 1993),
+    ("eve", "knows", "eve", 2001, 2001),
+])
+TIME_IDS = st.integers(0, len(RECORD_STORE.times) - 1)
+
+
+@st.composite
+def constraints(draw):
+    kind = draw(st.sampled_from(list(ConstraintKind)))
+    if kind is ConstraintKind.NONE:
+        return TemporalConstraint.none()
+    t1 = draw(TIME_IDS)
+    if kind is ConstraintKind.BETWEEN:
+        return TemporalConstraint.between(t1, draw(st.integers(t1, len(RECORD_STORE.times) - 1)))
+    return TemporalConstraint(kind, t1)
+
+
+@st.composite
+def subgraphs(draw):
+    return RetrievedSubgraph(
+        draw(st.text(max_size=12)),
+        tuple(draw(st.lists(st.sampled_from(RECORD_STORE.facts), max_size=6))),
+        tuple(draw(st.lists(st.integers(0, len(RECORD_STORE.relations) - 1), max_size=3))),
+        draw(constraints()),
+        draw(st.booleans()),
+        draw(st.booleans()),
+    )
+
+
+class TestRecordRoundTrips:
+    @given(constraints())
+    def test_constraint_record_roundtrip(self, constraint):
+        record = json.loads(json.dumps(constraint_record(RECORD_STORE, constraint)))
+        assert constraint_from_record(RECORD_STORE, record) == constraint
+
+    @given(subgraphs())
+    def test_subgraph_record_roundtrip(self, subgraph):
+        record = json.loads(json.dumps(subgraph_record(RECORD_STORE, subgraph)))
+        assert record["empty"] == subgraph.empty
+        assert subgraph_from_record(RECORD_STORE, record) == subgraph
