@@ -40,6 +40,10 @@ TGNN_TABLE_CKPT = "tgnn_table.ckpt"
 TGNN_CKPT = "tgnn.ckpt"
 HEAD_CKPT = "head.ckpt"
 SPLITS = ("train", "test")
+# keys each JSONL dump's readers index, checked when the dump is read
+SUBGRAPH_KEYS = ("uid", "relations", "constraint", "facts", "empty")
+INDICATOR_KEYS = ("uid", "d", "sub", "rel", "obj", "t_min", "t_max")
+PREDICTION_KEYS = ("uid", "answers")
 
 
 class CliError(TempkgqaError, RuntimeError):
@@ -74,10 +78,24 @@ def _write_jsonl(path: Path, records) -> None:
     log.info("wrote %s (%d records)", path, len(lines))
 
 
-def _read_jsonl(path: Path) -> list[dict]:
+def _read_jsonl(path: Path, stage: str, keys: Sequence[str]) -> list[dict]:
+    """Records of a dump written by ``stage``, each a JSON object holding
+    ``keys``; anything else names the dump, the line and the stage to rerun."""
     if not path.exists():
         raise CliError(f"missing artifact {path}; run the earlier stages first")
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    records = []
+    for number, line in enumerate(path.read_bytes().splitlines(), 1):
+        try:
+            record = json.loads(line)  # a ValueError also for bytes that are not UTF-8
+        except ValueError as exc:
+            raise CliError(f"{path}, line {number}: malformed record ({exc}); "
+                           f"rerun {stage}") from None
+        missing = [k for k in keys if not isinstance(record, dict) or k not in record]
+        if missing:
+            raise CliError(f"{path}, line {number}: record has no key {missing[0]!r}; "
+                           f"rerun {stage}")
+        records.append(record)
+    return records
 
 
 def _encode_vector(vector: np.ndarray) -> str:
@@ -234,7 +252,8 @@ def stage_build_prompts(cfg: RunConfig) -> None:
     store, train, test = _load_world(cfg)
     for split, questions in zip(SPLITS, (train, test)):
         path = _dump_path(cfg, f"subgraphs_{split}.jsonl")
-        subgraphs = {r["uid"]: subgraph_from_record(store, r) for r in _read_jsonl(path)}
+        subgraphs = {r["uid"]: subgraph_from_record(store, r)
+                     for r in _read_jsonl(path, "retrieve", SUBGRAPH_KEYS)}
         records = []
         for question in questions:
             subgraph = subgraphs.get(question.uid)
@@ -256,7 +275,8 @@ def stage_build_indicators(cfg: RunConfig) -> None:
     params = checkpoint.load_tgnn(_ckpt_path(cfg, TGNN_CKPT))
     for split in SPLITS:
         records = []
-        for record in _read_jsonl(_dump_path(cfg, f"subgraphs_{split}.jsonl")):
+        path = _dump_path(cfg, f"subgraphs_{split}.jsonl")
+        for record in _read_jsonl(path, "retrieve", SUBGRAPH_KEYS):
             subgraph = subgraph_from_record(store, record)
             if subgraph.empty:
                 continue
@@ -279,7 +299,8 @@ def _indicator_sets(
 ) -> dict[str, ind_mod.IndicatorSet]:
     """Rebuild the encoder-width indicator sets of a split from its dump."""
     sets = {}
-    for record in _read_jsonl(_dump_path(cfg, f"indicators_{split}.jsonl")):
+    path = _dump_path(cfg, f"indicators_{split}.jsonl")
+    for record in _read_jsonl(path, "build-indicators", INDICATOR_KEYS):
         if record["d"] != cfg.d:
             raise CliError(f"indicator width {record['d']} does not match config")
         sets[record["uid"]] = ind_mod.IndicatorSet(
@@ -332,8 +353,8 @@ def stage_predict(cfg: RunConfig) -> None:
     indicator_sets = _indicator_sets(cfg, store, "test")
     # build-indicators skips exactly the questions with empty evidence; those
     # get an empty answer list, any other gap is a stale dump.
-    empty = {r["uid"] for r in _read_jsonl(_dump_path(cfg, "subgraphs_test.jsonl"))
-             if r["empty"]}
+    subgraphs = _read_jsonl(_dump_path(cfg, "subgraphs_test.jsonl"), "retrieve", SUBGRAPH_KEYS)
+    empty = {r["uid"] for r in subgraphs if r["empty"]}
     for question in test:
         if question.uid not in indicator_sets and question.uid not in empty:
             path = _dump_path(cfg, "indicators_test.jsonl")
@@ -356,7 +377,8 @@ def stage_predict(cfg: RunConfig) -> None:
 
 def stage_evaluate(cfg: RunConfig) -> None:
     store, _, test = _load_world(cfg)
-    predictions = {r["uid"]: r["answers"] for r in _read_jsonl(_dump_path(cfg, "predictions.jsonl"))}
+    path = _dump_path(cfg, "predictions.jsonl")
+    predictions = {r["uid"]: r["answers"] for r in _read_jsonl(path, "predict", PREDICTION_KEYS)}
     records = []
     for question in test:
         rank = evaluation.rank_of(

@@ -18,10 +18,14 @@ Every entry point runs one kernel over a :class:`SubgraphBatch`, which may be
 the disjoint union of many query subgraphs (:func:`merge_batches`, the
 mini-batching of PyTorch Geometric).  Edges are grouped by destination once,
 so the neighbourhood softmax and the aggregation are segment reductions
-(``np.maximum.reduceat`` / ``np.add.reduceat``) over every graph at once, and
-one ``(B, d) @ (d, |E|)`` product decodes all ``B`` masked nodes.
+(``np.maximum.reduceat`` / ``np.add.reduceat``) over every graph at once.
+The decoder is the base pre-trainer's full-vocabulary softmax kernel
+(:func:`embeddings.softmax_cross_entropy`) over ``decoder_w.T``: one product
+decodes all ``B`` masked nodes into ``(B, |E|)``-contiguous logits.
 Pre-training builds one such union per mini-batch, takes one gradient of the
-summed loss, and updates only the embedding rows the mini-batch touches.
+summed loss, and updates only the embedding rows the mini-batch touches.  Its
+:class:`TgnnBuffers` hold the decoder's softmax buffers and a dense entity
+gradient, allocated once per :func:`pretrain` call.
 
 All gradients are derived by hand (reverse mode) and checked against central
 finite differences in the test suite; no autodiff framework is involved.
@@ -34,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, SoftmaxBuffers, softmax_cross_entropy, softmax_probs
 from .errors import TempkgqaError
 from .store import Quadruple, TkgStore
 
@@ -275,11 +279,19 @@ def _masked_rows(
     return rows, targets
 
 
-def _decode(final: np.ndarray, rows: np.ndarray, params: TgnnParams) -> np.ndarray:
-    """Log-probabilities over entities for the masked ``rows``, ``(B, n_entities)``."""
-    logits = final[rows] @ params.decoder_w + params.decoder_b
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _decode(
+    final: np.ndarray,
+    rows: np.ndarray,
+    params: TgnnParams,
+    buffers: SoftmaxBuffers | None = None,
+    targets: np.ndarray | None = None,
+) -> tuple[np.ndarray, float]:
+    """Entity distributions of the masked ``rows``, ``(n_entities, B)``, and
+    the summed cross entropy of ``targets``."""
+    vocab = params.decoder_w.T
+    if buffers is None:
+        buffers = SoftmaxBuffers(vocab, len(rows))
+    return softmax_probs(vocab, final[rows], buffers, params.decoder_b, targets)
 
 
 def mask_predict(
@@ -291,7 +303,7 @@ def mask_predict(
     """Entity distribution decoded from the masked node's final embedding."""
     rows = np.array([batch.mask_index()])
     final = forward(batch, table, params, time_mode)
-    return np.exp(_decode(final, rows, params)[0])
+    return _decode(final, rows, params)[0][:, 0]
 
 
 def masked_loss(
@@ -303,8 +315,7 @@ def masked_loss(
 ) -> float:
     """Cross entropy of the masked prediction, summed over masked nodes."""
     rows, targets = _masked_rows(batch, target)
-    log_probs = _decode(forward(batch, table, params, time_mode), rows, params)
-    return float(-log_probs[np.arange(len(rows)), targets].sum())
+    return _decode(forward(batch, table, params, time_mode), rows, params, targets=targets)[1]
 
 
 @dataclass
@@ -361,12 +372,23 @@ def _backward_layer(
     return d_x
 
 
+class TgnnBuffers:
+    """The decoder's softmax buffers and a dense entity gradient, zero
+    outside the rows the last :func:`gradients` call wrote."""
+
+    def __init__(self, table: EmbeddingTable, params: TgnnParams, max_batch: int) -> None:
+        self.decoder = SoftmaxBuffers(params.decoder_w.T, max_batch)
+        self.entity = np.zeros(table.entity.shape)
+        self.entity_rows = np.zeros(0, dtype=np.int64)
+
+
 def gradients(
     batch: SubgraphBatch,
     table: EmbeddingTable,
     params: TgnnParams,
     target: int | Sequence[int],
     time_mode: str = "start",
+    buffers: TgnnBuffers | None = None,
 ) -> tuple[float, TgnnGradients]:
     """Cross-entropy loss of the masked prediction and its full gradient,
     covering the three projection matrices, the decoder, and every embedding
@@ -374,35 +396,36 @@ def gradients(
 
     ``target`` is one entity id for a batch with one masked node, or one id
     per masked node (node order) for a merged batch; loss and gradients are
-    then sums over the masked nodes.  Table gradients are table-shaped
-    ``np.zeros`` buffers, nonzero only on the rows the batch touches.
+    then sums over the masked nodes.  Table gradients are table-shaped and
+    nonzero only on the rows the batch touches.  The decoder and entity
+    gradients live in ``buffers``, overwritten by the next call.
     """
     rows, targets = _masked_rows(batch, target)
     final, seg, caches = _forward_with_caches(batch, table, params, time_mode)
-    log_probs = _decode(final, rows, params)
-    picked = (np.arange(len(rows)), targets)
-    loss = float(-log_probs[picked].sum())
-
-    d_logits = np.exp(log_probs)
-    d_logits[picked] -= 1.0
+    if buffers is None:
+        buffers = TgnnBuffers(table, params, len(rows))
+    loss, d_queries = softmax_cross_entropy(
+        params.decoder_w.T, final[rows], targets, buffers.decoder, params.decoder_b)
+    buffers.entity[buffers.entity_rows] = 0.0
     d = params.dim
     grads = TgnnGradients(
         w_msg=np.zeros((d, d)),
         w_query=np.zeros((d, d)),
         w_key=np.zeros((d, d)),
-        decoder_w=final[rows].T @ d_logits,
-        decoder_b=d_logits.sum(axis=0),
-        entity=np.zeros(table.entity.shape),
+        decoder_w=buffers.decoder.vocab_grad.T,
+        decoder_b=buffers.decoder.bias_grad,
+        entity=buffers.entity,
         relation=np.zeros(table.relation.shape),
         time=np.zeros(table.time.shape),
     )
     d_nodes = np.zeros(final.shape)
-    d_nodes[rows] = d_logits @ params.decoder_w.T
+    d_nodes[rows] = d_queries
     for cache in reversed(caches):
         d_nodes = _backward_layer(seg, cache, d_nodes, params, grads, time_mode)
 
     real = batch.nodes != MASK
-    np.add.at(grads.entity, batch.nodes[real], d_nodes[real])
+    buffers.entity_rows = batch.nodes[real]
+    np.add.at(grads.entity, buffers.entity_rows, d_nodes[real])
     return loss, grads
 
 
@@ -567,6 +590,7 @@ def pretrain(
         raise TgnnError("no facts to train on")
     queries = [(fid, mask_object) for fid in fact_ids for mask_object in (True, False)]
     rng = np.random.default_rng(config.seed)
+    buffers = TgnnBuffers(table, params, config.batch_size)
     losses: list[float] = []
     steps = 0
     limit = np.inf if config.max_steps is None else config.max_steps
@@ -583,7 +607,7 @@ def pretrain(
                 store, table, ((store.facts[fid], mask) for fid, mask in chunk),
                 rng, config.cap_edges,
             )
-            loss, grads = gradients(batch, table, params, targets, config.time_mode)
+            loss, grads = gradients(batch, table, params, targets, config.time_mode, buffers)
             total += loss
             _sgd_step(table, params, grads, batch, config.learning_rate / len(chunk),
                       config.freeze_table)
@@ -604,15 +628,17 @@ def evaluate_masked(
     are decoded ``config.batch_size`` at a time."""
     rng = np.random.default_rng(config.seed)
     queries = [(fact, mask_object) for fact in facts for mask_object in (True, False)]
+    buffers = SoftmaxBuffers(params.decoder_w.T, config.batch_size)
     ranks: list[int] = []
     for lo in range(0, len(queries), config.batch_size):
         batch, targets = _query_batch(
             store, table, queries[lo : lo + config.batch_size], rng, config.cap_edges
         )
         rows, targets = _masked_rows(batch, targets)
-        probs = np.exp(_decode(forward(batch, table, params, config.time_mode), rows, params))
-        answer = probs[np.arange(len(rows)), targets]
-        ranks.extend(int(r) for r in np.sum(probs >= answer[:, None], axis=1))
+        final = forward(batch, table, params, config.time_mode)
+        probs = _decode(final, rows, params, buffers)[0]
+        answer = probs[targets, np.arange(len(rows))]
+        ranks.extend(int(r) for r in np.sum(probs >= answer, axis=0))
     return ranks
 
 

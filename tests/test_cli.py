@@ -206,6 +206,38 @@ class TestStageSequencing:
         assert f"question {uid!r} is missing from {path}" in caplog.text
         assert "rerun build-indicators" in caplog.text
 
+    def test_truncated_indicator_dump_returns_2(self, pipeline, tmp_path, caplog):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "indicators_test.jsonl"
+        path.write_bytes(path.read_bytes()[:300])
+        assert main(["predict", "--config", str(config)]) == 2
+        assert f"{path}, line 2: malformed record" in caplog.text
+        assert "rerun build-indicators" in caplog.text
+
+    @pytest.mark.parametrize("dump, stage, command, key", [
+        ("indicators_test.jsonl", "build-indicators", "predict", "d"),
+        ("subgraphs_test.jsonl", "retrieve", "predict", "empty"),
+        ("subgraphs_train.jsonl", "retrieve", "build-prompts", "facts"),
+        ("predictions.jsonl", "predict", "evaluate", "answers"),
+    ])
+    def test_dump_record_without_key_returns_2(
+        self, pipeline, tmp_path, caplog, dump, stage, command, key
+    ):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / dump
+        records = read_jsonl(path)
+        del records[1][key]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main([command, "--config", str(config)]) == 2
+        assert f"{path}, line 2: record has no key {key!r}; rerun {stage}" in caplog.text
+
+    def test_dump_line_that_is_not_an_object_returns_2(self, pipeline, tmp_path, caplog):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "predictions.jsonl"
+        path.write_text("[1, 2]\n", encoding="utf-8")
+        assert main(["evaluate", "--config", str(config)]) == 2
+        assert f"{path}, line 1: record has no key 'uid'; rerun predict" in caplog.text
+
     def test_question_with_empty_evidence_gets_no_answers(self, pipeline, tmp_path):
         config = copied_run(pipeline, tmp_path)
         dumps = tmp_path / "dumps"

@@ -5,16 +5,20 @@ from tempkgqa.embeddings import (
     BasePretrainConfig,
     EmbeddingError,
     base_loss_and_grads,
-    base_scores,
-    hits_at_k_from_ranks,
     init_random,
-    masked_ranks,
     pretrain_base,
 )
 from tempkgqa.store import Quadruple
 
 from conftest import build_store
 from gradcheck import fd_gradient, relative_error
+
+
+def base_scores(table, anchor, relation_row, t_start, t_end):
+    """Scores of every candidate entity for one masked query."""
+    t_mid = 0.5 * (table.time[t_start] + table.time[t_end])
+    query = table.entity[anchor] + table.relation[relation_row] + t_mid
+    return table.entity @ query
 
 
 def small_world(seed=0, d=6):
@@ -155,35 +159,3 @@ class TestPretrain:
         with pytest.raises(EmbeddingError):
             pretrain_base(store, table, BasePretrainConfig(), fact_indices=[])
 
-
-class TestRanks:
-    def test_constant_scores_rank_pessimistically(self):
-        store, table = small_world()
-        table.entity[:] = 0.0
-        table.relation[:] = 0.0
-        table.time[:] = 0.0
-        ranks = masked_ranks(table, store.facts)
-        assert all(rank == len(store.entities) for rank, _ in ranks)
-
-    def test_both_directions_reported(self):
-        store, table = small_world()
-        ranks = masked_ranks(table, store.facts)
-        assert len(ranks) == 2 * len(store.facts)
-
-    def test_identity_embeddings_rank_anchor_first(self):
-        store = build_store([("a", "r", "b", 1990, 1990)])
-        table = init_random(2, 1, 1, 2, seed=0)
-        table.entity[:] = np.eye(2) * 5.0
-        table.relation[:] = 0.0
-        table.time[:] = 0.0
-        ranks = masked_ranks(table, [store.facts[0]])
-        # query reduces to the anchor's own one-hot vector, so the anchor
-        # outranks the true answer in both directions
-        assert [r for r, _ in ranks] == [2, 2]
-
-    def test_hits_arithmetic(self):
-        ranks = [(1, 0), (2, 1), (11, 2), (100, 3)]
-        assert hits_at_k_from_ranks(ranks, 1) == 0.25
-        assert hits_at_k_from_ranks(ranks, 10) == 0.5
-        with pytest.raises(EmbeddingError):
-            hits_at_k_from_ranks([], 1)

@@ -438,6 +438,19 @@ class TestBatchedKernel:
         expected /= expected.sum()
         assert relative_error(mask_predict(graph, table, params), expected) < 1e-12
 
+    def test_reused_buffers_give_the_bits_of_fresh_ones(self):
+        rng, table, params = random_world(11)
+        buffers = tgnn.TgnnBuffers(table, params, 3)
+        first = merge_batches([random_graph(rng) for _ in range(3)])
+        gradients(first, table, params, rng.integers(0, N_ENTITIES, size=3), "mid", buffers)
+        second = merge_batches([random_graph(rng) for _ in range(2)])  # a short batch
+        targets = rng.integers(0, N_ENTITIES, size=2)
+        loss, reused = gradients(second, table, params, targets, "mid", buffers)
+        fresh_loss, fresh = gradients(second, table, params, targets, "mid")
+        assert loss == fresh_loss
+        for name in PARAM_NAMES + TABLE_NAMES:
+            assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+
     def test_target_count_must_match_masks(self):
         rng, table, params = random_world(65)
         merged = merge_batches([random_graph(rng), random_graph(rng)])
