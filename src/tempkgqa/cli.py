@@ -2,8 +2,9 @@
 
 Each subcommand covers one stage and exchanges data with the others only
 through files: checkpoints under ``checkpoint_dir`` and JSON/JSONL dumps
-under ``dump_dir``.  ``e2e`` chains every stage in order.  All artifacts are
-deterministic for a fixed config and seed.
+under ``dump_dir``.  ``e2e`` chains every stage in order.  :func:`main` loads
+the fact file and the questions once per run and hands that world to each
+stage.  All artifacts are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .embeddings import BasePretrainConfig, init_random, pretrain_base
 from .errors import TempkgqaError
 from .llm import GenerationParams, LlmClient, MockLlmClient, RemoteLlmClient
 from .prompts import render_instruction
-from .retrieval import retrieve_question, subgraph_from_record, subgraph_record
+from .retrieval import (RetrievedSubgraph, retrieve_question, subgraph_from_record,
+                        subgraph_record)
 from .store import AnswerType, Question, TkgStore, load_questions, load_tkg
 
 log = logging.getLogger("tempkgqa")
@@ -78,9 +80,13 @@ def _write_jsonl(path: Path, records) -> None:
     log.info("wrote %s (%d records)", path, len(lines))
 
 
-def _read_jsonl(path: Path, stage: str, keys: Sequence[str]) -> list[dict]:
+def _read_jsonl(
+    path: Path, stage: str, keys: Sequence[str],
+    convert: Callable[[dict], object] = lambda record: record,
+) -> list:
     """Records of a dump written by ``stage``, each a JSON object holding
-    ``keys``; anything else names the dump, the line and the stage to rerun."""
+    ``keys``, passed through ``convert``.  Anything else, and any value that
+    ``convert`` rejects, names the dump, the line and the stage to rerun."""
     if not path.exists():
         raise CliError(f"missing artifact {path}; run the earlier stages first")
     records = []
@@ -94,7 +100,10 @@ def _read_jsonl(path: Path, stage: str, keys: Sequence[str]) -> list[dict]:
         if missing:
             raise CliError(f"{path}, line {number}: record has no key {missing[0]!r}; "
                            f"rerun {stage}")
-        records.append(record)
+        try:
+            records.append(convert(record))
+        except (ValueError, KeyError, TypeError) as exc:  # StoreError is a ValueError
+            raise CliError(f"{path}, line {number}: {exc}; rerun {stage}") from None
     return records
 
 
@@ -102,18 +111,23 @@ def _encode_vector(vector: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(vector, dtype="<f4").tobytes()).decode("ascii")
 
 
-def _decode_vector(text: str, width: int) -> np.ndarray:
-    vector = np.frombuffer(base64.b64decode(text), dtype="<f4")
+def _decode_vector(record: dict, key: str, width: int) -> np.ndarray:
+    try:
+        vector = np.frombuffer(base64.b64decode(record[key], validate=True), dtype="<f4")
+    except ValueError as exc:  # binascii.Error is a ValueError
+        raise ValueError(f"{key!r} is not a base64 float32 vector ({exc})") from None
     if vector.shape != (width,):
-        raise CliError(f"encoded vector has width {vector.shape}, expected {width}")
+        raise ValueError(f"{key!r} has width {len(vector)}, expected {width}")
     return vector.astype(np.float64)
 
 
-def _load_world(cfg: RunConfig) -> tuple[TkgStore, list[Question], list[Question]]:
+World = tuple[TkgStore, list[Question], list[Question]]  # the store, train and test
+
+
+def _load_world(cfg: RunConfig) -> World:
     store = load_tkg(cfg.tkg_path)
-    train = load_questions(cfg.questions_train, store)
-    test = load_questions(cfg.questions_test, store)
-    return store, train, test
+    return (store, load_questions(cfg.questions_train, store),
+            load_questions(cfg.questions_test, store))
 
 
 @dataclasses.dataclass
@@ -162,8 +176,8 @@ def _answer_text(store: TkgStore, question: Question) -> str:
 # stages
 # ---------------------------------------------------------------------------
 
-def stage_build_kg(cfg: RunConfig) -> None:
-    store, train, test = _load_world(cfg)
+def stage_build_kg(cfg: RunConfig, world: World) -> None:
+    store, train, test = world
     def histogram(questions: Sequence[Question]) -> dict[str, int]:
         counts: dict[str, int] = {}
         for q in questions:
@@ -181,8 +195,8 @@ def stage_build_kg(cfg: RunConfig) -> None:
     })
 
 
-def stage_pretrain_base(cfg: RunConfig) -> None:
-    store, _, _ = _load_world(cfg)
+def stage_pretrain_base(cfg: RunConfig, world: World) -> None:
+    store, _, _ = world
     table = init_random(
         len(store.entities), len(store.relations), len(store.times), cfg.d, cfg.seed
     )
@@ -201,8 +215,8 @@ def stage_pretrain_base(cfg: RunConfig) -> None:
     log.info("base pre-training epochs: %s", [round(x, 4) for x in losses])
 
 
-def stage_pretrain_tgnn(cfg: RunConfig) -> None:
-    store, _, _ = _load_world(cfg)
+def stage_pretrain_tgnn(cfg: RunConfig, world: World) -> None:
+    store, _, _ = world
     table = checkpoint.load_table(_ckpt_path(cfg, BASE_TABLE_CKPT))
     params = tgnn.init_params(cfg.d, len(store.entities), cfg.seed, cfg.layers)
     table, params, losses = tgnn.pretrain(
@@ -225,8 +239,8 @@ def stage_pretrain_tgnn(cfg: RunConfig) -> None:
     log.info("graph encoder pre-training epochs: %s", [round(x, 4) for x in losses])
 
 
-def stage_retrieve(cfg: RunConfig) -> None:
-    store, train, test = _load_world(cfg)
+def stage_retrieve(cfg: RunConfig, world: World) -> None:
+    store, train, test = world
     client = _client(cfg)
 
     def worker(question: Question) -> dict:
@@ -248,12 +262,17 @@ def stage_retrieve(cfg: RunConfig) -> None:
         _write_jsonl(_dump_path(cfg, f"subgraphs_{split}.jsonl"), records)
 
 
-def stage_build_prompts(cfg: RunConfig) -> None:
-    store, train, test = _load_world(cfg)
+def _read_subgraphs(cfg: RunConfig, store: TkgStore, split: str) -> list[RetrievedSubgraph]:
+    path = _dump_path(cfg, f"subgraphs_{split}.jsonl")
+    return _read_jsonl(path, "retrieve", SUBGRAPH_KEYS,
+                       lambda record: subgraph_from_record(store, record))
+
+
+def stage_build_prompts(cfg: RunConfig, world: World) -> None:
+    store, train, test = world
     for split, questions in zip(SPLITS, (train, test)):
         path = _dump_path(cfg, f"subgraphs_{split}.jsonl")
-        subgraphs = {r["uid"]: subgraph_from_record(store, r)
-                     for r in _read_jsonl(path, "retrieve", SUBGRAPH_KEYS)}
+        subgraphs = {s.uid: s for s in _read_subgraphs(cfg, store, split)}
         records = []
         for question in questions:
             subgraph = subgraphs.get(question.uid)
@@ -269,15 +288,13 @@ def stage_build_prompts(cfg: RunConfig) -> None:
         _write_jsonl(_dump_path(cfg, f"prompts_{split}.jsonl"), records)
 
 
-def stage_build_indicators(cfg: RunConfig) -> None:
-    store, _, _ = _load_world(cfg)
+def stage_build_indicators(cfg: RunConfig, world: World) -> None:
+    store, _, _ = world
     table = checkpoint.load_table(_ckpt_path(cfg, TGNN_TABLE_CKPT))
     params = checkpoint.load_tgnn(_ckpt_path(cfg, TGNN_CKPT))
     for split in SPLITS:
         records = []
-        path = _dump_path(cfg, f"subgraphs_{split}.jsonl")
-        for record in _read_jsonl(path, "retrieve", SUBGRAPH_KEYS):
-            subgraph = subgraph_from_record(store, record)
+        for subgraph in _read_subgraphs(cfg, store, split):
             if subgraph.empty:
                 continue
             encoded = tgnn.encode_entities(subgraph.facts, table, params, cfg.time_mode)
@@ -298,23 +315,23 @@ def _indicator_sets(
     cfg: RunConfig, store: TkgStore, split: str
 ) -> dict[str, ind_mod.IndicatorSet]:
     """Rebuild the encoder-width indicator sets of a split from its dump."""
-    sets = {}
-    path = _dump_path(cfg, f"indicators_{split}.jsonl")
-    for record in _read_jsonl(path, "build-indicators", INDICATOR_KEYS):
+    def convert(record: dict) -> tuple[str, ind_mod.IndicatorSet]:
         if record["d"] != cfg.d:
-            raise CliError(f"indicator width {record['d']} does not match config")
-        sets[record["uid"]] = ind_mod.IndicatorSet(
-            sub_vec=_decode_vector(record["sub"], cfg.d),
-            rel_vec=_decode_vector(record["rel"], cfg.d),
-            obj_vec=_decode_vector(record["obj"], cfg.d),
+            raise ValueError(f"indicator width {record['d']} does not match config d {cfg.d}")
+        return record["uid"], ind_mod.IndicatorSet(
+            sub_vec=_decode_vector(record, "sub", cfg.d),
+            rel_vec=_decode_vector(record, "rel", cfg.d),
+            obj_vec=_decode_vector(record, "obj", cfg.d),
             t_min=store.times.id(record["t_min"]),
             t_max=store.times.id(record["t_max"]),
         )
-    return sets
+
+    path = _dump_path(cfg, f"indicators_{split}.jsonl")
+    return dict(_read_jsonl(path, "build-indicators", INDICATOR_KEYS, convert))
 
 
-def stage_train_head(cfg: RunConfig) -> None:
-    store, train, _ = _load_world(cfg)
+def stage_train_head(cfg: RunConfig, world: World) -> None:
+    store, train, _ = world
     projection = ind_mod.init_projection(cfg.d, cfg.d_llm, cfg.seed)
     indicator_sets = _indicator_sets(cfg, store, "train")
     params = head_mod.init_head(
@@ -347,8 +364,8 @@ def stage_train_head(cfg: RunConfig) -> None:
     log.info("answer head epochs: %s", [round(x, 4) for x in losses])
 
 
-def stage_predict(cfg: RunConfig) -> None:
-    store, _, test = _load_world(cfg)
+def stage_predict(cfg: RunConfig, world: World) -> None:
+    store, _, test = world
     params, projection = checkpoint.load_head(_ckpt_path(cfg, HEAD_CKPT))
     indicator_sets = _indicator_sets(cfg, store, "test")
     # build-indicators skips exactly the questions with empty evidence; those
@@ -375,8 +392,8 @@ def stage_predict(cfg: RunConfig) -> None:
     _write_jsonl(_dump_path(cfg, "predictions.jsonl"), records)
 
 
-def stage_evaluate(cfg: RunConfig) -> None:
-    store, _, test = _load_world(cfg)
+def stage_evaluate(cfg: RunConfig, world: World) -> None:
+    store, _, test = world
     path = _dump_path(cfg, "predictions.jsonl")
     predictions = {r["uid"]: r["answers"] for r in _read_jsonl(path, "predict", PREDICTION_KEYS)}
     records = []
@@ -422,10 +439,10 @@ STAGES = {
 }
 
 
-def stage_e2e(cfg: RunConfig) -> None:
+def stage_e2e(cfg: RunConfig, world: World) -> None:
     for name, stage in STAGES.items():
         log.info("stage %s", name)
-        stage(cfg)
+        stage(cfg, world)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +503,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     log.info("resolved config: %s", json.dumps(cfg.resolved(), ensure_ascii=False))
     stage = stage_e2e if args.command == "e2e" else STAGES[args.command]
     try:
-        stage(cfg)
+        stage(cfg, _load_world(cfg))
     except (TempkgqaError, OSError) as exc:
         log.error("%s", exc)
         return 2

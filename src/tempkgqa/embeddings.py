@@ -54,9 +54,6 @@ class EmbeddingTable:
     def n_relations(self) -> int:
         return self.relation.shape[0] // 2
 
-    def inverse_row(self, relation: int) -> int:
-        return self.n_relations + relation
-
     def copy(self) -> "EmbeddingTable":
         return EmbeddingTable(self.entity.copy(), self.relation.copy(), self.time.copy())
 
@@ -101,11 +98,7 @@ def _queries(table: EmbeddingTable, facts: Sequence[Quadruple]):
     Returns (anchor_ids, relation_rows, targets, t_starts, t_ends) stacked so
     the object-masked queries come first, then the subject-masked ones.
     """
-    subjects = np.array([f.subject for f in facts])
-    objects = np.array([f.object for f in facts])
-    relations = np.array([f.relation for f in facts])
-    starts = np.array([f.t_start for f in facts])
-    ends = np.array([f.t_end for f in facts])
+    subjects, relations, objects, starts, ends = np.asarray(facts, dtype=np.int64).reshape(-1, 5).T
     anchors = np.concatenate([subjects, objects])
     rows = np.concatenate([relations, table.n_relations + relations])
     targets = np.concatenate([objects, subjects])
@@ -244,7 +237,7 @@ def pretrain_base(
     if config.epochs < 0 or config.batch_size < 1:
         raise EmbeddingError("bad pretraining config")
     table = table.copy()
-    facts = [store.facts[i] for i in fact_indices] if fact_indices is not None else list(store.facts)
+    facts = store.facts if fact_indices is None else store.facts_of(fact_indices)
     if not facts:
         raise EmbeddingError("no facts to train on")
     rng = np.random.default_rng(config.seed)
@@ -254,7 +247,7 @@ def pretrain_base(
         order = rng.permutation(len(facts))
         total = 0.0
         for lo in range(0, len(order), config.batch_size):
-            batch = [facts[i] for i in order[lo : lo + config.batch_size]]
+            batch = facts[order[lo : lo + config.batch_size]]
             loss, grads = base_loss_and_grads(table, batch, buffers)
             total += loss
             step = config.learning_rate / (2 * len(batch))

@@ -6,8 +6,9 @@ survived.  The in-context demonstrations are part of the template text and
 are substituted together with the task-specific slots (in particular the
 ``{k}`` occurrences inside the demonstrations).
 
-Facts are serialized as ``[head, relation, tail, start_time, end_time]``;
-labels must not contain the sequence ", " for the parse to be unambiguous.
+Facts are serialized as ``[head, relation, tail, start_time, end_time]``
+for the model to read; nothing parses that form back.  Dumps store facts in
+the fact file's five-field form (:meth:`tempkgqa.store.TkgStore.fact_label`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import TempkgqaError
-from .store import Quadruple, StoreError, TkgStore
+from .store import FACT_SEPARATOR, Quadruple, TkgStore
 
 
 class PromptError(TempkgqaError, ValueError):
@@ -217,39 +218,12 @@ def tokenize(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def fact_fields(store: TkgStore, fact: Quadruple) -> list[str]:
-    return [
-        store.entities.label(fact.subject),
-        store.relations.label(fact.relation),
-        store.entities.label(fact.object),
-        store.times.label(fact.t_start),
-        store.times.label(fact.t_end),
-    ]
+    return store.fact_label(fact).split(FACT_SEPARATOR)
 
 
 def serialize_fact(store: TkgStore, fact: Quadruple) -> str:
     """``[head, relation, tail, start_time, end_time]`` with surface labels."""
     return "[" + ", ".join(fact_fields(store, fact)) + "]"
-
-
-def parse_fact(text: str, store: TkgStore) -> Quadruple:
-    """Inverse of :func:`serialize_fact` for labels free of ", "."""
-    stripped = text.strip()
-    if not (stripped.startswith("[") and stripped.endswith("]")):
-        raise PromptError(f"not a serialized fact: {text!r}")
-    fields = stripped[1:-1].split(", ")
-    if len(fields) != 5:
-        raise PromptError(f"expected 5 fields in {text!r}, got {len(fields)}")
-    head, relation, tail, start, end = fields
-    try:
-        return Quadruple(
-            store.entities.id(head),
-            store.relations.id(relation),
-            store.entities.id(tail),
-            store.times.id(start),
-            store.times.id(end),
-        )
-    except StoreError as exc:
-        raise PromptError(str(exc)) from None
 
 
 def quoted_list(items: Sequence[str]) -> str:

@@ -9,10 +9,12 @@ evidence set.
 The three per-question scans (:func:`candidate_relations`,
 :func:`anchor_facts` and :func:`tempkgqa.store.facts_filtered`) gather the
 annotated entities' rows from the store's CSR index, mask them on the fact
-columns and order them with one ``np.lexsort``; only the kept ids become
-:class:`Quadruple` objects.  Interval satisfaction has one definition,
-:meth:`TemporalConstraint.satisfied` in :mod:`tempkgqa.store`, which the
-filter applies to whole columns.
+columns and order them with one ``np.lexsort``.  The two that return facts
+return a :class:`~tempkgqa.store.FactView`, which builds a :class:`Quadruple`
+only for a fact read: the ``max_facts`` that :func:`retrieve_subgraph` keeps
+and the anchor that sets the time.  Interval satisfaction has one
+definition, :meth:`TemporalConstraint.satisfied`, applied to whole columns.
+Dumped facts are read back through the store's five-field codec.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .prompts import fact_fields, render_relation_ranking, render_time_mining, t
 from .store import (
     ANCHORED_TYPES,
     ConstraintKind,
+    FactView,
     Quadruple,
     Question,
     QuestionType,
@@ -177,7 +180,7 @@ def rank_relations(
 # anchors and time mining
 # ---------------------------------------------------------------------------
 
-def anchor_facts(store: TkgStore, question: Question, relations: Sequence[int]) -> list[Quadruple]:
+def anchor_facts(store: TkgStore, question: Question, relations: Sequence[int]) -> FactView:
     """Facts linking the annotated entities under the ranked relations.
 
     Facts whose subject and object are both annotated take precedence over
@@ -400,21 +403,9 @@ def subgraph_record(store: TkgStore, subgraph: RetrievedSubgraph) -> dict:
 
 
 def subgraph_from_record(store: TkgStore, record: dict) -> RetrievedSubgraph:
-    facts = []
-    for text in record["facts"]:
-        subject, relation, obj, start, end = text.split("|")
-        facts.append(
-            Quadruple(
-                store.entities.id(subject),
-                store.relations.id(relation),
-                store.entities.id(obj),
-                store.times.id(start),
-                store.times.id(end),
-            )
-        )
     return RetrievedSubgraph(
         record["uid"],
-        tuple(facts),
+        tuple(store.fact_from_label(text) for text in record["facts"]),
         tuple(store.relations.id(r) for r in record["relations"]),
         constraint_from_record(store, record["constraint"]),
         record.get("fallback_relation", False),

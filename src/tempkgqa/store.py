@@ -1,17 +1,22 @@
-"""In-memory temporal knowledge graph: vocabularies, facts, and lookup indexes.
+"""In-memory temporal knowledge graph: vocabularies, fact columns, and lookup indexes.
 
-Facts are quadruples ``(subject, relation, object, [t_start, t_end])`` whose
-interval endpoints are closed year bounds; a point-in-time fact collapses to
+A fact ``(subject, relation, object, [t_start, t_end])`` has closed year
+bounds for its interval; a point-in-time fact collapses to
 ``t_start == t_end``.  All three vocabularies map surface labels to dense ids.
 Time ids are assigned in chronological order of the underlying years, so
 integer comparisons on time ids agree with comparisons on the years
 themselves.  Entity and relation ids follow first appearance in the input
 file, which keeps checkpoints reproducible for a fixed file.
 
-Besides the tuple of :class:`Quadruple` objects, :class:`TkgStore` keeps one
-``int32`` column per fact field and a CSR index from each entity to the ids of
-its incident facts, in insertion order.  Lookups and :func:`facts_filtered`
-work on those arrays and only turn the ids they keep back into quadruples.
+A fact is a row of :class:`TkgStore`'s five ``int32`` columns, and these
+columns are the only per-fact data the store keeps; a CSR index maps each
+entity to the ids of its incident facts, in insertion order.  A
+:class:`Quadruple` is the value read from one row: :class:`FactView`, the
+sequence behind ``store.facts`` and :meth:`TkgStore.facts_of`, builds one only
+for the element read.  Lookups and :func:`facts_filtered` scan the columns.
+The five-field text form has one codec: :func:`load_tkg` and
+:meth:`TkgStore.fact_from_label` parse it with the same checks, and
+:meth:`TkgStore.fact_label` writes it.
 :class:`TemporalConstraint` is the one definition of interval satisfaction,
 for a single fact and for whole columns alike.
 """
@@ -19,11 +24,11 @@ for a single fact and for whole columns alike.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,21 +121,15 @@ COMPLEX_TYPES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Quadruple:
-    """One temporal fact; all fields are dense ids, times are chronological."""
+class Quadruple(NamedTuple):
+    """One fact as read from a store row; all fields are dense ids, times are
+    chronological.  :class:`TkgStore` checks the rows it is built from."""
 
     subject: int
     relation: int
     object: int
     t_start: int
     t_end: int
-
-    def __post_init__(self) -> None:
-        if min(self.subject, self.relation, self.object, self.t_start, self.t_end) < 0:
-            raise StoreError(f"negative id in fact: {self}")
-        if self.t_start > self.t_end:
-            raise StoreError(f"interval runs backwards: {self}")
 
 
 @dataclass(frozen=True)
@@ -210,9 +209,6 @@ class TemporalConstraint:
             return t_end > self.t1
         return (t_start <= self.t2) & (self.t1 <= t_end)
 
-    def admits(self, fact: Quadruple) -> bool:
-        return bool(self.satisfied(fact.t_start, fact.t_end))
-
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -250,35 +246,65 @@ def member_mask(values: np.ndarray, wanted: Iterable[int]) -> np.ndarray:
     return mask
 
 
-class TkgStore:
-    """Immutable fact store with fact columns and a per-entity CSR index.
+class FactView(Sequence[Quadruple]):
+    """Read-only sequence of the store's facts with ids ``ids``, in that order.
 
-    ``subject``, ``relation``, ``object``, ``t_start`` and ``t_end`` are
-    ``int32`` arrays indexed by fact id.  The facts incident to entity ``e``
-    (as subject or object, a self-loop once) are
+    Reading an element builds the :class:`Quadruple` of its row, in Python
+    ints; a slice or an integer-array index gives another view, and
+    ``np.asarray(view)`` the ``(len, 5)`` id rows, without building any.  A
+    view equals any sequence of the same quadruples.
+    """
+
+    __slots__ = ("_columns", "_ids")
+
+    def __init__(self, columns: np.ndarray, ids: np.ndarray) -> None:
+        self._columns = columns
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            return FactView(self._columns, self._ids[index])
+        return Quadruple._make(self._columns[:, self._ids[index]].tolist())
+
+    def __iter__(self):
+        return map(Quadruple._make, np.asarray(self).tolist())
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        rows = self._columns[:, self._ids].T
+        return rows if dtype is None else rows.astype(dtype)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+class TkgStore:
+    """Immutable fact store: one ``int32`` column per fact field and a
+    per-entity CSR index.
+
+    ``facts`` is an ``(n, 5)`` id array or a sequence of quadruples; every
+    row is checked here.  ``subject``, ``relation``, ``object``, ``t_start``
+    and ``t_end`` are read-only columns indexed by fact id, and ``facts``
+    is the :class:`FactView` of all of them.  The facts incident to entity
+    ``e`` (as subject or object, a self-loop once) are
     ``_rows[_offsets[e]:_offsets[e + 1]]``, in ascending fact id.
     """
 
-    def __init__(
-        self,
-        entities: Vocabulary,
-        relations: Vocabulary,
-        times: Vocabulary,
-        facts: Sequence[Quadruple],
-    ) -> None:
+    def __init__(self, entities: Vocabulary, relations: Vocabulary, times: Vocabulary,
+                 facts: np.ndarray | Sequence[Quadruple]) -> None:
         self.entities = entities
         self.relations = relations
         self.times = times
-        self.facts: tuple[Quadruple, ...] = tuple(facts)
-        n = len(self.facts)
-        # One pass per field straight into its column: no per-fact tuples.
-        self.subject, self.relation, self.object, self.t_start, self.t_end = (
-            np.fromiter(map(attrgetter(name), self.facts), dtype=np.int32, count=n)
-            for name in ("subject", "relation", "object", "t_start", "t_end")
-        )
-        self._check_ids()
-        for column in (self.subject, self.relation, self.object, self.t_start, self.t_end):
-            column.flags.writeable = False
+        self._columns = np.ascontiguousarray(np.asarray(facts, dtype=np.int32).reshape(-1, 5).T)
+        self._columns.flags.writeable = False
+        self.subject, self.relation, self.object, self.t_start, self.t_end = self._columns
+        n = self._columns.shape[1]
+        self.facts = FactView(self._columns, np.arange(n, dtype=np.int32))
+        self._check_rows()
 
         # Each fact contributes its subject and, unless it is a self-loop, its
         # object.  Interleaved per fact, a stable sort by entity keeps every
@@ -293,18 +319,23 @@ class TkgStore:
         np.cumsum(np.bincount(ends, minlength=len(entities)), out=self._offsets[1:])
         self._rows.flags.writeable = False
 
-    def _check_ids(self) -> None:
-        """Reject the first fact whose ids fall outside the vocabularies."""
+    def _check_rows(self) -> None:
+        """Reject the first fact with a negative id, a backwards interval or
+        an id outside the vocabularies."""
         n_entities = len(self.entities)
-        bad_entity = (self.subject >= n_entities) | (self.object >= n_entities)
-        bad_relation = self.relation >= len(self.relations)
-        bad_time = self.t_end >= len(self.times)
-        bad = bad_entity | bad_relation | bad_time
+        problems = (
+            ((self._columns < 0).any(axis=0), "negative id in fact: {}"),
+            (self.t_start > self.t_end, "interval runs backwards: {}"),
+            ((self.subject >= n_entities) | (self.object >= n_entities),
+             "entity id out of range in {}"),
+            (self.relation >= len(self.relations), "relation id out of range in {}"),
+            (self.t_end >= len(self.times), "time id out of range in {}"),
+        )
+        bad = np.logical_or.reduce([mask for mask, _ in problems])
         if bad.any():
             first = int(np.argmax(bad))
-            kind = ("entity" if bad_entity[first]
-                    else "relation" if bad_relation[first] else "time")
-            raise StoreError(f"{kind} id out of range in {self.facts[first]}")
+            message = next(message for mask, message in problems if mask[first])
+            raise StoreError(message.format(self.facts[first]))
 
     # -- lookups ---------------------------------------------------------
 
@@ -326,12 +357,9 @@ class TkgStore:
         ids = np.sort(np.concatenate(parts))
         return ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
 
-    def facts_of(self, fact_ids: np.ndarray) -> list[Quadruple]:
-        """The quadruples of ``fact_ids``, in that order."""
-        return list(map(self.facts.__getitem__, fact_ids.tolist()))
-
-    def facts_by_entity(self, entity: int) -> tuple[Quadruple, ...]:
-        return tuple(self.facts_of(self.fact_ids_by_entity(entity)))
+    def facts_of(self, fact_ids: Sequence[int] | np.ndarray) -> FactView:
+        """The facts of ``fact_ids``, in that order."""
+        return FactView(self._columns, np.asarray(fact_ids))
 
     def year(self, time_id: int) -> int:
         return int(self.times.label(time_id))
@@ -348,55 +376,66 @@ class TkgStore:
             )
         )
 
+    def fact_from_label(self, text: str) -> Quadruple:
+        """Inverse of :meth:`fact_label`: parse one five-field fact with the
+        fact file's checks and resolve its labels."""
+        try:
+            subject, relation, obj, start, end = _parse_fact_line(text)
+            return Quadruple(self.entities.id(subject), self.relations.id(relation),
+                             self.entities.id(obj), self.times.id(str(start)),
+                             self.times.id(str(end)))
+        except StoreError as exc:
+            raise StoreError(f"fact {text!r}: {exc}") from None
 
-def _parse_fact_line(line: str, lineno: int) -> tuple[str, str, str, int, int]:
-    fields = [f.strip() for f in line.split(FACT_SEPARATOR)]
+
+def _parse_fact_line(line: str) -> tuple[str, str, str, int, int]:
+    fields = list(map(str.strip, line.split(FACT_SEPARATOR)))
     if len(fields) != FACT_FIELDS:
-        raise StoreError(
-            f"line {lineno}: expected {FACT_FIELDS} '|'-separated fields, got {len(fields)}"
-        )
+        raise StoreError(f"expected {FACT_FIELDS} '|'-separated fields, got {len(fields)}")
     subject, relation, obj, start_text, end_text = fields
     if not subject or not relation or not obj:
-        raise StoreError(f"line {lineno}: empty label")
+        raise StoreError("empty label")
     try:
         start, end = int(start_text), int(end_text)
     except ValueError:
-        raise StoreError(f"line {lineno}: non-integer year") from None
+        raise StoreError("non-integer year") from None
     if str(start) != start_text or str(end) != end_text:
-        raise StoreError(f"line {lineno}: non-canonical year spelling")
+        raise StoreError("non-canonical year spelling")
     if start > end:
-        raise StoreError(f"line {lineno}: start year {start} after end year {end}")
+        raise StoreError(f"start year {start} after end year {end}")
     return subject, relation, obj, start, end
 
 
 def load_tkg(path: str | Path) -> TkgStore:
     """Build a store from a ``subject|relation|object|start|end`` fact file.
 
-    The file is read twice: once to collect the year set (time ids must be
-    chronological), once to intern entities and relations in first-appearance
-    order and materialise the facts.
+    One pass parses each line straight into entity and relation ids, interned
+    in first-appearance order, and raw years; the years then become
+    chronological time ids in one renumbering of the two time columns.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    parsed = [_parse_fact_line(line, i + 1) for i, line in enumerate(lines)]
-
-    years: set[int] = set()
-    for _, _, _, start, end in parsed:
-        years.update((start, end))
-    times = Vocabulary("time", (str(y) for y in sorted(years)))
-
-    entities = Vocabulary("entity")
-    relations = Vocabulary("relation")
-    facts = [
-        Quadruple(
-            entities.intern(subject),
-            relations.intern(relation),
-            entities.intern(obj),
-            times.id(str(start)),
-            times.id(str(end)),
-        )
-        for subject, relation, obj, start, end in parsed
-    ]
-    return TkgStore(entities, relations, times, facts)
+    entity_ids: dict[str, int] = {}
+    relation_ids: dict[str, int] = {}
+    year_ids: dict[int, int] = {}  # in first appearance until the renumbering
+    rows = array("i")
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            subject, relation, obj, start, end = _parse_fact_line(line)
+        except StoreError as exc:
+            raise StoreError(f"line {lineno}: {exc}") from None
+        rows.extend((
+            entity_ids.setdefault(subject, len(entity_ids)),
+            relation_ids.setdefault(relation, len(relation_ids)),
+            entity_ids.setdefault(obj, len(entity_ids)),
+            year_ids.setdefault(start, len(year_ids)),
+            year_ids.setdefault(end, len(year_ids)),
+        ))
+    years = sorted(year_ids)
+    chronological = np.empty(len(years), dtype=np.int32)
+    chronological[[year_ids[y] for y in years]] = np.arange(len(years))
+    facts = np.frombuffer(rows, dtype=np.int32).reshape(-1, 5)
+    facts[:, 3:] = chronological[facts[:, 3:]]
+    return TkgStore(Vocabulary("entity", entity_ids), Vocabulary("relation", relation_ids),
+                    Vocabulary("time", map(str, years)), facts)
 
 
 def _require_verbatim(label: str, text: str, uid: str) -> None:
@@ -449,7 +488,7 @@ def facts_filtered(
     entities: Iterable[int],
     relations: Iterable[int],
     constraint: TemporalConstraint,
-) -> list[Quadruple]:
+) -> FactView:
     """Facts incident to any of ``entities``, under any of ``relations``,
     satisfying ``constraint``.
 

@@ -27,6 +27,10 @@ summed loss, and updates only the embedding rows the mini-batch touches.  Its
 :class:`TgnnBuffers` hold the decoder's softmax buffers and a dense entity
 gradient, allocated once per :func:`pretrain` call.
 
+Subgraphs are built from fact id rows, a fact being a row of the store's
+columns: :func:`build_query_subgraph` gathers the anchor's neighbour rows by
+fact id, and one edge builder serves it and :func:`batch_from_facts`.
+
 All gradients are derived by hand (reverse mode) and checked against central
 finite differences in the test suite; no autodiff framework is involved.
 """
@@ -34,7 +38,7 @@ finite differences in the test suite; no autodiff framework is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -143,13 +147,6 @@ def merge_batches(batches: Sequence[SubgraphBatch]) -> SubgraphBatch:
     edges = np.concatenate([b.edges for b in batches])
     edges[:, :2] += np.repeat(offsets, [len(b.edges) for b in batches])[:, None]
     return SubgraphBatch(np.concatenate([b.nodes for b in batches]), edges)
-
-
-def message(
-    source: np.ndarray, relation: np.ndarray, time: np.ndarray, params: TgnnParams
-) -> np.ndarray:
-    """Single edge message ``W_msg (e + r + t)``."""
-    return params.w_msg @ (source + relation + time)
 
 
 def _segment_softmax(u: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -433,6 +430,23 @@ def gradients(
 # subgraph construction
 # ---------------------------------------------------------------------------
 
+def _fact_subgraph(
+    node_of: dict[int, int], facts: Iterable[Sequence[int]], n_relations: int
+) -> SubgraphBatch:
+    """Batch over fact id rows ``(subject, relation, object, t_start, t_end)``.
+
+    Entities not yet in ``node_of`` are numbered after those in it, in
+    first-appearance order (subject before object), and added to it in
+    place.  Each fact contributes its forward edge and then its inverse edge,
+    whose relation row is offset by ``n_relations``.
+    """
+    edges: list[list[int]] = []
+    for subject, relation, obj, start, end in facts:
+        s, o = node_of.setdefault(subject, len(node_of)), node_of.setdefault(obj, len(node_of))
+        edges += ([s, o, relation, start, end], [o, s, n_relations + relation, start, end])
+    return SubgraphBatch(list(node_of), edges)
+
+
 def batch_from_facts(
     facts: Sequence[Quadruple], n_relations: int
 ) -> tuple[SubgraphBatch, dict[int, int]]:
@@ -441,25 +455,7 @@ def batch_from_facts(
     if not facts:
         raise TgnnError("cannot build a batch from zero facts")
     node_of: dict[int, int] = {}
-    nodes: list[int] = []
-    for fact in facts:
-        for entity in (fact.subject, fact.object):
-            if entity not in node_of:
-                node_of[entity] = len(nodes)
-                nodes.append(entity)
-    edges = _fact_edges(facts, node_of, n_relations)
-    return SubgraphBatch(np.array(nodes), np.array(edges)), node_of
-
-
-def _fact_edges(
-    facts: Iterable[Quadruple], node_of: Mapping[int, int], n_relations: int
-) -> list[list[int]]:
-    edges = []
-    for fact in facts:
-        s, o = node_of[fact.subject], node_of[fact.object]
-        edges.append([s, o, fact.relation, fact.t_start, fact.t_end])
-        edges.append([o, s, n_relations + fact.relation, fact.t_start, fact.t_end])
-    return edges
+    return _fact_subgraph(node_of, facts, n_relations), node_of
 
 
 def build_query_subgraph(
@@ -474,8 +470,9 @@ def build_query_subgraph(
 
     The unmasked entity's 1-hop facts are included (uniformly subsampled when
     they would exceed ``cap_edges`` directed edges) plus the two query edges
-    joining the anchor to the masked node.  Returns the batch and the target
-    entity id.
+    joining the anchor to the masked node.  The neighbours' rows are gathered
+    from the store's columns by fact id; the query is one more row, whose
+    masked end is :data:`MASK`.  Returns the batch and the target entity id.
     """
     anchor = fact.subject if mask_object else fact.object
     target = fact.object if mask_object else fact.subject
@@ -484,28 +481,10 @@ def build_query_subgraph(
     if len(neighbour_ids) > max_facts:
         chosen = rng.choice(len(neighbour_ids), size=max_facts, replace=False)
         neighbour_ids = neighbour_ids[np.sort(chosen)]
-    neighbour_ids = neighbour_ids.tolist()
-
-    node_of: dict[int, int] = {anchor: 0}
-    nodes: list[int] = [anchor, MASK]
-    mask_idx = 1
-    for fact_id in neighbour_ids:
-        neighbour = store.facts[fact_id]
-        for entity in (neighbour.subject, neighbour.object):
-            if entity not in node_of:
-                node_of[entity] = len(nodes)
-                nodes.append(entity)
-
-    n_rel = table.n_relations
-    edges = _fact_edges((store.facts[i] for i in neighbour_ids), node_of, n_rel)
-    anchor_idx = node_of[anchor]
-    if mask_object:
-        edges.append([anchor_idx, mask_idx, fact.relation, fact.t_start, fact.t_end])
-        edges.append([mask_idx, anchor_idx, n_rel + fact.relation, fact.t_start, fact.t_end])
-    else:
-        edges.append([mask_idx, anchor_idx, fact.relation, fact.t_start, fact.t_end])
-        edges.append([anchor_idx, mask_idx, n_rel + fact.relation, fact.t_start, fact.t_end])
-    return SubgraphBatch(np.array(nodes), np.array(edges)), target
+    query = list(fact)
+    query[2 if mask_object else 0] = MASK
+    rows = np.asarray(store.facts_of(neighbour_ids)).tolist() + [query]
+    return _fact_subgraph({anchor: 0, MASK: 1}, rows, table.n_relations), target
 
 
 def _query_batch(

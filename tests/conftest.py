@@ -36,19 +36,7 @@ def pretrain_world(tmp_path_factory):
         encoding="utf-8",
     )
     store = load_tkg(train_file)
-    held_facts = []
-    for index in sorted(heldout):
-        subject, relation, obj, start, end = lines[index].split("|")
-        held_facts.append(
-            Quadruple(
-                store.entities.id(subject),
-                store.relations.id(relation),
-                store.entities.id(obj),
-                store.times.id(start),
-                store.times.id(end),
-            )
-        )
-    return store, held_facts
+    return store, [store.fact_from_label(lines[index]) for index in sorted(heldout)]
 
 
 def build_store(facts: list[tuple[str, str, str, int, int]]) -> TkgStore:

@@ -238,6 +238,51 @@ class TestStageSequencing:
         assert main(["evaluate", "--config", str(config)]) == 2
         assert f"{path}, line 1: record has no key 'uid'; rerun predict" in caplog.text
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda fact: fact.rsplit("|", 1)[0], "expected 5 '|'-separated fields, got 4"),
+        (lambda fact: "|".join(fact.split("|")[:3] + ["2999", "1000"]),
+         "start year 2999 after end year 1000"),
+        (lambda fact: "nobody|" + fact.split("|", 1)[1], "unknown entity label: 'nobody'"),
+    ], ids=["four-fields", "backwards", "unknown-label"])
+    def test_malformed_dump_fact_returns_2(self, pipeline, tmp_path, caplog, edit, message):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "subgraphs_train.jsonl"
+        records = read_jsonl(path)
+        line = next(i for i, r in enumerate(records) if r["facts"]) + 1
+        fact = records[line - 1]["facts"][0] = edit(records[line - 1]["facts"][0])
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["build-indicators", "--config", str(config)]) == 2
+        assert f"{path}, line {line}: fact {fact!r}: {message}; rerun retrieve" in caplog.text
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("sub", "!!", "'sub' is not a base64 float32 vector"),
+        ("obj", "AAAAAA==", "'obj' has width 1, expected 8"),
+        ("rel", "AAA", "'rel' is not a base64 float32 vector"),
+        ("d", 4, "indicator width 4 does not match config d 8"),
+    ], ids=["not-base64", "short", "bad-padding", "width"])
+    def test_malformed_indicator_vector_returns_2(
+        self, pipeline, tmp_path, caplog, key, value, message
+    ):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "indicators_train.jsonl"
+        records = read_jsonl(path)
+        records[2][key] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["train-head", "--config", str(config)]) == 2
+        assert f"{path}, line 3: {message}" in caplog.text
+        assert "; rerun build-indicators" in caplog.text
+
+    def test_e2e_parses_the_fact_file_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return store.load_tkg(path)
+
+        monkeypatch.setattr(cli, "load_tkg", counted)
+        assert main(["e2e", "--config", str(fast_config(tmp_path))]) == 0
+        assert calls == [str(DESK / "facts.txt")]
+
     def test_question_with_empty_evidence_gets_no_answers(self, pipeline, tmp_path):
         config = copied_run(pipeline, tmp_path)
         dumps = tmp_path / "dumps"

@@ -37,6 +37,7 @@ class TestInit:
         table = init_random(5, 3, 4, 8, seed=1)
         assert table.entity.shape == (5, 8)
         assert table.relation.shape == (6, 8)  # forward plus inverse rows
+        assert table.n_relations == 3
         assert table.time.shape == (4, 8)
         bound = 1.0 / np.sqrt(8)
         for block in (table.entity, table.relation, table.time):
@@ -52,11 +53,6 @@ class TestInit:
             init_random(0, 1, 1, 4, seed=0)
         with pytest.raises(EmbeddingError):
             init_random(3, 1, 1, 0, seed=0)
-
-    def test_inverse_row(self):
-        table = init_random(3, 4, 2, 4, seed=0)
-        assert table.n_relations == 4
-        assert table.inverse_row(1) == 5
 
     def test_copy_is_deep(self):
         table = init_random(3, 2, 2, 4, seed=0)
@@ -102,7 +98,7 @@ class TestLoss:
         loss, _ = base_loss_and_grads(table, [fact])
         # single fact: object-masked plus subject-masked query
         inverse = base_scores(
-            table, fact.object, table.inverse_row(fact.relation), fact.t_start, fact.t_end
+            table, fact.object, table.n_relations + fact.relation, fact.t_start, fact.t_end
         )
         shifted_inv = inverse - inverse.max()
         expected += -(shifted_inv[fact.subject] - np.log(np.exp(shifted_inv).sum()))

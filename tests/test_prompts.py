@@ -5,7 +5,6 @@ from tempkgqa.prompts import (
     evidence_set_plain,
     evidence_set_quoted,
     fact_fields,
-    parse_fact,
     quoted_list,
     render_baseline,
     render_instruction,
@@ -123,26 +122,9 @@ class TestRenderedShape:
 
 
 class TestFactSerialization:
-    def test_serialize_roundtrip(self, tiny_store):
-        for fact in tiny_store.facts:
-            text = serialize_fact(tiny_store, fact)
-            assert parse_fact(text, tiny_store) == fact
-
     def test_serialized_form(self, tiny_store):
         assert serialize_fact(tiny_store, tiny_store.facts[0]) == \
             "[ada, leads, lab, 1990, 1994]"
-
-    def test_parse_rejects_malformed(self, tiny_store):
-        with pytest.raises(PromptError, match="not a serialized fact"):
-            parse_fact("ada, leads, lab, 1990, 1994", tiny_store)
-        with pytest.raises(PromptError, match="5 fields"):
-            parse_fact("[ada, leads, lab, 1990]", tiny_store)
-        with pytest.raises(PromptError):
-            parse_fact("[ada, leads, lab, 1990, 2099]", tiny_store)
-
-    def test_parse_tolerates_surrounding_whitespace(self, tiny_store):
-        text = "  [ada, leads, lab, 1990, 1994] "
-        assert parse_fact(text, tiny_store) == tiny_store.facts[0]
 
     def test_quoted_list(self):
         assert quoted_list(["a", "b"]) == "['a', 'b']"

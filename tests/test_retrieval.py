@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,11 +26,13 @@ from tempkgqa.retrieval import (
     subgraph_from_record,
     subgraph_record,
 )
+from tempkgqa import store as store_module
 from tempkgqa.store import (
     AnswerType,
     Quadruple,
     Question,
     QuestionType,
+    StoreError,
     TkgStore,
     Vocabulary,
     facts_filtered,
@@ -56,17 +59,18 @@ def scripted_client(bundle, reply):
 class TestConstraint:
     def test_admits_by_kind(self):
         fact = Quadruple(0, 0, 1, 3, 6)
-        assert TemporalConstraint.none().admits(fact)
-        assert TemporalConstraint.at(3).admits(fact)
-        assert TemporalConstraint.at(6).admits(fact)
-        assert not TemporalConstraint.at(7).admits(fact)
-        assert TemporalConstraint.before(4).admits(fact)
-        assert not TemporalConstraint.before(3).admits(fact)  # strict start
-        assert TemporalConstraint.after(5).admits(fact)
-        assert not TemporalConstraint.after(6).admits(fact)  # strict end
-        assert TemporalConstraint.between(6, 9).admits(fact)
-        assert TemporalConstraint.between(0, 3).admits(fact)
-        assert not TemporalConstraint.between(7, 9).admits(fact)
+        admits = lambda constraint: bool(constraint.satisfied(fact.t_start, fact.t_end))
+        assert admits(TemporalConstraint.none())
+        assert admits(TemporalConstraint.at(3))
+        assert admits(TemporalConstraint.at(6))
+        assert not admits(TemporalConstraint.at(7))
+        assert admits(TemporalConstraint.before(4))
+        assert not admits(TemporalConstraint.before(3))  # strict start
+        assert admits(TemporalConstraint.after(5))
+        assert not admits(TemporalConstraint.after(6))  # strict end
+        assert admits(TemporalConstraint.between(6, 9))
+        assert admits(TemporalConstraint.between(0, 3))
+        assert not admits(TemporalConstraint.between(7, 9))
 
     @pytest.mark.parametrize(
         "kind, t1, t2",
@@ -109,7 +113,7 @@ class TestConstraint:
         else:
             constraint = TemporalConstraint.none()
             expected = True
-        assert constraint.admits(fact) == expected
+        assert bool(constraint.satisfied(fact.t_start, fact.t_end)) == expected
 
 
 class TestCandidates:
@@ -217,8 +221,8 @@ class TestAnchorFacts:
         first = anchors[0]
         assert tiny_store.entities.label(first.subject) == "dan"
         assert tiny_store.entities.label(first.object) == "ada"
-        assert len(anchors) == len(tiny_store.facts_by_entity(
-            tiny_store.entities.id("dan"))) + len(tiny_store.facts_by_entity(
+        assert len(anchors) == len(tiny_store.fact_ids_by_entity(
+            tiny_store.entities.id("dan"))) + len(tiny_store.fact_ids_by_entity(
             tiny_store.entities.id("ada"))) - 1
 
     def test_groups_sorted_by_interval_then_insertion(self, tiny_store):
@@ -644,6 +648,50 @@ class TestColumnarScansMatchLoops:
             linked += sum(f.subject in question.entities and f.object in question.entities
                           for f in anchors)
         assert linked > 0
+
+
+class TestQuadruplesBuiltOnRead:
+    def test_retrieval_builds_the_kept_facts_and_one_anchor(self, monkeypatch):
+        """Hub questions select hundreds of facts, yet a question builds at
+        most ``max_facts`` quadruples plus the anchor that sets the time."""
+        built = []
+
+        class Counted(Quadruple):
+            __slots__ = ()
+
+            @classmethod
+            def _make(cls, iterable):
+                built.append(None)
+                return super()._make(iterable)
+
+        store = zipf_store(0)
+        questions = [replace(q, qtype=QuestionType.TIME_JOIN)
+                     for q in sampled_questions(store, np.random.default_rng(0), 120)]
+        selected = [len(anchor_facts(store, q, range(N_RELATIONS))) for q in questions]
+        assert max(selected) > 300
+        monkeypatch.setattr(store_module, "Quadruple", Counted)
+        per_question = []
+        for question in questions:
+            before = len(built)
+            subgraph = retrieve_question(store, question, None, top_k=N_RELATIONS, max_facts=10)
+            per_question.append(len(built) - before)
+            assert per_question[-1] <= len(subgraph.facts) + 1
+        assert max(per_question) == 11
+
+
+class TestDumpFactsUseTheStoreCodec:
+    @pytest.mark.parametrize("fact, message", [
+        ("ada|leads|lab|1990", "expected 5 '|'-separated fields, got 4"),
+        ("ada|leads|lab|1994|1990", "start year 1994 after end year 1990"),
+        ("ada|leads|zoo|1990|1994", "unknown entity label: 'zoo'"),
+        ("ada|leads|lab|1990|1899", "start year 1990 after end year 1899"),
+        ("ada|leads|lab|1990|2099", "unknown time label: '2099'"),
+    ])
+    def test_malformed_fact_rejected(self, tiny_store, fact, message):
+        record = {"uid": "q", "facts": [fact], "relations": [],
+                  "constraint": {"kind": "none"}, "empty": False}
+        with pytest.raises(StoreError, match=f"fact {fact!r}: {message}"):
+            subgraph_from_record(tiny_store, record)
 
 
 # ---------------------------------------------------------------------------

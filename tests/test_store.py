@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from tempkgqa.store import (
     ANCHORED_TYPES,
     AnswerType,
     COMPLEX_TYPES,
+    FactView,
     Question,
     QuestionType,
     Quadruple,
     SIMPLE_TYPES,
     StoreError,
     TemporalConstraint,
+    TkgStore,
     Vocabulary,
     facts_filtered,
     load_questions,
@@ -51,13 +55,48 @@ class TestVocabulary:
 
 
 class TestQuadruple:
-    def test_interval_must_be_ordered(self):
-        with pytest.raises(ValueError):
-            Quadruple(0, 0, 1, t_start=3, t_end=2)
-
     def test_point_interval_allowed(self):
-        fact = Quadruple(0, 0, 1, 2, 2)
+        fact = build_store([("a", "r", "b", 1990, 1990)]).facts[0]
         assert fact.t_start == fact.t_end
+
+    def test_fields_and_repr(self):
+        fact = Quadruple(0, 1, 2, t_start=3, t_end=4)
+        assert (fact.subject, fact.relation, fact.object) == (0, 1, 2)
+        assert repr(fact) == "Quadruple(subject=0, relation=1, object=2, t_start=3, t_end=4)"
+
+
+def two_entity_store(facts):
+    return TkgStore(Vocabulary("entity", ["a", "b"]), Vocabulary("relation", ["r"]),
+                    Vocabulary("time", ["1990", "1991"]), facts)
+
+
+class TestStoreBoundary:
+    """Every row is checked where a store is built; the first bad fact is named."""
+
+    @pytest.mark.parametrize("bad, message", [
+        ((0, 0, 1, 1, 0), "interval runs backwards"),
+        ((0, -1, 1, 0, 0), "negative id in fact"),
+        ((0, 0, 1, -1, 0), "negative id in fact"),
+        ((0, 0, 2, 0, 0), "entity id out of range in"),
+        ((0, 1, 1, 0, 0), "relation id out of range in"),
+        ((0, 0, 1, 0, 2), "time id out of range in"),
+    ], ids=["backwards", "negative-relation", "negative-time", "entity", "relation", "time"])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["quadruples", "array"])
+    def test_bad_fact_rejected_by_name(self, bad, message, as_array):
+        facts = [(0, 0, 1, 0, 1), bad, (1, 0, 0, 5, 4)]
+        facts = np.array(facts) if as_array else [Quadruple(*f) for f in facts]
+        with pytest.raises(StoreError, match=f"^{message}") as raised:
+            two_entity_store(facts)
+        assert str(raised.value).endswith(repr(Quadruple(*bad)))
+
+    def test_empty_store(self):
+        store = two_entity_store([])
+        assert len(store.facts) == 0
+        assert store.fact_ids_by_entity(0).tolist() == []
+
+    def test_holds_no_per_fact_python_object(self, desk_store):
+        for value in vars(desk_store).values():
+            assert isinstance(value, (np.ndarray, Vocabulary, FactView)), type(value)
 
 
 class TestQuestionTypes:
@@ -135,19 +174,41 @@ class TestFactFile:
 
     @given(st.lists(st.integers(min_value=0, max_value=3000), min_size=1, max_size=30))
     def test_time_id_order_equals_year_order(self, years):
-        import tempfile
-        from pathlib import Path
         with tempfile.TemporaryDirectory() as tmp:
             lines = [f"s{i}|r|o{i}|{y}|{y}" for i, y in enumerate(years)]
             store = load_tkg(self.write(Path(tmp), "\n".join(lines) + "\n"))
         labels = [int(l) for l in store.times.labels]
         assert labels == sorted(set(years))
 
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c d", "é"]), st.sampled_from(["r", "s t"]),
+            st.sampled_from(["a", "b", "c d", "é"]), st.integers(-50, 3000),
+            st.integers(0, 40), st.sampled_from(["", " ", "  "]),
+        ),
+        min_size=1, max_size=25,
+    ))
+    def test_lines_round_trip_through_the_columns(self, facts):
+        """Out-of-order years, self-loops and padded fields: every fact reads
+        back as its line, and the columns hold its ids."""
+        lines = [f"{s}|{r}|{o}|{start}|{start + length}" for s, r, o, start, length, _ in facts]
+        padded = ["|".join(pad + f + pad for f in line.split("|"))
+                  for line, (*_, pad) in zip(lines, facts)]
+        with tempfile.TemporaryDirectory() as tmp:
+            store = load_tkg(self.write(Path(tmp), "\n".join(padded) + "\n"))
+        assert [store.fact_label(f) for f in store.facts] == lines
+        for i, (s, r, o, start, length, _) in enumerate(facts):
+            row = [store.subject[i], store.relation[i], store.object[i],
+                   store.t_start[i], store.t_end[i]]
+            assert row == [store.entities.id(s), store.relations.id(r), store.entities.id(o),
+                           store.times.id(str(start)), store.times.id(str(start + length))]
+            assert store.fact_from_label(lines[i]) == store.facts[i]
+
 
 class TestStoreIndexes:
     def test_facts_by_entity_covers_both_roles(self, tiny_store):
         ada = tiny_store.entities.id("ada")
-        facts = tiny_store.facts_by_entity(ada)
+        facts = tiny_store.facts_of(tiny_store.fact_ids_by_entity(ada))
         subjects = {tiny_store.entities.label(f.subject) for f in facts}
         objects = {tiny_store.entities.label(f.object) for f in facts}
         assert "ada" in subjects and "ada" in objects
@@ -175,6 +236,47 @@ class TestStoreIndexes:
         from tempkgqa.store import TkgStore
         with pytest.raises(StoreError, match="out of range"):
             TkgStore(entities, relations, times, [Quadruple(0, 0, 1, 0, 0)])
+
+
+class TestFactView:
+    def test_sequence_protocol(self, tiny_store):
+        facts, n = tiny_store.facts, 6  # the fixture's six facts
+        assert len(facts) == n
+        assert list(facts) == list(tiny_store.facts_of(np.arange(n)))
+        assert facts[-1] == facts[n - 1] == Quadruple(
+            tiny_store.entities.id("dan"), tiny_store.relations.id("advises"),
+            tiny_store.entities.id("ada"), tiny_store.times.id("1991"),
+            tiny_store.times.id("1993"))
+        assert list(facts[1:4]) == [facts[1], facts[2], facts[3]]
+        assert list(facts[::-2]) == [facts[5], facts[3], facts[1]]
+        assert list(facts[np.array([4, 0])]) == [facts[4], facts[0]]
+        assert facts[2:2] == [] and len(facts[10:]) == 0
+        assert facts[facts.index(facts[3])] == facts[3] and facts[3] in facts
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                facts[index]
+
+    def test_fields_are_python_ints(self, tiny_store):
+        for fact in (tiny_store.facts[0], *tiny_store.facts, *tiny_store.facts[1:3]):
+            assert all(type(field) is int for field in fact)
+
+    def test_array_form_and_read_only_columns(self, tiny_store):
+        rows = np.asarray(tiny_store.facts_of([5, 0]))
+        assert rows.shape == (2, 5)
+        assert rows.tolist() == [list(tiny_store.facts[5]), list(tiny_store.facts[0])]
+        for column in (tiny_store.subject, tiny_store.relation, tiny_store.object,
+                       tiny_store.t_start, tiny_store.t_end):
+            assert column.dtype == np.int32
+            with pytest.raises(ValueError):
+                column[0] = 1
+        with pytest.raises(TypeError):
+            tiny_store.facts[0] = tiny_store.facts[1]
+
+    def test_equality_with_sequences(self, tiny_store):
+        assert tiny_store.facts[:2] == tiny_store.facts_of([0, 1])
+        assert tiny_store.facts[:2] == (tiny_store.facts[0], tiny_store.facts[1])
+        assert tiny_store.facts[:2] != tiny_store.facts[1:3]
+        assert tiny_store.facts[:2] != [tiny_store.facts[0]]
 
 
 class TestFactsFiltered:

@@ -21,9 +21,9 @@ from tempkgqa.tgnn import (
     mask_predict,
     masked_loss,
     merge_batches,
-    message,
     pretrain,
 )
+from tempkgqa.store import TkgStore, Vocabulary
 
 from conftest import build_store
 from gradcheck import fd_gradient, relative_error
@@ -196,14 +196,6 @@ def summed_reference(graphs, targets, table, params, time_mode="start"):
     return total, summed
 
 
-class TestMessage:
-    def test_matches_manual_product(self):
-        _, table, params = random_world(0)
-        out = message(table.entity[0], table.relation[1], table.time[2], params)
-        expected = params.w_msg @ (table.entity[0] + table.relation[1] + table.time[2])
-        assert np.allclose(out, expected)
-
-
 class TestAttention:
     def test_distribution_properties(self):
         rng, table, params = random_world(1)
@@ -276,7 +268,7 @@ class TestForward:
         _, table, params = random_world(7)
         batch = SubgraphBatch(np.array([0, 1]), np.array([[0, 1, 2, 1, 3]]))
         final = forward(batch, table, params)
-        manual = message(table.entity[0], table.relation[2], table.time[1], params)
+        manual = params.w_msg @ (table.entity[0] + table.relation[2] + table.time[1])
         assert np.allclose(final[1], manual)  # single in-edge: alpha = 1
 
     def test_time_modes_select_endpoint(self):
@@ -286,8 +278,8 @@ class TestForward:
             mode: forward(batch, table, params, time_mode=mode)[1]
             for mode in ("start", "end", "mid")
         }
-        start_msg = message(table.entity[0], table.relation[0], table.time[1], params)
-        end_msg = message(table.entity[0], table.relation[0], table.time[3], params)
+        start_msg = params.w_msg @ (table.entity[0] + table.relation[0] + table.time[1])
+        end_msg = params.w_msg @ (table.entity[0] + table.relation[0] + table.time[3])
         assert np.allclose(by_mode["start"], start_msg)
         assert np.allclose(by_mode["end"], end_msg)
         assert np.allclose(by_mode["mid"], 0.5 * (start_msg + end_msg))
@@ -484,6 +476,63 @@ class TestMerge:
             merge_batches([])
 
 
+def hub_store(seed, n_entities=60, n_facts=600):
+    """Seeded store whose subjects follow Zipf's law, with self-loops, built
+    from an id array."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, n_entities + 1)
+    subjects = rng.choice(n_entities, size=n_facts, p=weights / weights.sum())
+    objects = rng.integers(0, n_entities, size=n_facts)
+    loops = rng.random(n_facts) < 0.05
+    objects[loops] = subjects[loops]
+    starts = rng.integers(0, N_TIMES - 1, size=n_facts)
+    ends = starts + rng.integers(0, 2, size=n_facts)
+    relations = rng.integers(0, N_RELATIONS, size=n_facts)
+    return TkgStore(
+        Vocabulary("entity", (f"e{i}" for i in range(n_entities))),
+        Vocabulary("relation", (f"r{i}" for i in range(N_RELATIONS))),
+        Vocabulary("time", (str(1900 + i) for i in range(N_TIMES))),
+        np.column_stack((subjects, relations, objects, starts, ends)),
+    )
+
+
+def reference_query_subgraph(store, table, fact, mask_object, rng, cap_edges):
+    """The per-fact query subgraph builder that reads ``store.facts[i]``,
+    kept as the reference for the one that gathers the columns."""
+    anchor = fact.subject if mask_object else fact.object
+    target = fact.object if mask_object else fact.subject
+    neighbour_ids = store.fact_ids_by_entity(anchor)
+    max_facts = max(0, cap_edges // 2)
+    if len(neighbour_ids) > max_facts:
+        chosen = rng.choice(len(neighbour_ids), size=max_facts, replace=False)
+        neighbour_ids = neighbour_ids[np.sort(chosen)]
+    neighbours = [store.facts[i] for i in neighbour_ids.tolist()]
+
+    node_of = {anchor: 0}
+    nodes = [anchor, MASK]
+    mask_idx = 1
+    for neighbour in neighbours:
+        for entity in (neighbour.subject, neighbour.object):
+            if entity not in node_of:
+                node_of[entity] = len(nodes)
+                nodes.append(entity)
+
+    n_rel = table.n_relations
+    edges = []
+    for neighbour in neighbours:
+        s, o = node_of[neighbour.subject], node_of[neighbour.object]
+        edges.append([s, o, neighbour.relation, neighbour.t_start, neighbour.t_end])
+        edges.append([o, s, n_rel + neighbour.relation, neighbour.t_start, neighbour.t_end])
+    anchor_idx = node_of[anchor]
+    if mask_object:
+        edges.append([anchor_idx, mask_idx, fact.relation, fact.t_start, fact.t_end])
+        edges.append([mask_idx, anchor_idx, n_rel + fact.relation, fact.t_start, fact.t_end])
+    else:
+        edges.append([mask_idx, anchor_idx, fact.relation, fact.t_start, fact.t_end])
+        edges.append([anchor_idx, mask_idx, n_rel + fact.relation, fact.t_start, fact.t_end])
+    return SubgraphBatch(np.array(nodes), np.array(edges)), target
+
+
 class TestSubgraphConstruction:
     def test_batch_from_facts_layout(self, tiny_store):
         facts = tiny_store.facts[:2]
@@ -531,6 +580,29 @@ class TestSubgraphConstruction:
         batch, _ = build_query_subgraph(tiny_store, table, ada_fact, True, rng, cap_edges=2)
         # one neighbour fact (2 directed edges) plus the two query edges
         assert len(batch.edges) == 4
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_query_subgraph_matches_reference_builder(self, seed):
+        """200 seeded queries, hubs past the edge cap among them, build the
+        batches of the per-fact reference and leave the rng in its state."""
+        store = hub_store(seed)
+        table = init_random(len(store.entities), len(store.relations), len(store.times), D, 0)
+        picks = np.random.default_rng(seed)
+        ours, theirs = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+        past_cap = 0
+        for index in range(200):
+            fact = store.facts[int(picks.integers(len(store.facts)))]
+            mask_object, cap_edges = bool(index % 2), (64, 8)[index % 3 == 0]
+            anchor = fact.subject if mask_object else fact.object
+            past_cap += len(store.fact_ids_by_entity(anchor)) > cap_edges // 2
+            batch, target = build_query_subgraph(store, table, fact, mask_object, ours, cap_edges)
+            expected, expected_target = reference_query_subgraph(
+                store, table, fact, mask_object, theirs, cap_edges)
+            assert target == expected_target
+            assert batch.nodes.tolist() == expected.nodes.tolist()
+            assert batch.edges.tolist() == expected.edges.tolist()
+        assert past_cap > 20
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestPretrain:
