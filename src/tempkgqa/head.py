@@ -18,12 +18,25 @@ matrix, and the indicator projection jointly.
 Training is batched.  :func:`train` compiles the dataset into arrays once:
 the mix-weighted encoder-width indicators as one ``(N, d)`` matrix, and the
 question tokens and gold answers as padded id arrays whose averaging
-weights are zero on the padding.  Each step scatters its rows' ids into a
-dense ``(B, n_tokens)`` token bag and a ``(B, n_answers)`` target, so the
-forward pass, the loss and all three gradients are a few matrix products
-per batch, and the gradients land in one set of arrays that every step
-reuses.  Compiled memory grows with tokens per question; only the
-per-batch bag and target span the vocabulary and the answer space.
+weights are zero on the padding.  The token weights are scaled by
+``MIX[3]`` there, so the token bag is already mix-weighted and neither the
+forward pass nor the token gradient multiplies by it.  Each step scatters
+its rows' ids into a dense ``(B, n_tokens)`` token bag and a
+``(B, n_answers)`` target, so the forward pass, the loss and all three
+gradients are a few matrix products per batch, and the gradients land in
+one set of arrays that every step reuses.  The SGD step (learning rate
+over batch size) is folded into ``d_logits`` through the ``scale`` of
+:func:`loss_and_grads`, so the gradients come out scaled and each update is
+one subtraction.  Scaling by a power of two is exact, so with such a step
+(the desk run's 1/8, and 1/4 for its last batch) training keeps the bits
+of scaling the gradients afterwards; any other step may differ in the last
+ulp.  Compiled memory grows with tokens per question; only the per-batch
+bag and target span the vocabulary and the answer space.
+
+:func:`predict_topk` ranks by a partial selection: a partition finds each
+row's ``k``-th largest probability, and only the answers at least that
+likely, ties included, are sorted, so the ranking equals a stable full
+sort.
 """
 
 from __future__ import annotations
@@ -122,7 +135,7 @@ def _features(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Feature rows of ``examples``: the mix-weighted encoder-width
     indicators ``(N, d)``, and the padded question token ids with their
-    averaging weights."""
+    averaging weights times ``MIX[3]``."""
     blocks = [(ind.sub_vec, ind.rel_vec, ind.obj_vec) for ind, _ in examples]
     if len({vector.shape for block in blocks for vector in block}) != 1:
         raise HeadError("indicator vectors differ in width")
@@ -131,7 +144,7 @@ def _features(
         [vocab.get(t, 0) for t in tokenize(question) or [UNKNOWN_TOKEN]]
         for _, question in examples
     ])
-    return MIX[:3] @ np.array(blocks), token_ids, token_weights
+    return MIX[:3] @ np.array(blocks), token_ids, MIX[3] * token_weights
 
 
 def _forward(
@@ -146,10 +159,12 @@ def _forward(
             f"{indicators.shape[1]} to head width {params.dim}"
         )
     bag = _scatter(token_ids, token_weights, params.token_emb.shape[0])
-    feature = indicators @ projection.weight + MIX[3] * (bag @ params.token_emb)
-    logits = feature @ params.scoring
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    feature = indicators @ projection.weight
+    feature += bag @ params.token_emb
+    # log-softmax in place in the logits
+    log_probs = feature @ params.scoring
+    log_probs -= log_probs.max(axis=1, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
     return bag, feature, log_probs
 
 
@@ -174,9 +189,24 @@ def predict_topk(
     ranked: list[list[str]] = []
     for lo in range(0, len(examples), params.dim):
         probs = score(examples[lo : lo + params.dim], params, projection)
-        order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
-        ranked.extend([params.answer_labels[i] for i in row] for row in order)
+        ranked.extend([params.answer_labels[i] for i in row] for row in _top_ids(probs, k))
     return ranked
+
+
+def _top_ids(probs: np.ndarray, k: int) -> np.ndarray:
+    """Column ids of each row's ``k`` largest entries by descending value,
+    ties by ascending id: the first ``k`` of a stable argsort of ``-probs``.
+    A partition finds each row's ``k``-th largest value; only the entries at
+    least that large, ties included, are sorted."""
+    n_rows, width = probs.shape
+    if k >= width:
+        return np.argsort(-probs, axis=1, kind="stable")
+    kth = np.partition(probs, width - k, axis=1)[:, width - k, None]
+    rows, cols = np.nonzero(probs >= kth)
+    # nonzero lists each row's ids in ascending order, and lexsort is stable
+    order = np.lexsort((-probs[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(n_rows))
+    return cols[order][starts[:, None] + np.arange(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +230,7 @@ class CompiledBatch:
 
     indicators: np.ndarray     # (N, d) mix-weighted encoder-width indicators
     token_ids: np.ndarray      # (N, max tokens), padded with row 0
-    token_weights: np.ndarray  # (N, max tokens), zero on the padding
+    token_weights: np.ndarray  # (N, max tokens), MIX[3] / tokens, zero on the padding
     gold_ids: np.ndarray       # (N, max golds), padded with answer 0
     gold_weights: np.ndarray   # (N, max golds), zero on the padding
 
@@ -242,25 +272,31 @@ class HeadGradients:
 
 def loss_and_grads(
     batch: Sequence[TrainExample] | CompiledBatch, params: HeadParams, projection: Projection,
-    out: HeadGradients | None = None,
+    out: HeadGradients | None = None, scale: float = 1.0,
 ) -> tuple[float, HeadGradients]:
     """Summed multi-gold cross-entropy over ``batch`` with gradients for the
-    token embeddings, the scoring matrix, and the projection.  A batch of
-    examples is compiled first; :func:`train` passes rows it compiled once.
-    The gradients are written into ``out`` when it is given: :func:`train`
-    reuses one set, so no step allocates arrays the size of the parameters."""
+    token embeddings, the scoring matrix, and the projection, each times
+    ``scale``.  A batch of examples is compiled first; :func:`train` passes
+    rows it compiled once, with its SGD step as ``scale``.  The gradients are
+    written into ``out`` when it is given: :func:`train` reuses one set, so
+    no step allocates arrays the size of the parameters."""
     if not isinstance(batch, CompiledBatch):
         batch = compile_examples(batch, params)
     bag, feature, log_probs = _forward(params, projection, batch.indicators,
                                        batch.token_ids, batch.token_weights)
-    rows = np.arange(len(batch))[:, None]
-    loss = -float((log_probs[rows, batch.gold_ids] * batch.gold_weights).sum())
-    target = _scatter(batch.gold_ids, batch.gold_weights, log_probs.shape[1])
-    d_logits = np.exp(log_probs) - target
+    n_rows, n_answers = log_probs.shape
+    gold = (np.arange(n_rows)[:, None] * n_answers + batch.gold_ids).ravel()
+    gold_weights = batch.gold_weights.ravel()
+    loss = -float((log_probs.take(gold) * gold_weights).sum())
+    target = np.bincount(gold, gold_weights, minlength=log_probs.size)
+    # the softmax minus the target, in the log-probabilities' memory
+    d_logits = np.exp(log_probs, out=log_probs)
+    d_logits -= target.reshape(n_rows, n_answers)
+    d_logits *= scale
     d_feature = d_logits @ params.scoring.T
     if out is None:
         out = HeadGradients.empty(params, projection)
-    np.matmul(bag.T, MIX[3] * d_feature, out=out.token_emb)
+    np.matmul(bag.T, d_feature, out=out.token_emb)
     np.matmul(feature.T, d_logits, out=out.scoring)
     np.matmul(batch.indicators.T, d_feature, out=out.projection)
     return loss, out
@@ -286,14 +322,11 @@ def train(
         total = 0.0
         for lo in range(0, len(shuffled), config.batch_size):
             batch = shuffled.take(slice(lo, lo + config.batch_size))
-            loss, _ = loss_and_grads(batch, params, projection, grads)
+            loss, _ = loss_and_grads(batch, params, projection, grads,
+                                     config.learning_rate / len(batch))
             total += loss
-            step = config.learning_rate / len(batch)
-            # scale the gradients in place: no temporaries per step
-            for param, grad in ((params.token_emb, grads.token_emb),
-                                (params.scoring, grads.scoring),
-                                (projection.weight, grads.projection)):
-                grad *= step
-                param -= grad
+            params.token_emb -= grads.token_emb
+            params.scoring -= grads.scoring
+            projection.weight -= grads.projection
         losses.append(total)
     return params, projection, losses

@@ -227,15 +227,16 @@ def rule_time(
     explicit = _first_vocabulary_year(store, question.text)
     if explicit is not None:
         return TemporalConstraint.at(explicit)
-    anchor = anchors[0] if anchors else None
-    if question.qtype in (QuestionType.BEFORE_AFTER, QuestionType.IMPLICIT) and anchor:
-        direction = _keyword_direction(question.text)
-        if direction == "after":
-            return TemporalConstraint.after(anchor.t_end)
-        if direction == "before":
-            return TemporalConstraint.before(anchor.t_start)
-    if question.qtype in (QuestionType.TIME_JOIN, QuestionType.TEMPORAL) and anchor:
+    if question.qtype not in ANCHORED_TYPES or not anchors:
+        return TemporalConstraint.none()
+    anchor = anchors[0]
+    if question.qtype in (QuestionType.TIME_JOIN, QuestionType.TEMPORAL):
         return TemporalConstraint.between(anchor.t_start, anchor.t_end)
+    direction = _keyword_direction(question.text)
+    if direction == "after":
+        return TemporalConstraint.after(anchor.t_end)
+    if direction == "before":
+        return TemporalConstraint.before(anchor.t_start)
     return TemporalConstraint.none()
 
 
@@ -341,7 +342,9 @@ def retrieve_question(
     oracle: bool = False,
 ) -> RetrievedSubgraph:
     """Run the full per-question pipeline: relation ranking, anchor lookup,
-    time mining, fact filtering.
+    time mining, fact filtering.  The anchors are looked up only for an
+    anchored question type whose text names no year, the one case in which
+    :func:`rule_time` and :func:`mine_time` read them.
 
     With ``oracle=True`` (or no client) both LLM stages are replaced by their
     deterministic oracles and the client is never called.
@@ -357,7 +360,9 @@ def retrieve_question(
         ranking = rank_relations(client, store, question, candidates, top_k)
         relations = ranking.relations
         fallback_relation = ranking.used_fallback
-    anchors = anchor_facts(store, question, relations)
+    anchored = (question.qtype in ANCHORED_TYPES
+                and _first_vocabulary_year(store, question.text) is None)
+    anchors = anchor_facts(store, question, relations) if anchored else ()
     if use_oracle:
         constraint = rule_time(store, question, anchors)
         fallback_time = False

@@ -564,10 +564,10 @@ def pretrain(
         raise TgnnError("bad pretraining config")
     table = table.copy()
     params = params.copy()
-    fact_ids = list(fact_indices) if fact_indices is not None else list(range(len(store.facts)))
+    fact_ids = list(fact_indices) if fact_indices is not None else range(len(store.facts))
     if not fact_ids:
         raise TgnnError("no facts to train on")
-    queries = [(fid, mask_object) for fid in fact_ids for mask_object in (True, False)]
+    # query i masks the object of fact_ids[i // 2] when i is even, else the subject
     rng = np.random.default_rng(config.seed)
     buffers = TgnnBuffers(table, params, config.batch_size)
     losses: list[float] = []
@@ -576,14 +576,14 @@ def pretrain(
     for _ in range(config.epochs):
         if steps >= limit:
             break
-        order = rng.permutation(len(queries))
+        order = rng.permutation(2 * len(fact_ids))
         total = 0.0
         for lo in range(0, len(order), config.batch_size):
             if steps >= limit:
                 break
-            chunk = [queries[i] for i in order[lo : lo + config.batch_size]]
+            chunk = order[lo : lo + config.batch_size].tolist()
             batch, targets = _query_batch(
-                store, table, ((store.facts[fid], mask) for fid, mask in chunk),
+                store, table, ((store.facts[fact_ids[i // 2]], i % 2 == 0) for i in chunk),
                 rng, config.cap_edges,
             )
             loss, grads = gradients(batch, table, params, targets, config.time_mode, buffers)

@@ -11,6 +11,8 @@ from tempkgqa.head import (
     HeadTrainConfig,
     _features,
     _forward,
+    _scatter,
+    _top_ids,
     compile_examples,
     init_head,
     loss_and_grads,
@@ -77,6 +79,53 @@ def looped_loss_and_grads(batch, params, projection):
         np.add.at(grads.token_emb, token_rows, d_parts[3] / len(token_rows))
         grads.projection += enhanced.T @ d_parts[:3]
     return total, grads
+
+
+def reference_step(batch, params, projection, step):
+    """Reference: one SGD step as the head took it before the step was folded
+    into ``d_logits`` and ``MIX[3]`` into the token weights: a gradient at
+    scale one, then scaled in place and subtracted."""
+    token_weights = batch.token_weights / MIX[3]  # exact: MIX[3] is 1/4
+    bag = _scatter(batch.token_ids, token_weights, params.token_emb.shape[0])
+    feature = batch.indicators @ projection.weight + MIX[3] * (bag @ params.token_emb)
+    logits = feature @ params.scoring
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(len(batch))[:, None]
+    loss = -float((log_probs[rows, batch.gold_ids] * batch.gold_weights).sum())
+    target = _scatter(batch.gold_ids, batch.gold_weights, log_probs.shape[1])
+    d_logits = np.exp(log_probs) - target
+    d_feature = d_logits @ params.scoring.T
+    for param, grad in ((params.token_emb, bag.T @ (MIX[3] * d_feature)),
+                        (params.scoring, feature.T @ d_logits),
+                        (projection.weight, batch.indicators.T @ d_feature)):
+        grad *= step
+        param -= grad
+    return loss
+
+
+def reference_train(dataset, params, projection, config):
+    """Reference: :func:`train` driving :func:`reference_step`."""
+    params, projection = params.copy(), projection.copy()
+    compiled = compile_examples(dataset, params)
+    rng = np.random.default_rng(config.seed)
+    losses = []
+    for _ in range(config.epochs):
+        shuffled = compiled.take(rng.permutation(len(compiled)))
+        total = 0.0
+        for lo in range(0, len(shuffled), config.batch_size):
+            batch = shuffled.take(slice(lo, lo + config.batch_size))
+            total += reference_step(batch, params, projection,
+                                    config.learning_rate / len(batch))
+        losses.append(total)
+    return params, projection, losses
+
+
+def reference_topk(examples, params, projection, k):
+    """Reference: the stable full sort of every probability row."""
+    probs = score(examples, params, projection)
+    order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+    return [[params.answer_labels[i] for i in row] for row in order]
 
 
 WORDS = ("who", "ran", "the", "mill", "in", "1990", "led", "after", "alice")
@@ -229,6 +278,37 @@ class TestPredictTopk:
         assert predict_topk([], params, projection, 3) == []
 
 
+    def test_matches_stable_sort_across_blocks(self):
+        # more examples than one d_llm block, with ties and every k
+        rng = np.random.default_rng(4)
+        examples, params, projection = random_batch(rng, 3 * D_LLM + 2)
+        examples = [example for example, _ in examples]
+        params.scoring[:, [1, 3]] = params.scoring[:, [0, 0]]  # answers 0, 1, 3 tie
+        for k in range(1, len(ANSWERS) + 2):
+            assert (predict_topk(examples, params, projection, k)
+                    == reference_topk(examples, params, projection, k)), k
+
+    def test_partial_selection_keeps_ties_at_the_kth_value(self):
+        rng = np.random.default_rng(0)
+        # few distinct values, so ties straddle the k-th position in most rows
+        probs = rng.integers(0, 4, size=(300, 40)) / 4.0
+        probs[:5] = 0.5  # rows that are one long tie
+        probs[5, :] = np.arange(40)[::-1]  # a row without ties
+        for k in (1, 2, 3, 7, 20, 39, 40, 41, 100):
+            expected = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(_top_ids(probs, k), expected), k
+
+    def test_partial_selection_on_softmax_rows(self):
+        rng = np.random.default_rng(1)
+        logits = rng.normal(size=(50, 2000))
+        logits[:, 100:110] = logits[:, [99]]  # a tie block in every row
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        for k in (1, 10, 1999, 2000):
+            expected = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(_top_ids(probs, k), expected), k
+
+
 class TestLossAndGrads:
     def test_loss_matches_cross_entropy(self):
         example, params, projection = make_example()
@@ -279,6 +359,20 @@ class TestLossAndGrads:
         for name in ("token_emb", "scoring", "projection"):
             assert np.array_equal(getattr(out, name), getattr(fresh, name)), name
 
+    @pytest.mark.parametrize("scale", (0.125, 0.25, 1.0, 0.3 / 8))
+    def test_scale_multiplies_every_gradient(self, scale):
+        rng = np.random.default_rng(6)
+        batch, params, projection = random_batch(rng, 5)
+        loss, unit = loss_and_grads(batch, params, projection)
+        scaled_loss, scaled = loss_and_grads(batch, params, projection, scale=scale)
+        assert scaled_loss == loss
+        for name in ("token_emb", "scoring", "projection"):
+            expected = scale * getattr(unit, name)
+            if np.log2(scale).is_integer():  # a power of two scales exactly
+                assert np.array_equal(getattr(scaled, name), expected), name
+            else:
+                assert relative_error(getattr(scaled, name), expected) < 1e-12, name
+
     def test_empty_batch_rejected(self):
         _, params, projection = make_example()
         with pytest.raises(HeadError, match="no training examples"):
@@ -305,7 +399,8 @@ class TestLossAndGrads:
         longest = max(len(tokenize(question)) for (_, question), _ in batch)
         assert compiled.token_ids.shape == (5, longest)
         assert compiled.gold_ids.shape == (5, max(len(g) for _, g in batch))
-        assert np.allclose(compiled.token_weights.sum(axis=1), 1.0)
+        # the token weights carry the question tokens' share of the mix
+        assert np.allclose(compiled.token_weights.sum(axis=1), MIX[3])
         assert np.allclose(compiled.gold_weights.sum(axis=1), 1.0)
         rows = np.array([3, 0, 4])
         direct = loss_and_grads([batch[i] for i in rows], params, projection)
@@ -379,6 +474,35 @@ class TestTrain:
         assert np.allclose(trained.token_emb, params.token_emb, rtol=1e-12, atol=0)
         assert np.allclose(trained.scoring, params.scoring, rtol=1e-12, atol=0)
         assert np.allclose(trained_projection.weight, projection.weight, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("size", (17, 18, 20, 24))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_unit_rate_keeps_the_bits_of_the_reference_step(self, seed, size):
+        # batch 8: step 1/8, and 1, 1/2 or 1/4 for a short last batch (desk's
+        # 76 examples end in a batch of 4); scaling by a power of two is exact
+        rng = np.random.default_rng(seed)
+        dataset, params, projection = random_batch(rng, size)
+        config = HeadTrainConfig(learning_rate=1.0, epochs=3, batch_size=8, seed=seed)
+        got = train(dataset, params, projection, config)
+        expected = reference_train(dataset, params, projection, config)
+        assert got[2] == expected[2]
+        assert np.array_equal(got[0].token_emb, expected[0].token_emb)
+        assert np.array_equal(got[0].scoring, expected[0].scoring)
+        assert np.array_equal(got[1].weight, expected[1].weight)
+
+    @pytest.mark.parametrize("rate, size", ((0.3, 20), (0.3, 21), (1.0, 21)))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_other_steps_match_the_reference_step(self, seed, rate, size):
+        # a step that is no power of two may round differently in the last ulp
+        rng = np.random.default_rng(seed)
+        dataset, params, projection = random_batch(rng, size)
+        config = HeadTrainConfig(learning_rate=rate, epochs=3, batch_size=8, seed=seed)
+        got = train(dataset, params, projection, config)
+        expected = reference_train(dataset, params, projection, config)
+        assert got[2] == pytest.approx(expected[2], rel=1e-12)
+        assert relative_error(got[0].token_emb, expected[0].token_emb) < 1e-12
+        assert relative_error(got[0].scoring, expected[0].scoring) < 1e-12
+        assert relative_error(got[1].weight, expected[1].weight) < 1e-12
 
     def test_invalid_example_rejected_before_training(self):
         dataset, params, projection = self.dataset()

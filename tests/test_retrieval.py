@@ -26,6 +26,7 @@ from tempkgqa.retrieval import (
     subgraph_from_record,
     subgraph_record,
 )
+from tempkgqa import retrieval
 from tempkgqa import store as store_module
 from tempkgqa.store import (
     AnswerType,
@@ -37,6 +38,7 @@ from tempkgqa.store import (
     Vocabulary,
     facts_filtered,
 )
+from tempkgqa.synthetic import retrieval_stress
 
 from conftest import build_store
 
@@ -427,6 +429,118 @@ class TestRetrieveQuestion:
                                      top_k=1, max_facts=10)
         assert [tiny_store.relations.label(r) for r in subgraph.relations] == ["advises"]
         assert not subgraph.fallback_relation
+
+
+def eager_rule_time(store, question, anchors):
+    """Reference: the constraint oracle as it read ``anchors[0]`` for every
+    question type."""
+    explicit = retrieval._first_vocabulary_year(store, question.text)
+    if explicit is not None:
+        return TemporalConstraint.at(explicit)
+    anchor = anchors[0] if anchors else None
+    if question.qtype in (QuestionType.BEFORE_AFTER, QuestionType.IMPLICIT) and anchor:
+        direction = retrieval._keyword_direction(question.text)
+        if direction == "after":
+            return TemporalConstraint.after(anchor.t_end)
+        if direction == "before":
+            return TemporalConstraint.before(anchor.t_start)
+    if question.qtype in (QuestionType.TIME_JOIN, QuestionType.TEMPORAL) and anchor:
+        return TemporalConstraint.between(anchor.t_start, anchor.t_end)
+    return TemporalConstraint.none()
+
+
+def eager_retrieve(store, question, client, *, top_k, max_facts):
+    """Reference: :func:`retrieve_question` with the anchors looked up for
+    every question, whether or not a time rule reads them."""
+    candidates = candidate_relations(store, question)
+    if not candidates:
+        return RetrievedSubgraph(question.uid, (), (), TemporalConstraint.none())
+    fallback_relation = fallback_time = False
+    if client is None:
+        relations = tuple(lexical_rank(store, question, candidates)[:top_k])
+    else:
+        ranking = rank_relations(client, store, question, candidates, top_k)
+        relations, fallback_relation = ranking.relations, ranking.used_fallback
+    anchors = anchor_facts(store, question, relations)
+    if client is None:
+        constraint = eager_rule_time(store, question, anchors)
+    else:
+        mining = mine_time(client, store, question, anchors)
+        constraint, fallback_time = mining.constraint, mining.used_fallback
+    subgraph = retrieve_subgraph(store, question, relations, constraint, max_facts)
+    return replace(subgraph, fallback_relation=fallback_relation,
+                   fallback_time=fallback_time)
+
+
+class TestAnchorsOnlyWhenRead:
+    def counted_anchor_facts(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].uid)
+            return anchor_facts(*args)
+
+        monkeypatch.setattr(retrieval, "anchor_facts", counted)
+        return calls
+
+    @pytest.mark.parametrize("text, qtype, looked_up", [
+        ("who leads the lab?", QuestionType.SIMPLE_ENTITY, False),
+        ("who led the lab first?", QuestionType.FIRST_LAST, False),
+        ("who leads the lab after ada?", QuestionType.BEFORE_AFTER, True),
+        ("who led the lab in 1990 after ada?", QuestionType.BEFORE_AFTER, False),
+        ("who led the lab in 2050 after ada?", QuestionType.BEFORE_AFTER, True),
+        ("who worked at the mill while ada led the lab?", QuestionType.TIME_JOIN, True),
+    ])
+    def test_anchor_lookup_only_when_a_rule_reads_it(self, tiny_store, monkeypatch,
+                                                     text, qtype, looked_up):
+        calls = self.counted_anchor_facts(monkeypatch)
+        question = make_question(tiny_store, text, ["ada", "lab"], qtype)
+        for client in (None, MockLlmClient(default="after 1995")):
+            got = retrieve_question(tiny_store, question, client, top_k=2, max_facts=10)
+            assert calls == ["q0"] * looked_up
+            calls.clear()
+            assert got == eager_retrieve(tiny_store, question, client, top_k=2, max_facts=10)
+
+    @pytest.mark.parametrize("qtype", list(QuestionType))
+    def test_rule_time_matches_the_eager_reference(self, tiny_store, qtype):
+        question = make_question(tiny_store, "", ["ada", "lab"], qtype)
+        for text in ("who led the lab after ada?", "who led the lab before ada?",
+                     "who led the lab while ada did?", "who led the lab in 1995?",
+                     "who led the lab after ada in 2050?"):
+            for anchors in ([], [tiny_store.facts[1]], tiny_store.facts[:2]):
+                asked = replace(question, text=text)
+                assert (rule_time(tiny_store, asked, anchors)
+                        == eager_rule_time(tiny_store, asked, anchors)), (text, anchors)
+
+    def assert_matches_eager(self, store, questions, top_k=2, max_facts=10):
+        kinds = set()
+        for question in questions:
+            assert (retrieve_question(store, question, None, top_k=top_k, max_facts=max_facts)
+                    == eager_retrieve(store, question, None, top_k=top_k,
+                                      max_facts=max_facts)), question.uid
+            eager_client = MockLlmClient(default="after 1905")
+            lazy_client = MockLlmClient(default="after 1905")
+            assert (retrieve_question(store, question, lazy_client, top_k=top_k,
+                                      max_facts=max_facts)
+                    == eager_retrieve(store, question, eager_client, top_k=top_k,
+                                      max_facts=max_facts)), question.uid
+            assert lazy_client.calls == eager_client.calls
+            kinds.add(question.qtype)
+        return kinds
+
+    def test_desk_questions_match_eager_anchors(self, desk_store, desk_train, desk_test):
+        kinds = self.assert_matches_eager(desk_store, desk_train + desk_test, top_k=1)
+        assert kinds & set(store_module.ANCHORED_TYPES)
+        assert kinds - set(store_module.ANCHORED_TYPES)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_stress_questions_match_eager_anchors(self, seed):
+        store, questions = retrieval_stress(seed=seed, n_entities=120, n_facts=900,
+                                            n_questions=150)
+        kinds = self.assert_matches_eager(store, questions)
+        assert kinds == {QuestionType.SIMPLE_ENTITY, QuestionType.SIMPLE_TIME,
+                         QuestionType.BEFORE_AFTER, QuestionType.FIRST_LAST,
+                         QuestionType.TIME_JOIN}
 
 
 class TestRecords:

@@ -605,6 +605,38 @@ class TestSubgraphConstruction:
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def list_order_pretrain(store, table, params, config, fact_indices=None):
+    """Reference: pre-training that visits an explicit list of the 2n
+    ``(fact_id, mask_object)`` queries, the order :func:`pretrain` now takes
+    from index arithmetic on ``2 * len(fact_ids)`` positions."""
+    table, params = table.copy(), params.copy()
+    fact_ids = list(fact_indices) if fact_indices is not None else list(range(len(store.facts)))
+    queries = [(fid, mask_object) for fid in fact_ids for mask_object in (True, False)]
+    rng = np.random.default_rng(config.seed)
+    buffers = tgnn.TgnnBuffers(table, params, config.batch_size)
+    losses, steps = [], 0
+    limit = np.inf if config.max_steps is None else config.max_steps
+    for _ in range(config.epochs):
+        if steps >= limit:
+            break
+        order = rng.permutation(len(queries))
+        total = 0.0
+        for lo in range(0, len(order), config.batch_size):
+            if steps >= limit:
+                break
+            chunk = [queries[i] for i in order[lo : lo + config.batch_size]]
+            batch, targets = tgnn._query_batch(
+                store, table, ((store.facts[fid], mask) for fid, mask in chunk),
+                rng, config.cap_edges)
+            loss, grads = gradients(batch, table, params, targets, config.time_mode, buffers)
+            total += loss
+            tgnn._sgd_step(table, params, grads, batch, config.learning_rate / len(chunk),
+                           config.freeze_table)
+            steps += 1
+        losses.append(total)
+    return table, params, losses
+
+
 class TestPretrain:
     def make_world(self, facts=None):
         store = build_store(facts or [
@@ -750,6 +782,24 @@ class TestPretrain:
                 others = np.arange(len(probs)) != target
                 expected.append(1 + int(np.sum(probs[others] >= probs[target])))
         assert ranks == expected
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_query_order_matches_the_list_reference(self, seed):
+        """A seeded full-store run, and one over a fact subset, give the bits
+        of the list-based query order; a short last batch included."""
+        store = hub_store(seed, n_facts=203)
+        table = init_random(len(store.entities), len(store.relations), len(store.times), D, seed)
+        params = init_params(D, len(store.entities), seed + 1)
+        config = TgnnPretrainConfig(learning_rate=0.3, epochs=2, batch_size=8, seed=seed)
+        subset = [int(i) for i in np.random.default_rng(seed).permutation(203)[:37]]
+        for fact_indices in (None, subset):
+            got = pretrain(store, table, params, config, fact_indices)
+            expected = list_order_pretrain(store, table, params, config, fact_indices)
+            assert got[2] == expected[2]
+            for name in TABLE_NAMES:
+                assert np.array_equal(getattr(got[0], name), getattr(expected[0], name)), name
+            for name in PARAM_NAMES:
+                assert np.array_equal(getattr(got[1], name), getattr(expected[1], name)), name
 
 
 class TestEncodeEntities:
