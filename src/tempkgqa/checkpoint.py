@@ -21,6 +21,8 @@ rejected.  A load error names the file it was reading.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -48,11 +50,16 @@ def _write_array(handle, array: np.ndarray) -> None:
 
 
 def _read_array(handle, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    raw = handle.read(4 * count)
-    if len(raw) != 4 * count:
+    """The next ``shape`` matrix; a size beyond the bytes left in the file
+    is rejected before anything is read."""
+    size = 4 * math.prod(shape)
+    if size > os.fstat(handle.fileno()).st_size - handle.tell():
         raise CheckpointError("truncated checkpoint")
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+    raw = handle.read(size)
+    try:
+        return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+    except ValueError:  # an empty matrix with a row count numpy cannot index
+        raise CheckpointError(f"matrix shape {shape} out of range") from None
 
 
 def _read_header(handle, magic: bytes, layout: str) -> tuple[int, ...]:

@@ -204,8 +204,8 @@ def stage_pretrain_base(cfg: RunConfig, world: World) -> None:
         store,
         table,
         BasePretrainConfig(
-            learning_rate=cfg.stage_lr("base"),
-            epochs=cfg.stage_epochs("base"),
+            learning_rate=cfg.base_learning_rate,
+            epochs=cfg.base_epochs,
             batch_size=cfg.batch_size,
             seed=cfg.seed,
         ),
@@ -224,12 +224,11 @@ def stage_pretrain_tgnn(cfg: RunConfig, world: World) -> None:
         table,
         params,
         tgnn.TgnnPretrainConfig(
-            learning_rate=cfg.stage_lr("tgnn"),
-            epochs=cfg.stage_epochs("tgnn"),
+            learning_rate=cfg.tgnn_learning_rate,
+            epochs=cfg.tgnn_epochs,
             batch_size=cfg.batch_size,
             seed=cfg.seed,
             cap_edges=cfg.cap_edges,
-            time_mode=cfg.time_mode,
             max_steps=cfg.tgnn_max_steps,
         ),
     )
@@ -297,8 +296,8 @@ def stage_build_indicators(cfg: RunConfig, world: World) -> None:
         for subgraph in _read_subgraphs(cfg, store, split):
             if subgraph.empty:
                 continue
-            encoded = tgnn.encode_entities(subgraph.facts, table, params, cfg.time_mode)
-            built = ind_mod.build_indicators(subgraph, encoded, table, cfg.pooling)
+            encoded = tgnn.encode_entities(subgraph.facts, table, params)
+            built = ind_mod.build_indicators(subgraph, encoded, table)
             records.append({
                 "uid": subgraph.uid,
                 "d": cfg.d,
@@ -353,8 +352,8 @@ def stage_train_head(cfg: RunConfig, world: World) -> None:
         params,
         projection,
         head_mod.HeadTrainConfig(
-            learning_rate=cfg.stage_lr("head"),
-            epochs=cfg.stage_epochs("head"),
+            learning_rate=cfg.head_learning_rate,
+            epochs=cfg.head_epochs,
             batch_size=cfg.batch_size,
             seed=cfg.seed,
         ),

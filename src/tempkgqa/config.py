@@ -1,9 +1,10 @@
 """Run configuration: one flat dataclass, JSON file loading, CLI overrides.
 
-Shared hyperparameter defaults (width 512, one layer, top-1 relation, ten
-evidence facts, four epochs, batch eight, learning rate 3e-4) apply to every
-stage unless a per-stage override is set.  Paths in a config file are
-resolved relative to the file's directory so configs can ship with fixtures.
+Defaults: width 512, one layer, top-1 relation, ten evidence facts, batch
+eight, and for each of the three training stages (base, graph encoder,
+answer head) four epochs at learning rate 3e-4.  A config file's values must
+have their field's JSON type, and its paths are resolved relative to the
+file's directory so configs can ship with fixtures.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import TempkgqaError
-from .indicators import POOL_MODES
-from .tgnn import TIME_MODES
 
 _PATH_FIELDS = ("tkg_path", "questions_train", "questions_test", "dump_dir", "checkpoint_dir")
 
@@ -39,20 +38,16 @@ class RunConfig:
     layers: int = 1
     top_k: int = 1
     max_facts: int = 10
-    learning_rate: float = 3e-4
-    epochs: int = 4
     batch_size: int = 8
-    pooling: str = "mean"
-    time_mode: str = "start"
     cap_edges: int = 64
-    # per-stage overrides (None falls back to the shared value)
-    base_learning_rate: float | None = None
-    base_epochs: int | None = None
-    tgnn_learning_rate: float | None = None
-    tgnn_epochs: int | None = None
+    # per-stage training schedules (no step cap when tgnn_max_steps is None)
+    base_learning_rate: float = 3e-4
+    base_epochs: int = 4
+    tgnn_learning_rate: float = 3e-4
+    tgnn_epochs: int = 4
     tgnn_max_steps: int | None = None
-    head_learning_rate: float | None = None
-    head_epochs: int | None = None
+    head_learning_rate: float = 3e-4
+    head_epochs: int = 4
     # llm access
     endpoint: str | None = None
     model: str = "local"
@@ -65,39 +60,40 @@ class RunConfig:
                      "cap_edges"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1")
-        if self.epochs < 0:
-            problems.append("epochs must be >= 0")
-        if self.learning_rate < 0:
-            problems.append("learning_rate must be >= 0")
-        for name in ("base_epochs", "tgnn_epochs", "head_epochs", "tgnn_max_steps",
+        for name in ("seed", "base_epochs", "tgnn_epochs", "head_epochs", "tgnn_max_steps",
                      "base_learning_rate", "tgnn_learning_rate", "head_learning_rate"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 problems.append(f"{name} must be >= 0")
-        if self.pooling not in POOL_MODES:
-            problems.append(f"pooling must be one of {POOL_MODES}")
-        if self.time_mode not in TIME_MODES:
-            problems.append(f"time_mode must be one of {TIME_MODES}")
         if problems:
             raise ConfigError("; ".join(problems))
-
-    # -- per-stage accessors --------------------------------------------
-
-    def stage_lr(self, stage: str) -> float:
-        value = getattr(self, f"{stage}_learning_rate")
-        return self.learning_rate if value is None else value
-
-    def stage_epochs(self, stage: str) -> int:
-        value = getattr(self, f"{stage}_epochs")
-        return self.epochs if value is None else value
 
     def resolved(self) -> dict:
         return dataclasses.asdict(self)
 
 
+# JSON value types each annotation accepts; a bool is never an int or float here
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def _type_problems(raw: dict) -> list[str]:
+    """One message per value of ``raw`` whose JSON type its field rejects.
+    Float fields take ints, and only ``| None`` fields take null."""
+    problems = []
+    for f in dataclasses.fields(RunConfig):
+        kind, _, optional = f.type.partition(" | ")
+        value = raw.get(f.name)
+        if f.name not in raw or (value is None and optional):
+            continue
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+            expected = f"{kind} or null" if optional else kind
+            problems.append(f"config key {f.name!r} must be {expected}, not {json.dumps(value)}")
+    return problems
+
+
 def load_config(path: str | Path) -> RunConfig:
-    """Read a JSON config; unknown keys are rejected, relative paths are
-    anchored at the config file's directory."""
+    """Read a JSON config; unknown keys and values of the wrong JSON type are
+    rejected, relative paths are anchored at the config file's directory."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -113,6 +109,9 @@ def load_config(path: str | Path) -> RunConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {unknown}")
+    problems = _type_problems(raw)
+    if problems:
+        raise ConfigError(f"{path}: " + "; ".join(problems))
     config = RunConfig(**raw)
     base = path.parent
     for name in _PATH_FIELDS:

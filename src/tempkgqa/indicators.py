@@ -1,13 +1,13 @@
 """Indicator vectors: compressing a retrieved subgraph into three vectors.
 
-For a subgraph we pool the graph-encoder embeddings of all subject entities,
-the base embeddings of all relations (forward rows), and the graph-encoder
-embeddings of all object entities, one pooled vector each.  Every pooled
-vector is then shifted by the embeddings of the subgraph's earliest and
-latest time ids.  These encoder-width vectors are the only indicator data;
-the answer head maps them into the language model's width with the
-:class:`Projection` it trains (see :mod:`tempkgqa.head`).  Pooling is per
-fact occurrence, so a fact appearing twice counts twice.
+For a subgraph we mean-pool the graph-encoder embeddings of all subject
+entities, the base embeddings of all relations (forward rows), and the
+graph-encoder embeddings of all object entities, one pooled vector each.
+Every pooled vector is then shifted by the embeddings of the subgraph's
+earliest and latest time ids.  These encoder-width vectors are the only
+indicator data; the answer head maps them into the language model's width
+with the :class:`Projection` it trains (see :mod:`tempkgqa.head`).  Pooling
+is per fact occurrence, so a fact appearing twice counts twice.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .errors import TempkgqaError
 from .retrieval import RetrievedSubgraph
-
-POOL_MODES = ("mean", "max")
 
 
 class IndicatorError(TempkgqaError, ValueError):
@@ -65,14 +63,11 @@ class IndicatorSet:
     t_max: int
 
 
-def local_pool(vectors: Sequence[np.ndarray], mode: str = "mean") -> np.ndarray:
-    """Elementwise mean or max over a non-empty stack of equal-length vectors."""
+def local_pool(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise mean over a non-empty stack of equal-length vectors."""
     if not len(vectors):
         raise IndicatorError("cannot pool zero vectors")
-    if mode not in POOL_MODES:
-        raise IndicatorError(f"unknown pooling mode {mode!r}")
-    stacked = np.stack(vectors)
-    return stacked.mean(axis=0) if mode == "mean" else stacked.max(axis=0)
+    return np.stack(vectors).mean(axis=0)
 
 
 def temporal_enhance(
@@ -86,7 +81,6 @@ def build_indicators(
     subgraph: RetrievedSubgraph,
     node_embeddings: Mapping[int, np.ndarray],
     table: EmbeddingTable,
-    mode: str = "mean",
 ) -> IndicatorSet:
     """Pool and enhance one retrieved subgraph.
 
@@ -107,7 +101,7 @@ def build_indicators(
     t_min_vec, t_max_vec = table.time[t_min], table.time[t_max]
 
     enhanced = [
-        temporal_enhance(local_pool(vecs, mode), t_min_vec, t_max_vec)
+        temporal_enhance(local_pool(vecs), t_min_vec, t_max_vec)
         for vecs in (subject_vecs, relation_vecs, object_vecs)
     ]
     return IndicatorSet(

@@ -1,9 +1,9 @@
 """Attention-based message passing over retrieved subgraphs.
 
 One layer, for each directed edge ``i -> j`` carrying relation row ``rho``
-and an edge time:
+and the start time ``tau`` of its fact:
 
-    m_ij = W_msg (e_i + r_rho + t_ij)
+    m_ij = W_msg (e_i + r_rho + t_tau)
     u_ij = relu((W_query e_i) . (W_key m_ij))
     alpha_.j = softmax of u over the incoming edges of j
     e_j' = sum_i alpha_ij m_ij
@@ -47,8 +47,6 @@ from .errors import TempkgqaError
 from .store import Quadruple, TkgStore
 
 MASK = -1
-
-TIME_MODES = ("start", "end", "mid")
 
 
 class TgnnError(TempkgqaError, ValueError):
@@ -194,15 +192,6 @@ class _Segments:
         return np.repeat(per_segment, self.counts, axis=0)
 
 
-def _edge_times(edges: np.ndarray, table: EmbeddingTable, time_mode: str) -> np.ndarray:
-    starts, ends = edges[:, 3], edges[:, 4]
-    if time_mode == "start":
-        return table.time[starts]
-    if time_mode == "end":
-        return table.time[ends]
-    return 0.5 * (table.time[starts] + table.time[ends])
-
-
 def _layer_inputs(batch: SubgraphBatch, table: EmbeddingTable) -> np.ndarray:
     base = np.zeros((batch.n_nodes, table.dim))
     real = batch.nodes != MASK
@@ -222,11 +211,10 @@ class _LayerCache:
 
 
 def _forward_layer(
-    seg: _Segments, x: np.ndarray, table: EmbeddingTable,
-    params: TgnnParams, time_mode: str,
+    seg: _Segments, x: np.ndarray, table: EmbeddingTable, params: TgnnParams
 ) -> tuple[np.ndarray, _LayerCache]:
     sources = x[seg.edges[:, 0]]
-    summed = sources + table.relation[seg.edges[:, 2]] + _edge_times(seg.edges, table, time_mode)
+    summed = sources + table.relation[seg.edges[:, 2]] + table.time[seg.edges[:, 3]]
     messages_ = summed @ params.w_msg.T
     queries = sources @ params.w_query.T
     keys = messages_ @ params.w_key.T
@@ -238,27 +226,20 @@ def _forward_layer(
 
 
 def _forward_with_caches(
-    batch: SubgraphBatch, table: EmbeddingTable, params: TgnnParams, time_mode: str
+    batch: SubgraphBatch, table: EmbeddingTable, params: TgnnParams
 ) -> tuple[np.ndarray, _Segments, list[_LayerCache]]:
-    if time_mode not in TIME_MODES:
-        raise TgnnError(f"unknown time mode {time_mode!r}")
     seg = _Segments.of(batch)
     x = _layer_inputs(batch, table)
     caches: list[_LayerCache] = []
     for _ in range(params.layers):
-        x, cache = _forward_layer(seg, x, table, params, time_mode)
+        x, cache = _forward_layer(seg, x, table, params)
         caches.append(cache)
     return x, seg, caches
 
 
-def forward(
-    batch: SubgraphBatch,
-    table: EmbeddingTable,
-    params: TgnnParams,
-    time_mode: str = "start",
-) -> np.ndarray:
+def forward(batch: SubgraphBatch, table: EmbeddingTable, params: TgnnParams) -> np.ndarray:
     """Final node embeddings after ``params.layers`` rounds of aggregation."""
-    return _forward_with_caches(batch, table, params, time_mode)[0]
+    return _forward_with_caches(batch, table, params)[0]
 
 
 def _masked_rows(
@@ -291,15 +272,10 @@ def _decode(
     return softmax_probs(vocab, final[rows], buffers, params.decoder_b, targets)
 
 
-def mask_predict(
-    batch: SubgraphBatch,
-    table: EmbeddingTable,
-    params: TgnnParams,
-    time_mode: str = "start",
-) -> np.ndarray:
+def mask_predict(batch: SubgraphBatch, table: EmbeddingTable, params: TgnnParams) -> np.ndarray:
     """Entity distribution decoded from the masked node's final embedding."""
     rows = np.array([batch.mask_index()])
-    final = forward(batch, table, params, time_mode)
+    final = forward(batch, table, params)
     return _decode(final, rows, params)[0][:, 0]
 
 
@@ -308,11 +284,10 @@ def masked_loss(
     table: EmbeddingTable,
     params: TgnnParams,
     target: int | Sequence[int],
-    time_mode: str = "start",
 ) -> float:
     """Cross entropy of the masked prediction, summed over masked nodes."""
     rows, targets = _masked_rows(batch, target)
-    return _decode(forward(batch, table, params, time_mode), rows, params, targets=targets)[1]
+    return _decode(forward(batch, table, params), rows, params, targets=targets)[1]
 
 
 @dataclass
@@ -333,11 +308,9 @@ def _backward_layer(
     d_out: np.ndarray,
     params: TgnnParams,
     grads: TgnnGradients,
-    time_mode: str,
 ) -> np.ndarray:
     """Backpropagate one layer; returns the gradient wrt the layer input."""
-    src, dst, rel = seg.edges[:, 0], seg.edges[:, 1], seg.edges[:, 2]
-    starts, ends = seg.edges[:, 3], seg.edges[:, 4]
+    src, dst, rel, start = seg.edges[:, :4].T
     d_x = d_out.copy()
     d_x[seg.receivers] = 0.0  # aggregation replaced these rows
 
@@ -359,13 +332,7 @@ def _backward_layer(
 
     np.add.at(d_x, src, d_queries @ params.w_query + d_summed)
     np.add.at(grads.relation, rel, d_summed)
-    if time_mode == "start":
-        np.add.at(grads.time, starts, d_summed)
-    elif time_mode == "end":
-        np.add.at(grads.time, ends, d_summed)
-    else:
-        np.add.at(grads.time, starts, 0.5 * d_summed)
-        np.add.at(grads.time, ends, 0.5 * d_summed)
+    np.add.at(grads.time, start, d_summed)
     return d_x
 
 
@@ -384,7 +351,6 @@ def gradients(
     table: EmbeddingTable,
     params: TgnnParams,
     target: int | Sequence[int],
-    time_mode: str = "start",
     buffers: TgnnBuffers | None = None,
 ) -> tuple[float, TgnnGradients]:
     """Cross-entropy loss of the masked prediction and its full gradient,
@@ -398,7 +364,7 @@ def gradients(
     gradients live in ``buffers``, overwritten by the next call.
     """
     rows, targets = _masked_rows(batch, target)
-    final, seg, caches = _forward_with_caches(batch, table, params, time_mode)
+    final, seg, caches = _forward_with_caches(batch, table, params)
     if buffers is None:
         buffers = TgnnBuffers(table, params, len(rows))
     loss, d_queries = softmax_cross_entropy(
@@ -418,7 +384,7 @@ def gradients(
     d_nodes = np.zeros(final.shape)
     d_nodes[rows] = d_queries
     for cache in reversed(caches):
-        d_nodes = _backward_layer(seg, cache, d_nodes, params, grads, time_mode)
+        d_nodes = _backward_layer(seg, cache, d_nodes, params, grads)
 
     real = batch.nodes != MASK
     buffers.entity_rows = batch.nodes[real]
@@ -512,8 +478,6 @@ class TgnnPretrainConfig:
     batch_size: int = 8
     seed: int = 0
     cap_edges: int = 64
-    freeze_table: bool = False
-    time_mode: str = "start"
     max_steps: int | None = None
 
 
@@ -523,7 +487,6 @@ def _sgd_step(
     grads: TgnnGradients,
     batch: SubgraphBatch,
     step: float,
-    freeze_table: bool,
 ) -> None:
     """In-place SGD step; embedding rows the batch does not touch are not
     written, so they stay bit-identical.  Scales ``grads`` in place."""
@@ -532,14 +495,12 @@ def _sgd_step(
         update *= step
         param = getattr(params, name)
         param -= update
-    if freeze_table:
-        return
     # A row id listed twice writes the same value twice, so the ids need no
     # deduplication.
     for array, grad, rows in (
         (table.entity, grads.entity, batch.nodes[batch.nodes != MASK]),
         (table.relation, grads.relation, batch.edges[:, 2]),
-        (table.time, grads.time, batch.edges[:, 3:].ravel()),
+        (table.time, grads.time, batch.edges[:, 3]),
     ):
         array[rows] -= step * grad[rows]
 
@@ -586,10 +547,9 @@ def pretrain(
                 store, table, ((store.facts[fact_ids[i // 2]], i % 2 == 0) for i in chunk),
                 rng, config.cap_edges,
             )
-            loss, grads = gradients(batch, table, params, targets, config.time_mode, buffers)
+            loss, grads = gradients(batch, table, params, targets, buffers)
             total += loss
-            _sgd_step(table, params, grads, batch, config.learning_rate / len(chunk),
-                      config.freeze_table)
+            _sgd_step(table, params, grads, batch, config.learning_rate / len(chunk))
             steps += 1
         losses.append(total)
     return table, params, losses
@@ -614,7 +574,7 @@ def evaluate_masked(
             store, table, queries[lo : lo + config.batch_size], rng, config.cap_edges
         )
         rows, targets = _masked_rows(batch, targets)
-        final = forward(batch, table, params, config.time_mode)
+        final = forward(batch, table, params)
         probs = _decode(final, rows, params, buffers)[0]
         answer = probs[targets, np.arange(len(rows))]
         ranks.extend(int(r) for r in np.sum(probs >= answer, axis=0))
@@ -622,12 +582,9 @@ def evaluate_masked(
 
 
 def encode_entities(
-    facts: Sequence[Quadruple],
-    table: EmbeddingTable,
-    params: TgnnParams,
-    time_mode: str = "start",
+    facts: Sequence[Quadruple], table: EmbeddingTable, params: TgnnParams
 ) -> dict[int, np.ndarray]:
     """Entity id -> final-layer embedding for the subgraph over ``facts``."""
     batch, node_of = batch_from_facts(facts, table.n_relations)
-    final = forward(batch, table, params, time_mode)
+    final = forward(batch, table, params)
     return {entity: final[idx] for entity, idx in node_of.items()}

@@ -186,3 +186,41 @@ class TestHeadCheckpoint:
         (tmp_path / "head.json").unlink()
         with pytest.raises(FileNotFoundError):
             load_head(path)
+
+
+class TestOversizedHeader:
+    """A header whose row counts claim more data than the file holds is
+    rejected, naming the file, before anything the size of the claim is
+    allocated."""
+
+    def write(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.ckpt"
+        if kind == "TKGE":
+            save_table(path, init_random(5, 3, 4, D, 0))
+            return path, load_table, 12  # offset of n_entities
+        if kind == "TGNN":
+            save_tgnn(path, init_params(D, 7, 3))
+            return path, load_tgnn, 16  # offset of n_entities
+        save_head(path, *TestHeadCheckpoint().make())
+        return path, load_head, 16  # offset of n_tokens
+
+    @pytest.mark.parametrize("rows", [2**33, 2**61])
+    @pytest.mark.parametrize("kind", ["TKGE", "TGNN", "HEAD"])
+    def test_rejected_with_path(self, tmp_path, kind, rows):
+        path, load, offset = self.write(tmp_path, kind)
+        data = bytearray(path.read_bytes())
+        assert data[:4] == kind.encode()
+        data[offset : offset + 8] = rows.to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="truncated checkpoint$") as caught:
+            load(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
+    def test_empty_matrix_with_too_many_rows_rejected(self, tmp_path):
+        path, _, _ = self.write(tmp_path, "TKGE")
+        data = bytearray(path.read_bytes())
+        data[8:12] = (0).to_bytes(4, "little")  # width 0: every matrix is empty
+        data[12:20] = (2**62).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: matrix shape"):
+            load_table(path)

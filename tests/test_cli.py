@@ -316,12 +316,23 @@ class TestErrorHandling:
     @pytest.mark.parametrize("key, value", [
         ("tgnn_epochs", -1), ("base_epochs", -2), ("head_epochs", -1),
         ("tgnn_learning_rate", -0.1), ("base_learning_rate", -1.0),
-        ("head_learning_rate", -0.5), ("tgnn_max_steps", -1),
+        ("head_learning_rate", -0.5), ("tgnn_max_steps", -1), ("seed", -1),
     ])
     def test_negative_stage_override_returns_2(self, tmp_path, caplog, key, value):
         config = fast_config(tmp_path, **{key: value})
         assert main(["pretrain-tgnn", "--config", str(config)]) == 2
         assert f"{key} must be >= 0" in caplog.text
+
+    @pytest.mark.parametrize("key, value", [
+        ("d", "32"), ("batch_size", None), ("d", 32.5), ("seed", "0"), ("tkg_path", 5),
+        # an int key takes no bool, and only a key whose default is None takes null
+        ("d", True), ("oracle", 1), ("head_learning_rate", "0.1"), ("model", None),
+        ("tgnn_epochs", None), ("dump_dir", ["out"]),
+    ])
+    def test_config_value_of_wrong_type_returns_2(self, tmp_path, caplog, key, value):
+        config = fast_config(tmp_path, **{key: value})
+        assert main(["pretrain-base", "--config", str(config)]) == 2
+        assert f"{config}: config key {key!r} must be" in caplog.text
 
     def test_zero_stage_overrides_accepted(self, tmp_path):
         config = fast_config(tmp_path, tgnn_epochs=0, tgnn_max_steps=0, tgnn_learning_rate=0.0)

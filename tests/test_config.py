@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -21,28 +22,19 @@ class TestRunConfig:
         assert config.top_k == 1
         assert config.max_facts == 10
         assert config.oracle is False
-
-    def test_stage_accessors_fall_back_to_shared(self):
-        config = RunConfig(learning_rate=0.1, epochs=7)
-        assert config.stage_lr("base") == 0.1
-        assert config.stage_epochs("tgnn") == 7
-
-    def test_stage_accessors_prefer_overrides(self):
-        config = RunConfig(learning_rate=0.1, epochs=7,
-                           head_learning_rate=0.9, base_epochs=2)
-        assert config.stage_lr("head") == 0.9
-        assert config.stage_epochs("base") == 2
-        assert config.stage_lr("base") == 0.1
+        for stage in ("base", "tgnn", "head"):
+            assert getattr(config, f"{stage}_learning_rate") == 3e-4
+            assert getattr(config, f"{stage}_epochs") == 4
+        assert config.tgnn_max_steps is None
 
     @pytest.mark.parametrize(
         "kwargs, fragment",
         [
             ({"d": 0}, "d must be"),
             ({"jobs": 0}, "jobs"),
-            ({"epochs": -1}, "epochs"),
-            ({"learning_rate": -0.5}, "learning_rate"),
-            ({"pooling": "median"}, "pooling"),
-            ({"time_mode": "middle"}, "time_mode"),
+            ({"head_epochs": -1}, "epochs"),
+            ({"base_learning_rate": -0.5}, "learning_rate"),
+            ({"seed": -1}, "seed must be >= 0"),
         ],
     )
     def test_validate_rejects(self, kwargs, fragment):
@@ -50,8 +42,8 @@ class TestRunConfig:
             RunConfig(**kwargs).validate()
 
     def test_validate_lists_every_problem(self):
-        with pytest.raises(ConfigError, match="d must be.*pooling"):
-            RunConfig(d=0, pooling="median").validate()
+        with pytest.raises(ConfigError, match="d must be.*seed must be"):
+            RunConfig(d=0, seed=-1).validate()
 
     def test_resolved_is_plain_dict(self):
         resolved = RunConfig(seed=4).resolved()
@@ -81,8 +73,24 @@ class TestLoadConfig:
         assert load_config(path).tkg_path == "/data/facts.txt"
 
     def test_unknown_keys_rejected_by_name(self, tmp_path):
-        path = write_config(tmp_path, {"seeed": 1, "depth": 2})
-        with pytest.raises(ConfigError, match=r"\['depth', 'seeed'\]"):
+        # removed settings are unknown keys like any other
+        path = write_config(tmp_path, {"seeed": 1, "depth": 2, "pooling": "mean",
+                                       "time_mode": "start", "epochs": 4,
+                                       "learning_rate": 3e-4})
+        names = "['depth', 'epochs', 'learning_rate', 'pooling', 'seeed', 'time_mode']"
+        with pytest.raises(ConfigError, match=f"unknown config keys {re.escape(names)}"):
+            load_config(path)
+
+    def test_value_types_that_are_accepted(self, tmp_path):
+        path = write_config(tmp_path, {"head_learning_rate": 1, "tgnn_max_steps": None,
+                                       "endpoint": None, "oracle": False})
+        config = load_config(path)
+        assert config.head_learning_rate == 1
+        assert config.tgnn_max_steps is None and config.endpoint is None
+
+    def test_every_problem_value_named(self, tmp_path):
+        path = write_config(tmp_path, {"d": "32", "seed": "0"})
+        with pytest.raises(ConfigError, match="'seed' must be int.*'d' must be int"):
             load_config(path)
 
     def test_invalid_json_rejected(self, tmp_path):

@@ -51,21 +51,17 @@ class TestProjection:
 
 
 class TestPooling:
-    def test_mean_and_max(self):
+    def test_mean(self):
         vectors = [np.array([1.0, 4.0]), np.array([3.0, 2.0])]
-        assert np.allclose(local_pool(vectors, "mean"), [2.0, 3.0])
-        assert np.allclose(local_pool(vectors, "max"), [3.0, 4.0])
+        assert np.allclose(local_pool(vectors), [2.0, 3.0])
 
     def test_single_vector_is_identity(self):
         vector = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(local_pool([vector], "mean"), vector)
-        assert np.allclose(local_pool([vector], "max"), vector)
+        assert np.allclose(local_pool([vector]), vector)
 
     def test_errors(self):
         with pytest.raises(IndicatorError, match="zero vectors"):
-            local_pool([], "mean")
-        with pytest.raises(IndicatorError, match="pooling mode"):
-            local_pool([np.zeros(2)], "sum")
+            local_pool([])
 
     def test_temporal_enhance_is_additive(self):
         pooled = np.array([1.0, 2.0])
@@ -99,14 +95,6 @@ class TestBuildIndicators:
         assert not np.allclose(once.sub_vec, twice.sub_vec)
         expected = (2 * nodes[0] + nodes[2]) / 3 + table.time[1] + table.time[2]
         assert np.allclose(twice.sub_vec, expected)
-
-    def test_max_pooling_mode(self):
-        table, nodes = make_world()
-        facts = [Quadruple(0, 0, 1, 1, 2), Quadruple(2, 1, 3, 1, 2)]
-        result = build_indicators(make_subgraph(facts), nodes, table, mode="max")
-        t_vecs = table.time[1] + table.time[2]
-        assert np.allclose(result.sub_vec,
-                           np.maximum(nodes[0], nodes[2]) + t_vecs)
 
     def test_time_range_unions_all_endpoints(self):
         table, nodes = make_world()

@@ -5,7 +5,6 @@ from tempkgqa import tgnn
 from tempkgqa.embeddings import init_random
 from tempkgqa.tgnn import (
     MASK,
-    TIME_MODES,
     SubgraphBatch,
     TgnnError,
     TgnnParams,
@@ -91,16 +90,11 @@ def reference_in_edges(batch):
     return [np.asarray(g, dtype=np.int64) for g in grouped]
 
 
-def reference_edge_times(batch, table, time_mode):
-    starts, ends = batch.edges[:, 3], batch.edges[:, 4]
-    if time_mode == "start":
-        return table.time[starts]
-    if time_mode == "end":
-        return table.time[ends]
-    return 0.5 * (table.time[starts] + table.time[ends])
+def reference_edge_times(batch, table):
+    return table.time[batch.edges[:, 3]]
 
 
-def reference_forward(batch, table, params, time_mode="start"):
+def reference_forward(batch, table, params):
     """Final node embeddings and per-layer caches, aggregated node by node."""
     in_edges = reference_in_edges(batch)
     x = np.zeros((batch.n_nodes, table.dim))
@@ -109,7 +103,7 @@ def reference_forward(batch, table, params, time_mode="start"):
     src, rel = batch.edges[:, 0], batch.edges[:, 2]
     caches = []
     for _ in range(params.layers):
-        summed = x[src] + table.relation[rel] + reference_edge_times(batch, table, time_mode)
+        summed = x[src] + table.relation[rel] + reference_edge_times(batch, table)
         messages = summed @ params.w_msg.T
         queries = x[src] @ params.w_query.T
         keys = messages @ params.w_key.T
@@ -129,10 +123,10 @@ def reference_forward(batch, table, params, time_mode="start"):
     return x, caches
 
 
-def reference_gradients(batch, table, params, target, time_mode="start"):
+def reference_gradients(batch, table, params, target):
     """Loss and dense gradients (a dict by field name) of one query graph."""
     in_edges = reference_in_edges(batch)
-    final, caches = reference_forward(batch, table, params, time_mode)
+    final, caches = reference_forward(batch, table, params)
     mask_idx = batch.mask_index()
     logits = final[mask_idx] @ params.decoder_w + params.decoder_b
     shifted = logits - logits.max()
@@ -147,8 +141,7 @@ def reference_gradients(batch, table, params, target, time_mode="start"):
     grads["decoder_b"] += d_logits
     d_nodes = np.zeros_like(final)
     d_nodes[mask_idx] = params.decoder_w @ d_logits
-    src, rel = batch.edges[:, 0], batch.edges[:, 2]
-    starts, ends = batch.edges[:, 3], batch.edges[:, 4]
+    src, rel, starts = batch.edges[:, 0], batch.edges[:, 2], batch.edges[:, 3]
     for x, summed, messages, queries, keys, z, alpha in reversed(caches):
         d_x = np.zeros_like(x)
         d_messages = np.zeros_like(messages)
@@ -173,24 +166,18 @@ def reference_gradients(batch, table, params, target, time_mode="start"):
         d_summed = d_messages @ params.w_msg
         np.add.at(d_x, src, d_summed)
         np.add.at(grads["relation"], rel, d_summed)
-        if time_mode == "start":
-            np.add.at(grads["time"], starts, d_summed)
-        elif time_mode == "end":
-            np.add.at(grads["time"], ends, d_summed)
-        else:
-            np.add.at(grads["time"], starts, 0.5 * d_summed)
-            np.add.at(grads["time"], ends, 0.5 * d_summed)
+        np.add.at(grads["time"], starts, d_summed)
         d_nodes = d_x
     real = batch.nodes != MASK
     np.add.at(grads["entity"], batch.nodes[real], d_nodes[real])
     return loss, grads
 
 
-def summed_reference(graphs, targets, table, params, time_mode="start"):
+def summed_reference(graphs, targets, table, params):
     """Sum of the looped per-query losses and gradients."""
     total, summed = 0.0, None
     for graph, target in zip(graphs, targets):
-        loss, grads = reference_gradients(graph, table, params, target, time_mode)
+        loss, grads = reference_gradients(graph, table, params, target)
         total += loss
         summed = grads if summed is None else {k: summed[k] + grads[k] for k in grads}
     return total, summed
@@ -271,24 +258,14 @@ class TestForward:
         manual = params.w_msg @ (table.entity[0] + table.relation[2] + table.time[1])
         assert np.allclose(final[1], manual)  # single in-edge: alpha = 1
 
-    def test_time_modes_select_endpoint(self):
+    def test_message_uses_start_time(self):
         _, table, params = random_world(8)
         batch = SubgraphBatch(np.array([0, 1]), np.array([[0, 1, 0, 1, 3]]))
-        by_mode = {
-            mode: forward(batch, table, params, time_mode=mode)[1]
-            for mode in ("start", "end", "mid")
-        }
         start_msg = params.w_msg @ (table.entity[0] + table.relation[0] + table.time[1])
-        end_msg = params.w_msg @ (table.entity[0] + table.relation[0] + table.time[3])
-        assert np.allclose(by_mode["start"], start_msg)
-        assert np.allclose(by_mode["end"], end_msg)
-        assert np.allclose(by_mode["mid"], 0.5 * (start_msg + end_msg))
-
-    def test_unknown_time_mode_rejected(self):
-        _, table, params = random_world(9)
-        batch = SubgraphBatch(np.array([0, 1]), np.array([[0, 1, 0, 0, 0]]))
-        with pytest.raises(TgnnError, match="time mode"):
-            forward(batch, table, params, time_mode="middle")
+        assert np.allclose(forward(batch, table, params)[1], start_msg)
+        # the end year feeds no message, so it gets no gradient
+        _, grads = gradients(SubgraphBatch(np.array([0, MASK]), batch.edges), table, params, 2)
+        assert np.any(grads.time[1]) and not np.any(grads.time[3])
 
     def test_two_layers_differ_from_one(self):
         _, table, params = random_world(10)
@@ -335,16 +312,6 @@ class TestGradients:
             numeric = fd_gradient(loss_fn, getattr(table, name))
             assert relative_error(getattr(grads, name), numeric) < 1e-4, name
 
-    @pytest.mark.parametrize("time_mode", ["end", "mid"])
-    def test_finite_differences_other_time_modes(self, time_mode):
-        rng, table, params = random_world(23)
-        batch = random_batch(rng)
-        target = int(rng.integers(0, N_ENTITIES))
-        _, grads = gradients(batch, table, params, target, time_mode)
-        loss_fn = lambda: masked_loss(batch, table, params, target, time_mode)
-        numeric = fd_gradient(loss_fn, table.time)
-        assert relative_error(grads.time, numeric) < 1e-4
-
     def test_two_layer_gradients(self):
         rng, table, params = random_world(31)
         params.layers = 2
@@ -362,19 +329,18 @@ class TestGradients:
 class TestBatchedKernel:
     """The disjoint-union kernel against the per-node looped reference."""
 
-    @pytest.mark.parametrize("time_mode", TIME_MODES)
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("n_graphs", [1, 3, 8])
-    def test_union_matches_sum_of_looped_queries(self, n_graphs, layers, time_mode):
+    def test_union_matches_sum_of_looped_queries(self, n_graphs, layers):
         rng, table, params = random_world(40 + n_graphs + 10 * layers)
         params.layers = layers
         graphs = [random_graph(rng, mask_reachable=k % 3 != 1) for k in range(n_graphs)]
         targets = [int(t) for t in rng.integers(0, N_ENTITIES, size=n_graphs)]
         if n_graphs == 1:
-            loss, grads = gradients(graphs[0], table, params, targets[0], time_mode)
+            loss, grads = gradients(graphs[0], table, params, targets[0])
         else:
-            loss, grads = gradients(merge_batches(graphs), table, params, targets, time_mode)
-        expected_loss, expected = summed_reference(graphs, targets, table, params, time_mode)
+            loss, grads = gradients(merge_batches(graphs), table, params, targets)
+        expected_loss, expected = summed_reference(graphs, targets, table, params)
         assert loss == pytest.approx(expected_loss, rel=1e-12)
         for name in PARAM_NAMES + TABLE_NAMES:
             assert getattr(grads, name).shape == expected[name].shape, name
@@ -417,8 +383,8 @@ class TestBatchedKernel:
         rng, table, params = random_world(63)
         params.layers = layers
         graphs = [random_graph(rng, mask_reachable=k != 1) for k in range(3)]
-        final = forward(merge_batches(graphs), table, params, "mid")
-        expected = np.concatenate([reference_forward(g, table, params, "mid")[0] for g in graphs])
+        final = forward(merge_batches(graphs), table, params)
+        expected = np.concatenate([reference_forward(g, table, params)[0] for g in graphs])
         assert relative_error(final, expected) < 1e-12
 
     def test_mask_predict_matches_looped_forward(self):
@@ -434,11 +400,11 @@ class TestBatchedKernel:
         rng, table, params = random_world(11)
         buffers = tgnn.TgnnBuffers(table, params, 3)
         first = merge_batches([random_graph(rng) for _ in range(3)])
-        gradients(first, table, params, rng.integers(0, N_ENTITIES, size=3), "mid", buffers)
+        gradients(first, table, params, rng.integers(0, N_ENTITIES, size=3), buffers)
         second = merge_batches([random_graph(rng) for _ in range(2)])  # a short batch
         targets = rng.integers(0, N_ENTITIES, size=2)
-        loss, reused = gradients(second, table, params, targets, "mid", buffers)
-        fresh_loss, fresh = gradients(second, table, params, targets, "mid")
+        loss, reused = gradients(second, table, params, targets, buffers)
+        fresh_loss, fresh = gradients(second, table, params, targets)
         assert loss == fresh_loss
         for name in PARAM_NAMES + TABLE_NAMES:
             assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
@@ -628,10 +594,9 @@ def list_order_pretrain(store, table, params, config, fact_indices=None):
             batch, targets = tgnn._query_batch(
                 store, table, ((store.facts[fid], mask) for fid, mask in chunk),
                 rng, config.cap_edges)
-            loss, grads = gradients(batch, table, params, targets, config.time_mode, buffers)
+            loss, grads = gradients(batch, table, params, targets, buffers)
             total += loss
-            tgnn._sgd_step(table, params, grads, batch, config.learning_rate / len(chunk),
-                           config.freeze_table)
+            tgnn._sgd_step(table, params, grads, batch, config.learning_rate / len(chunk))
             steps += 1
         losses.append(total)
     return table, params, losses
@@ -655,13 +620,6 @@ class TestPretrain:
         config = TgnnPretrainConfig(learning_rate=0.5, epochs=15, batch_size=4, seed=0)
         _, _, losses = pretrain(store, table, params, config)
         assert losses[-1] < losses[0]
-
-    def test_freeze_table_keeps_embeddings(self):
-        store, table, params = self.make_world()
-        config = TgnnPretrainConfig(learning_rate=0.5, epochs=2, freeze_table=True)
-        trained_table, trained_params, _ = pretrain(store, table, params, config)
-        assert np.array_equal(trained_table.entity, table.entity)
-        assert not np.array_equal(trained_params.w_msg, params.w_msg)
 
     def test_max_steps_caps_updates(self):
         store, table, params = self.make_world()
@@ -713,10 +671,8 @@ class TestPretrain:
         assert all(1 <= r <= len(store.entities) for r in ranks)
 
 
-    @pytest.mark.parametrize("time_mode", TIME_MODES)
-    @pytest.mark.parametrize("freeze_table", [False, True])
-    def test_one_step_matches_hand_step(self, freeze_table, time_mode):
-        # no end year is also a start year, so each time mode touches other rows
+    def test_one_step_matches_hand_step(self):
+        # no end year is also a start year, so the end-only rows must stay put
         store, table, params = self.make_world([
             ("a", "r1", "b", 1990, 1993),
             ("b", "r1", "c", 1991, 1994),
@@ -725,8 +681,7 @@ class TestPretrain:
         ])
         params.layers = 2  # gradients then reach the anchors' neighbours too
         config = TgnnPretrainConfig(learning_rate=0.5, epochs=1, batch_size=3, seed=4,
-                                    max_steps=1, freeze_table=freeze_table,
-                                    time_mode=time_mode)
+                                    max_steps=1)
         trained_table, trained_params, losses = pretrain(store, table, params, config)
 
         rng = np.random.default_rng(config.seed)
@@ -738,18 +693,15 @@ class TestPretrain:
                 store, table, store.facts[fid], mask_object, rng, config.cap_edges)
             graphs.append(graph)
             targets.append(target)
-        loss, expected = summed_reference(graphs, targets, table, params, time_mode)
+        loss, expected = summed_reference(graphs, targets, table, params)
         step = config.learning_rate / config.batch_size
         assert losses == [pytest.approx(loss, rel=1e-12)]
         for name in PARAM_NAMES:
             stepped = getattr(params, name) - step * expected[name]
             assert relative_error(getattr(trained_params, name), stepped) < 1e-12, name
         for name in TABLE_NAMES:
-            if freeze_table:
-                assert np.array_equal(getattr(trained_table, name), getattr(table, name))
-            else:
-                stepped = getattr(table, name) - step * expected[name]
-                assert relative_error(getattr(trained_table, name), stepped) < 1e-12, name
+            stepped = getattr(table, name) - step * expected[name]
+            assert relative_error(getattr(trained_table, name), stepped) < 1e-12, name
 
     def test_untouched_rows_stay_bit_identical(self):
         store = build_store([
@@ -819,9 +771,9 @@ class TestEncodeEntities:
         table = init_random(len(tiny_store.entities), len(tiny_store.relations),
                             len(tiny_store.times), D, 0)
         params = init_params(D, len(tiny_store.entities), 0, layers)
-        encoded = encode_entities(tiny_store.facts, table, params, "end")
+        encoded = encode_entities(tiny_store.facts, table, params)
         batch, node_of = batch_from_facts(tiny_store.facts, len(tiny_store.relations))
-        final, _ = reference_forward(batch, table, params, "end")
+        final, _ = reference_forward(batch, table, params)
         for entity, idx in node_of.items():
             assert relative_error(encoded[entity], final[idx]) < 1e-12
 
