@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import checkpoint, evaluation, head as head_mod, indicators as ind_mod, tgnn
-from .config import ConfigError, RunConfig, load_config
-from .embeddings import BasePretrainConfig, init_random, pretrain_base
+from .config import ConfigError, RunConfig, TrainSchedule, load_config
+from .embeddings import init_random, pretrain_base
 from .errors import TempkgqaError
 from .llm import GenerationParams, LlmClient, MockLlmClient, RemoteLlmClient
 from .prompts import render_instruction
@@ -200,16 +200,8 @@ def stage_pretrain_base(cfg: RunConfig, world: World) -> None:
     table = init_random(
         len(store.entities), len(store.relations), len(store.times), cfg.d, cfg.seed
     )
-    trained, losses = pretrain_base(
-        store,
-        table,
-        BasePretrainConfig(
-            learning_rate=cfg.base_learning_rate,
-            epochs=cfg.base_epochs,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed,
-        ),
-    )
+    schedule = TrainSchedule(cfg.base_learning_rate, cfg.base_epochs, cfg.batch_size, cfg.seed)
+    trained, losses = pretrain_base(store, table, schedule)
     checkpoint.save_table(_ckpt_path(cfg, BASE_TABLE_CKPT), trained)
     _write_json(_dump_path(cfg, "base_losses.json"), {"losses": losses})
     log.info("base pre-training epochs: %s", [round(x, 4) for x in losses])
@@ -219,19 +211,9 @@ def stage_pretrain_tgnn(cfg: RunConfig, world: World) -> None:
     store, _, _ = world
     table = checkpoint.load_table(_ckpt_path(cfg, BASE_TABLE_CKPT))
     params = tgnn.init_params(cfg.d, len(store.entities), cfg.seed, cfg.layers)
-    table, params, losses = tgnn.pretrain(
-        store,
-        table,
-        params,
-        tgnn.TgnnPretrainConfig(
-            learning_rate=cfg.tgnn_learning_rate,
-            epochs=cfg.tgnn_epochs,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed,
-            cap_edges=cfg.cap_edges,
-            max_steps=cfg.tgnn_max_steps,
-        ),
-    )
+    schedule = TrainSchedule(cfg.tgnn_learning_rate, cfg.tgnn_epochs, cfg.batch_size, cfg.seed,
+                             cfg.tgnn_max_steps)
+    table, params, losses = tgnn.pretrain(store, table, params, schedule)
     checkpoint.save_table(_ckpt_path(cfg, TGNN_TABLE_CKPT), table)
     checkpoint.save_tgnn(_ckpt_path(cfg, TGNN_CKPT), params)
     _write_json(_dump_path(cfg, "tgnn_losses.json"), {"losses": losses})
@@ -347,17 +329,8 @@ def stage_train_head(cfg: RunConfig, world: World) -> None:
     if skipped:
         log.warning("skipping %d training questions without evidence", skipped)
 
-    params, projection, losses = head_mod.train(
-        dataset,
-        params,
-        projection,
-        head_mod.HeadTrainConfig(
-            learning_rate=cfg.head_learning_rate,
-            epochs=cfg.head_epochs,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed,
-        ),
-    )
+    schedule = TrainSchedule(cfg.head_learning_rate, cfg.head_epochs, cfg.batch_size, cfg.seed)
+    params, projection, losses = head_mod.train(dataset, params, projection, schedule)
     checkpoint.save_head(_ckpt_path(cfg, HEAD_CKPT), params, projection)
     _write_json(_dump_path(cfg, "head_losses.json"), {"losses": losses})
     log.info("answer head epochs: %s", [round(x, 4) for x in losses])

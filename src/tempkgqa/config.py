@@ -1,18 +1,25 @@
-"""Run configuration: one flat dataclass, JSON file loading, CLI overrides.
+"""Run configuration: one flat dataclass, JSON file loading, CLI overrides,
+and :class:`TrainSchedule`, the schedule of all three training stages.
 
 Defaults: width 512, one layer, top-1 relation, ten evidence facts, batch
 eight, and for each of the three training stages (base, graph encoder,
 answer head) four epochs at learning rate 3e-4.  A config file's values must
 have their field's JSON type, and its paths are resolved relative to the
-file's directory so configs can ship with fixtures.
+file's directory so configs can ship with fixtures.  Learning rates must be
+finite.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
+
+import numpy as np
 
 from .errors import TempkgqaError
 
@@ -39,7 +46,6 @@ class RunConfig:
     top_k: int = 1
     max_facts: int = 10
     batch_size: int = 8
-    cap_edges: int = 64
     # per-stage training schedules (no step cap when tgnn_max_steps is None)
     base_learning_rate: float = 3e-4
     base_epochs: int = 4
@@ -56,15 +62,17 @@ class RunConfig:
 
     def validate(self) -> None:
         problems = []
-        for name in ("d", "d_llm", "layers", "top_k", "max_facts", "batch_size", "jobs",
-                     "cap_edges"):
+        for name in ("d", "d_llm", "layers", "top_k", "max_facts", "batch_size", "jobs"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1")
-        for name in ("seed", "base_epochs", "tgnn_epochs", "head_epochs", "tgnn_max_steps",
-                     "base_learning_rate", "tgnn_learning_rate", "head_learning_rate"):
+        for name in ("seed", "base_epochs", "tgnn_epochs", "head_epochs", "tgnn_max_steps"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 problems.append(f"{name} must be >= 0")
+        for f in dataclasses.fields(self):
+            # json reads NaN and Infinity, and NaN fails every comparison
+            if f.type == "float" and not 0 <= getattr(self, f.name) < math.inf:
+                problems.append(f"{f.name} must be >= 0 and finite")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -118,5 +126,36 @@ def load_config(path: str | Path) -> RunConfig:
         value = getattr(config, name)
         if value and not Path(value).is_absolute():
             setattr(config, name, str(base / value))
-    config.validate()
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return config
+
+
+@dataclass(frozen=True)
+class TrainSchedule:
+    """Seeded mini-batch SGD schedule of base pre-training, encoder
+    pre-training and head training alike: one permutation per epoch, cut
+    into ``batch_size`` chunks, at most ``max_steps`` chunks in all."""
+
+    learning_rate: float
+    epochs: int
+    batch_size: int
+    seed: int
+    max_steps: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.epochs < 0 or self.batch_size < 1 or (self.max_steps or 0) < 0:
+            raise ConfigError(f"bad training schedule {self}")
+
+    def batches(self, n: int, rng: np.random.Generator) -> Iterator[tuple[np.ndarray, slice]]:
+        """``(order, rows)`` per mini-batch over ``n`` examples: ``order`` is
+        the epoch's ``rng.permutation(n)``, drawn when its first batch is,
+        ``rows`` a slice of it, and ``rows.start == 0`` opens an epoch."""
+        def every_batch():
+            for _ in range(self.epochs):
+                order = rng.permutation(n)
+                for lo in range(0, n, self.batch_size):
+                    yield order, slice(lo, lo + self.batch_size)
+        return itertools.islice(every_batch(), self.max_steps)

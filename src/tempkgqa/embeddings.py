@@ -19,6 +19,9 @@ max-shifted exp, ``d_logits`` and the dense vocabulary gradient into
 normalisation scales the small ``(B, d)`` operands of the backward products.
 The entity gradient is applied in place, so no step allocates an array of
 vocabulary size; relation and time gradients are table-sized.
+
+:func:`pretrain_base` takes its mini-batches of facts from a
+:class:`~tempkgqa.config.TrainSchedule`, the schedule of every trainer.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import TrainSchedule
 from .errors import TempkgqaError
 from .store import Quadruple, TkgStore
 
@@ -77,12 +81,8 @@ def init_random(
     )
 
 
-@dataclass(frozen=True)
-class BasePretrainConfig:
-    learning_rate: float = 3e-4
-    epochs: int = 4
-    batch_size: int = 8
-    seed: int = 0
+#: Base pre-training runs on the schedule every trainer shares.
+BasePretrainConfig = TrainSchedule
 
 
 @dataclass
@@ -225,35 +225,32 @@ def base_loss_and_grads(
 def pretrain_base(
     store: TkgStore,
     table: EmbeddingTable,
-    config: BasePretrainConfig,
+    schedule: TrainSchedule,
     fact_indices: Sequence[int] | None = None,
 ) -> tuple[EmbeddingTable, list[float]]:
-    """Mini-batch SGD over the masked-entity objective.
+    """Mini-batch SGD over the masked-entity objective, in the batches of
+    ``schedule`` over the facts.
 
     Returns the trained copy of the table and the per-epoch summed loss
     (accumulated before each parameter update, so with a zero learning rate
     the reported loss is exact for the incoming table).
     """
-    if config.epochs < 0 or config.batch_size < 1:
-        raise EmbeddingError("bad pretraining config")
     table = table.copy()
     facts = store.facts if fact_indices is None else store.facts_of(fact_indices)
     if not facts:
         raise EmbeddingError("no facts to train on")
-    rng = np.random.default_rng(config.seed)
-    buffers = SoftmaxBuffers(table.entity, 2 * config.batch_size)
-    epoch_losses: list[float] = []
-    for _ in range(config.epochs):
-        order = rng.permutation(len(facts))
-        total = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            batch = facts[order[lo : lo + config.batch_size]]
-            loss, grads = base_loss_and_grads(table, batch, buffers)
-            total += loss
-            step = config.learning_rate / (2 * len(batch))
-            grads.entity *= step
-            table.entity -= grads.entity
-            table.relation -= step * grads.relation
-            table.time -= step * grads.time
-        epoch_losses.append(total)
-    return table, epoch_losses
+    rng = np.random.default_rng(schedule.seed)
+    buffers = SoftmaxBuffers(table.entity, 2 * schedule.batch_size)
+    losses: list[float] = []
+    for order, rows in schedule.batches(len(facts), rng):
+        if rows.start == 0:
+            losses.append(0.0)
+        batch = facts[order[rows]]
+        loss, grads = base_loss_and_grads(table, batch, buffers)
+        losses[-1] += loss
+        step = schedule.learning_rate / (2 * len(batch))
+        grads.entity *= step
+        table.entity -= grads.entity
+        table.relation -= step * grads.relation
+        table.time -= step * grads.time
+    return table, losses

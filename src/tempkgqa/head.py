@@ -13,7 +13,8 @@ one scoring matrix covers both answer types.
 
 Training minimises cross-entropy against the gold answers (mean over golds
 for multi-answer questions) and updates the token embeddings, the scoring
-matrix, and the indicator projection jointly.
+matrix, and the indicator projection jointly, in the mini-batches of a
+:class:`~tempkgqa.config.TrainSchedule`.
 
 Training is batched.  :func:`train` compiles the dataset into arrays once:
 the mix-weighted encoder-width indicators as one ``(N, d)`` matrix, and the
@@ -46,6 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import TrainSchedule
 from .errors import TempkgqaError
 from .indicators import IndicatorSet, Projection
 from .prompts import tokenize
@@ -213,14 +215,6 @@ def _top_ids(probs: np.ndarray, k: int) -> np.ndarray:
 # training
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeadTrainConfig:
-    learning_rate: float = 3e-4
-    epochs: int = 4
-    batch_size: int = 8
-    seed: int = 0
-
-
 TrainExample = tuple[Example, Sequence[int]]
 
 
@@ -306,27 +300,26 @@ def train(
     dataset: Sequence[TrainExample],
     params: HeadParams,
     projection: Projection,
-    config: HeadTrainConfig,
+    schedule: TrainSchedule,
 ) -> tuple[HeadParams, Projection, list[float]]:
-    """Seeded mini-batch SGD; returns trained copies and per-epoch summed loss."""
-    if config.batch_size < 1 or config.epochs < 0:
-        raise HeadError("bad training config")
+    """Mini-batch SGD in the batches of ``schedule``; returns trained copies
+    and the per-epoch summed loss.  Each epoch gathers its shuffled rows once
+    and slices its batches from them."""
     params = params.copy()
     projection = projection.copy()
     compiled = compile_examples(dataset, params)
     grads = HeadGradients.empty(params, projection)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(schedule.seed)
     losses: list[float] = []
-    for _ in range(config.epochs):
-        shuffled = compiled.take(rng.permutation(len(compiled)))
-        total = 0.0
-        for lo in range(0, len(shuffled), config.batch_size):
-            batch = shuffled.take(slice(lo, lo + config.batch_size))
-            loss, _ = loss_and_grads(batch, params, projection, grads,
-                                     config.learning_rate / len(batch))
-            total += loss
-            params.token_emb -= grads.token_emb
-            params.scoring -= grads.scoring
-            projection.weight -= grads.projection
-        losses.append(total)
+    for order, rows in schedule.batches(len(compiled), rng):
+        if rows.start == 0:
+            shuffled = compiled.take(order)
+            losses.append(0.0)
+        batch = shuffled.take(rows)
+        loss, _ = loss_and_grads(batch, params, projection, grads,
+                                 schedule.learning_rate / len(batch))
+        losses[-1] += loss
+        params.token_emb -= grads.token_emb
+        params.scoring -= grads.scoring
+        projection.weight -= grads.projection
     return params, projection, losses

@@ -22,8 +22,9 @@ so the neighbourhood softmax and the aggregation are segment reductions
 The decoder is the base pre-trainer's full-vocabulary softmax kernel
 (:func:`embeddings.softmax_cross_entropy`) over ``decoder_w.T``: one product
 decodes all ``B`` masked nodes into ``(B, |E|)``-contiguous logits.
-Pre-training builds one such union per mini-batch, takes one gradient of the
-summed loss, and updates only the embedding rows the mini-batch touches.  Its
+Pre-training builds one such union per mini-batch of a
+:class:`~tempkgqa.config.TrainSchedule`, takes one gradient of the summed
+loss, and updates only the embedding rows the mini-batch touches.  Its
 :class:`TgnnBuffers` hold the decoder's softmax buffers and a dense entity
 gradient, allocated once per :func:`pretrain` call.
 
@@ -42,11 +43,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import TrainSchedule
 from .embeddings import EmbeddingTable, SoftmaxBuffers, softmax_cross_entropy, softmax_probs
 from .errors import TempkgqaError
 from .store import Quadruple, TkgStore
 
 MASK = -1
+
+#: Directed-edge budget of a query subgraph's neighbourhood; a hub's facts
+#: are subsampled to half this many.
+CAP_EDGES = 64
 
 
 class TgnnError(TempkgqaError, ValueError):
@@ -430,7 +436,7 @@ def build_query_subgraph(
     fact: Quadruple,
     mask_object: bool,
     rng: np.random.Generator,
-    cap_edges: int = 64,
+    cap_edges: int = CAP_EDGES,
 ) -> tuple[SubgraphBatch, int]:
     """Neighbourhood subgraph for one masked query.
 
@@ -458,11 +464,10 @@ def _query_batch(
     table: EmbeddingTable,
     queries: Iterable[tuple[Quadruple, bool]],
     rng: np.random.Generator,
-    cap_edges: int,
 ) -> tuple[SubgraphBatch, list[int]]:
     """Disjoint union of the subgraphs of ``(fact, mask_object)`` queries,
     built in order, and the target of each."""
-    built = [build_query_subgraph(store, table, fact, mask_object, rng, cap_edges)
+    built = [build_query_subgraph(store, table, fact, mask_object, rng)
              for fact, mask_object in queries]
     return merge_batches([b for b, _ in built]), [t for _, t in built]
 
@@ -471,14 +476,8 @@ def _query_batch(
 # pre-training
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TgnnPretrainConfig:
-    learning_rate: float = 3e-4
-    epochs: int = 4
-    batch_size: int = 8
-    seed: int = 0
-    cap_edges: int = 64
-    max_steps: int | None = None
+#: Encoder pre-training runs on the schedule every trainer shares.
+TgnnPretrainConfig = TrainSchedule
 
 
 def _sgd_step(
@@ -509,49 +508,36 @@ def pretrain(
     store: TkgStore,
     table: EmbeddingTable,
     params: TgnnParams,
-    config: TgnnPretrainConfig,
+    schedule: TrainSchedule,
     fact_indices: Sequence[int] | None = None,
 ) -> tuple[EmbeddingTable, TgnnParams, list[float]]:
     """Masked-entity pre-training over both directions of every fact.
 
-    Each epoch visits every (fact, direction) query once in a seeded random
-    order.  A mini-batch of queries is merged into one disjoint-union graph
+    ``schedule`` orders the (fact, direction) queries, every query once per
+    epoch.  A mini-batch of queries is merged into one disjoint-union graph
     and takes one :func:`gradients` call; the reported per-epoch loss is the
     sum of per-query cross entropies accumulated before the corresponding
-    update.  Training ends after ``config.max_steps`` mini-batches, so the
-    loss list has one entry per epoch that ran.
+    update.  The loss list has one entry per epoch that ran, the last one
+    partial when ``schedule.max_steps`` ends training mid-epoch.
     """
-    if config.batch_size < 1 or config.epochs < 0:
-        raise TgnnError("bad pretraining config")
     table = table.copy()
     params = params.copy()
     fact_ids = list(fact_indices) if fact_indices is not None else range(len(store.facts))
     if not fact_ids:
         raise TgnnError("no facts to train on")
     # query i masks the object of fact_ids[i // 2] when i is even, else the subject
-    rng = np.random.default_rng(config.seed)
-    buffers = TgnnBuffers(table, params, config.batch_size)
+    rng = np.random.default_rng(schedule.seed)
+    buffers = TgnnBuffers(table, params, schedule.batch_size)
     losses: list[float] = []
-    steps = 0
-    limit = np.inf if config.max_steps is None else config.max_steps
-    for _ in range(config.epochs):
-        if steps >= limit:
-            break
-        order = rng.permutation(2 * len(fact_ids))
-        total = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            if steps >= limit:
-                break
-            chunk = order[lo : lo + config.batch_size].tolist()
-            batch, targets = _query_batch(
-                store, table, ((store.facts[fact_ids[i // 2]], i % 2 == 0) for i in chunk),
-                rng, config.cap_edges,
-            )
-            loss, grads = gradients(batch, table, params, targets, buffers)
-            total += loss
-            _sgd_step(table, params, grads, batch, config.learning_rate / len(chunk))
-            steps += 1
-        losses.append(total)
+    for order, rows in schedule.batches(2 * len(fact_ids), rng):
+        if rows.start == 0:
+            losses.append(0.0)
+        chunk = order[rows].tolist()
+        batch, targets = _query_batch(
+            store, table, ((store.facts[fact_ids[i // 2]], i % 2 == 0) for i in chunk), rng)
+        loss, grads = gradients(batch, table, params, targets, buffers)
+        losses[-1] += loss
+        _sgd_step(table, params, grads, batch, schedule.learning_rate / len(chunk))
     return table, params, losses
 
 
@@ -560,19 +546,17 @@ def evaluate_masked(
     table: EmbeddingTable,
     params: TgnnParams,
     facts: Sequence[Quadruple],
-    config: TgnnPretrainConfig,
+    schedule: TrainSchedule,
 ) -> list[int]:
     """Pessimistic 1-based rank of the answer entity for both directions of
     each held-out fact, with subgraphs drawn from ``store`` only.  Queries
-    are decoded ``config.batch_size`` at a time."""
-    rng = np.random.default_rng(config.seed)
+    are decoded ``schedule.batch_size`` at a time."""
+    rng = np.random.default_rng(schedule.seed)
     queries = [(fact, mask_object) for fact in facts for mask_object in (True, False)]
-    buffers = SoftmaxBuffers(params.decoder_w.T, config.batch_size)
+    buffers = SoftmaxBuffers(params.decoder_w.T, schedule.batch_size)
     ranks: list[int] = []
-    for lo in range(0, len(queries), config.batch_size):
-        batch, targets = _query_batch(
-            store, table, queries[lo : lo + config.batch_size], rng, config.cap_edges
-        )
+    for lo in range(0, len(queries), schedule.batch_size):
+        batch, targets = _query_batch(store, table, queries[lo : lo + schedule.batch_size], rng)
         rows, targets = _masked_rows(batch, targets)
         final = forward(batch, table, params)
         probs = _decode(final, rows, params, buffers)[0]

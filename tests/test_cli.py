@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import shutil
 
 import numpy as np
@@ -322,6 +323,15 @@ class TestErrorHandling:
         config = fast_config(tmp_path, **{key: value})
         assert main(["pretrain-tgnn", "--config", str(config)]) == 2
         assert f"{key} must be >= 0" in caplog.text
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("key", ["base_learning_rate", "tgnn_learning_rate",
+                                     "head_learning_rate"])
+    def test_non_finite_learning_rate_returns_2(self, tmp_path, caplog, key, value):
+        # json writes these as the bare words NaN and Infinity, and reads them back
+        config = fast_config(tmp_path, **{key: value})
+        assert main(["build-kg", "--config", str(config)]) == 2
+        assert f"{config}: {key} must be >= 0 and finite" in caplog.text
 
     @pytest.mark.parametrize("key, value", [
         ("d", "32"), ("batch_size", None), ("d", 32.5), ("seed", "0"), ("tkg_path", 5),

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
+from tempkgqa import embeddings, tgnn
 from tempkgqa.cli import build_parser, resolve_config
-from tempkgqa.config import ConfigError, RunConfig, load_config
+from tempkgqa.config import ConfigError, RunConfig, TrainSchedule, load_config
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -26,6 +29,7 @@ class TestRunConfig:
             assert getattr(config, f"{stage}_learning_rate") == 3e-4
             assert getattr(config, f"{stage}_epochs") == 4
         assert config.tgnn_max_steps is None
+        assert len(dataclasses.fields(config)) == 23
 
     @pytest.mark.parametrize(
         "kwargs, fragment",
@@ -35,6 +39,8 @@ class TestRunConfig:
             ({"head_epochs": -1}, "epochs"),
             ({"base_learning_rate": -0.5}, "learning_rate"),
             ({"seed": -1}, "seed must be >= 0"),
+            ({"tgnn_learning_rate": float("nan")}, "tgnn_learning_rate must be >= 0 and finite"),
+            ({"head_learning_rate": float("inf")}, "head_learning_rate must be >= 0 and finite"),
         ],
     )
     def test_validate_rejects(self, kwargs, fragment):
@@ -76,8 +82,9 @@ class TestLoadConfig:
         # removed settings are unknown keys like any other
         path = write_config(tmp_path, {"seeed": 1, "depth": 2, "pooling": "mean",
                                        "time_mode": "start", "epochs": 4,
-                                       "learning_rate": 3e-4})
-        names = "['depth', 'epochs', 'learning_rate', 'pooling', 'seeed', 'time_mode']"
+                                       "learning_rate": 3e-4, "cap_edges": 64})
+        names = ("['cap_edges', 'depth', 'epochs', 'learning_rate', 'pooling', 'seeed', "
+                 "'time_mode']")
         with pytest.raises(ConfigError, match=f"unknown config keys {re.escape(names)}"):
             load_config(path)
 
@@ -107,8 +114,70 @@ class TestLoadConfig:
 
     def test_invalid_values_rejected_on_load(self, tmp_path):
         path = write_config(tmp_path, {"d": 0})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: d must be >= 1$"):
             load_config(path)
+
+
+def spans(schedule, n, seed=0):
+    """``(epoch, start, stop)`` of each batch, numbering epochs by the batches
+    whose ``rows.start`` is 0."""
+    epoch, out = -1, []
+    for _, rows in schedule.batches(n, np.random.default_rng(seed)):
+        epoch += rows.start == 0
+        out.append((epoch, rows.start, rows.stop))
+    return out
+
+
+class TestTrainSchedule:
+    def test_trainers_share_it(self):
+        assert embeddings.BasePretrainConfig is tgnn.TgnnPretrainConfig is TrainSchedule
+
+    def test_zero_epochs_yield_no_batches(self):
+        rng = np.random.default_rng(0)
+        assert list(TrainSchedule(0.1, 0, 3, 0).batches(7, rng)) == []
+        # and draw no permutation
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_last_partial_batch_is_yielded(self):
+        batches = list(TrainSchedule(0.1, 1, 3, 0).batches(7, np.random.default_rng(0)))
+        assert [len(order[rows]) for order, rows in batches] == [3, 3, 1]
+        assert np.array_equal(np.concatenate([order[rows] for order, rows in batches]),
+                              np.random.default_rng(0).permutation(7))
+
+    def test_one_permutation_per_epoch(self):
+        rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+        batches = list(TrainSchedule(0.1, 3, 4, 4).batches(10, rng))
+        assert len(batches) == 9
+        for epoch in range(3):
+            expected = reference.permutation(10)
+            epoch_batches = batches[3 * epoch : 3 * epoch + 3]
+            assert [rows.start for _, rows in epoch_batches] == [0, 4, 8]
+            for order, _ in epoch_batches:
+                assert np.array_equal(order, expected)
+
+    @pytest.mark.parametrize("max_steps, expected", [
+        (0, []),
+        (2, [(0, 0, 3), (0, 3, 6)]),                          # mid-epoch
+        (3, [(0, 0, 3), (0, 3, 6), (0, 6, 9)]),               # at the epoch boundary
+        (4, [(0, 0, 3), (0, 3, 6), (0, 6, 9), (1, 0, 3)]),
+        (None, [(e, lo, lo + 3) for e in range(2) for lo in (0, 3, 6)]),
+        (100, [(e, lo, lo + 3) for e in range(2) for lo in (0, 3, 6)]),
+    ])
+    def test_max_steps_ends_the_schedule(self, max_steps, expected):
+        assert spans(TrainSchedule(0.1, 2, 3, 0, max_steps), 7) == expected
+
+    def test_no_permutation_drawn_past_max_steps(self):
+        rng, reference = np.random.default_rng(2), np.random.default_rng(2)
+        list(TrainSchedule(0.1, 5, 4, 2, max_steps=2).batches(8, rng))
+        reference.permutation(8)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("kwargs", [{"epochs": -1}, {"batch_size": 0},
+                                        {"max_steps": -1}])
+    def test_bad_schedule_rejected(self, kwargs):
+        values = {"learning_rate": 0.1, "epochs": 1, "batch_size": 2, "seed": 0, **kwargs}
+        with pytest.raises(ConfigError, match="bad training schedule"):
+            TrainSchedule(**values)
 
 
 class TestCliOverrides:

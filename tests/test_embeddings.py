@@ -147,11 +147,34 @@ class TestPretrain:
     def test_input_table_not_mutated(self):
         store, table = small_world()
         snapshot = table.entity.copy()
-        pretrain_base(store, table, BasePretrainConfig(learning_rate=0.5, epochs=1))
+        pretrain_base(store, table, BasePretrainConfig(0.5, 1, 8, 0))
         assert np.array_equal(table.entity, snapshot)
+
+    @pytest.mark.parametrize("max_steps, epochs_run", [(0, 0), (1, 1), (2, 1), (3, 2),
+                                                      (None, 3)])
+    def test_one_loss_per_epoch_that_ran(self, max_steps, epochs_run):
+        # 4 facts in batches of 3: two steps per epoch, the second a partial batch
+        store, table = small_world()
+        trained, losses = pretrain_base(store, table, BasePretrainConfig(0.5, 3, 3, 1, max_steps))
+        assert len(losses) == epochs_run
+        # the epochs after the cap change nothing
+        expected, expected_losses = pretrain_base(
+            store, table, BasePretrainConfig(0.5, epochs_run, 3, 1, max_steps))
+        assert losses == expected_losses
+        assert np.array_equal(trained.entity, expected.entity)
+
+    def test_partial_epoch_loss_covers_the_batches_that_ran(self):
+        store, table = small_world()
+        _, losses = pretrain_base(store, table, BasePretrainConfig(0.0, 2, 3, 1, max_steps=3))
+        rng = np.random.default_rng(1)
+        rng.permutation(4)
+        second_epoch = rng.permutation(4)
+        full, _ = base_loss_and_grads(table, store.facts)
+        first_batch, _ = base_loss_and_grads(table, store.facts[second_epoch[:3]])
+        assert losses == [pytest.approx(full, rel=1e-12), pytest.approx(first_batch, rel=1e-12)]
 
     def test_empty_training_set_rejected(self):
         store, table = small_world()
         with pytest.raises(EmbeddingError):
-            pretrain_base(store, table, BasePretrainConfig(), fact_indices=[])
+            pretrain_base(store, table, BasePretrainConfig(3e-4, 4, 8, 0), fact_indices=[])
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tempkgqa.config import TrainSchedule
 from tempkgqa.embeddings import init_random
 from tempkgqa.head import (
     MIX,
@@ -8,7 +9,6 @@ from tempkgqa.head import (
     CompiledBatch,
     HeadError,
     HeadGradients,
-    HeadTrainConfig,
     _features,
     _forward,
     _scatter,
@@ -419,13 +419,13 @@ class TestTrain:
 
     def test_loss_decreases(self):
         dataset, params, projection = self.dataset()
-        config = HeadTrainConfig(learning_rate=0.5, epochs=20, batch_size=2)
+        config = TrainSchedule(0.5, 20, 2, 0)
         _, _, losses = train(dataset, params, projection, config)
         assert losses[-1] < losses[0]
 
     def test_projection_actually_moves(self):
         dataset, params, projection = self.dataset()
-        config = HeadTrainConfig(learning_rate=0.5, epochs=2)
+        config = TrainSchedule(0.5, 2, 8, 0)
         _, trained_projection, _ = train(dataset, params, projection, config)
         assert not np.array_equal(trained_projection.weight, projection.weight)
 
@@ -433,13 +433,13 @@ class TestTrain:
         dataset, params, projection = self.dataset()
         scoring_before = params.scoring.copy()
         weight_before = projection.weight.copy()
-        train(dataset, params, projection, HeadTrainConfig(learning_rate=0.5, epochs=1))
+        train(dataset, params, projection, TrainSchedule(0.5, 1, 8, 0))
         assert np.array_equal(params.scoring, scoring_before)
         assert np.array_equal(projection.weight, weight_before)
 
     def test_deterministic(self):
         dataset, params, projection = self.dataset()
-        config = HeadTrainConfig(learning_rate=0.3, epochs=3, batch_size=2, seed=4)
+        config = TrainSchedule(0.3, 3, 2, 4)
         first = train(dataset, params, projection, config)
         second = train(dataset, params, projection, config)
         assert np.array_equal(first[0].scoring, second[0].scoring)
@@ -447,16 +447,30 @@ class TestTrain:
         assert first[2] == second[2]
 
     def test_bad_arguments(self):
+        _, params, projection = self.dataset()
+        with pytest.raises(HeadError):
+            train([], params, projection, TrainSchedule(3e-4, 4, 8, 0))
+
+    @pytest.mark.parametrize("max_steps, epochs_run", [(0, 0), (1, 1), (2, 1), (3, 2),
+                                                      (None, 3)])
+    def test_one_loss_per_epoch_that_ran(self, max_steps, epochs_run):
+        # 3 examples in batches of 2: two steps per epoch, the second a partial batch
         dataset, params, projection = self.dataset()
-        with pytest.raises(HeadError):
-            train([], params, projection, HeadTrainConfig())
-        with pytest.raises(HeadError):
-            train(dataset, params, projection, HeadTrainConfig(batch_size=0))
+        trained, trained_projection, losses = train(
+            dataset, params, projection, TrainSchedule(0.5, 3, 2, 1, max_steps))
+        assert len(losses) == epochs_run
+        assert all(loss > 0.0 for loss in losses)
+        # the epochs after the cap change nothing
+        expected = train(dataset, params, projection,
+                         TrainSchedule(0.5, epochs_run, 2, 1, max_steps))
+        assert losses == expected[2]
+        assert np.array_equal(trained.scoring, expected[0].scoring)
+        assert np.array_equal(trained_projection.weight, expected[1].weight)
 
     def test_one_epoch_equals_stepping_loss_and_grads(self):
         rng = np.random.default_rng(3)
         dataset, params, projection = random_batch(rng, 7)
-        config = HeadTrainConfig(learning_rate=0.4, epochs=1, batch_size=3, seed=11)
+        config = TrainSchedule(0.4, 1, 3, 11)
         trained, trained_projection, losses = train(dataset, params, projection, config)
 
         params, projection = params.copy(), projection.copy()
@@ -482,7 +496,7 @@ class TestTrain:
         # 76 examples end in a batch of 4); scaling by a power of two is exact
         rng = np.random.default_rng(seed)
         dataset, params, projection = random_batch(rng, size)
-        config = HeadTrainConfig(learning_rate=1.0, epochs=3, batch_size=8, seed=seed)
+        config = TrainSchedule(1.0, 3, 8, seed)
         got = train(dataset, params, projection, config)
         expected = reference_train(dataset, params, projection, config)
         assert got[2] == expected[2]
@@ -496,7 +510,7 @@ class TestTrain:
         # a step that is no power of two may round differently in the last ulp
         rng = np.random.default_rng(seed)
         dataset, params, projection = random_batch(rng, size)
-        config = HeadTrainConfig(learning_rate=rate, epochs=3, batch_size=8, seed=seed)
+        config = TrainSchedule(rate, 3, 8, seed)
         got = train(dataset, params, projection, config)
         expected = reference_train(dataset, params, projection, config)
         assert got[2] == pytest.approx(expected[2], rel=1e-12)
@@ -508,4 +522,4 @@ class TestTrain:
         dataset, params, projection = self.dataset()
         dataset.append((dataset[0][0], [len(ANSWERS)]))
         with pytest.raises(HeadError, match="answer space"):
-            train(dataset, params, projection, HeadTrainConfig(epochs=0))
+            train(dataset, params, projection, TrainSchedule(3e-4, 0, 8, 0))

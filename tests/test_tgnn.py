@@ -593,7 +593,7 @@ def list_order_pretrain(store, table, params, config, fact_indices=None):
             chunk = [queries[i] for i in order[lo : lo + config.batch_size]]
             batch, targets = tgnn._query_batch(
                 store, table, ((store.facts[fid], mask) for fid, mask in chunk),
-                rng, config.cap_edges)
+                rng)
             loss, grads = gradients(batch, table, params, targets, buffers)
             total += loss
             tgnn._sgd_step(table, params, grads, batch, config.learning_rate / len(chunk))
@@ -623,8 +623,9 @@ class TestPretrain:
 
     def test_max_steps_caps_updates(self):
         store, table, params = self.make_world()
-        capped = TgnnPretrainConfig(learning_rate=0.5, epochs=3, batch_size=100, max_steps=1)
-        one_epoch = TgnnPretrainConfig(learning_rate=0.5, epochs=1, batch_size=100)
+        capped = TgnnPretrainConfig(learning_rate=0.5, epochs=3, batch_size=100, seed=0,
+                                    max_steps=1)
+        one_epoch = TgnnPretrainConfig(learning_rate=0.5, epochs=1, batch_size=100, seed=0)
         a = pretrain(store, table, params, capped)[1]
         b = pretrain(store, table, params, one_epoch)[1]
         assert np.array_equal(a.w_msg, b.w_msg)
@@ -633,14 +634,14 @@ class TestPretrain:
     def test_max_steps_ends_training(self, max_steps, epochs_run):
         # 8 queries in batches of 3: three steps per epoch
         store, table, params = self.make_world()
-        config = TgnnPretrainConfig(learning_rate=0.5, epochs=5, batch_size=3,
+        config = TgnnPretrainConfig(learning_rate=0.5, epochs=5, batch_size=3, seed=0,
                                     max_steps=max_steps)
         trained_table, trained_params, losses = pretrain(store, table, params, config)
         assert len(losses) == epochs_run
         assert all(loss > 0.0 for loss in losses)
         # the epochs after the cap change nothing
         just_enough = TgnnPretrainConfig(learning_rate=0.5, epochs=epochs_run,
-                                         batch_size=3, max_steps=max_steps)
+                                         batch_size=3, seed=0, max_steps=max_steps)
         table_ref, params_ref, losses_ref = pretrain(store, table, params, just_enough)
         assert losses == losses_ref
         assert np.array_equal(trained_table.entity, table_ref.entity)
@@ -659,14 +660,14 @@ class TestPretrain:
         store, table, params = self.make_world()
         entity_before = table.entity.copy()
         msg_before = params.w_msg.copy()
-        pretrain(store, table, params, TgnnPretrainConfig(learning_rate=0.5, epochs=1))
+        pretrain(store, table, params, TgnnPretrainConfig(0.5, 1, 8, 0))
         assert np.array_equal(table.entity, entity_before)
         assert np.array_equal(params.w_msg, msg_before)
 
     def test_evaluate_masked_rank_range(self):
         store, table, params = self.make_world()
         ranks = evaluate_masked(store, table, params, store.facts[:2],
-                                TgnnPretrainConfig())
+                                TgnnPretrainConfig(3e-4, 4, 8, 0))
         assert len(ranks) == 4
         assert all(1 <= r <= len(store.entities) for r in ranks)
 
@@ -690,7 +691,7 @@ class TestPretrain:
         for idx in rng.permutation(len(queries))[: config.batch_size]:
             fid, mask_object = queries[idx]
             graph, target = build_query_subgraph(
-                store, table, store.facts[fid], mask_object, rng, config.cap_edges)
+                store, table, store.facts[fid], mask_object, rng, tgnn.CAP_EDGES)
             graphs.append(graph)
             targets.append(target)
         loss, expected = summed_reference(graphs, targets, table, params)
@@ -723,7 +724,7 @@ class TestPretrain:
 
     def test_evaluate_masked_matches_single_queries(self):
         store, table, params = self.make_world()
-        config = TgnnPretrainConfig(batch_size=3, seed=2)
+        config = TgnnPretrainConfig(learning_rate=3e-4, epochs=4, batch_size=3, seed=2)
         ranks = evaluate_masked(store, table, params, store.facts, config)
         rng = np.random.default_rng(config.seed)
         expected = []
