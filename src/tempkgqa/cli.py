@@ -14,6 +14,7 @@ import base64
 import dataclasses
 import json
 import logging
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -78,6 +79,17 @@ def _write_jsonl(path: Path, records) -> None:
     lines = [json.dumps(r, ensure_ascii=False) for r in records]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     log.info("wrote %s (%d records)", path, len(lines))
+
+
+def _write_losses(cfg: RunConfig, stage: str, name: str, losses: list[float]) -> None:
+    """The dump ``name``: a training stage's per-epoch losses and whether it
+    diverged, that is whether its last loss is not finite or above the first.
+    A diverged stage logs a warning and still succeeds."""
+    diverged = bool(losses) and (not math.isfinite(losses[-1]) or losses[-1] > losses[0])
+    _write_json(_dump_path(cfg, name), {"losses": losses, "diverged": diverged})
+    log.info("%s epochs: %s", stage, [round(x, 4) for x in losses])
+    if diverged:
+        log.warning("%s diverged: last epoch loss %s, first %s", stage, losses[-1], losses[0])
 
 
 def _read_jsonl(
@@ -203,8 +215,7 @@ def stage_pretrain_base(cfg: RunConfig, world: World) -> None:
     schedule = TrainSchedule(cfg.base_learning_rate, cfg.base_epochs, cfg.batch_size, cfg.seed)
     trained, losses = pretrain_base(store, table, schedule)
     checkpoint.save_table(_ckpt_path(cfg, BASE_TABLE_CKPT), trained)
-    _write_json(_dump_path(cfg, "base_losses.json"), {"losses": losses})
-    log.info("base pre-training epochs: %s", [round(x, 4) for x in losses])
+    _write_losses(cfg, "pretrain-base", "base_losses.json", losses)
 
 
 def stage_pretrain_tgnn(cfg: RunConfig, world: World) -> None:
@@ -216,8 +227,7 @@ def stage_pretrain_tgnn(cfg: RunConfig, world: World) -> None:
     table, params, losses = tgnn.pretrain(store, table, params, schedule)
     checkpoint.save_table(_ckpt_path(cfg, TGNN_TABLE_CKPT), table)
     checkpoint.save_tgnn(_ckpt_path(cfg, TGNN_CKPT), params)
-    _write_json(_dump_path(cfg, "tgnn_losses.json"), {"losses": losses})
-    log.info("graph encoder pre-training epochs: %s", [round(x, 4) for x in losses])
+    _write_losses(cfg, "pretrain-tgnn", "tgnn_losses.json", losses)
 
 
 def stage_retrieve(cfg: RunConfig, world: World) -> None:
@@ -332,8 +342,7 @@ def stage_train_head(cfg: RunConfig, world: World) -> None:
     schedule = TrainSchedule(cfg.head_learning_rate, cfg.head_epochs, cfg.batch_size, cfg.seed)
     params, projection, losses = head_mod.train(dataset, params, projection, schedule)
     checkpoint.save_head(_ckpt_path(cfg, HEAD_CKPT), params, projection)
-    _write_json(_dump_path(cfg, "head_losses.json"), {"losses": losses})
-    log.info("answer head epochs: %s", [round(x, 4) for x in losses])
+    _write_losses(cfg, "train-head", "head_losses.json", losses)
 
 
 def stage_predict(cfg: RunConfig, world: World) -> None:

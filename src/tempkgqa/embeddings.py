@@ -22,6 +22,12 @@ vocabulary size; relation and time gradients are table-sized.
 
 :func:`pretrain_base` takes its mini-batches of facts from a
 :class:`~tempkgqa.config.TrainSchedule`, the schedule of every trainer.
+
+Training runs in float32 (:data:`TRAIN_DTYPE`), the precision checkpoints
+store: :func:`pretrain_base` trains a float32 copy of the table it is given.
+The kernels and their buffers take the dtype of their inputs, so the float64
+tables of :func:`init_random` keep float64 arithmetic for the
+finite-difference gradchecks.
 """
 
 from __future__ import annotations
@@ -61,6 +67,10 @@ class EmbeddingTable:
     def copy(self) -> "EmbeddingTable":
         return EmbeddingTable(self.entity.copy(), self.relation.copy(), self.time.copy())
 
+    def astype(self, dtype) -> "EmbeddingTable":
+        """A copy with every matrix in ``dtype``."""
+        return EmbeddingTable(*(a.astype(dtype) for a in (self.entity, self.relation, self.time)))
+
 
 def init_random(
     n_entities: int, n_relations: int, n_times: int, d: int, seed: int
@@ -83,6 +93,9 @@ def init_random(
 
 #: Base pre-training runs on the schedule every trainer shares.
 BasePretrainConfig = TrainSchedule
+
+#: The trainers' working precision; checkpoints store it too.
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -115,10 +128,10 @@ class SoftmaxBuffers:
 
     def __init__(self, vocab: np.ndarray, max_batch: int) -> None:
         self.order = "C" if vocab.flags.c_contiguous else "F"
-        self.logits = np.empty(len(vocab) * max_batch)
-        self.ones = np.ones(len(vocab))
-        self.vocab_grad = np.empty(vocab.shape, order=self.order)
-        self.bias_grad = np.empty(len(vocab))
+        self.logits = np.empty(len(vocab) * max_batch, dtype=vocab.dtype)
+        self.ones = np.ones(len(vocab), dtype=vocab.dtype)
+        self.vocab_grad = np.empty(vocab.shape, dtype=vocab.dtype, order=self.order)
+        self.bias_grad = np.empty(len(vocab), dtype=vocab.dtype)
 
 
 # numpy reduces a C-ordered (n, B) array along axis 0 one B-wide row at a
@@ -231,11 +244,12 @@ def pretrain_base(
     """Mini-batch SGD over the masked-entity objective, in the batches of
     ``schedule`` over the facts.
 
-    Returns the trained copy of the table and the per-epoch summed loss
-    (accumulated before each parameter update, so with a zero learning rate
-    the reported loss is exact for the incoming table).
+    Returns the trained :data:`TRAIN_DTYPE` copy of the table and the
+    per-epoch summed loss (accumulated before each parameter update, so with
+    a zero learning rate the reported loss is exact for the incoming table
+    rounded to that precision).
     """
-    table = table.copy()
+    table = table.astype(TRAIN_DTYPE)
     facts = store.facts if fact_indices is None else store.facts_of(fact_indices)
     if not facts:
         raise EmbeddingError("no facts to train on")

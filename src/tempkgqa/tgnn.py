@@ -28,6 +28,11 @@ loss, and updates only the embedding rows the mini-batch touches.  Its
 :class:`TgnnBuffers` hold the decoder's softmax buffers and a dense entity
 gradient, allocated once per :func:`pretrain` call.
 
+Pre-training runs in float32 (:data:`embeddings.TRAIN_DTYPE`) on copies of
+the table and parameters it is given.  Every kernel, buffer and gradient
+takes the dtype of its inputs, so float64 inputs, such as the fresh
+:func:`init_params` and the tables checkpoints load, stay float64.
+
 Subgraphs are built from fact id rows, a fact being a row of the store's
 columns: :func:`build_query_subgraph` gathers the anchor's neighbour rows by
 fact id, and one edge builder serves it and :func:`batch_from_facts`.
@@ -44,7 +49,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import TrainSchedule
-from .embeddings import EmbeddingTable, SoftmaxBuffers, softmax_cross_entropy, softmax_probs
+from .embeddings import (TRAIN_DTYPE, EmbeddingTable, SoftmaxBuffers, softmax_cross_entropy,
+                         softmax_probs)
 from .errors import TempkgqaError
 from .store import Quadruple, TkgStore
 
@@ -82,6 +88,11 @@ class TgnnParams:
             self.layers,
         )
 
+    def astype(self, dtype) -> "TgnnParams":
+        """A copy with every matrix in ``dtype``."""
+        return TgnnParams(*(getattr(self, name).astype(dtype) for name in _PARAM_FIELDS),
+                          self.layers)
+
 
 _PARAM_FIELDS = ("w_msg", "w_query", "w_key", "decoder_w", "decoder_b")
 
@@ -106,10 +117,12 @@ class SubgraphBatch:
     """Node and edge arrays for one subgraph, or a disjoint union of several.
 
     ``nodes[i]`` is an entity id or :data:`MASK`; edges are rows
-    ``(src_node, dst_node, relation_row, t_start, t_end)`` indexing into
-    ``nodes`` and into the embedding table.  ``order`` holds the edge ids
-    stably sorted by destination and ``indptr`` cuts it into one segment per
-    node: the in-edges of node ``j`` are ``order[indptr[j]:indptr[j + 1]]``.
+    ``(src_node, dst_node, relation_row, t_start)`` indexing into ``nodes``
+    and into the embedding table.  Rows with a fifth column, the fact's end
+    year, are accepted and the column dropped, since no layer reads it.
+    ``order`` holds the edge ids stably sorted by destination and ``indptr``
+    cuts it into one segment per node: the in-edges of node ``j`` are
+    ``order[indptr[j]:indptr[j + 1]]``.
     """
 
     nodes: np.ndarray
@@ -119,7 +132,12 @@ class SubgraphBatch:
 
     def __post_init__(self) -> None:
         self.nodes = np.asarray(self.nodes, dtype=np.int64)
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 5)
+        edges = np.asarray(self.edges, dtype=np.int64)
+        if edges.size == 0:
+            edges = edges.reshape(0, 4)
+        if edges.ndim != 2 or edges.shape[1] not in (4, 5):
+            raise TgnnError(f"edges must be rows of 4 or 5 columns, not shape {edges.shape}")
+        self.edges = np.ascontiguousarray(edges[:, :4])
         n = len(self.nodes)
         if self.edges.size:
             endpoints = self.edges[:, :2]
@@ -179,7 +197,7 @@ def attention_weights(
 class _Segments:
     """A batch's edges in destination order, one segment per receiving node."""
 
-    edges: np.ndarray      # edge rows sorted by destination, (E, 5)
+    edges: np.ndarray      # edge rows sorted by destination, (E, 4)
     receivers: np.ndarray  # nodes with at least one in-edge, ascending
     starts: np.ndarray     # offset of each receiver's first edge in ``edges``
     counts: np.ndarray     # in-degree of each receiver
@@ -199,7 +217,7 @@ class _Segments:
 
 
 def _layer_inputs(batch: SubgraphBatch, table: EmbeddingTable) -> np.ndarray:
-    base = np.zeros((batch.n_nodes, table.dim))
+    base = np.zeros((batch.n_nodes, table.dim), dtype=table.entity.dtype)
     real = batch.nodes != MASK
     base[real] = table.entity[batch.nodes[real]]
     return base
@@ -316,7 +334,7 @@ def _backward_layer(
     grads: TgnnGradients,
 ) -> np.ndarray:
     """Backpropagate one layer; returns the gradient wrt the layer input."""
-    src, dst, rel, start = seg.edges[:, :4].T
+    src, dst, rel, start = seg.edges.T
     d_x = d_out.copy()
     d_x[seg.receivers] = 0.0  # aggregation replaced these rows
 
@@ -348,7 +366,7 @@ class TgnnBuffers:
 
     def __init__(self, table: EmbeddingTable, params: TgnnParams, max_batch: int) -> None:
         self.decoder = SoftmaxBuffers(params.decoder_w.T, max_batch)
-        self.entity = np.zeros(table.entity.shape)
+        self.entity = np.zeros_like(table.entity)
         self.entity_rows = np.zeros(0, dtype=np.int64)
 
 
@@ -376,18 +394,17 @@ def gradients(
     loss, d_queries = softmax_cross_entropy(
         params.decoder_w.T, final[rows], targets, buffers.decoder, params.decoder_b)
     buffers.entity[buffers.entity_rows] = 0.0
-    d = params.dim
     grads = TgnnGradients(
-        w_msg=np.zeros((d, d)),
-        w_query=np.zeros((d, d)),
-        w_key=np.zeros((d, d)),
+        w_msg=np.zeros_like(params.w_msg),
+        w_query=np.zeros_like(params.w_query),
+        w_key=np.zeros_like(params.w_key),
         decoder_w=buffers.decoder.vocab_grad.T,
         decoder_b=buffers.decoder.bias_grad,
         entity=buffers.entity,
-        relation=np.zeros(table.relation.shape),
-        time=np.zeros(table.time.shape),
+        relation=np.zeros_like(table.relation),
+        time=np.zeros_like(table.time),
     )
-    d_nodes = np.zeros(final.shape)
+    d_nodes = np.zeros_like(final)
     d_nodes[rows] = d_queries
     for cache in reversed(caches):
         d_nodes = _backward_layer(seg, cache, d_nodes, params, grads)
@@ -405,7 +422,8 @@ def gradients(
 def _fact_subgraph(
     node_of: dict[int, int], facts: Iterable[Sequence[int]], n_relations: int
 ) -> SubgraphBatch:
-    """Batch over fact id rows ``(subject, relation, object, t_start, t_end)``.
+    """Batch over fact id rows ``(subject, relation, object, t_start, t_end)``;
+    an edge keeps the start year only.
 
     Entities not yet in ``node_of`` are numbered after those in it, in
     first-appearance order (subject before object), and added to it in
@@ -413,9 +431,9 @@ def _fact_subgraph(
     whose relation row is offset by ``n_relations``.
     """
     edges: list[list[int]] = []
-    for subject, relation, obj, start, end in facts:
+    for subject, relation, obj, start, _ in facts:
         s, o = node_of.setdefault(subject, len(node_of)), node_of.setdefault(obj, len(node_of))
-        edges += ([s, o, relation, start, end], [o, s, n_relations + relation, start, end])
+        edges += ([s, o, relation, start], [o, s, n_relations + relation, start])
     return SubgraphBatch(list(node_of), edges)
 
 
@@ -518,10 +536,12 @@ def pretrain(
     and takes one :func:`gradients` call; the reported per-epoch loss is the
     sum of per-query cross entropies accumulated before the corresponding
     update.  The loss list has one entry per epoch that ran, the last one
-    partial when ``schedule.max_steps`` ends training mid-epoch.
+    partial when ``schedule.max_steps`` ends training mid-epoch.  Returns
+    trained :data:`~tempkgqa.embeddings.TRAIN_DTYPE` copies of ``table`` and
+    ``params``.
     """
-    table = table.copy()
-    params = params.copy()
+    table = table.astype(TRAIN_DTYPE)
+    params = params.astype(TRAIN_DTYPE)
     fact_ids = list(fact_indices) if fact_indices is not None else range(len(store.facts))
     if not fact_ids:
         raise TgnnError("no facts to train on")

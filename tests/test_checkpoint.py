@@ -13,10 +13,12 @@ from tempkgqa.checkpoint import (
     save_table,
     save_tgnn,
 )
-from tempkgqa.embeddings import init_random
+from tempkgqa.embeddings import BasePretrainConfig, init_random, pretrain_base
 from tempkgqa.head import init_head
 from tempkgqa.indicators import init_projection
 from tempkgqa.tgnn import init_params
+
+from conftest import build_store
 
 D, D_LLM = 6, 9
 
@@ -35,6 +37,16 @@ class TestTableCheckpoint:
         assert np.array_equal(loaded.relation, float32_copy(table.relation))
         assert np.array_equal(loaded.time, float32_copy(table.time))
         assert loaded.entity.dtype == np.float64
+
+    def test_trained_table_roundtrip_is_exact(self, tmp_path):
+        store = build_store([("a", "r1", "b", 1990, 1991), ("b", "r2", "c", 1991, 1992)])
+        table = init_random(len(store.entities), len(store.relations), len(store.times), D, 2)
+        trained, _ = pretrain_base(store, table, BasePretrainConfig(0.5, 2, 1, 0))
+        path = tmp_path / "table.ckpt"
+        save_table(path, trained)
+        loaded = load_table(path)
+        for name in ("entity", "relation", "time"):
+            assert np.array_equal(getattr(loaded, name), getattr(trained, name)), name
 
     def test_save_load_save_is_stable(self, tmp_path):
         table = init_random(5, 3, 4, D, 1)

@@ -96,6 +96,32 @@ class TestArtifacts:
             assert len(losses) == epochs
             assert all(np.isfinite(losses))
 
+    @pytest.mark.parametrize("losses, diverged", [
+        ([], False), ([3.0], False), ([3.0, 2.0, 3.0], False), ([3.0, 3.5], True),
+        ([3.0, math.nan], True), ([3.0, math.inf], True), ([math.inf, 3.0], False),
+    ])
+    def test_divergence_flag(self, tmp_path, caplog, losses, diverged):
+        cfg = config.RunConfig(dump_dir=str(tmp_path))
+        cli._write_losses(cfg, "train-head", "head_losses.json", losses)
+        record = json.loads((tmp_path / "head_losses.json").read_text())
+        assert record["diverged"] is diverged
+        assert ("train-head diverged" in caplog.text) is diverged
+
+    @pytest.mark.parametrize("learning_rate, diverged", [(0.3, False), (10.0, True)])
+    def test_large_head_learning_rate_is_flagged(
+        self, pipeline, tmp_path, caplog, learning_rate, diverged
+    ):
+        # desk data; 0.3 is the desk config's head learning rate
+        copied_run(pipeline, tmp_path)
+        run = fast_config(tmp_path, head_learning_rate=learning_rate, head_epochs=20)
+        assert main(["train-head", "--config", str(run)]) == 0
+        record = json.loads((tmp_path / "dumps" / "head_losses.json").read_text())
+        assert len(record["losses"]) == 20
+        assert record["diverged"] is diverged
+        assert ("train-head diverged" in caplog.text) is diverged
+        for name in ("base_losses.json", "tgnn_losses.json"):
+            assert json.loads((tmp_path / "dumps" / name).read_text())["diverged"] is False
+
     def test_subgraph_dumps_cover_every_question(self, pipeline):
         dumps, _ = pipeline
         for split, count in (("train", 76), ("test", 76)):

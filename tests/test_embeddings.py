@@ -116,11 +116,15 @@ class TestLoss:
 
 class TestPretrain:
     def test_zero_learning_rate_keeps_table_and_loss(self):
+        # training runs on the float32 rounding of the table it is given
         store, table = small_world()
+        rounded = table.astype(np.float32)
         config = BasePretrainConfig(learning_rate=0.0, epochs=3, batch_size=2, seed=0)
         trained, losses = pretrain_base(store, table, config)
-        assert np.array_equal(trained.entity, table.entity)
-        reference, _ = base_loss_and_grads(table, store.facts)
+        for name in ("entity", "relation", "time"):
+            assert np.array_equal(getattr(trained, name), getattr(rounded, name)), name
+            assert getattr(trained, name).dtype == np.float32, name
+        reference, _ = base_loss_and_grads(rounded, store.facts)
         assert losses == pytest.approx([reference] * 3, rel=1e-12)
 
     def test_loss_decreases(self):
@@ -133,7 +137,8 @@ class TestPretrain:
         store, table = small_world()
         config = BasePretrainConfig(learning_rate=0.0, epochs=1, batch_size=8, seed=0)
         _, losses = pretrain_base(store, table, config, fact_indices=[0, 2])
-        reference, _ = base_loss_and_grads(table, [store.facts[0], store.facts[2]])
+        reference, _ = base_loss_and_grads(table.astype(np.float32),
+                                           [store.facts[0], store.facts[2]])
         assert losses[0] == pytest.approx(reference, rel=1e-12)
 
     def test_deterministic(self):
@@ -143,6 +148,13 @@ class TestPretrain:
         second, losses_b = pretrain_base(store, table, config)
         assert np.array_equal(first.entity, second.entity)
         assert losses_a == losses_b
+
+    def test_returns_float32_from_float64(self):
+        store, table = small_world()
+        trained, _ = pretrain_base(store, table, BasePretrainConfig(0.5, 1, 2, 0))
+        for name in ("entity", "relation", "time"):
+            assert getattr(trained, name).dtype == np.float32, name
+            assert getattr(table, name).dtype == np.float64, name
 
     def test_input_table_not_mutated(self):
         store, table = small_world()
@@ -169,8 +181,9 @@ class TestPretrain:
         rng = np.random.default_rng(1)
         rng.permutation(4)
         second_epoch = rng.permutation(4)
-        full, _ = base_loss_and_grads(table, store.facts)
-        first_batch, _ = base_loss_and_grads(table, store.facts[second_epoch[:3]])
+        rounded = table.astype(np.float32)
+        full, _ = base_loss_and_grads(rounded, store.facts)
+        first_batch, _ = base_loss_and_grads(rounded, store.facts[second_epoch[:3]])
         assert losses == [pytest.approx(full, rel=1e-12), pytest.approx(first_batch, rel=1e-12)]
 
     def test_empty_training_set_rejected(self):

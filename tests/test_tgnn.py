@@ -213,6 +213,19 @@ class TestBatch:
         with pytest.raises(TgnnError, match="endpoint"):
             SubgraphBatch(np.array([0, 1]), np.array([[0, 2, 0, 0, 0]]))
 
+    def test_end_year_column_dropped(self):
+        rows = [[0, 1, 2, 3, 9], [1, 0, 4, 3, 9]]
+        five = SubgraphBatch(np.array([0, MASK]), np.array(rows))
+        four = SubgraphBatch(np.array([0, MASK]), np.array(rows)[:, :4])
+        assert five.edges.tolist() == four.edges.tolist() == [[0, 1, 2, 3], [1, 0, 4, 3]]
+        assert five.edges.flags.c_contiguous
+        assert SubgraphBatch(np.array([0]), []).edges.shape == (0, 4)
+
+    @pytest.mark.parametrize("edges", [[[0, 1, 2]], [[0, 1, 2, 3, 4, 5]], [0, 1, 2, 3]])
+    def test_edge_width_checked(self, edges):
+        with pytest.raises(TgnnError, match="4 or 5 columns"):
+            SubgraphBatch(np.array([0, 1]), edges)
+
     def test_in_edges_grouped_by_destination(self):
         batch = SubgraphBatch(
             np.array([0, 1, 2]),
@@ -427,7 +440,7 @@ class TestMerge:
         b = SubgraphBatch(np.array([MASK, 4, 5]), np.array([[1, 0, 1, 1, 1], [2, 0, 0, 0, 0]]))
         merged = merge_batches([a, b])
         assert merged.nodes.tolist() == [3, MASK, MASK, 4, 5]
-        assert merged.edges.tolist() == [[0, 1, 2, 0, 1], [3, 2, 1, 1, 1], [4, 2, 0, 0, 0]]
+        assert merged.edges.tolist() == [[0, 1, 2, 0], [3, 2, 1, 1], [4, 2, 0, 0]]
         assert incoming(merged, 2).tolist() == [1, 2]
         assert np.flatnonzero(merged.nodes == MASK).tolist() == [1, 2]
 
@@ -435,7 +448,7 @@ class TestMerge:
         a = SubgraphBatch(np.array([MASK]), np.zeros((0, 5)))
         b = SubgraphBatch(np.array([0, MASK]), np.array([[0, 1, 0, 0, 0]]))
         merged = merge_batches([a, b])
-        assert merged.edges.tolist() == [[1, 2, 0, 0, 0]]
+        assert merged.edges.tolist() == [[1, 2, 0, 0]]
 
     def test_rejects_empty(self):
         with pytest.raises(TgnnError):
@@ -685,6 +698,12 @@ class TestPretrain:
                                     max_steps=1)
         trained_table, trained_params, losses = pretrain(store, table, params, config)
 
+        # The step runs in float32, on the rounding of the inputs.  The looped
+        # reference sums in another order, so at that precision it agrees
+        # with the kernel only to ~1e-7: the hand step takes the kernel, which
+        # test_union_matches_sum_of_looped_queries pins to the looped
+        # reference in float64.
+        table, params = table.astype(np.float32), params.astype(np.float32)
         rng = np.random.default_rng(config.seed)
         queries = [(fid, m) for fid in range(len(store.facts)) for m in (True, False)]
         graphs, targets = [], []
@@ -694,15 +713,15 @@ class TestPretrain:
                 store, table, store.facts[fid], mask_object, rng, tgnn.CAP_EDGES)
             graphs.append(graph)
             targets.append(target)
-        loss, expected = summed_reference(graphs, targets, table, params)
+        loss, expected = gradients(merge_batches(graphs), table, params, targets)
         step = config.learning_rate / config.batch_size
-        assert losses == [pytest.approx(loss, rel=1e-12)]
+        assert losses == [loss]
         for name in PARAM_NAMES:
-            stepped = getattr(params, name) - step * expected[name]
-            assert relative_error(getattr(trained_params, name), stepped) < 1e-12, name
+            stepped = getattr(params, name) - step * getattr(expected, name)
+            assert np.array_equal(getattr(trained_params, name), stepped), name
         for name in TABLE_NAMES:
-            stepped = getattr(table, name) - step * expected[name]
-            assert relative_error(getattr(trained_table, name), stepped) < 1e-12, name
+            stepped = getattr(table, name) - step * getattr(expected, name)
+            assert np.array_equal(getattr(trained_table, name), stepped), name
 
     def test_untouched_rows_stay_bit_identical(self):
         store = build_store([
@@ -713,6 +732,7 @@ class TestPretrain:
         params = init_params(D, len(store.entities), 1)
         config = TgnnPretrainConfig(learning_rate=0.5, epochs=1, batch_size=2, seed=0)
         trained, _, _ = pretrain(store, table, params, config, fact_indices=[0])
+        table = table.astype(np.float32)
         a, b, c, d = (store.entities.id(x) for x in "abcd")
         r2 = store.relations.id("r2")
         late = [store.times.id(y) for y in ("1995", "1996")]
@@ -747,12 +767,45 @@ class TestPretrain:
         subset = [int(i) for i in np.random.default_rng(seed).permutation(203)[:37]]
         for fact_indices in (None, subset):
             got = pretrain(store, table, params, config, fact_indices)
-            expected = list_order_pretrain(store, table, params, config, fact_indices)
+            expected = list_order_pretrain(store, table.astype(np.float32),
+                                           params.astype(np.float32), config, fact_indices)
             assert got[2] == expected[2]
             for name in TABLE_NAMES:
                 assert np.array_equal(getattr(got[0], name), getattr(expected[0], name)), name
             for name in PARAM_NAMES:
                 assert np.array_equal(getattr(got[1], name), getattr(expected[1], name)), name
+
+
+class TestDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_buffers_and_gradients_follow_the_inputs(self, dtype):
+        rng, table, params = random_world(70)
+        table, params = table.astype(dtype), params.astype(dtype)
+        params.layers = 2
+        graphs = [random_graph(rng) for _ in range(3)]
+        buffers = tgnn.TgnnBuffers(table, params, 3)
+        decoder = buffers.decoder
+        for array in (buffers.entity, decoder.logits, decoder.ones, decoder.vocab_grad,
+                      decoder.bias_grad):
+            assert array.dtype == dtype
+        _, grads = gradients(merge_batches(graphs), table, params, [0, 1, 2], buffers)
+        for name in PARAM_NAMES + TABLE_NAMES:
+            assert getattr(grads, name).dtype == dtype, name
+        assert forward(graphs[0], table, params).dtype == dtype
+
+    def test_pretrain_returns_float32(self):
+        store = build_store([("a", "r1", "b", 1990, 1991), ("b", "r2", "c", 1991, 1992)])
+        table = init_random(len(store.entities), len(store.relations), len(store.times), D, 0)
+        params = init_params(D, len(store.entities), 1)
+        config = TgnnPretrainConfig(learning_rate=0.5, epochs=1, batch_size=2, seed=0)
+        trained_table, trained_params, _ = pretrain(store, table, params, config)
+        for name in TABLE_NAMES:
+            assert getattr(trained_table, name).dtype == np.float32, name
+            assert getattr(table, name).dtype == np.float64, name
+        for name in PARAM_NAMES:
+            assert getattr(trained_params, name).dtype == np.float32, name
+            assert getattr(params, name).dtype == np.float64, name
+        assert trained_params.layers == params.layers
 
 
 class TestEncodeEntities:
