@@ -6,16 +6,17 @@ as row-major ``float32``.  Layouts:
 
 - ``TKGE``  version, d, n_entities, n_relation_rows, n_times, then the
   entity / relation / time matrices.
-- ``TGNN``  version, d, layer count, n_entities, then w_msg, w_query,
-  w_key (all d x d), decoder_w (d x n_entities), decoder_b (n_entities).
+- ``TGNN``  version, d, n_entities, then w_msg, w_query, w_key (all
+  d x d), decoder_w (d x n_entities), decoder_b (n_entities).
 - ``HEAD``  version, d_llm, d_in, n_tokens, n_answers, then token_emb
   (n_tokens x d_llm), scoring (d_llm x n_answers), projection
   (d_in x d_llm).  Token and answer labels travel in a JSON sidecar written
   next to the binary file.
 
 Matrices are stored as ``float32`` and widened back to ``float64`` on load.
-Version 2 dropped the head's fixed mixing weights; version 1 files are
-rejected.  A load error names the file it was reading.
+Version 2 dropped the head's fixed mixing weights and version 3 the
+encoder's layer count (the encoder is one layer); files of an earlier version
+are rejected.  A load error names the file it was reading.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .head import HeadParams
 from .indicators import Projection
 from .tgnn import TgnnParams
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MAGIC_TABLE = b"TKGE"
 MAGIC_TGNN = b"TGNN"
 MAGIC_HEAD = b"HEAD"
@@ -120,10 +121,9 @@ def save_tgnn(path: str | Path, params: TgnnParams) -> None:
         handle.write(MAGIC_TGNN)
         handle.write(
             struct.pack(
-                "<IIIQ",
+                "<IIQ",
                 FORMAT_VERSION,
                 params.dim,
-                params.layers,
                 params.decoder_b.shape[0],
             )
         )
@@ -135,14 +135,13 @@ def save_tgnn(path: str | Path, params: TgnnParams) -> None:
 
 def load_tgnn(path: str | Path) -> TgnnParams:
     with _reading(path) as handle:
-        d, layers, n_entities = _read_header(handle, MAGIC_TGNN, "<IIIQ")
+        d, n_entities = _read_header(handle, MAGIC_TGNN, "<IIQ")
         return TgnnParams(
             w_msg=_read_array(handle, (d, d)),
             w_query=_read_array(handle, (d, d)),
             w_key=_read_array(handle, (d, d)),
             decoder_w=_read_array(handle, (d, n_entities)),
             decoder_b=_read_array(handle, (n_entities,)),
-            layers=layers,
         )
 
 

@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -35,6 +34,7 @@ from .store import AnswerType, Question, TkgStore, load_questions, load_tkg
 log = logging.getLogger("tempkgqa")
 
 PREDICT_DEPTH = 10
+TOP_K = 1  # relations retrieval keeps per question
 
 # artifact names, relative to dump_dir / checkpoint_dir
 KG_SUMMARY = "kg.json"
@@ -81,15 +81,22 @@ def _write_jsonl(path: Path, records) -> None:
     log.info("wrote %s (%d records)", path, len(lines))
 
 
-def _write_losses(cfg: RunConfig, stage: str, name: str, losses: list[float]) -> None:
+def _write_losses(
+    cfg: RunConfig, stage: str, name: str, losses: list[float],
+    epoch_batches: Sequence[int] | None = None,
+) -> None:
     """The dump ``name``: a training stage's per-epoch losses and whether it
-    diverged, that is whether its last loss is not finite or above the first.
-    A diverged stage logs a warning and still succeeds."""
-    diverged = bool(losses) and (not math.isfinite(losses[-1]) or losses[-1] > losses[0])
+    diverged, that is whether its last epoch's loss per batch is not finite
+    or above the first's.  ``epoch_batches`` counts each epoch's batches;
+    without it every epoch ran the same number.  A diverged stage logs a
+    warning and still succeeds."""
+    means = [loss / count for loss, count in zip(losses, epoch_batches or [1] * len(losses))]
+    diverged = bool(means) and (not math.isfinite(means[-1]) or means[-1] > means[0])
     _write_json(_dump_path(cfg, name), {"losses": losses, "diverged": diverged})
     log.info("%s epochs: %s", stage, [round(x, 4) for x in losses])
     if diverged:
-        log.warning("%s diverged: last epoch loss %s, first %s", stage, losses[-1], losses[0])
+        log.warning("%s diverged: last epoch loss per batch %s, first %s",
+                    stage, means[-1], means[0])
 
 
 def _read_jsonl(
@@ -221,32 +228,26 @@ def stage_pretrain_base(cfg: RunConfig, world: World) -> None:
 def stage_pretrain_tgnn(cfg: RunConfig, world: World) -> None:
     store, _, _ = world
     table = checkpoint.load_table(_ckpt_path(cfg, BASE_TABLE_CKPT))
-    params = tgnn.init_params(cfg.d, len(store.entities), cfg.seed, cfg.layers)
+    params = tgnn.init_params(cfg.d, len(store.entities), cfg.seed)
     schedule = TrainSchedule(cfg.tgnn_learning_rate, cfg.tgnn_epochs, cfg.batch_size, cfg.seed,
                              cfg.tgnn_max_steps)
     table, params, losses = tgnn.pretrain(store, table, params, schedule)
     checkpoint.save_table(_ckpt_path(cfg, TGNN_TABLE_CKPT), table)
     checkpoint.save_tgnn(_ckpt_path(cfg, TGNN_CKPT), params)
-    _write_losses(cfg, "pretrain-tgnn", "tgnn_losses.json", losses)
+    _write_losses(cfg, "pretrain-tgnn", "tgnn_losses.json", losses,
+                  schedule.epoch_batches(2 * len(store.facts)))
 
 
 def stage_retrieve(cfg: RunConfig, world: World) -> None:
     store, train, test = world
     client = _client(cfg)
-
-    def worker(question: Question) -> dict:
-        subgraph = retrieve_question(
-            store, question, client,
-            top_k=cfg.top_k, max_facts=cfg.max_facts, oracle=cfg.oracle,
-        )
-        return subgraph_record(store, subgraph)
-
     for split, questions in zip(SPLITS, (train, test)):
-        if cfg.jobs > 1 and client is not None:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                records = list(pool.map(worker, questions))
-        else:
-            records = [worker(q) for q in questions]
+        records = [
+            subgraph_record(store, retrieve_question(
+                store, question, client, top_k=TOP_K, max_facts=cfg.max_facts,
+                oracle=cfg.oracle))
+            for question in questions
+        ]
         empties = sum(1 for r in records if r["empty"])
         if empties:
             log.warning("%s split: %d empty subgraphs", split, empties)
@@ -438,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run config")
     common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--jobs", type=int, help="parallel LLM requests during retrieval")
     common.add_argument("--endpoint", help="chat completion endpoint URL")
     common.add_argument("--model", help="model name sent to the endpoint")
     common.add_argument("--oracle", action="store_true",
@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides: dict[str, object] = {}
-    for name in ("seed", "jobs", "endpoint", "model"):
+    for name in ("seed", "endpoint", "model"):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value

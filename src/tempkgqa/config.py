@@ -1,12 +1,11 @@
 """Run configuration: one flat dataclass, JSON file loading, CLI overrides,
 and :class:`TrainSchedule`, the schedule of all three training stages.
 
-Defaults: width 512, one layer, top-1 relation, ten evidence facts, batch
-eight, and for each of the three training stages (base, graph encoder,
-answer head) four epochs at learning rate 3e-4.  A config file's values must
-have their field's JSON type, and its paths are resolved relative to the
-file's directory so configs can ship with fixtures.  Learning rates must be
-finite.
+Defaults: width 512, ten evidence facts, batch eight, and for each of the
+three training stages (base, graph encoder, answer head) four epochs at
+learning rate 3e-4.  A config file's values must have their field's JSON
+type, and its paths are resolved relative to the file's directory so configs
+can ship with fixtures.  Learning rates must be finite.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ class RunConfig:
     seed: int = 0
     d: int = 512
     d_llm: int = 4096
-    layers: int = 1
-    top_k: int = 1
     max_facts: int = 10
     batch_size: int = 8
     # per-stage training schedules (no step cap when tgnn_max_steps is None)
@@ -58,11 +55,10 @@ class RunConfig:
     endpoint: str | None = None
     model: str = "local"
     oracle: bool = False
-    jobs: int = 1
 
     def validate(self) -> None:
         problems = []
-        for name in ("d", "d_llm", "layers", "top_k", "max_facts", "batch_size", "jobs"):
+        for name in ("d", "d_llm", "max_facts", "batch_size"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1")
         for name in ("seed", "base_epochs", "tgnn_epochs", "head_epochs", "tgnn_max_steps"):
@@ -159,3 +155,13 @@ class TrainSchedule:
                 for lo in range(0, n, self.batch_size):
                     yield order, slice(lo, lo + self.batch_size)
         return itertools.islice(every_batch(), self.max_steps)
+
+    def epoch_batches(self, n: int) -> list[int]:
+        """The number of batches of each epoch that :meth:`batches` opens
+        over ``n`` examples; only the last can be short, when ``max_steps``
+        ends training mid-epoch."""
+        per_epoch = -(-n // self.batch_size)
+        steps = self.epochs * per_epoch
+        if self.max_steps is not None:
+            steps = min(steps, self.max_steps)
+        return [min(per_epoch, steps - lo) for lo in range(0, steps, per_epoch or 1)]

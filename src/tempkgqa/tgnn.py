@@ -1,7 +1,7 @@
 """Attention-based message passing over retrieved subgraphs.
 
-One layer, for each directed edge ``i -> j`` carrying relation row ``rho``
-and the start time ``tau`` of its fact:
+The encoder is one layer.  For each directed edge ``i -> j`` carrying
+relation row ``rho`` and the start time ``tau`` of its fact:
 
     m_ij = W_msg (e_i + r_rho + t_tau)
     u_ij = relu((W_query e_i) . (W_key m_ij))
@@ -33,9 +33,11 @@ the table and parameters it is given.  Every kernel, buffer and gradient
 takes the dtype of its inputs, so float64 inputs, such as the fresh
 :func:`init_params` and the tables checkpoints load, stay float64.
 
-Subgraphs are built from fact id rows, a fact being a row of the store's
-columns: :func:`build_query_subgraph` gathers the anchor's neighbour rows by
-fact id, and one edge builder serves it and :func:`batch_from_facts`.
+Subgraphs are built from fact rows, one edge builder serving
+:func:`build_query_subgraph` and :func:`batch_from_facts`.  A pre-training
+query's subgraph is its anchor, its masked node and the two query edges: at
+one layer the masked node's only in-edge is the query edge from its anchor,
+so no other edge could change the loss or a gradient.
 
 All gradients are derived by hand (reverse mode) and checked against central
 finite differences in the test suite; no autodiff framework is involved.
@@ -56,10 +58,6 @@ from .store import Quadruple, TkgStore
 
 MASK = -1
 
-#: Directed-edge budget of a query subgraph's neighbourhood; a hub's facts
-#: are subsampled to half this many.
-CAP_EDGES = 64
-
 
 class TgnnError(TempkgqaError, ValueError):
     pass
@@ -72,33 +70,24 @@ class TgnnParams:
     w_key: np.ndarray     # (d, d)
     decoder_w: np.ndarray # (d, n_entities)
     decoder_b: np.ndarray # (n_entities,)
-    layers: int = 1
 
     @property
     def dim(self) -> int:
         return self.w_msg.shape[0]
 
     def copy(self) -> "TgnnParams":
-        return TgnnParams(
-            self.w_msg.copy(),
-            self.w_query.copy(),
-            self.w_key.copy(),
-            self.decoder_w.copy(),
-            self.decoder_b.copy(),
-            self.layers,
-        )
+        return TgnnParams(*(getattr(self, name).copy() for name in _PARAM_FIELDS))
 
     def astype(self, dtype) -> "TgnnParams":
         """A copy with every matrix in ``dtype``."""
-        return TgnnParams(*(getattr(self, name).astype(dtype) for name in _PARAM_FIELDS),
-                          self.layers)
+        return TgnnParams(*(getattr(self, name).astype(dtype) for name in _PARAM_FIELDS))
 
 
 _PARAM_FIELDS = ("w_msg", "w_query", "w_key", "decoder_w", "decoder_b")
 
 
-def init_params(d: int, n_entities: int, seed: int, layers: int = 1) -> TgnnParams:
-    if d < 1 or n_entities < 1 or layers < 1:
+def init_params(d: int, n_entities: int, seed: int) -> TgnnParams:
+    if d < 1 or n_entities < 1:
         raise TgnnError("bad parameter shape request")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d)
@@ -108,7 +97,6 @@ def init_params(d: int, n_entities: int, seed: int, layers: int = 1) -> TgnnPara
         w_key=rng.uniform(-scale, scale, size=(d, d)),
         decoder_w=rng.uniform(-scale, scale, size=(d, n_entities)),
         decoder_b=np.zeros(n_entities),
-        layers=layers,
     )
 
 
@@ -188,7 +176,7 @@ def attention_weights(
     """
     if not len(messages):
         raise TgnnError("attention needs at least one message")
-    keys = np.asarray(messages, dtype=float) @ params.w_key.T
+    keys = np.asarray(messages) @ params.w_key.T
     u = np.maximum(keys @ (params.w_query @ query), 0.0)
     return _segment_softmax(u, np.zeros(1, dtype=np.intp), np.array([len(u)]))
 
@@ -249,21 +237,9 @@ def _forward_layer(
     return y, _LayerCache(sources, summed, messages_, queries, keys, z, alpha)
 
 
-def _forward_with_caches(
-    batch: SubgraphBatch, table: EmbeddingTable, params: TgnnParams
-) -> tuple[np.ndarray, _Segments, list[_LayerCache]]:
-    seg = _Segments.of(batch)
-    x = _layer_inputs(batch, table)
-    caches: list[_LayerCache] = []
-    for _ in range(params.layers):
-        x, cache = _forward_layer(seg, x, table, params)
-        caches.append(cache)
-    return x, seg, caches
-
-
 def forward(batch: SubgraphBatch, table: EmbeddingTable, params: TgnnParams) -> np.ndarray:
-    """Final node embeddings after ``params.layers`` rounds of aggregation."""
-    return _forward_with_caches(batch, table, params)[0]
+    """Final node embeddings after the layer's aggregation."""
+    return _forward_layer(_Segments.of(batch), _layer_inputs(batch, table), table, params)[0]
 
 
 def _masked_rows(
@@ -333,7 +309,7 @@ def _backward_layer(
     params: TgnnParams,
     grads: TgnnGradients,
 ) -> np.ndarray:
-    """Backpropagate one layer; returns the gradient wrt the layer input."""
+    """Backpropagate the layer; returns the gradient wrt the layer input."""
     src, dst, rel, start = seg.edges.T
     d_x = d_out.copy()
     d_x[seg.receivers] = 0.0  # aggregation replaced these rows
@@ -388,7 +364,8 @@ def gradients(
     gradients live in ``buffers``, overwritten by the next call.
     """
     rows, targets = _masked_rows(batch, target)
-    final, seg, caches = _forward_with_caches(batch, table, params)
+    seg = _Segments.of(batch)
+    final, cache = _forward_layer(seg, _layer_inputs(batch, table), table, params)
     if buffers is None:
         buffers = TgnnBuffers(table, params, len(rows))
     loss, d_queries = softmax_cross_entropy(
@@ -406,8 +383,7 @@ def gradients(
     )
     d_nodes = np.zeros_like(final)
     d_nodes[rows] = d_queries
-    for cache in reversed(caches):
-        d_nodes = _backward_layer(seg, cache, d_nodes, params, grads)
+    d_nodes = _backward_layer(seg, cache, d_nodes, params, grads)
 
     real = batch.nodes != MASK
     buffers.entity_rows = batch.nodes[real]
@@ -453,39 +429,28 @@ def build_query_subgraph(
     table: EmbeddingTable,
     fact: Quadruple,
     mask_object: bool,
-    rng: np.random.Generator,
-    cap_edges: int = CAP_EDGES,
+    rng: np.random.Generator | None = None,
 ) -> tuple[SubgraphBatch, int]:
-    """Neighbourhood subgraph for one masked query.
+    """Subgraph for one masked query: node 0 is the unmasked entity (the
+    anchor), node 1 the masked one, joined by the fact's edge and its
+    inverse.  Returns the batch and the target entity id.
 
-    The unmasked entity's 1-hop facts are included (uniformly subsampled when
-    they would exceed ``cap_edges`` directed edges) plus the two query edges
-    joining the anchor to the masked node.  The neighbours' rows are gathered
-    from the store's columns by fact id; the query is one more row, whose
-    masked end is :data:`MASK`.  Returns the batch and the target entity id.
+    ``store`` and ``rng`` are not read: the anchor's neighbourhood cannot
+    reach the masked node through one layer (see the module docstring).
     """
     anchor = fact.subject if mask_object else fact.object
     target = fact.object if mask_object else fact.subject
-    neighbour_ids = store.fact_ids_by_entity(anchor)
-    max_facts = max(0, cap_edges // 2)
-    if len(neighbour_ids) > max_facts:
-        chosen = rng.choice(len(neighbour_ids), size=max_facts, replace=False)
-        neighbour_ids = neighbour_ids[np.sort(chosen)]
     query = list(fact)
     query[2 if mask_object else 0] = MASK
-    rows = np.asarray(store.facts_of(neighbour_ids)).tolist() + [query]
-    return _fact_subgraph({anchor: 0, MASK: 1}, rows, table.n_relations), target
+    return _fact_subgraph({anchor: 0, MASK: 1}, [query], table.n_relations), target
 
 
 def _query_batch(
-    store: TkgStore,
-    table: EmbeddingTable,
-    queries: Iterable[tuple[Quadruple, bool]],
-    rng: np.random.Generator,
+    store: TkgStore, table: EmbeddingTable, queries: Iterable[tuple[Quadruple, bool]]
 ) -> tuple[SubgraphBatch, list[int]]:
     """Disjoint union of the subgraphs of ``(fact, mask_object)`` queries,
     built in order, and the target of each."""
-    built = [build_query_subgraph(store, table, fact, mask_object, rng)
+    built = [build_query_subgraph(store, table, fact, mask_object)
              for fact, mask_object in queries]
     return merge_batches([b for b, _ in built]), [t for _, t in built]
 
@@ -554,7 +519,7 @@ def pretrain(
             losses.append(0.0)
         chunk = order[rows].tolist()
         batch, targets = _query_batch(
-            store, table, ((store.facts[fact_ids[i // 2]], i % 2 == 0) for i in chunk), rng)
+            store, table, ((store.facts[fact_ids[i // 2]], i % 2 == 0) for i in chunk))
         loss, grads = gradients(batch, table, params, targets, buffers)
         losses[-1] += loss
         _sgd_step(table, params, grads, batch, schedule.learning_rate / len(chunk))
@@ -569,14 +534,13 @@ def evaluate_masked(
     schedule: TrainSchedule,
 ) -> list[int]:
     """Pessimistic 1-based rank of the answer entity for both directions of
-    each held-out fact, with subgraphs drawn from ``store`` only.  Queries
-    are decoded ``schedule.batch_size`` at a time."""
-    rng = np.random.default_rng(schedule.seed)
+    each held-out fact.  Queries are decoded ``schedule.batch_size`` at a
+    time; the schedule's other fields are not read."""
     queries = [(fact, mask_object) for fact in facts for mask_object in (True, False)]
     buffers = SoftmaxBuffers(params.decoder_w.T, schedule.batch_size)
     ranks: list[int] = []
     for lo in range(0, len(queries), schedule.batch_size):
-        batch, targets = _query_batch(store, table, queries[lo : lo + schedule.batch_size], rng)
+        batch, targets = _query_batch(store, table, queries[lo : lo + schedule.batch_size])
         rows, targets = _masked_rows(batch, targets)
         final = forward(batch, table, params)
         probs = _decode(final, rows, params, buffers)[0]

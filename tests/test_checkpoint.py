@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -96,11 +97,10 @@ class TestTableCheckpoint:
 
 class TestTgnnCheckpoint:
     def test_roundtrip(self, tmp_path):
-        params = init_params(D, 7, 3, layers=2)
+        params = init_params(D, 7, 3)
         path = tmp_path / "tgnn.ckpt"
         save_tgnn(path, params)
         loaded = load_tgnn(path)
-        assert loaded.layers == 2
         assert loaded.dim == D
         for name in ("w_msg", "w_query", "w_key", "decoder_w", "decoder_b"):
             assert np.array_equal(getattr(loaded, name),
@@ -111,6 +111,17 @@ class TestTgnnCheckpoint:
         save_tgnn(path, init_params(D, 7, 3))
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_tgnn(path)
+
+    def test_version_2_rejected_with_path(self, tmp_path):
+        # the version 2 layout, whose header still carried a layer count
+        params = init_params(D, 7, 3)
+        path = tmp_path / "tgnn.ckpt"
+        save_tgnn(path, params)
+        header = b"TGNN" + struct.pack("<IIIQ", 2, D, 1, 7)
+        path.write_bytes(header + path.read_bytes()[len(b"TGNN") + struct.calcsize("<IIQ"):])
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: unsupported format version 2$"):
             load_tgnn(path)
 
 
@@ -146,7 +157,7 @@ class TestHeadCheckpoint:
         path = tmp_path / "head.ckpt"
         save_head(path, params, projection)
         data = bytearray(path.read_bytes())
-        assert data[4] == FORMAT_VERSION == 2
+        assert data[4] == FORMAT_VERSION == 3
         data[4] = 1  # the layout that still carried the mixing weights
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="unsupported format version 1"):
@@ -212,7 +223,7 @@ class TestOversizedHeader:
             return path, load_table, 12  # offset of n_entities
         if kind == "TGNN":
             save_tgnn(path, init_params(D, 7, 3))
-            return path, load_tgnn, 16  # offset of n_entities
+            return path, load_tgnn, 12  # offset of n_entities
         save_head(path, *TestHeadCheckpoint().make())
         return path, load_head, 16  # offset of n_tokens
 

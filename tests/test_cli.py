@@ -29,7 +29,6 @@ def fast_config(tmp_path, **extra):
         "seed": 0,
         "d": 8,
         "d_llm": 16,
-        "top_k": 1,
         "max_facts": 10,
         "base_epochs": 2,
         "tgnn_epochs": 1,
@@ -106,6 +105,36 @@ class TestArtifacts:
         record = json.loads((tmp_path / "head_losses.json").read_text())
         assert record["diverged"] is diverged
         assert ("train-head diverged" in caplog.text) is diverged
+
+    @pytest.mark.parametrize("losses, epoch_batches, diverged", [
+        ([100.0, 20.0], [10, 1], True),     # a partial last epoch: per batch 20 > 10
+        ([100.0, 9.0], [10, 1], False),
+        ([100.0, 80.0], [10, 10], False),
+        ([5.0], [1], False),                # a first epoch that is also the partial last
+    ])
+    def test_divergence_compares_losses_per_batch(
+        self, tmp_path, caplog, losses, epoch_batches, diverged
+    ):
+        cfg = config.RunConfig(dump_dir=str(tmp_path))
+        cli._write_losses(cfg, "pretrain-tgnn", "tgnn_losses.json", losses, epoch_batches)
+        record = json.loads((tmp_path / "tgnn_losses.json").read_text())
+        assert record == {"losses": losses, "diverged": diverged}
+        assert ("pretrain-tgnn diverged" in caplog.text) is diverged
+
+    def test_partial_encoder_epoch_counted_from_the_schedule(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        dumps, _ = pipeline
+        facts = json.loads((dumps / "kg.json").read_text())["facts"]
+        per_epoch = -(-2 * facts // 16)  # both directions of every fact, batch 16
+        written = {}
+        monkeypatch.setattr(cli, "_write_losses", lambda *args: written.update(args=args))
+        copied_run(pipeline, tmp_path)
+        run = fast_config(tmp_path, tgnn_epochs=2, tgnn_max_steps=per_epoch + 1)
+        assert main(["pretrain-tgnn", "--config", str(run)]) == 0
+        _, stage, _, losses, epoch_batches = written["args"]
+        assert stage == "pretrain-tgnn"
+        assert len(losses) == 2 and epoch_batches == [per_epoch, 1]
 
     @pytest.mark.parametrize("learning_rate, diverged", [(0.3, False), (10.0, True)])
     def test_large_head_learning_rate_is_flagged(
@@ -422,6 +451,12 @@ class TestErrorHandling:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_removed_jobs_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["e2e", "--jobs", "2"])
+        assert caught.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_config_echo_logged(self, tmp_path, caplog):
         config = fast_config(tmp_path)

@@ -22,20 +22,19 @@ class TestRunConfig:
         config.validate()
         assert config.d == 512
         assert config.d_llm == 4096
-        assert config.top_k == 1
         assert config.max_facts == 10
         assert config.oracle is False
         for stage in ("base", "tgnn", "head"):
             assert getattr(config, f"{stage}_learning_rate") == 3e-4
             assert getattr(config, f"{stage}_epochs") == 4
         assert config.tgnn_max_steps is None
-        assert len(dataclasses.fields(config)) == 23
+        assert len(dataclasses.fields(config)) == 20
 
     @pytest.mark.parametrize(
         "kwargs, fragment",
         [
             ({"d": 0}, "d must be"),
-            ({"jobs": 0}, "jobs"),
+            ({"max_facts": 0}, "max_facts"),
             ({"head_epochs": -1}, "epochs"),
             ({"base_learning_rate": -0.5}, "learning_rate"),
             ({"seed": -1}, "seed must be >= 0"),
@@ -82,9 +81,10 @@ class TestLoadConfig:
         # removed settings are unknown keys like any other
         path = write_config(tmp_path, {"seeed": 1, "depth": 2, "pooling": "mean",
                                        "time_mode": "start", "epochs": 4,
-                                       "learning_rate": 3e-4, "cap_edges": 64})
-        names = ("['cap_edges', 'depth', 'epochs', 'learning_rate', 'pooling', 'seeed', "
-                 "'time_mode']")
+                                       "learning_rate": 3e-4, "cap_edges": 64, "layers": 1,
+                                       "top_k": 1, "jobs": 1})
+        names = ("['cap_edges', 'depth', 'epochs', 'jobs', 'layers', 'learning_rate', "
+                 "'pooling', 'seeed', 'time_mode', 'top_k']")
         with pytest.raises(ConfigError, match=f"unknown config keys {re.escape(names)}"):
             load_config(path)
 
@@ -164,7 +164,11 @@ class TestTrainSchedule:
         (100, [(e, lo, lo + 3) for e in range(2) for lo in (0, 3, 6)]),
     ])
     def test_max_steps_ends_the_schedule(self, max_steps, expected):
-        assert spans(TrainSchedule(0.1, 2, 3, 0, max_steps), 7) == expected
+        schedule = TrainSchedule(0.1, 2, 3, 0, max_steps)
+        assert spans(schedule, 7) == expected
+        per_epoch = np.bincount(np.array([e for e, _, _ in expected], dtype=int)).tolist()
+        assert schedule.epoch_batches(7) == per_epoch
+        assert schedule.epoch_batches(0) == []
 
     def test_no_permutation_drawn_past_max_steps(self):
         rng, reference = np.random.default_rng(2), np.random.default_rng(2)
@@ -201,10 +205,10 @@ class TestCliOverrides:
         assert config.oracle is True
 
     def test_absent_flags_keep_config_values(self, tmp_path):
-        path = write_config(tmp_path, {"seed": 7, "jobs": 3})
+        path = write_config(tmp_path, {"seed": 7, "model": "m-config"})
         config = resolve_config(self.parse("--config", str(path)))
         assert config.seed == 7
-        assert config.jobs == 3
+        assert config.model == "m-config"
 
     def test_dump_dir_override_moves_checkpoints_too(self, tmp_path):
         config = resolve_config(self.parse("--dump-dir", str(tmp_path / "out")))
@@ -213,4 +217,4 @@ class TestCliOverrides:
 
     def test_override_still_validated(self):
         with pytest.raises(ConfigError):
-            resolve_config(self.parse("--jobs", "0"))
+            resolve_config(self.parse("--seed", "-1"))

@@ -95,38 +95,34 @@ def reference_edge_times(batch, table):
 
 
 def reference_forward(batch, table, params):
-    """Final node embeddings and per-layer caches, aggregated node by node."""
+    """Final node embeddings and the layer's cache, aggregated node by node."""
     in_edges = reference_in_edges(batch)
     x = np.zeros((batch.n_nodes, table.dim))
     real = batch.nodes != MASK
     x[real] = table.entity[batch.nodes[real]]
     src, rel = batch.edges[:, 0], batch.edges[:, 2]
-    caches = []
-    for _ in range(params.layers):
-        summed = x[src] + table.relation[rel] + reference_edge_times(batch, table)
-        messages = summed @ params.w_msg.T
-        queries = x[src] @ params.w_query.T
-        keys = messages @ params.w_key.T
-        z = np.einsum("ed,ed->e", queries, keys)
-        u = np.maximum(z, 0.0)
-        y = x.copy()
-        alpha = np.zeros(len(batch.edges))
-        for node, into in enumerate(in_edges):
-            if len(into) == 0:
-                continue
-            shifted = np.exp(u[into] - u[into].max())
-            weights = shifted / shifted.sum()
-            alpha[into] = weights
-            y[node] = weights @ messages[into]
-        caches.append((x, summed, messages, queries, keys, z, alpha))
-        x = y
-    return x, caches
+    summed = x[src] + table.relation[rel] + reference_edge_times(batch, table)
+    messages = summed @ params.w_msg.T
+    queries = x[src] @ params.w_query.T
+    keys = messages @ params.w_key.T
+    z = np.einsum("ed,ed->e", queries, keys)
+    u = np.maximum(z, 0.0)
+    y = x.copy()
+    alpha = np.zeros(len(batch.edges))
+    for node, into in enumerate(in_edges):
+        if len(into) == 0:
+            continue
+        shifted = np.exp(u[into] - u[into].max())
+        weights = shifted / shifted.sum()
+        alpha[into] = weights
+        y[node] = weights @ messages[into]
+    return y, (x, summed, messages, queries, keys, z, alpha)
 
 
 def reference_gradients(batch, table, params, target):
     """Loss and dense gradients (a dict by field name) of one query graph."""
     in_edges = reference_in_edges(batch)
-    final, caches = reference_forward(batch, table, params)
+    final, (x, summed, messages, queries, keys, z, alpha) = reference_forward(batch, table, params)
     mask_idx = batch.mask_index()
     logits = final[mask_idx] @ params.decoder_w + params.decoder_b
     shifted = logits - logits.max()
@@ -142,34 +138,32 @@ def reference_gradients(batch, table, params, target):
     d_nodes = np.zeros_like(final)
     d_nodes[mask_idx] = params.decoder_w @ d_logits
     src, rel, starts = batch.edges[:, 0], batch.edges[:, 2], batch.edges[:, 3]
-    for x, summed, messages, queries, keys, z, alpha in reversed(caches):
-        d_x = np.zeros_like(x)
-        d_messages = np.zeros_like(messages)
-        d_u = np.zeros(len(batch.edges))
-        for node, into in enumerate(in_edges):
-            d_node = d_nodes[node]
-            if len(into) == 0:
-                d_x[node] += d_node
-                continue
-            weights = alpha[into]
-            d_alpha = messages[into] @ d_node
-            d_messages[into] += weights[:, None] * d_node[None, :]
-            d_u[into] = weights * (d_alpha - weights @ d_alpha)
-        d_z = d_u * (z > 0.0)
-        d_queries = d_z[:, None] * keys
-        d_keys = d_z[:, None] * queries
-        grads["w_query"] += d_queries.T @ x[src]
-        np.add.at(d_x, src, d_queries @ params.w_query)
-        grads["w_key"] += d_keys.T @ messages
-        d_messages += d_keys @ params.w_key
-        grads["w_msg"] += d_messages.T @ summed
-        d_summed = d_messages @ params.w_msg
-        np.add.at(d_x, src, d_summed)
-        np.add.at(grads["relation"], rel, d_summed)
-        np.add.at(grads["time"], starts, d_summed)
-        d_nodes = d_x
+    d_x = np.zeros_like(x)
+    d_messages = np.zeros_like(messages)
+    d_u = np.zeros(len(batch.edges))
+    for node, into in enumerate(in_edges):
+        d_node = d_nodes[node]
+        if len(into) == 0:
+            d_x[node] += d_node
+            continue
+        weights = alpha[into]
+        d_alpha = messages[into] @ d_node
+        d_messages[into] += weights[:, None] * d_node[None, :]
+        d_u[into] = weights * (d_alpha - weights @ d_alpha)
+    d_z = d_u * (z > 0.0)
+    d_queries = d_z[:, None] * keys
+    d_keys = d_z[:, None] * queries
+    grads["w_query"] += d_queries.T @ x[src]
+    np.add.at(d_x, src, d_queries @ params.w_query)
+    grads["w_key"] += d_keys.T @ messages
+    d_messages += d_keys @ params.w_key
+    grads["w_msg"] += d_messages.T @ summed
+    d_summed = d_messages @ params.w_msg
+    np.add.at(d_x, src, d_summed)
+    np.add.at(grads["relation"], rel, d_summed)
+    np.add.at(grads["time"], starts, d_summed)
     real = batch.nodes != MASK
-    np.add.at(grads["entity"], batch.nodes[real], d_nodes[real])
+    np.add.at(grads["entity"], batch.nodes[real], d_x[real])
     return loss, grads
 
 
@@ -280,16 +274,6 @@ class TestForward:
         _, grads = gradients(SubgraphBatch(np.array([0, MASK]), batch.edges), table, params, 2)
         assert np.any(grads.time[1]) and not np.any(grads.time[3])
 
-    def test_two_layers_differ_from_one(self):
-        _, table, params = random_world(10)
-        batch = SubgraphBatch(
-            np.array([0, 1, 2]), np.array([[0, 1, 0, 0, 0], [1, 2, 1, 1, 1]])
-        )
-        one = forward(batch, table, params)
-        params.layers = 2
-        two = forward(batch, table, params)
-        assert not np.allclose(one[2], two[2])
-
 
 class TestMaskPredict:
     def test_distribution(self):
@@ -325,28 +309,14 @@ class TestGradients:
             numeric = fd_gradient(loss_fn, getattr(table, name))
             assert relative_error(getattr(grads, name), numeric) < 1e-4, name
 
-    def test_two_layer_gradients(self):
-        rng, table, params = random_world(31)
-        params.layers = 2
-        batch = random_batch(rng)
-        target = int(rng.integers(0, N_ENTITIES))
-        _, grads = gradients(batch, table, params, target)
-        loss_fn = lambda: masked_loss(batch, table, params, target)
-        for name in ("w_msg", "w_query", "w_key"):
-            numeric = fd_gradient(loss_fn, getattr(params, name))
-            assert relative_error(getattr(grads, name), numeric) < 1e-4, name
-        numeric = fd_gradient(loss_fn, table.entity)
-        assert relative_error(grads.entity, numeric) < 1e-4
-
 
 class TestBatchedKernel:
     """The disjoint-union kernel against the per-node looped reference."""
 
-    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("world", [1, 2])
     @pytest.mark.parametrize("n_graphs", [1, 3, 8])
-    def test_union_matches_sum_of_looped_queries(self, n_graphs, layers):
-        rng, table, params = random_world(40 + n_graphs + 10 * layers)
-        params.layers = layers
+    def test_union_matches_sum_of_looped_queries(self, n_graphs, world):
+        rng, table, params = random_world(40 + n_graphs + 10 * world)
         graphs = [random_graph(rng, mask_reachable=k % 3 != 1) for k in range(n_graphs)]
         targets = [int(t) for t in rng.integers(0, N_ENTITIES, size=n_graphs)]
         if n_graphs == 1:
@@ -391,10 +361,9 @@ class TestBatchedKernel:
         for name in PARAM_NAMES + TABLE_NAMES:
             assert relative_error(getattr(grads, name), expected[name]) < 1e-12, name
 
-    @pytest.mark.parametrize("layers", [1, 2])
-    def test_forward_of_union_matches_looped_forward(self, layers):
-        rng, table, params = random_world(63)
-        params.layers = layers
+    @pytest.mark.parametrize("world", [1, 2])
+    def test_forward_of_union_matches_looped_forward(self, world):
+        rng, table, params = random_world(62 + world)
         graphs = [random_graph(rng, mask_reachable=k != 1) for k in range(3)]
         final = forward(merge_batches(graphs), table, params)
         expected = np.concatenate([reference_forward(g, table, params)[0] for g in graphs])
@@ -475,17 +444,13 @@ def hub_store(seed, n_entities=60, n_facts=600):
     )
 
 
-def reference_query_subgraph(store, table, fact, mask_object, rng, cap_edges):
-    """The per-fact query subgraph builder that reads ``store.facts[i]``,
-    kept as the reference for the one that gathers the columns."""
+def reference_query_subgraph(store, table, fact, mask_object):
+    """Reference: the query subgraph plus every 1-hop fact of the anchor,
+    built from ``store.facts[i]``.  Node 0 is the anchor, node 1 the masked
+    entity, and the two query edges come last."""
     anchor = fact.subject if mask_object else fact.object
     target = fact.object if mask_object else fact.subject
-    neighbour_ids = store.fact_ids_by_entity(anchor)
-    max_facts = max(0, cap_edges // 2)
-    if len(neighbour_ids) > max_facts:
-        chosen = rng.choice(len(neighbour_ids), size=max_facts, replace=False)
-        neighbour_ids = neighbour_ids[np.sort(chosen)]
-    neighbours = [store.facts[i] for i in neighbour_ids.tolist()]
+    neighbours = [store.facts[i] for i in store.fact_ids_by_entity(anchor).tolist()]
 
     node_of = {anchor: 0}
     nodes = [anchor, MASK]
@@ -551,37 +516,36 @@ class TestSubgraphConstruction:
         incoming_edges = batch.edges[incoming(batch, 1)]
         assert table.n_relations + fact.relation in incoming_edges[:, 2]
 
-    def test_query_subgraph_respects_edge_cap(self, tiny_store):
-        table = init_random(len(tiny_store.entities), len(tiny_store.relations),
-                            len(tiny_store.times), D, 0)
-        rng = np.random.default_rng(0)
-        ada_fact = tiny_store.facts[0]
-        batch, _ = build_query_subgraph(tiny_store, table, ada_fact, True, rng, cap_edges=2)
-        # one neighbour fact (2 directed edges) plus the two query edges
-        assert len(batch.edges) == 4
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_query_subgraph_matches_reference_builder(self, seed):
-        """200 seeded queries, hubs past the edge cap among them, build the
-        batches of the per-fact reference and leave the rng in its state."""
-        store = hub_store(seed)
+    @pytest.mark.parametrize("mask_object", [True, False])
+    @pytest.mark.parametrize("anchor", ["hub", "leaf"])
+    def test_neighbourhood_changes_no_loss_or_gradient(self, anchor, mask_object):
+        """In float64, the query subgraph and the reference graph that adds
+        the anchor's whole 1-hop neighbourhood give the same masked loss and
+        the same gradients: through one layer the masked node hears only the
+        query edge from its anchor, so attention gets no gradient either."""
+        store = hub_store(0)
         table = init_random(len(store.entities), len(store.relations), len(store.times), D, 0)
-        picks = np.random.default_rng(seed)
-        ours, theirs = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
-        past_cap = 0
-        for index in range(200):
-            fact = store.facts[int(picks.integers(len(store.facts)))]
-            mask_object, cap_edges = bool(index % 2), (64, 8)[index % 3 == 0]
-            anchor = fact.subject if mask_object else fact.object
-            past_cap += len(store.fact_ids_by_entity(anchor)) > cap_edges // 2
-            batch, target = build_query_subgraph(store, table, fact, mask_object, ours, cap_edges)
-            expected, expected_target = reference_query_subgraph(
-                store, table, fact, mask_object, theirs, cap_edges)
-            assert target == expected_target
-            assert batch.nodes.tolist() == expected.nodes.tolist()
-            assert batch.edges.tolist() == expected.edges.tolist()
-        assert past_cap > 20
-        assert ours.bit_generator.state == theirs.bit_generator.state
+        params = init_params(D, len(store.entities), 1)
+        degree = lambda f: len(store.fact_ids_by_entity(f.subject if mask_object else f.object))
+        fact = (max if anchor == "hub" else min)(store.facts, key=degree)
+        assert degree(fact) > 32 if anchor == "hub" else degree(fact) < 8
+
+        batch, target = build_query_subgraph(store, table, fact, mask_object)
+        full, full_target = reference_query_subgraph(store, table, fact, mask_object)
+        assert target == full_target
+        assert batch.nodes.tolist() == full.nodes[:2].tolist()
+        assert batch.edges.tolist() == full.edges[-2:, :4].tolist()
+
+        loss, grads = gradients(batch, table, params, target)
+        full_loss, full_grads = gradients(full, table, params, target)
+        assert loss == pytest.approx(masked_loss(batch, table, params, target), rel=1e-12)
+        assert full_loss == pytest.approx(loss, rel=1e-12)
+        assert masked_loss(full, table, params, target) == pytest.approx(loss, rel=1e-12)
+        for name in PARAM_NAMES + TABLE_NAMES:
+            assert getattr(grads, name).dtype == np.float64, name
+            np.testing.assert_allclose(getattr(full_grads, name), getattr(grads, name),
+                                       rtol=1e-12, atol=0, err_msg=name)
+        assert not np.any(full_grads.w_query) and not np.any(full_grads.w_key)
 
 
 def list_order_pretrain(store, table, params, config, fact_indices=None):
@@ -605,8 +569,7 @@ def list_order_pretrain(store, table, params, config, fact_indices=None):
                 break
             chunk = [queries[i] for i in order[lo : lo + config.batch_size]]
             batch, targets = tgnn._query_batch(
-                store, table, ((store.facts[fid], mask) for fid, mask in chunk),
-                rng)
+                store, table, ((store.facts[fid], mask) for fid, mask in chunk))
             loss, grads = gradients(batch, table, params, targets, buffers)
             total += loss
             tgnn._sgd_step(table, params, grads, batch, config.learning_rate / len(chunk))
@@ -693,7 +656,6 @@ class TestPretrain:
             ("c", "r2", "a", 1990, 1995),
             ("a", "r2", "c", 1992, 1996),
         ])
-        params.layers = 2  # gradients then reach the anchors' neighbours too
         config = TgnnPretrainConfig(learning_rate=0.5, epochs=1, batch_size=3, seed=4,
                                     max_steps=1)
         trained_table, trained_params, losses = pretrain(store, table, params, config)
@@ -709,8 +671,7 @@ class TestPretrain:
         graphs, targets = [], []
         for idx in rng.permutation(len(queries))[: config.batch_size]:
             fid, mask_object = queries[idx]
-            graph, target = build_query_subgraph(
-                store, table, store.facts[fid], mask_object, rng, tgnn.CAP_EDGES)
+            graph, target = build_query_subgraph(store, table, store.facts[fid], mask_object)
             graphs.append(graph)
             targets.append(target)
         loss, expected = gradients(merge_batches(graphs), table, params, targets)
@@ -746,11 +707,10 @@ class TestPretrain:
         store, table, params = self.make_world()
         config = TgnnPretrainConfig(learning_rate=3e-4, epochs=4, batch_size=3, seed=2)
         ranks = evaluate_masked(store, table, params, store.facts, config)
-        rng = np.random.default_rng(config.seed)
         expected = []
         for fact in store.facts:
             for mask_object in (True, False):
-                graph, target = build_query_subgraph(store, table, fact, mask_object, rng)
+                graph, target = build_query_subgraph(store, table, fact, mask_object)
                 probs = mask_predict(graph, table, params)
                 others = np.arange(len(probs)) != target
                 expected.append(1 + int(np.sum(probs[others] >= probs[target])))
@@ -781,7 +741,6 @@ class TestDtype:
     def test_buffers_and_gradients_follow_the_inputs(self, dtype):
         rng, table, params = random_world(70)
         table, params = table.astype(dtype), params.astype(dtype)
-        params.layers = 2
         graphs = [random_graph(rng) for _ in range(3)]
         buffers = tgnn.TgnnBuffers(table, params, 3)
         decoder = buffers.decoder
@@ -792,6 +751,15 @@ class TestDtype:
         for name in PARAM_NAMES + TABLE_NAMES:
             assert getattr(grads, name).dtype == dtype, name
         assert forward(graphs[0], table, params).dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_weights_follow_the_inputs(self, dtype):
+        rng, _, params = random_world(71)
+        params = params.astype(dtype)
+        messages = [rng.normal(size=D).astype(dtype) for _ in range(3)]
+        weights = attention_weights(rng.normal(size=D).astype(dtype), messages, params)
+        assert weights.dtype == dtype
+        assert weights.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_pretrain_returns_float32(self):
         store = build_store([("a", "r1", "b", 1990, 1991), ("b", "r2", "c", 1991, 1992)])
@@ -805,7 +773,6 @@ class TestDtype:
         for name in PARAM_NAMES:
             assert getattr(trained_params, name).dtype == np.float32, name
             assert getattr(params, name).dtype == np.float64, name
-        assert trained_params.layers == params.layers
 
 
 class TestEncodeEntities:
@@ -820,11 +787,11 @@ class TestEncodeEntities:
         for vector in encoded.values():
             assert vector.shape == (D,)
 
-    @pytest.mark.parametrize("layers", [1, 2])
-    def test_matches_looped_forward(self, tiny_store, layers):
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_looped_forward(self, tiny_store, seed):
         table = init_random(len(tiny_store.entities), len(tiny_store.relations),
                             len(tiny_store.times), D, 0)
-        params = init_params(D, len(tiny_store.entities), 0, layers)
+        params = init_params(D, len(tiny_store.entities), seed)
         encoded = encode_entities(tiny_store.facts, table, params)
         batch, node_of = batch_from_facts(tiny_store.facts, len(tiny_store.relations))
         final, _ = reference_forward(batch, table, params)
