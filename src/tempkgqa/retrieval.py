@@ -6,10 +6,12 @@ implied by the question (again LLM-assisted with a rule-based oracle as both
 fallback and offline mode), and then filter the fact store down to a small
 evidence set.
 
-The three per-question scans (:func:`candidate_relations`,
-:func:`anchor_facts` and :func:`tempkgqa.store.facts_filtered`) gather the
-annotated entities' rows from the store's CSR index, mask them on the fact
-columns and order them with one ``np.lexsort``.  The two that return facts
+The three per-question lookups read the store's (entity, relation) run
+index.  :func:`candidate_relations` reads each annotated entity's relations
+in first-fact order.  :func:`anchor_facts` and
+:func:`tempkgqa.store.facts_filtered` take the annotated entities' runs under
+the ranked relations, already in ``(t_start, t_end, id)`` order, merge them
+only when there are two or more, and partition or mask what they hold.  Both
 return a :class:`~tempkgqa.store.FactView`, which builds a :class:`Quadruple`
 only for a fact read: the ``max_facts`` that :func:`retrieve_subgraph` keeps
 and the anchor that sets the time.  Interval satisfaction has one
@@ -22,7 +24,7 @@ from __future__ import annotations
 import functools
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -85,12 +87,7 @@ def candidate_relations(store: TkgStore, question: Question) -> list[int]:
     first-occurrence order."""
     if not question.entities:
         raise RetrievalError(question.uid, "no annotated entities")
-    ids = np.concatenate([store.fact_ids_by_entity(e) for e in question.entities])
-    relations = store.relation[ids]
-    # first[r]: position of relation r's first fact; absent relations keep len.
-    first = np.full(len(store.relations), len(relations))
-    np.minimum.at(first, relations, np.arange(len(relations)))
-    return relations[np.sort(first[first < len(relations)])].tolist()
+    return store.relations_of(question.entities)
 
 
 def _token_set(text: str) -> frozenset[str]:
@@ -187,12 +184,11 @@ def anchor_facts(store: TkgStore, question: Question, relations: Sequence[int]) 
     facts touching a single annotated entity; each group is ordered by
     ``(t_start, t_end, insertion order)``.
     """
-    ids = store.incident_fact_ids(question.entities)
-    ids = ids[member_mask(store.relation[ids], relations)]
-    linked = (member_mask(store.subject[ids], question.entities)
-              & member_mask(store.object[ids], question.entities))
-    order = np.lexsort((ids, store.t_end[ids], store.t_start[ids], ~linked))
-    return store.facts_of(ids[order])
+    ids = store.incident_facts(question.entities, relations)
+    unlinked = ~(member_mask(store.subject[ids], question.entities)
+                 & member_mask(store.object[ids], question.entities))
+    # A stable partition keeps each group in (t_start, t_end, id) order.
+    return store.facts_of(ids[np.argsort(unlinked, kind="stable")])
 
 
 def _first_vocabulary_year(store: TkgStore, text: str) -> int | None:
@@ -317,16 +313,19 @@ def retrieve_subgraph(
     relations: Sequence[int],
     constraint: TemporalConstraint,
     max_facts: int,
+    *,
+    fallback_relation: bool = False,
+    fallback_time: bool = False,
 ) -> RetrievedSubgraph:
-    """Filter the store down to at most ``max_facts`` evidence facts."""
+    """Filter the store down to at most ``max_facts`` evidence facts; the
+    fallback flags are recorded on the result as given."""
     if not relations:
         raise RetrievalError(question.uid, "retrieve_subgraph needs at least one relation")
     if max_facts < 1:
         raise RetrievalError(question.uid, "max_facts must be >= 1")
     selected = facts_filtered(store, question.entities, relations, constraint)
-    subgraph = RetrievedSubgraph(
-        question.uid, tuple(selected[:max_facts]), tuple(relations), constraint
-    )
+    subgraph = RetrievedSubgraph(question.uid, tuple(selected[:max_facts]), tuple(relations),
+                                 constraint, fallback_relation, fallback_time)
     if subgraph.empty:
         logger.debug("question %s: empty subgraph", question.uid)
     return subgraph
@@ -370,10 +369,8 @@ def retrieve_question(
         mining = mine_time(client, store, question, anchors)
         constraint = mining.constraint
         fallback_time = mining.used_fallback
-    subgraph = retrieve_subgraph(store, question, relations, constraint, max_facts)
-    return replace(
-        subgraph, fallback_relation=fallback_relation, fallback_time=fallback_time
-    )
+    return retrieve_subgraph(store, question, relations, constraint, max_facts,
+                             fallback_relation=fallback_relation, fallback_time=fallback_time)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""In-memory temporal knowledge graph: vocabularies, fact columns, and lookup indexes.
+"""In-memory temporal knowledge graph: vocabularies, fact columns, and a run index.
 
 A fact ``(subject, relation, object, [t_start, t_end])`` has closed year
 bounds for its interval; a point-in-time fact collapses to
@@ -9,11 +9,20 @@ themselves.  Entity and relation ids follow first appearance in the input
 file, which keeps checkpoints reproducible for a fixed file.
 
 A fact is a row of :class:`TkgStore`'s five ``int32`` columns, and these
-columns are the only per-fact data the store keeps; a CSR index maps each
-entity to the ids of its incident facts, in insertion order.  A
-:class:`Quadruple` is the value read from one row: :class:`FactView`, the
-sequence behind ``store.facts`` and :meth:`TkgStore.facts_of`, builds one only
-for the element read.  Lookups and :func:`facts_filtered` scan the columns.
+columns are the only per-fact data the store keeps.  A :class:`Quadruple` is
+the value read from one row: :class:`FactView`, the sequence behind
+``store.facts`` and :meth:`TkgStore.facts_of`, builds one only for the
+element read.
+
+The store's one lookup index groups each entity's incident facts into runs,
+one per (entity, relation) pair, each already in ``(t_start, t_end, id)``
+order, and lists each entity's relations in first-fact order.  So
+:meth:`TkgStore.relations_of` reads a slice, and
+:meth:`TkgStore.incident_facts` (behind :func:`facts_filtered` and the
+retrieval anchors) slices the runs it needs and sorts only when two or more
+of them merge.  At 330k facts and 125k entities the index takes ~10 MB of
+``int32`` arrays and ~0.1 s to build (two radix sorts).
+
 The five-field text form has one codec: :func:`load_tkg` and
 :meth:`TkgStore.fact_from_label` parse it with the same checks, and
 :meth:`TkgStore.fact_label` writes it.
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -49,10 +59,12 @@ class Vocabulary:
 
     def __init__(self, name: str, labels: Iterable[str] = ()) -> None:
         self.name = name
-        self._ids: dict[str, int] = {}
-        self._labels: list[str] = []
-        for label in labels:
-            self.add(label)
+        self._labels: list[str] = list(labels)
+        self._ids: dict[str, int] = dict(zip(self._labels, range(len(self._labels))))
+        if len(self._ids) != len(self._labels):
+            seen: set[str] = set()
+            repeat = next(label for label in self._labels if label in seen or seen.add(label))
+            raise StoreError(f"duplicate {name} label: {repeat!r}")
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -246,6 +258,18 @@ def member_mask(values: np.ndarray, wanted: Iterable[int]) -> np.ndarray:
     return mask
 
 
+def _radix_lexsort(*keys: np.ndarray) -> np.ndarray:
+    """``np.lexsort(keys)`` of non-negative integer keys, the last one
+    primary, as ``int32`` positions.  Each key takes one stable pass per 16
+    bits of its largest value, and numpy sorts 16-bit digits in linear
+    time: ~3x faster than ``np.lexsort``'s merge sorts here."""
+    order = np.arange(len(keys[0]), dtype=np.int32)
+    for key in keys:
+        for shift in range(0, int(key.max(initial=0)).bit_length(), 16):
+            order = order[np.argsort((key >> shift).astype(np.uint16)[order], kind="stable")]
+    return order
+
+
 class FactView(Sequence[Quadruple]):
     """Read-only sequence of the store's facts with ids ``ids``, in that order.
 
@@ -283,15 +307,24 @@ class FactView(Sequence[Quadruple]):
 
 
 class TkgStore:
-    """Immutable fact store: one ``int32`` column per fact field and a
-    per-entity CSR index.
+    """Immutable fact store: one ``int32`` column per fact field and an
+    (entity, relation) run index.
 
     ``facts`` is an ``(n, 5)`` id array or a sequence of quadruples; every
     row is checked here.  ``subject``, ``relation``, ``object``, ``t_start``
     and ``t_end`` are read-only columns indexed by fact id, and ``facts``
-    is the :class:`FactView` of all of them.  The facts incident to entity
-    ``e`` (as subject or object, a self-loop once) are
-    ``_rows[_offsets[e]:_offsets[e + 1]]``, in ascending fact id.
+    is the :class:`FactView` of all of them.
+
+    Each fact is an entry of its subject and, unless it is a self-loop, of
+    its object.  The run index keeps the entries sorted by ``(entity,
+    relation, t_start, t_end, fact id)`` as time ranks: ``_by_time`` lists
+    the fact ids in ``(t_start, t_end, id)`` order, and an entry holds its
+    fact's position there.  Run ``r``, the entries of one (entity, relation)
+    pair, is ``_run_ranks[_run_start[r]:_run_start[r + 1]]``, ascending,
+    under relation ``_run_relation[r]``.  Entity ``e`` owns runs
+    ``_entity_runs[e]:_entity_runs[e + 1]``, by ascending relation, and the
+    same range of ``_entity_relations`` lists those relations in order of
+    their first fact id.
     """
 
     def __init__(self, entities: Vocabulary, relations: Vocabulary, times: Vocabulary,
@@ -305,19 +338,43 @@ class TkgStore:
         n = self._columns.shape[1]
         self.facts = FactView(self._columns, np.arange(n, dtype=np.int32))
         self._check_rows()
+        self._index_runs()
 
-        # Each fact contributes its subject and, unless it is a self-loop, its
-        # object.  Interleaved per fact, a stable sort by entity keeps every
-        # entity's facts in id order.
-        ends = np.stack((self.subject, self.object), axis=1).ravel()
-        fact_of = np.repeat(np.arange(n, dtype=np.int32), 2)
+    def _index_runs(self) -> None:
+        """Build the run index from two stable sorts: the facts by time
+        (ties keep the id order), then their entries, taken in time order,
+        by entity and relation."""
+        n, n_entities = self._columns.shape[1], len(self.entities)
+        self._by_time = _radix_lexsort(self.t_start * np.int64(len(self.times)) + self.t_end)
+        entity = np.empty(2 * n, dtype=np.int32)
+        entity[0::2], entity[1::2] = self.subject[self._by_time], self.object[self._by_time]
         keep = np.ones(2 * n, dtype=bool)
-        keep[1::2] = self.object != self.subject
-        ends, fact_of = ends[keep], fact_of[keep]
-        self._rows = fact_of[np.argsort(ends, kind="stable")]
-        self._offsets = np.zeros(len(entities) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=len(entities)), out=self._offsets[1:])
-        self._rows.flags.writeable = False
+        keep[1::2] = entity[1::2] != entity[0::2]
+        entity = entity[keep]
+        rank = np.repeat(np.arange(n, dtype=np.int32), 2)[keep]
+        order = _radix_lexsort(self.relation[self._by_time[rank]], entity)
+        entity, rank = entity[order], rank[order]
+        del order  # keeps the build's peak memory below the file parse's
+        relation = self.relation[self._by_time[rank]]
+        # A run starts where the (entity, relation) pair changes; one more
+        # boundary closes the last run.
+        bounds = np.ones(len(rank) + 1, dtype=bool)
+        bounds[1:-1] = (entity[1:] != entity[:-1]) | (relation[1:] != relation[:-1])
+        self._run_start = np.flatnonzero(bounds).astype(np.int32)
+        starts = self._run_start[:-1]
+        run_entity = entity[starts]
+        self._run_ranks = rank
+        self._run_relation = relation[starts]
+        self._entity_runs = np.zeros(n_entities + 1, dtype=np.int32)
+        np.cumsum(np.bincount(run_entity, minlength=n_entities), out=self._entity_runs[1:])
+        # np.minimum.reduceat rejects an empty index array.
+        first_fact = (np.minimum.reduceat(self._by_time[rank], starts) if len(starts)
+                      else starts)
+        by_first = np.argsort(run_entity * np.int64(n) + first_fact)  # distinct keys
+        self._entity_relations = self._run_relation[by_first]
+        for index in (self._by_time, self._run_ranks, self._run_start, self._run_relation,
+                      self._entity_runs, self._entity_relations):
+            index.flags.writeable = False
 
     def _check_rows(self) -> None:
         """Reject the first fact with a negative id, a backwards interval or
@@ -339,23 +396,46 @@ class TkgStore:
 
     # -- lookups ---------------------------------------------------------
 
-    def fact_ids_by_entity(self, entity: int) -> np.ndarray:
-        """Ids of the facts incident to ``entity``, ascending; a read-only
-        view into the index, empty for an unknown entity."""
-        if not 0 <= entity < len(self._offsets) - 1:
-            return _NO_FACTS
-        return self._rows[self._offsets[entity]:self._offsets[entity + 1]]
-
-    def incident_fact_ids(self, entities: Iterable[int]) -> np.ndarray:
-        """Ids of the facts incident to any of ``entities``, each once, ascending."""
-        parts = [self.fact_ids_by_entity(e) for e in set(entities)]
+    def relations_of(self, entities: Iterable[int]) -> list[int]:
+        """Relations of the facts incident to any of ``entities``, each once,
+        in first-occurrence order: entity by entity as given, and each
+        entity's relations in order of their first fact id.  An id outside
+        the entity vocabulary has no facts."""
+        bounds = self._entity_runs
+        parts = [self._entity_relations[bounds[e]:bounds[e + 1]].tolist()
+                 for e in entities if 0 <= e < len(bounds) - 1]
         if len(parts) == 1:
             return parts[0]
-        if not parts:
-            return _NO_FACTS
+        return list(dict.fromkeys(relation for part in parts for relation in part))
+
+    def incident_facts(self, entities: Iterable[int], relations: Iterable[int]) -> np.ndarray:
+        """Ids of the facts incident to any of ``entities`` under any of
+        ``relations``, each once, in ``(t_start, t_end, id)`` order.  Ids
+        outside the vocabularies have no facts.
+
+        Each (entity, relation) run is in that order already, so only two or
+        more runs are merged: sorted, and rid of the facts that link two of
+        ``entities`` and so sit in two runs.
+        """
+        wanted = set(relations)
+        runs = []
+        for entity in set(entities):
+            if not 0 <= entity < len(self._entity_runs) - 1:
+                continue
+            low, high = self._entity_runs[entity:entity + 2].tolist()
+            held = self._run_relation[low:high].tolist()
+            for relation in wanted:
+                run = bisect_left(held, relation)
+                if run < len(held) and held[run] == relation:
+                    start, stop = self._run_start[low + run:low + run + 2].tolist()
+                    runs.append(self._run_ranks[start:stop])
+        if len(runs) < 2:
+            return self._by_time[runs[0] if runs else _NO_FACTS]
         # Sort and drop repeats by hand: ``np.unique`` hashes, ~30x slower here.
-        ids = np.sort(np.concatenate(parts))
-        return ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+        ranks = np.sort(np.concatenate(runs))
+        keep = np.ones(len(ranks), dtype=bool)
+        keep[1:] = ranks[1:] != ranks[:-1]
+        return self._by_time[ranks[keep]]
 
     def facts_of(self, fact_ids: Sequence[int] | np.ndarray) -> FactView:
         """The facts of ``fact_ids``, in that order."""
@@ -434,8 +514,13 @@ def load_tkg(path: str | Path) -> TkgStore:
     chronological[[year_ids[y] for y in years]] = np.arange(len(years))
     facts = np.frombuffer(rows, dtype=np.int32).reshape(-1, 5)
     facts[:, 3:] = chronological[facts[:, 3:]]
-    return TkgStore(Vocabulary("entity", entity_ids), Vocabulary("relation", relation_ids),
-                    Vocabulary("time", map(str, years)), facts)
+    # The store's own column layout, so that it keeps this copy; the parsed
+    # rows and the label dicts are dropped before the store builds its index.
+    columns = np.ascontiguousarray(facts.T)
+    vocabularies = (Vocabulary("entity", entity_ids), Vocabulary("relation", relation_ids),
+                    Vocabulary("time", map(str, years)))
+    del facts, rows, entity_ids, relation_ids
+    return TkgStore(*vocabularies, columns.T)
 
 
 def _require_verbatim(label: str, text: str, uid: str) -> None:
@@ -494,9 +579,5 @@ def facts_filtered(
 
     Returned sorted ascending by ``(t_start, t_end, insertion order)``.
     """
-    ids = store.incident_fact_ids(entities)
-    ids = ids[member_mask(store.relation[ids], relations)]
-    t_start, t_end = store.t_start[ids], store.t_end[ids]
-    kept = constraint.satisfied(t_start, t_end)
-    ids, t_start, t_end = ids[kept], t_start[kept], t_end[kept]
-    return store.facts_of(ids[np.lexsort((ids, t_end, t_start))])
+    ids = store.incident_facts(entities, relations)
+    return store.facts_of(ids[constraint.satisfied(store.t_start[ids], store.t_end[ids])])

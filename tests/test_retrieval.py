@@ -223,9 +223,9 @@ class TestAnchorFacts:
         first = anchors[0]
         assert tiny_store.entities.label(first.subject) == "dan"
         assert tiny_store.entities.label(first.object) == "ada"
-        assert len(anchors) == len(tiny_store.fact_ids_by_entity(
-            tiny_store.entities.id("dan"))) + len(tiny_store.fact_ids_by_entity(
-            tiny_store.entities.id("ada"))) - 1
+        by_entity = looped_index(tiny_store)
+        assert len(anchors) == len(by_entity[tiny_store.entities.id("dan")]) + len(
+            by_entity[tiny_store.entities.id("ada")]) - 1
 
     def test_groups_sorted_by_interval_then_insertion(self, tiny_store):
         question = make_question(tiny_store, "ben?", ["ben"])
@@ -355,6 +355,13 @@ class TestRetrieveSubgraph:
                                      TemporalConstraint.none(), 1)
         assert len(subgraph.facts) == 1
         assert subgraph.facts[0].t_start == tiny_store.times.id("1990")
+        assert not subgraph.fallback_relation and not subgraph.fallback_time
+
+    def test_fallback_flags_recorded_as_given(self, tiny_store):
+        question = make_question(tiny_store, "ben?", ["ben"])
+        subgraph = retrieve_subgraph(tiny_store, question, [0], TemporalConstraint.none(), 1,
+                                     fallback_relation=True, fallback_time=False)
+        assert subgraph.fallback_relation and not subgraph.fallback_time
 
     def test_constraint_restricts_facts(self, tiny_store):
         question = make_question(tiny_store, "ben?", ["ben"])
@@ -429,6 +436,23 @@ class TestRetrieveQuestion:
                                      top_k=1, max_facts=10)
         assert [tiny_store.relations.label(r) for r in subgraph.relations] == ["advises"]
         assert not subgraph.fallback_relation
+
+    def test_fallback_flags_set_by_the_one_retrieve_subgraph_call(self, tiny_store,
+                                                                  monkeypatch):
+        question = make_question(tiny_store, "who leads the lab after ada?",
+                                 ["ada", "lab"], QuestionType.BEFORE_AFTER)
+        built = []
+        original = retrieval.retrieve_subgraph
+
+        def recorded(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(retrieval, "retrieve_subgraph", recorded)
+        subgraph = retrieve_question(tiny_store, question, MockLlmClient(default="nonsense"),
+                                     top_k=1, max_facts=10)
+        assert subgraph.fallback_relation and subgraph.fallback_time
+        assert len(built) == 1 and built[0] is subgraph
 
 
 def eager_rule_time(store, question, anchors):
@@ -721,10 +745,42 @@ class TestColumnarScansMatchLoops:
         assert any(f.subject == f.object for f in store.facts)
         assert all(N_ENTITIES + g not in by_entity for g in range(N_GHOSTS))
 
-    def test_entity_index(self, world):
+    def test_runs_match_the_looped_index(self, world):
+        """Every (entity, relation) run holds the entity's facts under that
+        relation, in (t_start, t_end, id) order."""
         store, by_entity, _ = world
         for entity in range(len(store.entities)):
-            assert store.fact_ids_by_entity(entity).tolist() == by_entity.get(entity, [])
+            for relation in range(N_RELATIONS):
+                expected = sorted((i for i in by_entity.get(entity, ())
+                                   if store.facts[i].relation == relation),
+                                  key=looped_sort_key(store))
+                assert store.incident_facts([entity], [relation]).tolist() == expected
+
+    def test_runs_cover_both_roles_and_a_self_loop_once(self, world):
+        store, by_entity, _ = world
+        for entity in range(len(store.entities)):
+            ids = store.incident_facts([entity], range(N_RELATIONS)).tolist()
+            assert sorted(ids) == by_entity.get(entity, [])
+            assert len(ids) == len(set(ids))
+            assert sorted(ids, key=looped_sort_key(store)) == ids
+
+    def test_index_is_read_only(self, world):
+        store, _, _ = world
+        arrays = [value for name, value in vars(store).items()
+                  if name.startswith(("_run", "_entity", "_by_time"))]
+        assert len(arrays) == 6
+        for array in arrays:
+            assert isinstance(array, np.ndarray) and not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+
+    def test_entity_relations_in_first_fact_order(self, world):
+        store, by_entity, _ = world
+        for entity in range(len(store.entities)):
+            question = Question("q", "which relation?", (entity,), (),
+                                QuestionType.SIMPLE_ENTITY, AnswerType.ENTITY, frozenset({0}))
+            assert (candidate_relations(store, question)
+                    == looped_candidate_relations(store, by_entity, question))
 
     def test_candidate_relations(self, world):
         store, by_entity, rng = world
@@ -762,6 +818,49 @@ class TestColumnarScansMatchLoops:
             linked += sum(f.subject in question.entities and f.object in question.entities
                           for f in anchors)
         assert linked > 0
+
+
+class TestRunIndexEdges:
+    def question(self, *entities):
+        return Question("q", "which relation?", entities, (), QuestionType.SIMPLE_ENTITY,
+                        AnswerType.ENTITY, frozenset({0}))
+
+    @pytest.mark.parametrize("entities", [
+        (0, 0), (1, N_ENTITIES, 1), (N_ENTITIES,), (N_ENTITIES + N_GHOSTS,), (-1,),
+        (2, N_ENTITIES + N_GHOSTS, 0, -1, 2),
+    ], ids=["repeated", "ghost", "ghost-only", "past-the-end", "negative", "mixed"])
+    def test_repeated_ghost_and_out_of_range_ids(self, entities):
+        store = zipf_store(0)
+        by_entity = looped_index(store)
+        question = self.question(*entities)
+        relations = list(range(N_RELATIONS))
+        assert (candidate_relations(store, question)
+                == looped_candidate_relations(store, by_entity, question))
+        assert (anchor_facts(store, question, relations)
+                == looped_anchor_facts(store, by_entity, question, relations))
+        assert (facts_filtered(store, entities, relations, TemporalConstraint.none())
+                == looped_facts_filtered(store, by_entity, entities, relations,
+                                         TemporalConstraint.none()))
+
+    @pytest.mark.parametrize("entity", [N_ENTITIES + N_GHOSTS, -1])
+    def test_out_of_range_id_gives_nothing(self, entity):
+        store = zipf_store(0)
+        question = self.question(entity)
+        assert candidate_relations(store, question) == []
+        assert len(anchor_facts(store, question, range(N_RELATIONS))) == 0
+        assert len(facts_filtered(store, (entity,), range(N_RELATIONS),
+                                  TemporalConstraint.none())) == 0
+
+    def test_single_entity_self_loop_anchors_first(self):
+        store = build_store([
+            ("a", "r", "b", 1990, 1990),
+            ("c", "r", "a", 1991, 1992),
+            ("a", "r", "a", 1995, 1999),
+            ("a", "r", "c", 1989, 1993),
+        ])
+        anchors = anchor_facts(store, make_question(store, "a?", ["a"]), [0])
+        assert [(f.subject, f.object) for f in anchors] == [(0, 0), (0, 2), (0, 1), (2, 0)]
+        assert [store.year(f.t_start) for f in anchors] == [1995, 1989, 1990, 1991]
 
 
 class TestQuadruplesBuiltOnRead:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tempkgqa.retrieval import anchor_facts, candidate_relations
 from tempkgqa.store import (
     ANCHORED_TYPES,
     AnswerType,
@@ -39,6 +40,12 @@ class TestVocabulary:
         vocab = Vocabulary("relation", ["x"])
         with pytest.raises(StoreError, match="duplicate"):
             vocab.add("x")
+
+    def test_constructor_names_the_first_repeat(self):
+        with pytest.raises(StoreError, match=r"^duplicate entity label: 'b'$"):
+            Vocabulary("entity", ["a", "b", "c", "b", "a"])
+        with pytest.raises(StoreError, match=r"^duplicate time label: '1990'$"):
+            Vocabulary("time", iter(["1990", "1990"]))
 
     def test_label_roundtrip_and_bounds(self):
         vocab = Vocabulary("time", ["1990", "1991"])
@@ -92,7 +99,15 @@ class TestStoreBoundary:
     def test_empty_store(self):
         store = two_entity_store([])
         assert len(store.facts) == 0
-        assert store.fact_ids_by_entity(0).tolist() == []
+        assert store.subject.tolist() == store.object.tolist() == []
+
+    def test_empty_store_lookups_find_nothing(self):
+        store = two_entity_store([])
+        question = Question("q", "a?", (0, 1), (), QuestionType.SIMPLE_ENTITY,
+                            AnswerType.ENTITY, frozenset({0}))
+        assert candidate_relations(store, question) == []
+        assert len(anchor_facts(store, question, [0])) == 0
+        assert len(facts_filtered(store, (0, 1), [0], TemporalConstraint.none())) == 0
 
     def test_holds_no_per_fact_python_object(self, desk_store):
         for value in vars(desk_store).values():
@@ -206,29 +221,6 @@ class TestFactFile:
 
 
 class TestStoreIndexes:
-    def test_facts_by_entity_covers_both_roles(self, tiny_store):
-        ada = tiny_store.entities.id("ada")
-        facts = tiny_store.facts_of(tiny_store.fact_ids_by_entity(ada))
-        subjects = {tiny_store.entities.label(f.subject) for f in facts}
-        objects = {tiny_store.entities.label(f.object) for f in facts}
-        assert "ada" in subjects and "ada" in objects
-
-    def test_self_loop_indexed_once(self):
-        store = build_store([("a", "r", "a", 1990, 1990)])
-        assert store.fact_ids_by_entity(0) == (0,)
-
-    def test_fact_ids_by_entity_returns_the_index_without_copying(self, tiny_store):
-        ada = tiny_store.entities.id("ada")
-        first = tiny_store.fact_ids_by_entity(ada)
-        second = tiny_store.fact_ids_by_entity(ada)
-        assert np.shares_memory(first, second)
-        assert not first.flags.writeable
-        assert first.tolist() == [
-            i for i, f in enumerate(tiny_store.facts) if ada in (f.subject, f.object)
-        ]
-        assert tiny_store.fact_ids_by_entity(len(tiny_store.entities)).tolist() == []
-        assert tiny_store.fact_ids_by_entity(-1).tolist() == []
-
     def test_out_of_range_ids_rejected(self):
         entities = Vocabulary("entity", ["a"])
         relations = Vocabulary("relation", ["r"])
