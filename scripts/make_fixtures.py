@@ -9,6 +9,7 @@ import argparse
 from pathlib import Path
 
 from tempkgqa import synthetic
+from tempkgqa.cli import MAX_FACTS, TOP_K
 from tempkgqa.retrieval import retrieve_question
 from tempkgqa.store import AnswerType, load_questions, load_tkg
 
@@ -20,9 +21,7 @@ def check_supported(directory: Path) -> None:
     for split in ("train", "test"):
         questions += load_questions(directory / f"questions_{split}.jsonl", store)
     for question in questions:
-        subgraph = retrieve_question(
-            store, question, None, top_k=1, max_facts=10, oracle=True
-        )
+        subgraph = retrieve_question(store, question, None, top_k=TOP_K, max_facts=MAX_FACTS)
         if question.atype is AnswerType.TIME:
             covered = {f.t_start for f in subgraph.facts} | {f.t_end for f in subgraph.facts}
         else:

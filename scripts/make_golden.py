@@ -7,6 +7,7 @@ regeneration must leave the tree unchanged.
 
 from pathlib import Path
 
+from tempkgqa.cli import MAX_FACTS, TOP_K
 from tempkgqa.prompts import (
     render_baseline,
     render_instruction,
@@ -43,10 +44,10 @@ def main() -> None:
         render_time_mining(question.text, fact_fields(store, anchors[0]), "after").text,
     )
 
-    subgraph = retrieve_question(store, question, None, top_k=1, max_facts=10, oracle=True)
+    subgraph = retrieve_question(store, question, None, top_k=TOP_K, max_facts=MAX_FACTS)
     train_question = next(q for q in train if q.qtype.value == "simple_entity")
     train_subgraph = retrieve_question(
-        store, train_question, None, top_k=1, max_facts=10, oracle=True
+        store, train_question, None, top_k=TOP_K, max_facts=MAX_FACTS
     )
     answer = "\t".join(
         sorted(store.entities.label(g) for g in train_question.gold)

@@ -5,6 +5,10 @@ through files: checkpoints under ``checkpoint_dir`` and JSON/JSONL dumps
 under ``dump_dir``.  ``e2e`` chains every stage in order.  :func:`main` loads
 the fact file and the questions once per run and hands that world to each
 stage.  All artifacts are deterministic for a fixed config and seed.
+
+``retrieve`` asks the model at ``endpoint`` to rank relations and mine time
+constraints.  Without an endpoint it builds no client, and retrieval runs
+its lexical relation oracle and rule-based time oracle instead.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from . import checkpoint, evaluation, head as head_mod, indicators as ind_mod, t
 from .config import ConfigError, RunConfig, TrainSchedule, load_config
 from .embeddings import init_random, pretrain_base
 from .errors import TempkgqaError
-from .llm import GenerationParams, LlmClient, MockLlmClient, RemoteLlmClient
+from .llm import RemoteLlmClient
 from .prompts import render_instruction
 from .retrieval import (RetrievedSubgraph, retrieve_question, subgraph_from_record,
                         subgraph_record)
@@ -35,6 +39,7 @@ log = logging.getLogger("tempkgqa")
 
 PREDICT_DEPTH = 10
 TOP_K = 1  # relations retrieval keeps per question
+MAX_FACTS = 10  # evidence facts retrieval keeps per question
 
 # artifact names, relative to dump_dir / checkpoint_dir
 KG_SUMMARY = "kg.json"
@@ -149,25 +154,9 @@ def _load_world(cfg: RunConfig) -> World:
             load_questions(cfg.questions_test, store))
 
 
-@dataclasses.dataclass
-class _FixedModel:
-    """Client wrapper pinning the model name from the run config."""
-
-    inner: LlmClient
-    model: str
-
-    def send(self, messages, params: GenerationParams) -> str:
-        return self.inner.send(messages, dataclasses.replace(params, model=self.model))
-
-
-def _client(cfg: RunConfig) -> LlmClient | None:
-    if cfg.oracle:
-        return None
-    if cfg.endpoint:
-        return _FixedModel(RemoteLlmClient(cfg.endpoint), cfg.model)
-    # Offline default: a scriptless mock whose empty replies push every
-    # question onto the deterministic fallback path.
-    return _FixedModel(MockLlmClient(default=""), cfg.model)
+def _client(cfg: RunConfig) -> RemoteLlmClient | None:
+    """The configured endpoint's client, or none for an offline run."""
+    return RemoteLlmClient(cfg.endpoint, model=cfg.model) if cfg.endpoint else None
 
 
 def answer_space(store: TkgStore) -> tuple[str, ...]:
@@ -244,8 +233,7 @@ def stage_retrieve(cfg: RunConfig, world: World) -> None:
     for split, questions in zip(SPLITS, (train, test)):
         records = [
             subgraph_record(store, retrieve_question(
-                store, question, client, top_k=TOP_K, max_facts=cfg.max_facts,
-                oracle=cfg.oracle))
+                store, question, client, top_k=TOP_K, max_facts=MAX_FACTS))
             for question in questions
         ]
         empties = sum(1 for r in records if r["empty"])
@@ -441,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--endpoint", help="chat completion endpoint URL")
     common.add_argument("--model", help="model name sent to the endpoint")
-    common.add_argument("--oracle", action="store_true",
-                        help="replace both LLM stages with deterministic oracles")
     common.add_argument("--dump-dir", help="artifact directory (checkpoints go under it)")
     common.add_argument("-v", "--verbose", action="store_true")
 
@@ -459,8 +445,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    if args.oracle:
-        overrides["oracle"] = True
     if args.dump_dir is not None:
         overrides["dump_dir"] = args.dump_dir
         overrides["checkpoint_dir"] = str(Path(args.dump_dir) / "checkpoints")

@@ -1,11 +1,11 @@
 """Run configuration: one flat dataclass, JSON file loading, CLI overrides,
 and :class:`TrainSchedule`, the schedule of all three training stages.
 
-Defaults: width 512, ten evidence facts, batch eight, and for each of the
-three training stages (base, graph encoder, answer head) four epochs at
-learning rate 3e-4.  A config file's values must have their field's JSON
-type, and its paths are resolved relative to the file's directory so configs
-can ship with fixtures.  Learning rates must be finite.
+Defaults: width 512, batch eight, and for each of the three training stages
+(base, graph encoder, answer head) four epochs at learning rate 3e-4.  A
+config file's values must have their field's JSON type, and its paths are
+resolved relative to the file's directory so configs can ship with fixtures.
+Learning rates must be finite.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class RunConfig:
     seed: int = 0
     d: int = 512
     d_llm: int = 4096
-    max_facts: int = 10
     batch_size: int = 8
     # per-stage training schedules (no step cap when tgnn_max_steps is None)
     base_learning_rate: float = 3e-4
@@ -54,11 +53,10 @@ class RunConfig:
     # llm access
     endpoint: str | None = None
     model: str = "local"
-    oracle: bool = False
 
     def validate(self) -> None:
         problems = []
-        for name in ("d", "d_llm", "max_facts", "batch_size"):
+        for name in ("d", "d_llm", "batch_size"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1")
         for name in ("seed", "base_epochs", "tgnn_epochs", "head_epochs", "tgnn_max_steps"):
@@ -77,7 +75,7 @@ class RunConfig:
 
 
 # JSON value types each annotation accepts; a bool is never an int or float here
-_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
 
 
 def _type_problems(raw: dict) -> list[str]:
@@ -89,7 +87,7 @@ def _type_problems(raw: dict) -> list[str]:
         value = raw.get(f.name)
         if f.name not in raw or (value is None and optional):
             continue
-        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
             expected = f"{kind} or null" if optional else kind
             problems.append(f"config key {f.name!r} must be {expected}, not {json.dumps(value)}")
     return problems

@@ -1,10 +1,11 @@
 """Chat-completion clients: a deterministic scripted mock and an HTTP client.
 
-The whole pipeline talks to a client through ``send(messages, params)``; the
-remote variant is only exercised when an endpoint is configured, everything
-else (tests, the offline oracle path) runs against the mock.  API keys come
-from the ``TEMPKGQA_API_KEY`` environment variable and are only ever placed
-in request headers, never in dumps or logs.
+Retrieval talks to a client through ``send(messages, params)``.  The CLI
+builds a :class:`RemoteLlmClient` only when an endpoint is configured;
+without one it passes no client and retrieval runs its deterministic
+oracles.  The mock scripts replies for tests.  API keys come from the
+``TEMPKGQA_API_KEY`` environment variable and are only ever placed in
+request headers, never in dumps or logs.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class TransportError(TempkgqaError, RuntimeError):
 
 @dataclass(frozen=True)
 class GenerationParams:
-    model: str = "local"
     temperature: float = 0.0
     max_tokens: int = 256
 
@@ -85,8 +85,9 @@ class MockLlmClient:
 class RemoteLlmClient:
     """Minimal chat-completions HTTP client with bounded retries.
 
-    Transient failures (connection errors, timeouts, 429/5xx) are retried
-    with exponential backoff; anything else surfaces immediately as
+    ``model`` is the model name sent in every request body.  Transient
+    failures (connection errors, timeouts, 429/5xx) are retried with
+    exponential backoff; anything else surfaces immediately as
     :class:`TransportError` with the status code attached.
     """
 
@@ -94,6 +95,7 @@ class RemoteLlmClient:
         self,
         endpoint: str,
         *,
+        model: str = "local",
         api_key: str | None = None,
         timeout: float = 30.0,
         max_retries: int = 3,
@@ -101,6 +103,7 @@ class RemoteLlmClient:
         session: requests.Session | None = None,
     ) -> None:
         self.endpoint = endpoint
+        self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout = timeout
         self.max_retries = max_retries
@@ -115,7 +118,7 @@ class RemoteLlmClient:
 
     def send(self, messages: Sequence[Message], params: GenerationParams) -> str:
         body = {
-            "model": params.model,
+            "model": self.model,
             "messages": [dict(m) for m in messages],
             "temperature": params.temperature,
             "max_tokens": params.max_tokens,

@@ -72,21 +72,6 @@ class Vocabulary:
     def __contains__(self, label: str) -> bool:
         return label in self._ids
 
-    def intern(self, label: str) -> int:
-        """Return the id for ``label``, assigning the next free id if new."""
-        idx = self._ids.get(label)
-        if idx is None:
-            idx = len(self._labels)
-            self._ids[label] = idx
-            self._labels.append(label)
-        return idx
-
-    def add(self, label: str) -> int:
-        """Insert a label that must not be present yet."""
-        if label in self._ids:
-            raise StoreError(f"duplicate {self.name} label: {label!r}")
-        return self.intern(label)
-
     def id(self, label: str) -> int:
         try:
             return self._ids[label]
@@ -486,6 +471,15 @@ def _parse_fact_line(line: str) -> tuple[str, str, str, int, int]:
     return subject, relation, obj, start, end
 
 
+def _read_utf8(path: str | Path) -> str:
+    """The file's text; :func:`load_tkg` splits it without binding it, so it
+    is freed before the parse."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StoreError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_tkg(path: str | Path) -> TkgStore:
     """Build a store from a ``subject|relation|object|start|end`` fact file.
 
@@ -497,7 +491,7 @@ def load_tkg(path: str | Path) -> TkgStore:
     relation_ids: dict[str, int] = {}
     year_ids: dict[int, int] = {}  # in first appearance until the renumbering
     rows = array("i")
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_utf8(path).splitlines(), 1):
         try:
             subject, relation, obj, start, end = _parse_fact_line(line)
         except StoreError as exc:
@@ -523,24 +517,36 @@ def load_tkg(path: str | Path) -> TkgStore:
     return TkgStore(*vocabularies, columns.T)
 
 
-def _require_verbatim(label: str, text: str, uid: str) -> None:
-    if label.lower() not in text.lower():
+def _require_verbatim(label: str, lowered_text: str, uid: str) -> None:
+    if label.lower() not in lowered_text:
         raise StoreError(f"question {uid!r}: annotation {label!r} not present in text")
 
 
 def load_questions(path: str | Path, store: TkgStore) -> list[Question]:
-    """Load one JSON record per line and resolve all labels against ``store``."""
+    """Load one JSON object per line and resolve all labels against ``store``.
+
+    A line ends only at a line feed, a carriage return or both, so a
+    question's text may hold any other Unicode line separator."""
     questions: list[Question] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         try:
-            record = json.loads(line)
+            record = json.loads(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"{path}, line {lineno}: not UTF-8 text ({exc.reason} "
+                             f"at byte {exc.start})") from None
         except json.JSONDecodeError as exc:
             raise StoreError(f"line {lineno}: not a valid record ({exc.msg})") from None
+        if not isinstance(record, dict):
+            raise StoreError(f"line {lineno}: record is not a JSON object")
         missing = [k for k in QUESTION_KEYS if k not in record]
         if missing:
             raise StoreError(f"line {lineno}: missing keys {missing}")
+        for key in ("entities", "times", "answers"):
+            if not isinstance(record[key], list):
+                raise StoreError(f"line {lineno}: {key!r} must be a list")
         uid = str(record["uid"])
         text = str(record["text"])
+        lowered_text = text.lower()
         try:
             qtype = QuestionType(record["qtype"])
             atype = AnswerType(record["atype"])
@@ -549,13 +555,13 @@ def load_questions(path: str | Path, store: TkgStore) -> list[Question]:
 
         entity_ids = []
         for label in record["entities"]:
-            _require_verbatim(str(label), text, uid)
+            _require_verbatim(str(label), lowered_text, uid)
             entity_ids.append(store.entities.id(str(label)))
         if not entity_ids:
             raise StoreError(f"line {lineno}: question {uid!r} has no annotated entities")
         time_ids = []
         for year in record["times"]:
-            _require_verbatim(str(year), text, uid)
+            _require_verbatim(str(year), lowered_text, uid)
             time_ids.append(store.times.id(str(year)))
 
         answer_vocab = store.entities if atype is AnswerType.ENTITY else store.times

@@ -28,7 +28,6 @@ from .store import (
     Quadruple,
     TkgStore,
     Vocabulary,
-    load_tkg,
 )
 
 FactLine = tuple[str, str, str, int, int]
@@ -110,14 +109,6 @@ def write_patterned_tkg(directory: str | Path, fixture: PatternedTkg) -> None:
     (directory / "split.json").write_text(
         json.dumps({"heldout": fixture.heldout}) + "\n", encoding="utf-8"
     )
-
-
-def read_patterned_tkg(directory: str | Path) -> tuple[TkgStore, PatternedTkg]:
-    directory = Path(directory)
-    lines = (directory / "facts.txt").read_text(encoding="utf-8").splitlines()
-    split = json.loads((directory / "split.json").read_text(encoding="utf-8"))
-    fixture = PatternedTkg(lines, list(split["heldout"]))
-    return load_tkg(directory / "facts.txt"), fixture
 
 
 # ---------------------------------------------------------------------------

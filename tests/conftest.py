@@ -42,20 +42,15 @@ def pretrain_world(tmp_path_factory):
 def build_store(facts: list[tuple[str, str, str, int, int]]) -> TkgStore:
     """Tiny in-memory store from label-level fact tuples."""
     years = sorted({y for f in facts for y in (f[3], f[4])})
-    entities = Vocabulary("entity")
-    relations = Vocabulary("relation")
+    # entity and relation ids in first appearance, as load_tkg assigns them
+    entities = Vocabulary("entity", dict.fromkeys(e for f in facts for e in (f[0], f[2])))
+    relations = Vocabulary("relation", dict.fromkeys(f[1] for f in facts))
     times = Vocabulary("time", (str(y) for y in years))
-    quads = []
-    for subject, relation, obj, start, end in facts:
-        quads.append(
-            Quadruple(
-                entities.intern(subject),
-                relations.intern(relation),
-                entities.intern(obj),
-                times.id(str(start)),
-                times.id(str(end)),
-            )
-        )
+    quads = [
+        Quadruple(entities.id(subject), relations.id(relation), entities.id(obj),
+                  times.id(str(start)), times.id(str(end)))
+        for subject, relation, obj, start, end in facts
+    ]
     return TkgStore(entities, relations, times, quads)
 
 

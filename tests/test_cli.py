@@ -29,12 +29,10 @@ def fast_config(tmp_path, **extra):
         "seed": 0,
         "d": 8,
         "d_llm": 16,
-        "max_facts": 10,
         "base_epochs": 2,
         "tgnn_epochs": 1,
         "head_epochs": 2,
         "batch_size": 16,
-        "oracle": True,
     }
     payload.update(extra)
     path = tmp_path / "run.json"
@@ -390,8 +388,9 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("key, value", [
         ("d", "32"), ("batch_size", None), ("d", 32.5), ("seed", "0"), ("tkg_path", 5),
-        # an int key takes no bool, and only a key whose default is None takes null
-        ("d", True), ("oracle", 1), ("head_learning_rate", "0.1"), ("model", None),
+        # an int or float key takes no bool, and only a key whose default is None takes null
+        ("d", True), ("head_learning_rate", True), ("head_learning_rate", "0.1"),
+        ("model", None),
         ("tgnn_epochs", None), ("dump_dir", ["out"]),
     ])
     def test_config_value_of_wrong_type_returns_2(self, tmp_path, caplog, key, value):
@@ -423,18 +422,44 @@ class TestErrorHandling:
         config = fast_config(tmp_path, tkg_path=str(tmp_path / "nowhere.txt"))
         assert main(["build-kg", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: b"5", "line 3: record is not a JSON object"),
+        (lambda line: json.dumps(list(json.loads(line))).encode(),
+         "line 3: record is not a JSON object"),
+        (lambda line: json.dumps({**json.loads(line), "answers": 5}).encode(),
+         "line 3: 'answers' must be a list"),
+        (lambda line: b"\xff" + line, "line 3: not UTF-8 text"),
+    ], ids=["number", "list-of-keys", "answers-number", "not-utf8"])
+    def test_malformed_question_file_returns_2(self, tmp_path, caplog, edit, message):
+        lines = (DESK / "questions_test.jsonl").read_bytes().splitlines()
+        lines[2] = edit(lines[2])
+        path = tmp_path / "questions.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        config = fast_config(tmp_path, questions_test=str(path))
+        assert main(["build-kg", "--config", str(config)]) == 2
+        assert message in caplog.text
+
+    def test_fact_file_that_is_not_utf8_returns_2(self, tmp_path, caplog):
+        lines = (DESK / "facts.txt").read_bytes().splitlines()
+        lines[2] = b"\xff" + lines[2]
+        path = tmp_path / "facts.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        config = fast_config(tmp_path, tkg_path=str(path))
+        assert main(["build-kg", "--config", str(config)]) == 2
+        assert f"{path}: not UTF-8 text" in caplog.text
+
     def test_failing_endpoint_returns_2_naming_the_question(
         self, tmp_path, caplog, monkeypatch
     ):
         class DownClient:
-            def __init__(self, endpoint):
+            def __init__(self, endpoint, model):
                 pass
 
             def send(self, messages, params):
                 raise TransportError("connection refused", attempts=3)
 
         monkeypatch.setattr(cli, "RemoteLlmClient", DownClient)
-        config = fast_config(tmp_path, oracle=False, endpoint="http://localhost:9/v1")
+        config = fast_config(tmp_path, endpoint="http://localhost:9/v1")
         assert main(["retrieve", "--config", str(config)]) == 2
         first = read_jsonl(DESK / "questions_train.jsonl")[0]["uid"]
         assert f"question {first!r}" in caplog.text
@@ -458,9 +483,59 @@ class TestErrorHandling:
         assert caught.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_removed_oracle_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["e2e", "--oracle"])
+        assert caught.value.code == 2
+        assert "--oracle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("oracle", True), ("max_facts", 10)])
+    def test_removed_setting_returns_2(self, tmp_path, caplog, key, value):
+        config = fast_config(tmp_path, **{key: value})
+        assert main(["build-kg", "--config", str(config)]) == 2
+        assert f"{config}: unknown config keys [{key!r}]" in caplog.text
+
     def test_config_echo_logged(self, tmp_path, caplog):
         config = fast_config(tmp_path)
         with caplog.at_level("INFO"):
             main(["build-kg", "--config", str(config)])
         assert "resolved config" in caplog.text
         assert '"d": 8' in caplog.text
+
+
+class TestClient:
+    def test_no_endpoint_builds_no_client(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an offline run built a client")
+
+        monkeypatch.setattr(cli, "RemoteLlmClient", refuse)
+        monkeypatch.setattr(llm, "MockLlmClient", refuse)
+        config = fast_config(tmp_path)
+        assert main(["retrieve", "--config", str(config)]) == 0
+        for split in cli.SPLITS:
+            records = read_jsonl(tmp_path / "dumps" / f"subgraphs_{split}.jsonl")
+            assert len(records) == 76
+            for record in records:
+                assert record["fallback_relation"] is False, record["uid"]
+                assert record["fallback_time"] is False, record["uid"]
+
+    def test_endpoint_receives_the_configured_model(self, tmp_path, monkeypatch):
+        posts = []
+
+        class Reply:
+            status_code = 200
+
+            def json(self):
+                return {"choices": [{"message": {"content": "[]"}}]}
+
+        class FakeSession:
+            def post(self, url, json, headers, timeout):
+                posts.append((url, json))
+                return Reply()
+
+        monkeypatch.setattr(llm.requests, "Session", FakeSession)
+        config = fast_config(tmp_path, endpoint="http://localhost:9/v1", model="m-test")
+        assert main(["retrieve", "--config", str(config)]) == 0
+        assert posts
+        assert {url for url, _ in posts} == {"http://localhost:9/v1"}
+        assert {body["model"] for _, body in posts} == {"m-test"}

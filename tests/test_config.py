@@ -22,19 +22,17 @@ class TestRunConfig:
         config.validate()
         assert config.d == 512
         assert config.d_llm == 4096
-        assert config.max_facts == 10
-        assert config.oracle is False
         for stage in ("base", "tgnn", "head"):
             assert getattr(config, f"{stage}_learning_rate") == 3e-4
             assert getattr(config, f"{stage}_epochs") == 4
         assert config.tgnn_max_steps is None
-        assert len(dataclasses.fields(config)) == 20
+        assert len(dataclasses.fields(config)) == 18
 
     @pytest.mark.parametrize(
         "kwargs, fragment",
         [
             ({"d": 0}, "d must be"),
-            ({"max_facts": 0}, "max_facts"),
+            ({"batch_size": 0}, "batch_size must be >= 1"),
             ({"head_epochs": -1}, "epochs"),
             ({"base_learning_rate": -0.5}, "learning_rate"),
             ({"seed": -1}, "seed must be >= 0"),
@@ -58,11 +56,11 @@ class TestRunConfig:
 
 class TestLoadConfig:
     def test_reads_values(self, tmp_path):
-        path = write_config(tmp_path, {"seed": 9, "d": 16, "oracle": True})
+        path = write_config(tmp_path, {"seed": 9, "d": 16, "model": "m"})
         config = load_config(path)
         assert config.seed == 9
         assert config.d == 16
-        assert config.oracle is True
+        assert config.model == "m"
 
     def test_relative_paths_anchor_at_config_dir(self, tmp_path):
         nested = tmp_path / "configs"
@@ -82,15 +80,15 @@ class TestLoadConfig:
         path = write_config(tmp_path, {"seeed": 1, "depth": 2, "pooling": "mean",
                                        "time_mode": "start", "epochs": 4,
                                        "learning_rate": 3e-4, "cap_edges": 64, "layers": 1,
-                                       "top_k": 1, "jobs": 1})
+                                       "top_k": 1, "jobs": 1, "oracle": True, "max_facts": 10})
         names = ("['cap_edges', 'depth', 'epochs', 'jobs', 'layers', 'learning_rate', "
-                 "'pooling', 'seeed', 'time_mode', 'top_k']")
+                 "'max_facts', 'oracle', 'pooling', 'seeed', 'time_mode', 'top_k']")
         with pytest.raises(ConfigError, match=f"unknown config keys {re.escape(names)}"):
             load_config(path)
 
     def test_value_types_that_are_accepted(self, tmp_path):
         path = write_config(tmp_path, {"head_learning_rate": 1, "tgnn_max_steps": None,
-                                       "endpoint": None, "oracle": False})
+                                       "endpoint": None})
         config = load_config(path)
         assert config.head_learning_rate == 1
         assert config.tgnn_max_steps is None and config.endpoint is None
@@ -198,11 +196,6 @@ class TestCliOverrides:
                                            "--seed", "42", "--model", "m-new"))
         assert config.seed == 42
         assert config.model == "m-new"
-
-    def test_oracle_flag_sets_oracle(self, tmp_path):
-        path = write_config(tmp_path, {"oracle": False})
-        config = resolve_config(self.parse("--config", str(path), "--oracle"))
-        assert config.oracle is True
 
     def test_absent_flags_keep_config_values(self, tmp_path):
         path = write_config(tmp_path, {"seed": 7, "model": "m-config"})

@@ -93,7 +93,7 @@ class TestMockClient:
 
     def test_calls_are_recorded(self):
         client = MockLlmClient(default="x")
-        params = GenerationParams(model="m", temperature=0.5)
+        params = GenerationParams(temperature=0.5)
         client.send(MESSAGES, params)
         assert client.calls == [(message_key(MESSAGES), params)]
 
@@ -105,9 +105,9 @@ class TestMockClient:
 
 class TestRemoteClient:
     def test_success_and_request_body(self, stub):
-        client = RemoteLlmClient(stub.url, api_key=None)
+        client = RemoteLlmClient(stub.url, model="m7", api_key=None)
         stub.plan.append((200, completion("the answer")))
-        reply = client.send(MESSAGES, GenerationParams(model="m7", max_tokens=9))
+        reply = client.send(MESSAGES, GenerationParams(max_tokens=9))
         assert reply == "the answer"
         body = stub.requests[0]["body"]
         assert body["model"] == "m7"

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from tempkgqa.store import (
     Question,
     QuestionType,
     Quadruple,
+    QUESTION_KEYS,
     SIMPLE_TYPES,
     StoreError,
     TemporalConstraint,
@@ -29,18 +31,6 @@ from conftest import build_store
 
 
 class TestVocabulary:
-    def test_intern_is_idempotent(self):
-        vocab = Vocabulary("entity")
-        assert vocab.intern("a") == 0
-        assert vocab.intern("b") == 1
-        assert vocab.intern("a") == 0
-        assert len(vocab) == 2
-
-    def test_add_rejects_duplicates(self):
-        vocab = Vocabulary("relation", ["x"])
-        with pytest.raises(StoreError, match="duplicate"):
-            vocab.add("x")
-
     def test_constructor_names_the_first_repeat(self):
         with pytest.raises(StoreError, match=r"^duplicate entity label: 'b'$"):
             Vocabulary("entity", ["a", "b", "c", "b", "a"])
@@ -181,6 +171,12 @@ class TestFactFile:
         store = load_tkg(self.write(tmp_path, "z|late|y|1990|1990\na|early|b|1980|1980\n"))
         assert store.entities.label(0) == "z"
         assert store.relations.label(1) == "early"
+
+    def test_bytes_that_are_not_utf8_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "facts.txt"
+        path.write_bytes(b"a|r|b|1990|1991\n\xffc|r|d|1990|1991\n")
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_tkg(path)
 
     def test_fact_label_roundtrips_file_line(self, tmp_path):
         line = "a b|rel x|c|1990|1994"
@@ -371,6 +367,39 @@ class TestQuestionFile:
         path.write_text(json.dumps(self.record()) + "\n{broken\n", encoding="utf-8")
         with pytest.raises(StoreError, match="line 2"):
             load_questions(path, tiny_store)
+
+    @pytest.mark.parametrize("line", ["5", '"q2"', "null", json.dumps(list(QUESTION_KEYS))],
+                             ids=["number", "string", "null", "list-of-keys"])
+    def test_record_that_is_not_an_object_rejected(self, tmp_path, tiny_store, line):
+        path = tmp_path / "questions.jsonl"
+        path.write_text(json.dumps(self.record()) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(StoreError, match=r"^line 2: record is not a JSON object$"):
+            load_questions(path, tiny_store)
+
+    @pytest.mark.parametrize("key, value", [("answers", 5), ("answers", "ben"),
+                                            ("entities", "ada"), ("times", None)])
+    def test_annotation_that_is_not_a_list_rejected(self, tmp_path, tiny_store, key, value):
+        path = self.write(tmp_path, [self.record(**{key: value})])
+        with pytest.raises(StoreError, match=f"^line 1: '{key}' must be a list$"):
+            load_questions(path, tiny_store)
+
+    def test_bytes_that_are_not_utf8_rejected_naming_the_file(self, tmp_path, tiny_store):
+        path = tmp_path / "questions.jsonl"
+        path.write_bytes(json.dumps(self.record()).encode() + b"\n\xff\n")
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}, line 2: not UTF-8 text"):
+            load_questions(path, tiny_store)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_text_may_hold_unicode_line_separators(self, tmp_path, tiny_store, separator):
+        text = f"Who leads the lab group{separator} after Ada?"
+        path = tmp_path / "questions.jsonl"
+        records = [self.record(text=text), self.record(uid="q2")]
+        # CRLF and CR still end a line
+        path.write_bytes(b"\r\n".join(json.dumps(r, ensure_ascii=False).encode("utf-8")
+                                       for r in records) + b"\r")
+        questions = load_questions(path, tiny_store)
+        assert [q.uid for q in questions] == ["q1", "q2"]
+        assert questions[0].text == text
 
 
 class TestDeskFixture:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from tempkgqa.retrieval import retrieve_question
@@ -5,7 +7,6 @@ from tempkgqa.store import AnswerType, load_questions, load_tkg
 from tempkgqa.synthetic import (
     patterned_tkg,
     qa_fixture,
-    read_patterned_tkg,
     retrieval_stress,
     write_patterned_tkg,
     write_qa_fixture,
@@ -60,10 +61,11 @@ class TestPatternedTkg:
     def test_roundtrip_through_directory(self, tmp_path):
         fixture = patterned_tkg()
         write_patterned_tkg(tmp_path, fixture)
-        store, loaded = read_patterned_tkg(tmp_path)
-        assert loaded.lines == fixture.lines
-        assert loaded.heldout == fixture.heldout
-        assert len(store.facts) == 600
+        lines = (tmp_path / "facts.txt").read_text(encoding="utf-8").splitlines()
+        split = json.loads((tmp_path / "split.json").read_text(encoding="utf-8"))
+        assert lines == fixture.lines
+        assert split == {"heldout": fixture.heldout}
+        assert len(load_tkg(tmp_path / "facts.txt").facts) == 600
 
 
 @pytest.fixture(scope="module")
