@@ -7,8 +7,9 @@ the fact file and the questions once per run and hands that world to each
 stage.  All artifacts are deterministic for a fixed config and seed.
 
 ``retrieve`` asks the model at ``endpoint`` to rank relations and mine time
-constraints.  Without an endpoint it builds no client, and retrieval runs
-its lexical relation oracle and rule-based time oracle instead.
+constraints.  Without an endpoint it builds no client, and retrieval's
+lexical relation oracle and rule-based time oracle answer, as they do for
+any unusable reply.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def _read_jsonl(
     records = []
     for number, line in enumerate(path.read_bytes().splitlines(), 1):
         try:
-            record = json.loads(line)  # a ValueError also for bytes that are not UTF-8
+            # bytes would let json.loads read UTF-16 and UTF-32 too
+            record = json.loads(line.decode("utf-8"))  # UnicodeDecodeError is a ValueError
         except ValueError as exc:
             raise CliError(f"{path}, line {number}: malformed record ({exc}); "
                            f"rerun {stage}") from None

@@ -1,9 +1,11 @@
 """Chat-completion clients: a deterministic scripted mock and an HTTP client.
 
-Retrieval talks to a client through ``send(messages, params)``.  The CLI
-builds a :class:`RemoteLlmClient` only when an endpoint is configured;
-without one it passes no client and retrieval runs its deterministic
-oracles.  The mock scripts replies for tests.  API keys come from the
+Retrieval talks to a client through ``send(messages)``, which returns the
+reply text or raises :class:`TransportError`.  The CLI builds a
+:class:`RemoteLlmClient` only when an endpoint is configured; without one it
+passes no client and retrieval's deterministic oracles answer.  Every
+request is greedy (temperature 0) and capped at :data:`MAX_TOKENS`.  The
+mock scripts replies for tests.  API keys come from the
 ``TEMPKGQA_API_KEY`` environment variable and are only ever placed in
 request headers, never in dumps or logs.
 """
@@ -25,6 +27,7 @@ logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "TEMPKGQA_API_KEY"
 RETRYABLE_STATUSES = (429, 500, 502, 503, 504)
+MAX_TOKENS = 256  # completion cap of every request; retrieval's replies are short
 
 Message = Mapping[str, str]
 
@@ -38,14 +41,8 @@ class TransportError(TempkgqaError, RuntimeError):
         self.attempts = attempts
 
 
-@dataclass(frozen=True)
-class GenerationParams:
-    temperature: float = 0.0
-    max_tokens: int = 256
-
-
 class LlmClient(Protocol):
-    def send(self, messages: Sequence[Message], params: GenerationParams) -> str: ...
+    def send(self, messages: Sequence[Message]) -> str: ...
 
 
 def message_key(messages: Sequence[Message]) -> str:
@@ -65,16 +62,17 @@ class MockLlmClient:
 
     ``default`` answers any unscripted prompt; with no default an unscripted
     prompt raises, which keeps tests honest about what they exercise.
-    Every call is recorded so tests can assert on traffic (or its absence).
+    Every call's key is recorded so tests can assert on traffic (or its
+    absence).
     """
 
     script: dict[str, str] = field(default_factory=dict)
     default: str | None = None
-    calls: list[tuple[str, GenerationParams]] = field(default_factory=list)
+    calls: list[str] = field(default_factory=list)
 
-    def send(self, messages: Sequence[Message], params: GenerationParams) -> str:
+    def send(self, messages: Sequence[Message]) -> str:
         key = message_key(messages)
-        self.calls.append((key, params))
+        self.calls.append(key)
         if key in self.script:
             return self.script[key]
         if self.default is not None:
@@ -88,7 +86,8 @@ class RemoteLlmClient:
     ``model`` is the model name sent in every request body.  Transient
     failures (connection errors, timeouts, 429/5xx) are retried with
     exponential backoff; anything else surfaces immediately as
-    :class:`TransportError` with the status code attached.
+    :class:`TransportError` with the status code attached, and so does a
+    completion whose content is not a string.
     """
 
     def __init__(
@@ -116,12 +115,12 @@ class RemoteLlmClient:
             headers["Authorization"] = f"Bearer {self.api_key}"
         return headers
 
-    def send(self, messages: Sequence[Message], params: GenerationParams) -> str:
+    def send(self, messages: Sequence[Message]) -> str:
         body = {
             "model": self.model,
             "messages": [dict(m) for m in messages],
-            "temperature": params.temperature,
-            "max_tokens": params.max_tokens,
+            "temperature": 0.0,
+            "max_tokens": MAX_TOKENS,
         }
         last_error: str = "no attempt made"
         last_status: int | None = None
@@ -136,12 +135,14 @@ class RemoteLlmClient:
             else:
                 if response.status_code == 200:
                     try:
-                        payload = response.json()
-                        return payload["choices"][0]["message"]["content"]
+                        content = response.json()["choices"][0]["message"]["content"]
                     except (ValueError, KeyError, IndexError, TypeError):
+                        content = None
+                    if not isinstance(content, str):
                         raise TransportError(
                             "malformed completion payload", response.status_code, attempt
-                        ) from None
+                        )
+                    return content
                 last_status = response.status_code
                 last_error = f"status {response.status_code}"
                 if response.status_code not in RETRYABLE_STATUSES:

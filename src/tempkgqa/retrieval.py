@@ -1,10 +1,13 @@
 """Constraint-guided subgraph retrieval.
 
-For each question we pick the most plausible relations (by asking a language
-model, or by a deterministic lexical oracle), mine the temporal constraint
-implied by the question (again LLM-assisted with a rule-based oracle as both
-fallback and offline mode), and then filter the fact store down to a small
-evidence set.
+For each question we pick the most plausible relations, mine the temporal
+constraint implied by the question, and then filter the fact store down to a
+small evidence set.  A lexical oracle (:func:`lexical_rank`) and a rule
+oracle (:func:`rule_time`) answer whenever no usable model reply exists, so
+retrieval makes one sequence of calls with or without a client.  A client is
+asked to rank every question's relations, and to mine the time only when the
+rules read an anchor (:func:`_reads_anchor`); an unusable reply takes the
+oracle's answer and sets the result's fallback flag.
 
 The three per-question lookups read the store's (entity, relation) run
 index.  :func:`candidate_relations` reads each annotated entity's relations
@@ -30,8 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TempkgqaError
-from .llm import GenerationParams, LlmClient, TransportError
-from .prompts import fact_fields, render_relation_ranking, render_time_mining, tokenize
+from .llm import LlmClient, TransportError
+from .prompts import (PromptBundle, fact_fields, render_relation_ranking,
+                      render_time_mining, tokenize)
 from .store import (
     ANCHORED_TYPES,
     ConstraintKind,
@@ -52,6 +56,12 @@ BRACKET_PATTERN = re.compile(r"\[(.*?)\]", re.DOTALL)
 BETWEEN_PATTERN = re.compile(r"between\s+(\d{4})\s+and\s+(\d{4})", re.IGNORECASE)
 AFTER_PATTERN = re.compile(r"after\s+(\d{4})", re.IGNORECASE)
 BEFORE_PATTERN = re.compile(r"before\s+(\d{4})", re.IGNORECASE)
+# a mining reply's constraint: the first of these patterns found wins
+MINED_CONSTRAINTS = (
+    (BETWEEN_PATTERN, TemporalConstraint.between),
+    (AFTER_PATTERN, TemporalConstraint.after),
+    (BEFORE_PATTERN, TemporalConstraint.before),
+)
 
 
 class RetrievalError(TempkgqaError, RuntimeError):
@@ -60,6 +70,15 @@ class RetrievalError(TempkgqaError, RuntimeError):
     def __init__(self, uid: str, message: str) -> None:
         super().__init__(f"question {uid!r}: {message}")
         self.uid = uid
+
+
+def _ask(client: LlmClient, question: Question, stage: str, bundle: PromptBundle) -> str:
+    """The client's reply to ``bundle``; a transport failure names the
+    question and the stage."""
+    try:
+        return client.send(bundle.messages)
+    except TransportError as exc:
+        raise RetrievalError(question.uid, f"{stage} transport failure: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -127,50 +146,30 @@ def _parse_ranked_labels(reply: str) -> list[str] | None:
     return items or None
 
 
-@dataclass(frozen=True)
-class RelationRanking:
-    relations: tuple[int, ...]
-    used_fallback: bool
-    reply: str | None = None
-
-
 def rank_relations(
-    client: LlmClient,
+    client: LlmClient | None,
     store: TkgStore,
     question: Question,
     candidates: Sequence[int],
     k: int,
-) -> RelationRanking:
-    """Ask the client for the top-k candidate relations; fall back to
-    :func:`lexical_rank` when the reply cannot be mapped onto the candidates."""
+) -> tuple[tuple[int, ...], bool]:
+    """The top-k candidate relations and whether the lexical oracle stood in
+    for an unusable reply.  Without a client the :func:`lexical_rank` order
+    answers; a reply naming only candidates is padded from that order."""
     if not candidates or k < 1:
         raise RetrievalError(question.uid, "rank_relations needs candidates and k >= 1")
+    lexical = lexical_rank(store, question, candidates)
+    if client is None:
+        return tuple(lexical[:k]), False
     labels = [store.relations.label(r) for r in candidates]
-    bundle = render_relation_ranking(question.text, labels, k)
-    try:
-        reply = client.send(bundle.messages, GenerationParams(temperature=0.0))
-    except TransportError as exc:
-        raise RetrievalError(question.uid, f"relation ranking transport failure: {exc}") from exc
-
-    by_label = {label: relation for label, relation in zip(labels, candidates)}
+    reply = _ask(client, question, "relation ranking",
+                 render_relation_ranking(question.text, labels, k))
+    by_label = dict(zip(labels, candidates))
     parsed = _parse_ranked_labels(reply)
-    if parsed is not None and all(label in by_label for label in parsed):
-        chosen: list[int] = []
-        for label in parsed:
-            relation = by_label[label]
-            if relation not in chosen:
-                chosen.append(relation)
-        if chosen:
-            # Short replies are padded from the lexical order so we always
-            # return min(k, |candidates|) relations.
-            for relation in lexical_rank(store, question, candidates):
-                if len(chosen) >= k:
-                    break
-                if relation not in chosen:
-                    chosen.append(relation)
-            return RelationRanking(tuple(chosen[:k]), False, reply)
-    logger.debug("question %s: unusable ranking reply %r", question.uid, reply)
-    return RelationRanking(tuple(lexical_rank(store, question, candidates)[:k]), True, reply)
+    if parsed is None or not all(label in by_label for label in parsed):
+        logger.debug("question %s: unusable ranking reply %r", question.uid, reply)
+        return tuple(lexical[:k]), True
+    return tuple(dict.fromkeys([by_label[label] for label in parsed] + lexical))[:k], False
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +195,13 @@ def _first_vocabulary_year(store: TkgStore, text: str) -> int | None:
         if match.group(1) in store.times:
             return store.times.id(match.group(1))
     return None
+
+
+def _reads_anchor(store: TkgStore, question: Question) -> bool:
+    """Whether :func:`rule_time` reads an anchor for ``question``: an anchored
+    type whose text names no vocabulary year."""
+    return (question.qtype in ANCHORED_TYPES
+            and _first_vocabulary_year(store, question.text) is None)
 
 
 def _keyword_direction(text: str) -> str | None:
@@ -236,13 +242,6 @@ def rule_time(
     return TemporalConstraint.none()
 
 
-@dataclass(frozen=True)
-class TimeMining:
-    constraint: TemporalConstraint
-    used_fallback: bool
-    reply: str | None = None
-
-
 def _mining_type_label(question: Question) -> str:
     if question.qtype in (QuestionType.BEFORE_AFTER, QuestionType.IMPLICIT):
         return _keyword_direction(question.text) or question.qtype.value
@@ -250,57 +249,37 @@ def _mining_type_label(question: Question) -> str:
 
 
 def _parse_mined_constraint(store: TkgStore, reply: str) -> TemporalConstraint | None:
-    match = BETWEEN_PATTERN.search(reply)
-    if match:
-        first, second = match.group(1), match.group(2)
-        if first in store.times and second in store.times:
-            t1, t2 = store.times.id(first), store.times.id(second)
-            if t1 <= t2:
-                return TemporalConstraint.between(t1, t2)
-        return None
-    match = AFTER_PATTERN.search(reply)
-    if match:
-        if match.group(1) in store.times:
-            return TemporalConstraint.after(store.times.id(match.group(1)))
-        return None
-    match = BEFORE_PATTERN.search(reply)
-    if match:
-        if match.group(1) in store.times:
-            return TemporalConstraint.before(store.times.id(match.group(1)))
-        return None
+    for pattern, build in MINED_CONSTRAINTS:
+        match = pattern.search(reply)
+        if match:
+            years = match.groups()
+            if not all(year in store.times for year in years):
+                return None
+            ids = [store.times.id(year) for year in years]
+            return build(*ids) if ids == sorted(ids) else None  # not a backwards span
     return None
 
 
 def mine_time(
-    client: LlmClient,
+    client: LlmClient | None,
     store: TkgStore,
     question: Question,
     anchors: Sequence[Quadruple],
-) -> TimeMining:
-    """Resolve the temporal constraint, asking the client only for question
-    types that actually need mining; unusable replies fall back to
-    :func:`rule_time`."""
-    explicit = _first_vocabulary_year(store, question.text)
-    if explicit is not None:
-        return TimeMining(TemporalConstraint.at(explicit), False)
-    if question.qtype not in ANCHORED_TYPES or not anchors:
-        return TimeMining(rule_time(store, question, anchors), False)
-
-    anchor = anchors[0]
-    bundle = render_time_mining(
-        question.text,
-        fact_fields(store, anchor),
-        _mining_type_label(question),
-    )
-    try:
-        reply = client.send(bundle.messages, GenerationParams(temperature=0.0))
-    except TransportError as exc:
-        raise RetrievalError(question.uid, f"time mining transport failure: {exc}") from exc
-    constraint = _parse_mined_constraint(store, reply)
-    if constraint is None:
+) -> tuple[TemporalConstraint, bool]:
+    """The temporal constraint and whether :func:`rule_time` stood in for an
+    unusable reply.  The rules answer unless there is a client, an anchor,
+    and a question whose constraint the rules read from that anchor."""
+    constraint = rule_time(store, question, anchors)
+    if client is None or not anchors or not _reads_anchor(store, question):
+        return constraint, False
+    bundle = render_time_mining(question.text, fact_fields(store, anchors[0]),
+                                _mining_type_label(question))
+    reply = _ask(client, question, "time mining", bundle)
+    mined = _parse_mined_constraint(store, reply)
+    if mined is None:
         logger.debug("question %s: unusable mining reply %r", question.uid, reply)
-        return TimeMining(rule_time(store, question, anchors), True, reply)
-    return TimeMining(constraint, False, reply)
+        return constraint, True
+    return mined, False
 
 
 # ---------------------------------------------------------------------------
@@ -341,34 +320,18 @@ def retrieve_question(
     oracle: bool = False,
 ) -> RetrievedSubgraph:
     """Run the full per-question pipeline: relation ranking, anchor lookup,
-    time mining, fact filtering.  The anchors are looked up only for an
-    anchored question type whose text names no year, the one case in which
-    :func:`rule_time` and :func:`mine_time` read them.
-
-    With ``oracle=True`` (or no client) both LLM stages are replaced by their
-    deterministic oracles and the client is never called.
+    time mining, fact filtering.  The anchors are looked up only when
+    :func:`_reads_anchor` says a time rule reads them.  ``oracle=True`` sets
+    the client aside, so that both oracles answer and it is never called.
     """
     candidates = candidate_relations(store, question)
     if not candidates:
         return RetrievedSubgraph(question.uid, (), (), TemporalConstraint.none())
-    use_oracle = oracle or client is None
-    if use_oracle:
-        relations = tuple(lexical_rank(store, question, candidates)[:top_k])
-        fallback_relation = False
-    else:
-        ranking = rank_relations(client, store, question, candidates, top_k)
-        relations = ranking.relations
-        fallback_relation = ranking.used_fallback
-    anchored = (question.qtype in ANCHORED_TYPES
-                and _first_vocabulary_year(store, question.text) is None)
-    anchors = anchor_facts(store, question, relations) if anchored else ()
-    if use_oracle:
-        constraint = rule_time(store, question, anchors)
-        fallback_time = False
-    else:
-        mining = mine_time(client, store, question, anchors)
-        constraint = mining.constraint
-        fallback_time = mining.used_fallback
+    if oracle:
+        client = None
+    relations, fallback_relation = rank_relations(client, store, question, candidates, top_k)
+    anchors = anchor_facts(store, question, relations) if _reads_anchor(store, question) else ()
+    constraint, fallback_time = mine_time(client, store, question, anchors)
     return retrieve_subgraph(store, question, relations, constraint, max_facts,
                              fallback_relation=fallback_relation, fallback_time=fallback_time)
 

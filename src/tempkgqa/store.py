@@ -485,24 +485,28 @@ def load_tkg(path: str | Path) -> TkgStore:
 
     One pass parses each line straight into entity and relation ids, interned
     in first-appearance order, and raw years; the years then become
-    chronological time ids in one renumbering of the two time columns.
+    chronological time ids in one renumbering of the two time columns.  An
+    error in a line names the file and the line.
     """
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
     year_ids: dict[int, int] = {}  # in first appearance until the renumbering
     rows = array("i")
-    for lineno, line in enumerate(_read_utf8(path).splitlines(), 1):
-        try:
+    # Opened outside the try, whose handler reads a line number; the exhausted
+    # iterator drops the lines before the store is built.
+    lines = enumerate(_read_utf8(path).splitlines(), 1)
+    try:
+        for lineno, line in lines:
             subject, relation, obj, start, end = _parse_fact_line(line)
-        except StoreError as exc:
-            raise StoreError(f"line {lineno}: {exc}") from None
-        rows.extend((
-            entity_ids.setdefault(subject, len(entity_ids)),
-            relation_ids.setdefault(relation, len(relation_ids)),
-            entity_ids.setdefault(obj, len(entity_ids)),
-            year_ids.setdefault(start, len(year_ids)),
-            year_ids.setdefault(end, len(year_ids)),
-        ))
+            rows.extend((
+                entity_ids.setdefault(subject, len(entity_ids)),
+                relation_ids.setdefault(relation, len(relation_ids)),
+                entity_ids.setdefault(obj, len(entity_ids)),
+                year_ids.setdefault(start, len(year_ids)),
+                year_ids.setdefault(end, len(year_ids)),
+            ))
+    except StoreError as exc:
+        raise StoreError(f"{path}, line {lineno}: {exc}") from None
     years = sorted(year_ids)
     chronological = np.empty(len(years), dtype=np.int32)
     chronological[[year_ids[y] for y in years]] = np.arange(len(years))
@@ -526,51 +530,54 @@ def load_questions(path: str | Path, store: TkgStore) -> list[Question]:
     """Load one JSON object per line and resolve all labels against ``store``.
 
     A line ends only at a line feed, a carriage return or both, so a
-    question's text may hold any other Unicode line separator."""
+    question's text may hold any other Unicode line separator.  An error in
+    a line names the file and the line."""
     questions: list[Question] = []
-    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise StoreError(f"{path}, line {lineno}: not UTF-8 text ({exc.reason} "
-                             f"at byte {exc.start})") from None
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"line {lineno}: not a valid record ({exc.msg})") from None
-        if not isinstance(record, dict):
-            raise StoreError(f"line {lineno}: record is not a JSON object")
-        missing = [k for k in QUESTION_KEYS if k not in record]
-        if missing:
-            raise StoreError(f"line {lineno}: missing keys {missing}")
-        for key in ("entities", "times", "answers"):
-            if not isinstance(record[key], list):
-                raise StoreError(f"line {lineno}: {key!r} must be a list")
-        uid = str(record["uid"])
-        text = str(record["text"])
-        lowered_text = text.lower()
-        try:
-            qtype = QuestionType(record["qtype"])
-            atype = AnswerType(record["atype"])
-        except ValueError as exc:
-            raise StoreError(f"line {lineno}: {exc}") from None
+    try:
+        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise StoreError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+            except json.JSONDecodeError as exc:
+                raise StoreError(f"not a valid record ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise StoreError("record is not a JSON object")
+            missing = [k for k in QUESTION_KEYS if k not in record]
+            if missing:
+                raise StoreError(f"missing keys {missing}")
+            for key in ("entities", "times", "answers"):
+                if not isinstance(record[key], list):
+                    raise StoreError(f"{key!r} must be a list")
+            uid = str(record["uid"])
+            text = str(record["text"])
+            lowered_text = text.lower()
+            try:
+                qtype = QuestionType(record["qtype"])
+                atype = AnswerType(record["atype"])
+            except ValueError as exc:
+                raise StoreError(str(exc)) from None
 
-        entity_ids = []
-        for label in record["entities"]:
-            _require_verbatim(str(label), lowered_text, uid)
-            entity_ids.append(store.entities.id(str(label)))
-        if not entity_ids:
-            raise StoreError(f"line {lineno}: question {uid!r} has no annotated entities")
-        time_ids = []
-        for year in record["times"]:
-            _require_verbatim(str(year), lowered_text, uid)
-            time_ids.append(store.times.id(str(year)))
+            entity_ids = []
+            for label in record["entities"]:
+                _require_verbatim(str(label), lowered_text, uid)
+                entity_ids.append(store.entities.id(str(label)))
+            if not entity_ids:
+                raise StoreError(f"question {uid!r} has no annotated entities")
+            time_ids = []
+            for year in record["times"]:
+                _require_verbatim(str(year), lowered_text, uid)
+                time_ids.append(store.times.id(str(year)))
 
-        answer_vocab = store.entities if atype is AnswerType.ENTITY else store.times
-        gold = frozenset(answer_vocab.id(str(a)) for a in record["answers"])
-        if not gold:
-            raise StoreError(f"line {lineno}: question {uid!r} has no gold answers")
-        questions.append(
-            Question(uid, text, tuple(entity_ids), tuple(time_ids), qtype, atype, gold)
-        )
+            answer_vocab = store.entities if atype is AnswerType.ENTITY else store.times
+            gold = frozenset(answer_vocab.id(str(a)) for a in record["answers"])
+            if not gold:
+                raise StoreError(f"question {uid!r} has no gold answers")
+            questions.append(
+                Question(uid, text, tuple(entity_ids), tuple(time_ids), qtype, atype, gold)
+            )
+    except StoreError as exc:
+        raise StoreError(f"{path}, line {lineno}: {exc}") from None
     return questions
 
 

@@ -60,6 +60,26 @@ def read_jsonl(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
+def fake_endpoint(monkeypatch, content):
+    """Replace ``requests.Session`` with one that answers every post with a
+    completion holding ``content``; returns the list of posted (url, body)."""
+    posts = []
+
+    class Reply:
+        status_code = 200
+
+        def json(self):
+            return {"choices": [{"message": {"content": content}}]}
+
+    class FakeSession:
+        def post(self, url, json, headers, timeout):
+            posts.append((url, json))
+            return Reply()
+
+    monkeypatch.setattr(llm.requests, "Session", FakeSession)
+    return posts
+
+
 class TestArtifacts:
     def test_kg_summary(self, pipeline):
         dumps, _ = pipeline
@@ -285,6 +305,16 @@ class TestStageSequencing:
         assert main([command, "--config", str(config)]) == 2
         assert f"{path}, line 2: record has no key {key!r}; rerun {stage}" in caplog.text
 
+    def test_dump_line_in_utf16_returns_2(self, pipeline, tmp_path, caplog):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "subgraphs_test.jsonl"
+        lines = path.read_bytes().splitlines()
+        lines[-1] = lines[-1].decode("utf-8").encode("utf-16-le")
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["build-indicators", "--config", str(config)]) == 2
+        assert f"{path}, line {len(lines)}: malformed record" in caplog.text
+        assert "rerun retrieve" in caplog.text
+
     def test_dump_line_that_is_not_an_object_returns_2(self, pipeline, tmp_path, caplog):
         config = copied_run(pipeline, tmp_path)
         path = tmp_path / "dumps" / "predictions.jsonl"
@@ -437,7 +467,7 @@ class TestErrorHandling:
         path.write_bytes(b"\n".join(lines) + b"\n")
         config = fast_config(tmp_path, questions_test=str(path))
         assert main(["build-kg", "--config", str(config)]) == 2
-        assert message in caplog.text
+        assert f"{path}, {message}" in caplog.text
 
     def test_fact_file_that_is_not_utf8_returns_2(self, tmp_path, caplog):
         lines = (DESK / "facts.txt").read_bytes().splitlines()
@@ -455,7 +485,7 @@ class TestErrorHandling:
             def __init__(self, endpoint, model):
                 pass
 
-            def send(self, messages, params):
+            def send(self, messages):
                 raise TransportError("connection refused", attempts=3)
 
         monkeypatch.setattr(cli, "RemoteLlmClient", DownClient)
@@ -520,22 +550,46 @@ class TestClient:
                 assert record["fallback_time"] is False, record["uid"]
 
     def test_endpoint_receives_the_configured_model(self, tmp_path, monkeypatch):
-        posts = []
-
-        class Reply:
-            status_code = 200
-
-            def json(self):
-                return {"choices": [{"message": {"content": "[]"}}]}
-
-        class FakeSession:
-            def post(self, url, json, headers, timeout):
-                posts.append((url, json))
-                return Reply()
-
-        monkeypatch.setattr(llm.requests, "Session", FakeSession)
+        posts = fake_endpoint(monkeypatch, "[]")
         config = fast_config(tmp_path, endpoint="http://localhost:9/v1", model="m-test")
         assert main(["retrieve", "--config", str(config)]) == 0
         assert posts
         assert {url for url, _ in posts} == {"http://localhost:9/v1"}
         assert {body["model"] for _, body in posts} == {"m-test"}
+
+    def test_unusable_replies_take_the_offline_answers_and_flag_them(
+        self, tmp_path, monkeypatch
+    ):
+        offline, online = tmp_path / "offline", tmp_path / "online"
+        offline.mkdir()
+        online.mkdir()
+        assert main(["retrieve", "--config", str(fast_config(offline))]) == 0
+        posts = fake_endpoint(monkeypatch, "n/a")
+        config = fast_config(online, endpoint="http://localhost:9/v1")
+        assert main(["retrieve", "--config", str(config)]) == 0
+        # one ranking prompt per question, one mining prompt per question of
+        # an anchored type whose text names no year
+        assert len(posts) == 208
+        for split in cli.SPLITS:
+            asked = read_jsonl(online / "dumps" / f"subgraphs_{split}.jsonl")
+            answered = read_jsonl(offline / "dumps" / f"subgraphs_{split}.jsonl")
+            assert len(asked) == len(answered) == 76
+            assert all(r["fallback_relation"] for r in asked)
+            assert sum(r["fallback_time"] for r in asked) == 28
+            for got, want in zip(asked, answered):
+                assert got["uid"] == want["uid"]
+                for key in ("relations", "constraint", "facts"):
+                    assert got[key] == want[key], (got["uid"], key)
+
+    @pytest.mark.parametrize("content", [None, [{"type": "text", "text": "['x']"}]],
+                             ids=["null", "list-of-parts"])
+    def test_completion_that_is_not_text_returns_2_naming_the_question(
+        self, tmp_path, caplog, monkeypatch, content
+    ):
+        posts = fake_endpoint(monkeypatch, content)
+        config = fast_config(tmp_path, endpoint="http://localhost:9/v1")
+        assert main(["retrieve", "--config", str(config)]) == 2
+        assert len(posts) == 1  # a malformed payload is not retried
+        first = read_jsonl(DESK / "questions_train.jsonl")[0]["uid"]
+        assert (f"question {first!r}: relation ranking transport failure: "
+                "malformed completion payload") in caplog.text

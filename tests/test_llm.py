@@ -7,7 +7,7 @@ import pytest
 
 from tempkgqa.llm import (
     API_KEY_ENV,
-    GenerationParams,
+    MAX_TOKENS,
     MockLlmClient,
     RemoteLlmClient,
     TransportError,
@@ -80,44 +80,39 @@ class TestMessageKey:
 class TestMockClient:
     def test_scripted_reply(self):
         client = MockLlmClient(script={message_key(MESSAGES): "scripted"})
-        assert client.send(MESSAGES, GenerationParams()) == "scripted"
+        assert client.send(MESSAGES) == "scripted"
 
     def test_default_covers_unscripted(self):
         client = MockLlmClient(default="fallback")
-        assert client.send(MESSAGES, GenerationParams()) == "fallback"
+        assert client.send(MESSAGES) == "fallback"
 
     def test_unscripted_without_default_raises(self):
         client = MockLlmClient()
         with pytest.raises(TransportError):
-            client.send(MESSAGES, GenerationParams())
+            client.send(MESSAGES)
 
     def test_calls_are_recorded(self):
         client = MockLlmClient(default="x")
-        params = GenerationParams(temperature=0.5)
-        client.send(MESSAGES, params)
-        assert client.calls == [(message_key(MESSAGES), params)]
-
-    def test_generation_params_frozen(self):
-        params = GenerationParams()
-        with pytest.raises(AttributeError):
-            params.temperature = 1.0
+        client.send(MESSAGES)
+        assert client.calls == [message_key(MESSAGES)]
 
 
 class TestRemoteClient:
     def test_success_and_request_body(self, stub):
         client = RemoteLlmClient(stub.url, model="m7", api_key=None)
         stub.plan.append((200, completion("the answer")))
-        reply = client.send(MESSAGES, GenerationParams(max_tokens=9))
+        reply = client.send(MESSAGES)
         assert reply == "the answer"
         body = stub.requests[0]["body"]
         assert body["model"] == "m7"
-        assert body["max_tokens"] == 9
+        assert body["temperature"] == 0.0
+        assert body["max_tokens"] == MAX_TOKENS == 256
         assert body["messages"] == [{"role": "user", "content": "hello"}]
 
     def test_retries_transient_status_then_succeeds(self, stub, no_sleep):
         client = RemoteLlmClient(stub.url, api_key=None, max_retries=3, backoff=0.5)
         stub.plan.extend([(503, {}), (503, {}), (200, completion("late"))])
-        assert client.send(MESSAGES, GenerationParams()) == "late"
+        assert client.send(MESSAGES) == "late"
         assert len(stub.requests) == 3
         assert no_sleep == [0.5, 1.0]  # exponential backoff
 
@@ -125,7 +120,7 @@ class TestRemoteClient:
         client = RemoteLlmClient(stub.url, api_key=None, max_retries=3)
         stub.plan.append((400, {"error": "bad request"}))
         with pytest.raises(TransportError) as err:
-            client.send(MESSAGES, GenerationParams())
+            client.send(MESSAGES)
         assert err.value.status == 400
         assert err.value.attempts == 1
         assert len(stub.requests) == 1
@@ -134,14 +129,25 @@ class TestRemoteClient:
         client = RemoteLlmClient(stub.url, api_key=None, max_retries=3)
         stub.plan.append((200, {"choices": []}))
         with pytest.raises(TransportError, match="malformed"):
-            client.send(MESSAGES, GenerationParams())
+            client.send(MESSAGES)
+        assert len(stub.requests) == 1
+
+    @pytest.mark.parametrize("content", [None, [{"type": "text", "text": "hi"}], 5],
+                             ids=["null", "list-of-parts", "number"])
+    def test_content_that_is_not_a_string_is_malformed(self, stub, content):
+        client = RemoteLlmClient(stub.url, api_key=None, max_retries=3)
+        stub.plan.append((200, completion(content)))
+        with pytest.raises(TransportError, match="^malformed completion payload$") as err:
+            client.send(MESSAGES)
+        assert err.value.status == 200
+        assert err.value.attempts == 1
         assert len(stub.requests) == 1
 
     def test_gives_up_after_max_retries(self, stub):
         client = RemoteLlmClient(stub.url, api_key=None, max_retries=2)
         stub.plan.extend([(503, {}), (503, {})])
         with pytest.raises(TransportError, match="gave up") as err:
-            client.send(MESSAGES, GenerationParams())
+            client.send(MESSAGES)
         assert err.value.attempts == 2
         assert err.value.status == 503
 
@@ -149,26 +155,26 @@ class TestRemoteClient:
         client = RemoteLlmClient("http://127.0.0.1:9/nothing", max_retries=2,
                                  timeout=0.2)
         with pytest.raises(TransportError, match="gave up"):
-            client.send(MESSAGES, GenerationParams())
+            client.send(MESSAGES)
 
 
 class TestApiKeyHandling:
     def test_key_read_from_environment(self, stub, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test-123")
         client = RemoteLlmClient(stub.url)
-        client.send(MESSAGES, GenerationParams())
+        client.send(MESSAGES)
         assert stub.requests[0]["headers"]["Authorization"] == "Bearer sk-test-123"
 
     def test_explicit_key_overrides_environment(self, stub, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-from-env")
         client = RemoteLlmClient(stub.url, api_key="sk-explicit")
-        client.send(MESSAGES, GenerationParams())
+        client.send(MESSAGES)
         assert stub.requests[0]["headers"]["Authorization"] == "Bearer sk-explicit"
 
     def test_no_key_sends_no_authorization_header(self, stub, monkeypatch):
         monkeypatch.delenv(API_KEY_ENV, raising=False)
         client = RemoteLlmClient(stub.url)
-        client.send(MESSAGES, GenerationParams())
+        client.send(MESSAGES)
         assert "Authorization" not in stub.requests[0]["headers"]
 
     def test_key_stays_out_of_body_and_logs(self, stub, monkeypatch, caplog):
@@ -176,6 +182,6 @@ class TestApiKeyHandling:
         client = RemoteLlmClient(stub.url, max_retries=2)
         stub.plan.extend([(503, {}), (200, completion("ok"))])
         with caplog.at_level("DEBUG"):
-            client.send(MESSAGES, GenerationParams())
+            client.send(MESSAGES)
         assert "sk-sensitive" not in json.dumps(stub.requests[0]["body"])
         assert "sk-sensitive" not in caplog.text

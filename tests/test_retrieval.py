@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tempkgqa.llm import GenerationParams, MockLlmClient, TransportError, message_key
+from tempkgqa.llm import MockLlmClient, TransportError, message_key
 from tempkgqa.prompts import render_relation_ranking, render_time_mining
 from tempkgqa.retrieval import (
     ConstraintKind,
@@ -50,7 +50,7 @@ def make_question(store, text, entities, qtype=QuestionType.SIMPLE_ENTITY,
 
 
 class _FailingClient:
-    def send(self, messages, params):
+    def send(self, messages):
         raise TransportError("wire down")
 
 
@@ -165,44 +165,49 @@ class TestRankRelations:
         question, candidates, labels = self.question_and_candidates(tiny_store)
         bundle = render_relation_ranking(question.text, labels, 2)
         client = scripted_client(bundle, "['advises', 'leads']")
-        ranking = rank_relations(client, tiny_store, question, candidates, 2)
-        chosen = [tiny_store.relations.label(r) for r in ranking.relations]
+        relations, used_fallback = rank_relations(client, tiny_store, question, candidates, 2)
+        chosen = [tiny_store.relations.label(r) for r in relations]
         assert chosen == ["advises", "leads"]
-        assert not ranking.used_fallback
+        assert not used_fallback
         assert len(client.calls) == 1
 
     def test_short_reply_padded_from_lexical_order(self, tiny_store):
         question, candidates, labels = self.question_and_candidates(tiny_store)
         bundle = render_relation_ranking(question.text, labels, 3)
         client = scripted_client(bundle, "['works at']")
-        ranking = rank_relations(client, tiny_store, question, candidates, 3)
-        chosen = [tiny_store.relations.label(r) for r in ranking.relations]
+        relations, used_fallback = rank_relations(client, tiny_store, question, candidates, 3)
+        chosen = [tiny_store.relations.label(r) for r in relations]
         assert chosen[0] == "works at"
-        assert ranking.relations == tuple(dict.fromkeys(ranking.relations))
-        assert len(ranking.relations) == 3
-        assert not ranking.used_fallback
+        assert relations == tuple(dict.fromkeys(relations))
+        assert len(relations) == 3
+        assert not used_fallback
 
     def test_unknown_label_falls_back_to_lexical(self, tiny_store):
         question, candidates, labels = self.question_and_candidates(tiny_store)
         bundle = render_relation_ranking(question.text, labels, 2)
         client = scripted_client(bundle, "['born in', 'leads']")
-        ranking = rank_relations(client, tiny_store, question, candidates, 2)
-        assert ranking.used_fallback
-        assert ranking.relations == tuple(
+        relations, used_fallback = rank_relations(client, tiny_store, question, candidates, 2)
+        assert used_fallback
+        assert relations == tuple(
             lexical_rank(tiny_store, question, candidates)[:2]
         )
 
     def test_prose_reply_falls_back(self, tiny_store):
         question, candidates, _ = self.question_and_candidates(tiny_store)
         client = MockLlmClient(default="I cannot answer that.")
-        ranking = rank_relations(client, tiny_store, question, candidates, 1)
-        assert ranking.used_fallback
-        assert ranking.reply == "I cannot answer that."
+        relations, used_fallback = rank_relations(client, tiny_store, question, candidates, 1)
+        assert used_fallback
+        assert relations == tuple(lexical_rank(tiny_store, question, candidates)[:1])
 
     def test_transport_error_is_wrapped(self, tiny_store):
         question, candidates, _ = self.question_and_candidates(tiny_store)
         with pytest.raises(RetrievalError, match="transport"):
             rank_relations(_FailingClient(), tiny_store, question, candidates, 1)
+
+    def test_no_client_takes_the_lexical_top_k_unflagged(self, tiny_store):
+        question, candidates, _ = self.question_and_candidates(tiny_store)
+        assert rank_relations(None, tiny_store, question, candidates, 2) == (
+            tuple(lexical_rank(tiny_store, question, candidates)[:2]), False)
 
     def test_bad_arguments_rejected(self, tiny_store):
         question, candidates, _ = self.question_and_candidates(tiny_store)
@@ -294,7 +299,7 @@ class TestMineTime:
                                  QuestionType.BEFORE_AFTER)
         client = MockLlmClient()  # unscripted: any call would raise
         mined = mine_time(client, tiny_store, question, [tiny_store.facts[0]])
-        assert mined.constraint == TemporalConstraint.at(tiny_store.times.id("1996"))
+        assert mined == (TemporalConstraint.at(tiny_store.times.id("1996")), False)
         assert client.calls == []
 
     def test_unanchored_types_never_call_client(self, tiny_store):
@@ -302,7 +307,7 @@ class TestMineTime:
                                  QuestionType.FIRST_LAST)
         client = MockLlmClient()
         mined = mine_time(client, tiny_store, question, [tiny_store.facts[0]])
-        assert mined.constraint == TemporalConstraint.none()
+        assert mined == (TemporalConstraint.none(), False)
         assert client.calls == []
 
     @pytest.mark.parametrize(
@@ -316,29 +321,58 @@ class TestMineTime:
         question, anchors = self.anchored_question(tiny_store)
         client = MockLlmClient(default=reply)
         mined = mine_time(client, tiny_store, question, anchors)
-        assert mined.constraint == expected(tiny_store.times.id("1994"))
-        assert not mined.used_fallback
+        assert mined == (expected(tiny_store.times.id("1994")), False)
 
     def test_between_reply_parses(self, tiny_store):
         question = make_question(tiny_store, "who worked while ada led?", ["ada"],
                                  QuestionType.TIME_JOIN)
         client = MockLlmClient(default="the overlap is between 1990 and 1994.")
-        mined = mine_time(client, tiny_store, question, [tiny_store.facts[0]])
-        assert mined.constraint == TemporalConstraint.between(
+        constraint, _ = mine_time(client, tiny_store, question, [tiny_store.facts[0]])
+        assert constraint == TemporalConstraint.between(
             tiny_store.times.id("1990"), tiny_store.times.id("1994"))
 
     def test_unusable_reply_falls_back_to_rule(self, tiny_store):
         question, anchors = self.anchored_question(tiny_store)
         client = MockLlmClient(default="hard to say")
         mined = mine_time(client, tiny_store, question, anchors)
-        assert mined.used_fallback
-        assert mined.constraint == rule_time(tiny_store, question, anchors)
+        assert mined == (rule_time(tiny_store, question, anchors), True)
 
     def test_out_of_vocabulary_year_falls_back(self, tiny_store):
         question, anchors = self.anchored_question(tiny_store)
         client = MockLlmClient(default="after 1875")
-        mined = mine_time(client, tiny_store, question, anchors)
-        assert mined.used_fallback
+        _, used_fallback = mine_time(client, tiny_store, question, anchors)
+        assert used_fallback
+
+    def test_backwards_between_reply_falls_back(self, tiny_store):
+        question, anchors = self.anchored_question(tiny_store)
+        client = MockLlmClient(default="between 1994 and 1990")
+        assert mine_time(client, tiny_store, question, anchors) == (
+            rule_time(tiny_store, question, anchors), True)
+
+    @pytest.mark.parametrize("reply, kind", [
+        ("after 1990, or between 1990 and 1994", ConstraintKind.BETWEEN),
+        ("before 1994 and after 1990", ConstraintKind.AFTER),
+        ("before 1990 and after 1875", None),
+    ])
+    def test_first_pattern_in_between_after_before_order_wins(self, tiny_store,
+                                                               reply, kind):
+        question, anchors = self.anchored_question(tiny_store)
+        constraint, used_fallback = mine_time(MockLlmClient(default=reply), tiny_store,
+                                              question, anchors)
+        assert used_fallback is (kind is None)
+        if kind is not None:
+            assert constraint.kind is kind
+
+    def test_no_client_takes_the_rule_unflagged(self, tiny_store):
+        question, anchors = self.anchored_question(tiny_store)
+        assert mine_time(None, tiny_store, question, anchors) == (
+            rule_time(tiny_store, question, anchors), False)
+
+    def test_no_anchor_never_calls_client(self, tiny_store):
+        question, _ = self.anchored_question(tiny_store)
+        client = MockLlmClient()
+        assert mine_time(client, tiny_store, question, []) == (TemporalConstraint.none(), False)
+        assert client.calls == []
 
     def test_transport_error_is_wrapped(self, tiny_store):
         question, anchors = self.anchored_question(tiny_store)
@@ -412,6 +446,21 @@ class TestRetrieveQuestion:
         assert client.calls == []
         assert with_client == without
 
+    @pytest.mark.parametrize("qtype", list(QuestionType))
+    def test_no_client_runs_each_oracle_once(self, tiny_store, monkeypatch, qtype):
+        calls = []
+        for name in ("lexical_rank", "rule_time"):
+            def counted(*args, _name=name, _original=getattr(retrieval, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(retrieval, name, counted)
+        question = make_question(tiny_store, "who leads the lab after ada?",
+                                 ["ada", "lab"], qtype)
+        retrieve_question(tiny_store, question, None, top_k=1, max_facts=10)
+        retrieve_question(tiny_store, question, MockLlmClient(), top_k=1, max_facts=10,
+                          oracle=True)
+        assert calls == ["lexical_rank", "rule_time"] * 2
+
     def test_entity_without_facts_yields_empty_sentinel(self):
         entities = Vocabulary("entity", ["a", "b", "ghost"])
         relations = Vocabulary("relation", ["knows"])
@@ -483,14 +532,13 @@ def eager_retrieve(store, question, client, *, top_k, max_facts):
     if client is None:
         relations = tuple(lexical_rank(store, question, candidates)[:top_k])
     else:
-        ranking = rank_relations(client, store, question, candidates, top_k)
-        relations, fallback_relation = ranking.relations, ranking.used_fallback
+        relations, fallback_relation = rank_relations(client, store, question, candidates,
+                                                      top_k)
     anchors = anchor_facts(store, question, relations)
     if client is None:
         constraint = eager_rule_time(store, question, anchors)
     else:
-        mining = mine_time(client, store, question, anchors)
-        constraint, fallback_time = mining.constraint, mining.used_fallback
+        constraint, fallback_time = mine_time(client, store, question, anchors)
     subgraph = retrieve_subgraph(store, question, relations, constraint, max_facts)
     return replace(subgraph, fallback_relation=fallback_relation,
                    fallback_time=fallback_time)

@@ -160,6 +160,12 @@ class TestFactFile:
         with pytest.raises(StoreError, match="line 2"):
             load_tkg(self.write(tmp_path, "a|r|b|1990|1991\nbroken\n"))
 
+    def test_error_names_the_file_and_the_line(self, tmp_path):
+        path = self.write(tmp_path, "a|r|b|1990|1991\nc|r|d|1992\n")
+        message = f"{path}, line 2: expected 5 '|'-separated fields, got 4"
+        with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
+            load_tkg(path)
+
     def test_time_ids_chronological_regardless_of_file_order(self, tmp_path):
         store = load_tkg(self.write(tmp_path, "a|r|b|2001|2003\nc|r|d|1987|1999\n"))
         years = [int(label) for label in store.times.labels]
@@ -373,14 +379,33 @@ class TestQuestionFile:
     def test_record_that_is_not_an_object_rejected(self, tmp_path, tiny_store, line):
         path = tmp_path / "questions.jsonl"
         path.write_text(json.dumps(self.record()) + "\n" + line + "\n", encoding="utf-8")
-        with pytest.raises(StoreError, match=r"^line 2: record is not a JSON object$"):
+        with pytest.raises(StoreError,
+                           match=f"^{re.escape(str(path))}, line 2: record is not a JSON object$"):
             load_questions(path, tiny_store)
 
     @pytest.mark.parametrize("key, value", [("answers", 5), ("answers", "ben"),
                                             ("entities", "ada"), ("times", None)])
     def test_annotation_that_is_not_a_list_rejected(self, tmp_path, tiny_store, key, value):
         path = self.write(tmp_path, [self.record(**{key: value})])
-        with pytest.raises(StoreError, match=f"^line 1: '{key}' must be a list$"):
+        with pytest.raises(StoreError,
+                           match=f"^{re.escape(str(path))}, line 1: '{key}' must be a list$"):
+            load_questions(path, tiny_store)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"answers": ["nobody"]}, "unknown entity label: 'nobody'"),
+        ({"entities": ["cara"]}, "question 'q1': annotation 'cara' not present in text"),
+        ({"text": "Who leads the lab group after Ada in 1875?", "times": [1875]},
+         "unknown time label: '1875'"),
+        ({"qtype": "who_knows"}, "'who_knows' is not a valid QuestionType"),
+        ({"answers": []}, "question 'q1' has no gold answers"),
+        ({"entities": []}, "question 'q1' has no annotated entities"),
+    ], ids=["unknown-answer", "annotation-not-in-text", "unknown-year", "bad-enum",
+            "no-answers", "no-entities"])
+    def test_every_line_error_names_the_file_and_the_line(self, tmp_path, tiny_store,
+                                                           overrides, message):
+        path = self.write(tmp_path, [self.record(uid="q0"), self.record(**overrides)])
+        with pytest.raises(StoreError,
+                           match=f"^{re.escape(str(path))}, line 2: {re.escape(message)}$"):
             load_questions(path, tiny_store)
 
     def test_bytes_that_are_not_utf8_rejected_naming_the_file(self, tmp_path, tiny_store):
