@@ -119,7 +119,7 @@ def _read_jsonl(
         try:
             # bytes would let json.loads read UTF-16 and UTF-32 too
             record = json.loads(line.decode("utf-8"))  # UnicodeDecodeError is a ValueError
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise CliError(f"{path}, line {number}: malformed record ({exc}); "
                            f"rerun {stage}") from None
         missing = [k for k in keys if not isinstance(record, dict) or k not in record]

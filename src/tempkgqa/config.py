@@ -105,6 +105,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: config is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: not valid JSON (nested too deeply)") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be an object")
     known = {f.name for f in dataclasses.fields(RunConfig)}

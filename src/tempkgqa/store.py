@@ -23,9 +23,11 @@ retrieval anchors) slices the runs it needs and sorts only when two or more
 of them merge.  At 330k facts and 125k entities the index takes ~10 MB of
 ``int32`` arrays and ~0.1 s to build (two radix sorts).
 
-The five-field text form has one codec: :func:`load_tkg` and
-:meth:`TkgStore.fact_from_label` parse it with the same checks, and
-:meth:`TkgStore.fact_label` writes it.
+The five-field text form has one per-line codec, ``_parse_fact_line``:
+:meth:`TkgStore.fact_from_label` parses with it, and :meth:`TkgStore.fact_label`
+writes the same form.  :func:`load_tkg` parses a whole file column-wise, with
+the same checks run in bulk, and only when one fails runs the codec over the
+lines to name the first bad one.
 :class:`TemporalConstraint` is the one definition of interval satisfaction,
 for a single fact and for whole columns alike.
 """
@@ -33,12 +35,13 @@ for a single fact and for whole columns alike.
 from __future__ import annotations
 
 import json
-from array import array
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -235,7 +238,10 @@ _NO_FACTS.flags.writeable = False
 
 def member_mask(values: np.ndarray, wanted: Iterable[int]) -> np.ndarray:
     """``np.isin(values, wanted)`` for the few ids a question names: one
-    comparison per id, where ``np.isin`` sorts both arrays."""
+    comparison per id, where ``np.isin`` sorts both arrays.  The ids stay
+    Python ints: with numpy 2.4, making one an ``int32`` scalar (~0.4 us)
+    costs more than it saves on ``anchor_facts``' two comparisons (~0.15 us
+    each)."""
     first, *rest = set(wanted) or (-1,)  # no id is negative: nothing wanted, nothing matches
     mask = values == first
     for value in rest:
@@ -472,52 +478,132 @@ def _parse_fact_line(line: str) -> tuple[str, str, str, int, int]:
 
 
 def _read_utf8(path: str | Path) -> str:
-    """The file's text; :func:`load_tkg` splits it without binding it, so it
-    is freed before the parse."""
+    """The file's text, which :func:`load_tkg` holds only while it parses."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise StoreError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+#: Characters of fact-file text parsed at a time: enough lines (~1,000 at
+#: CronQuestions label lengths) to amortise the per-block calls, few enough
+#: that a block's line and field lists stay small beside the columns.
+BLOCK_CHARS = 1 << 15
+
+
+def _text_blocks(text: str) -> Iterator[str]:
+    """``text`` in consecutive pieces of about :data:`BLOCK_CHARS`
+    characters, each but the last ending just after a line feed.  A line
+    feed ends a line for :meth:`str.splitlines` and a cut after it keeps a
+    ``\\r\\n`` whole, so the pieces' lines are the text's lines."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + BLOCK_CHARS) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
+
+
+def _canonical_year(text: str) -> int | None:
+    """The year ``text`` spells canonically, else ``None``."""
+    try:
+        year = int(text)
+    except ValueError:
+        return None
+    return year if str(year) == text else None
+
+
+def _merge_stripped(raw_ids: dict[str, int], ids: np.ndarray) -> dict[str, None]:
+    """The labels of ``raw_ids`` stripped, repeats dropped, in first-appearance
+    order as the keys of a dict; ``ids`` is renumbered in place to match."""
+    stripped = list(map(str.strip, raw_ids))
+    merged = dict.fromkeys(stripped)
+    if len(merged) < len(stripped):
+        position = dict(zip(merged, range(len(merged))))
+        ids[...] = np.fromiter(map(position.__getitem__, stripped), np.int32,
+                               len(stripped))[ids]
+    return merged
+
+
+def _raise_first_bad_line(path: str | Path, text: str) -> None:
+    """Run :func:`_parse_fact_line` over the lines of ``text`` and raise the
+    first one's error, naming ``path`` and the line."""
+    lines = chain.from_iterable(map(str.splitlines, _text_blocks(text)))
+    for lineno, line in enumerate(lines, 1):
+        try:
+            _parse_fact_line(line)
+        except StoreError as exc:
+            raise StoreError(f"{path}, line {lineno}: {exc}") from None
+
+
+def _parse_fact_text(path: str | Path, text: str) -> tuple[tuple[Vocabulary, ...], np.ndarray]:
+    """The three vocabularies and the ``(5, n)`` id columns of a fact file's
+    text; see :func:`load_tkg`."""
+    entity_ids: dict[str, int] = defaultdict(count().__next__)
+    relation_ids: dict[str, int] = defaultdict(count().__next__)
+    year_ids: dict[str, int] = defaultdict(count().__next__)
+    # Every line that passes the field count holds exactly four separators,
+    # so this many columns hold the lines of all blocks that pass, and a
+    # valid file fills them.
+    columns = np.empty((FACT_FIELDS, text.count(FACT_SEPARATOR) // (FACT_FIELDS - 1)),
+                       dtype=np.int32)
+    done = 0
+    for block in _text_blocks(text):
+        lines = block.splitlines()
+        if set(map(str.count, lines, repeat(FACT_SEPARATOR))) != {FACT_FIELDS - 1}:
+            _raise_first_bad_line(path, text)
+        fields = FACT_SEPARATOR.join(lines).split(FACT_SEPARATOR)
+        rows = columns[:, done:done + len(lines)]
+        done += len(lines)
+        # Subject and object interleaved, as a line is read: entity ids
+        # follow first appearance line by line.
+        pairs = [""] * (2 * len(lines))
+        pairs[0::2], pairs[1::2] = fields[0::FACT_FIELDS], fields[2::FACT_FIELDS]
+        rows[0:3:2] = np.fromiter(map(entity_ids.__getitem__, pairs), np.int32,
+                                  len(pairs)).reshape(-1, 2).T
+        for row, interned in ((1, relation_ids), (3, year_ids), (4, year_ids)):
+            rows[row] = np.fromiter(map(interned.__getitem__, fields[row::FACT_FIELDS]),
+                                    np.int32, len(lines))
+    entities = _merge_stripped(entity_ids, columns[0:3:2])
+    relations = _merge_stripped(relation_ids, columns[1])
+    years = [_canonical_year(label.strip()) for label in year_ids]
+    if "" in entities or "" in relations or None in years:
+        _raise_first_bad_line(path, text)
+    chronological = sorted(set(years))
+    rank = dict(zip(chronological, range(len(chronological))))
+    columns[3:] = np.array([rank[year] for year in years], dtype=np.int32)[columns[3:]]
+    if (columns[3] > columns[4]).any():
+        _raise_first_bad_line(path, text)
+    return (Vocabulary("entity", entities), Vocabulary("relation", relations),
+            Vocabulary("time", map(str, chronological))), columns
+
+
 def load_tkg(path: str | Path) -> TkgStore:
     """Build a store from a ``subject|relation|object|start|end`` fact file.
 
-    One pass parses each line straight into entity and relation ids, interned
-    in first-appearance order, and raw years; the years then become
-    chronological time ids in one renumbering of the two time columns.  An
-    error in a line names the file and the line.
+    The text is parsed column-wise in blocks of about :data:`BLOCK_CHARS`
+    characters cut after a line feed.  Each block is split into lines, then
+    joined with ``|`` and split once; its five fields are strided slices of
+    that list.  Entity, relation and year texts are interned per column in
+    one C-level pass each, ids in first-appearance order, and the years
+    then become chronological time ids.
+
+    Every check of :func:`_parse_fact_line` runs in bulk: the field count as
+    the set of each block's per-line ``|`` counts (a count over the whole
+    block would let a 6-field line beside a 4-field line pass as two facts);
+    stripping, empty labels and year spelling once per distinct text, raw
+    labels that strip alike merging into one id; start after end as one
+    array comparison.  Only a failed check runs :func:`_parse_fact_line`
+    over the lines, to raise the first bad line's error naming the file and
+    the line.
+
+    Memory, at 330k facts (``perfbench/gen.py`` seed 1, three loads in one
+    process): one block for the whole file peaked at 228 MB RSS against the
+    line loop's 100 MB.  Blocks that each kept their own id arrays peaked at
+    106 MB, from the freed heap those arrays leave behind; filling the
+    store's own ``(5, n)`` columns in place peaks at 96 MB.  The text and the
+    label dicts are dropped before the store builds its index.
     """
-    entity_ids: dict[str, int] = {}
-    relation_ids: dict[str, int] = {}
-    year_ids: dict[int, int] = {}  # in first appearance until the renumbering
-    rows = array("i")
-    # Opened outside the try, whose handler reads a line number; the exhausted
-    # iterator drops the lines before the store is built.
-    lines = enumerate(_read_utf8(path).splitlines(), 1)
-    try:
-        for lineno, line in lines:
-            subject, relation, obj, start, end = _parse_fact_line(line)
-            rows.extend((
-                entity_ids.setdefault(subject, len(entity_ids)),
-                relation_ids.setdefault(relation, len(relation_ids)),
-                entity_ids.setdefault(obj, len(entity_ids)),
-                year_ids.setdefault(start, len(year_ids)),
-                year_ids.setdefault(end, len(year_ids)),
-            ))
-    except StoreError as exc:
-        raise StoreError(f"{path}, line {lineno}: {exc}") from None
-    years = sorted(year_ids)
-    chronological = np.empty(len(years), dtype=np.int32)
-    chronological[[year_ids[y] for y in years]] = np.arange(len(years))
-    facts = np.frombuffer(rows, dtype=np.int32).reshape(-1, 5)
-    facts[:, 3:] = chronological[facts[:, 3:]]
-    # The store's own column layout, so that it keeps this copy; the parsed
-    # rows and the label dicts are dropped before the store builds its index.
-    columns = np.ascontiguousarray(facts.T)
-    vocabularies = (Vocabulary("entity", entity_ids), Vocabulary("relation", relation_ids),
-                    Vocabulary("time", map(str, years)))
-    del facts, rows, entity_ids, relation_ids
+    vocabularies, columns = _parse_fact_text(path, _read_utf8(path))
     return TkgStore(*vocabularies, columns.T)
 
 
@@ -541,6 +627,8 @@ def load_questions(path: str | Path, store: TkgStore) -> list[Question]:
                 raise StoreError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
             except json.JSONDecodeError as exc:
                 raise StoreError(f"not a valid record ({exc.msg})") from None
+            except RecursionError:
+                raise StoreError("not a valid record (nested too deeply)") from None
             if not isinstance(record, dict):
                 raise StoreError("record is not a JSON object")
             missing = [k for k in QUESTION_KEYS if k not in record]

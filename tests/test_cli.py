@@ -18,6 +18,10 @@ from conftest import DATA
 DESK = DATA / "desk"
 
 
+#: JSON nested far deeper than the interpreter's recursion limit
+DEEPLY_NESTED = b"[" * 100_000 + b"]" * 100_000
+
+
 def fast_config(tmp_path, **extra):
     """Desk data with throwaway hyperparameters; exercises plumbing, not quality."""
     payload = {
@@ -315,6 +319,16 @@ class TestStageSequencing:
         assert f"{path}, line {len(lines)}: malformed record" in caplog.text
         assert "rerun retrieve" in caplog.text
 
+    def test_dump_line_nested_too_deeply_returns_2(self, pipeline, tmp_path, caplog):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "subgraphs_test.jsonl"
+        lines = path.read_bytes().splitlines()
+        lines[1] = DEEPLY_NESTED
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["build-indicators", "--config", str(config)]) == 2
+        assert f"{path}, line 2: malformed record (maximum recursion depth" in caplog.text
+        assert "rerun retrieve" in caplog.text
+
     def test_dump_line_that_is_not_an_object_returns_2(self, pipeline, tmp_path, caplog):
         config = copied_run(pipeline, tmp_path)
         path = tmp_path / "dumps" / "predictions.jsonl"
@@ -448,6 +462,12 @@ class TestErrorHandling:
         assert main(["e2e", "--config", str(binary)]) == 2
         assert f"{binary}: config is not UTF-8 text" in caplog.text
 
+    def test_config_nested_too_deeply_returns_2(self, tmp_path, caplog):
+        path = tmp_path / "nested.json"
+        path.write_bytes(DEEPLY_NESTED)
+        assert main(["e2e", "--config", str(path)]) == 2
+        assert f"{path}: not valid JSON (nested too deeply)" in caplog.text
+
     def test_missing_facts_file_returns_2(self, tmp_path):
         config = fast_config(tmp_path, tkg_path=str(tmp_path / "nowhere.txt"))
         assert main(["build-kg", "--config", str(config)]) == 2
@@ -459,7 +479,8 @@ class TestErrorHandling:
         (lambda line: json.dumps({**json.loads(line), "answers": 5}).encode(),
          "line 3: 'answers' must be a list"),
         (lambda line: b"\xff" + line, "line 3: not UTF-8 text"),
-    ], ids=["number", "list-of-keys", "answers-number", "not-utf8"])
+        (lambda line: DEEPLY_NESTED, "line 3: not a valid record (nested too deeply)"),
+    ], ids=["number", "list-of-keys", "answers-number", "not-utf8", "nested-too-deeply"])
     def test_malformed_question_file_returns_2(self, tmp_path, caplog, edit, message):
         lines = (DESK / "questions_test.jsonl").read_bytes().splitlines()
         lines[2] = edit(lines[2])

@@ -2,15 +2,18 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import tempkgqa.store as store_module
 from tempkgqa.retrieval import anchor_facts, candidate_relations
 from tempkgqa.store import (
     ANCHORED_TYPES,
     AnswerType,
+    BLOCK_CHARS,
     COMPLEX_TYPES,
     FactView,
     Question,
@@ -23,8 +26,11 @@ from tempkgqa.store import (
     TkgStore,
     Vocabulary,
     facts_filtered,
+    _parse_fact_line,
+    _text_blocks,
     load_questions,
     load_tkg,
+    member_mask,
 )
 
 from conftest import build_store
@@ -220,6 +226,132 @@ class TestFactFile:
             assert row == [store.entities.id(s), store.relations.id(r), store.entities.id(o),
                            store.times.id(str(start)), store.times.id(str(start + length))]
             assert store.fact_from_label(lines[i]) == store.facts[i]
+
+
+def looped_load(path):
+    """Reference parse of a fact file, one line at a time through the line
+    codec, labels interned in first-appearance order: the three
+    vocabularies' labels and the ``(n, 5)`` id rows.  A bad line raises the
+    error naming the file and the line."""
+    entity_ids, relation_ids, rows = {}, {}, []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            subject, relation, obj, start, end = _parse_fact_line(line)
+        except StoreError as exc:
+            raise StoreError(f"{path}, line {lineno}: {exc}") from None
+        rows.append((entity_ids.setdefault(subject, len(entity_ids)),
+                     relation_ids.setdefault(relation, len(relation_ids)),
+                     entity_ids.setdefault(obj, len(entity_ids)), start, end))
+    years = sorted({year for row in rows for year in row[3:]})
+    rank = {year: i for i, year in enumerate(years)}
+    rows = [(*row[:3], rank[row[3]], rank[row[4]]) for row in rows]
+    labels = (tuple(entity_ids), tuple(relation_ids), tuple(map(str, years)))
+    return labels, np.array(rows, dtype=np.int32).reshape(-1, 5)
+
+
+def assert_loads_as_the_loop(path):
+    """``load_tkg(path)`` gives the reference's labels and id rows, or
+    raises its error word for word; the store, or ``None``."""
+    try:
+        labels, rows = looped_load(path)
+    except StoreError as exc:
+        with pytest.raises(StoreError) as raised:
+            load_tkg(path)
+        assert str(raised.value) == str(exc)
+        return None
+    store = load_tkg(path)
+    assert (store.entities.labels, store.relations.labels, store.times.labels) == labels
+    assert np.array_equal(np.asarray(store.facts), rows)
+    return store
+
+
+PADDED_ENTITIES = st.sampled_from(["a", " a ", "a\t", "b", "c d", " c d", "é"])
+PADDED_RELATIONS = st.sampled_from(["r", " r", "s t", "s t "])
+FACT_LINES = st.builds(
+    lambda s, r, o, start, length, pad: f"{s}|{r}|{o}|{pad}{start}|{start + length}{pad}",
+    PADDED_ENTITIES, PADDED_RELATIONS, PADDED_ENTITIES, st.integers(-50, 3000),
+    st.integers(0, 40), st.sampled_from(["", " "]),
+)
+#: Lines the loader must reject, or that break a line in two; the bar is
+#: drawn twice as often as the rest, so some have the right field count
+JUNK_LINES = st.text(st.sampled_from(list("ab|| 0129-\r\u2028")), max_size=20)
+
+
+class TestBlockParse:
+    """``load_tkg`` against the line loop it replaced, in blocks of any size."""
+
+    def write(self, directory, text):
+        path = Path(directory) / "facts.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @given(st.lists(FACT_LINES, max_size=30), st.sampled_from(["\n", "\r\n"]), st.booleans(),
+           st.sampled_from([1, 16, 64, BLOCK_CHARS]))
+    def test_padded_lines_load_as_the_loop(self, lines, newline, final_newline, block_chars):
+        """Labels that merge once stripped, CRLF endings and a missing final
+        newline, with the text cut into blocks of ``block_chars``."""
+        text = newline.join(lines) + (newline if final_newline and lines else "")
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(store_module, "BLOCK_CHARS", block_chars):
+            assert assert_loads_as_the_loop(self.write(tmp, text)) is not None
+
+    @given(st.lists(st.one_of(FACT_LINES, JUNK_LINES), max_size=12),
+           st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from([1, 16, BLOCK_CHARS]))
+    def test_any_text_loads_or_fails_as_the_loop(self, lines, newline, block_chars):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(store_module, "BLOCK_CHARS", block_chars):
+            assert_loads_as_the_loop(self.write(tmp, newline.join(lines)))
+
+    @pytest.mark.parametrize("text, message", [
+        ("a|r|b|1990|1991|x\nr|c|1990|1991\n", "line 1: expected 5 '|'-separated fields, got 6"),
+        ("a|r|b|1990|1991\n\nc|r|d|1990|1991\n", "line 2: expected 5 '|'-separated fields, got 1"),
+        ("a|r|b|1990|1991\nc\u2028d|r|e|1990|1991\n",
+         "line 2: expected 5 '|'-separated fields, got 1"),
+    ], ids=["six-beside-four", "blank-line", "u2028-in-label"])
+    def test_error_names_the_line(self, tmp_path, text, message):
+        path = self.write(tmp_path, text)
+        with pytest.raises(StoreError, match=f"^{re.escape(f'{path}, {message}')}$"):
+            load_tkg(path)
+        assert_loads_as_the_loop(path)
+
+    def test_empty_file_gives_an_empty_store(self, tmp_path):
+        store = assert_loads_as_the_loop(self.write(tmp_path, ""))
+        assert len(store.facts) == 0
+        assert len(store.entities) == len(store.relations) == len(store.times) == 0
+
+    @staticmethod
+    def many_lines():
+        return [f"e{i % 997}|r{i % 7}|e{i * 31 % 1009}|{1900 + i % 120}|{1900 + i % 120 + i % 5}"
+                for i in range(4000)]
+
+    def test_file_of_three_blocks_or_more(self, tmp_path):
+        text = "\n".join(self.many_lines()) + "\n"
+        assert len(list(_text_blocks(text))) >= 3
+        store = assert_loads_as_the_loop(self.write(tmp_path, text))
+        assert len(store.facts) == 4000
+
+    @pytest.mark.parametrize("line, message", [
+        ("x|r|y|1995", "expected 5 '|'-separated fields, got 4"),
+        ("x| |y|1990|1991", "empty label"),
+        ("x|r|y|199O|1991", "non-integer year"),
+        ("x|r|y|01990|1991", "non-canonical year spelling"),
+        ("x|r|y|1995|1990", "start year 1995 after end year 1990"),
+    ], ids=["fields", "empty", "alpha", "zero-pad", "reversed"])
+    def test_bad_line_in_a_late_block_names_its_line(self, tmp_path, line, message):
+        lines = self.many_lines()
+        lines[3900] = line
+        text = "\n".join(lines) + "\n"
+        assert text.index(line) > 2 * BLOCK_CHARS
+        path = self.write(tmp_path, text)
+        with pytest.raises(StoreError, match=f"^{re.escape(f'{path}, line 3901: {message}')}$"):
+            load_tkg(path)
+
+
+@pytest.mark.parametrize("wanted", [[3, 3, 1, 3], [], [0, 10, 99]],
+                         ids=["repeats", "empty", "past-the-vocabulary"])
+def test_member_mask_equals_isin(wanted):
+    values = np.array([3, 1, 4, 1, 5, 9, 2, 6, 0, 3], dtype=np.int32)
+    assert np.array_equal(member_mask(values, wanted), np.isin(values, wanted))
 
 
 class TestStoreIndexes:
