@@ -1,19 +1,20 @@
 """Binary checkpoints for embedding tables, encoder parameters, and the head.
 
-All files share the same framing: a 4-byte magic, a little-endian ``u32``
-format version, ``u32`` width fields, ``u64`` row counts, then the matrices
-as row-major ``float32``.  Layouts:
+Every file has one framing: a 4-byte magic, a little-endian ``u32`` format
+version, the kind's header fields (``u32`` widths, ``u64`` row counts), then
+the kind's matrices one after another as row-major little-endian ``float32``.
+Matrices are widened back to ``float64`` on load; :func:`encode_matrix` and
+:func:`decode_matrix` hold that rule for every stored vector, the indicator
+dumps' too.  Header fields and matrices, by kind:
 
-- ``TKGE``  version, d, n_entities, n_relation_rows, n_times, then the
-  entity / relation / time matrices.
-- ``TGNN``  version, d, n_entities, then w_msg, w_query, w_key (all
-  d x d), decoder_w (d x n_entities), decoder_b (n_entities).
-- ``HEAD``  version, d_llm, d_in, n_tokens, n_answers, then token_emb
-  (n_tokens x d_llm), scoring (d_llm x n_answers), projection
-  (d_in x d_llm).  Token and answer labels travel in a JSON sidecar written
-  next to the binary file.
+- ``TKGE``  d, n_entities, n_relation_rows, n_times; the entity / relation /
+  time matrices.
+- ``TGNN``  d, n_entities; w_msg, w_query, w_key (all d x d), decoder_w
+  (d x n_entities), decoder_b (n_entities).
+- ``HEAD``  d_llm, d_in, n_tokens, n_answers; token_emb (n_tokens x d_llm),
+  scoring (d_llm x n_answers), projection (d_in x d_llm).  Token and answer
+  labels travel in a JSON sidecar written next to the binary file.
 
-Matrices are stored as ``float32`` and widened back to ``float64`` on load.
 Version 2 dropped the head's fixed mixing weights and version 3 the
 encoder's layer count (the encoder is one layer); files of an earlier version
 are rejected.  A load error names the file it was reading.
@@ -25,8 +26,8 @@ import json
 import math
 import os
 import struct
-from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,109 +41,95 @@ FORMAT_VERSION = 3
 MAGIC_TABLE = b"TKGE"
 MAGIC_TGNN = b"TGNN"
 MAGIC_HEAD = b"HEAD"
+# struct layouts of the headers after the magic: the version, then the fields
+_TABLE_LAYOUT = "<IIQQQ"
+_TGNN_LAYOUT = "<IIQ"
+_HEAD_LAYOUT = "<IIIQQ"
 
 
 class CheckpointError(TempkgqaError, ValueError):
     pass
 
 
-def _write_array(handle, array: np.ndarray) -> None:
-    handle.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
+def encode_matrix(array: np.ndarray) -> bytes:
+    """``array`` as stored: row-major little-endian ``float32`` bytes."""
+    return np.ascontiguousarray(array, dtype="<f4").tobytes()
 
 
-def _read_array(handle, shape: tuple[int, ...]) -> np.ndarray:
-    """The next ``shape`` matrix; a size beyond the bytes left in the file
-    is rejected before anything is read."""
-    size = 4 * math.prod(shape)
-    if size > os.fstat(handle.fileno()).st_size - handle.tell():
-        raise CheckpointError("truncated checkpoint")
-    raw = handle.read(size)
-    try:
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-    except ValueError:  # an empty matrix with a row count numpy cannot index
-        raise CheckpointError(f"matrix shape {shape} out of range") from None
+def decode_matrix(raw: bytes) -> np.ndarray:
+    """The flat ``float64`` values of stored bytes; a length that is not a
+    whole number of ``float32`` values raises ``ValueError``."""
+    return np.frombuffer(raw, dtype="<f4").astype(np.float64)
 
 
-def _read_header(handle, magic: bytes, layout: str) -> tuple[int, ...]:
-    observed = handle.read(4)
-    if observed != magic:
-        raise CheckpointError(f"bad magic {observed!r}, expected {magic!r}")
-    size = struct.calcsize(layout)
-    raw = handle.read(size)
-    if len(raw) != size:
-        raise CheckpointError("truncated checkpoint header")
-    fields = struct.unpack(layout, raw)
-    if fields[0] != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported format version {fields[0]}")
-    return fields[1:]
+def _save(path: str | Path, magic: bytes, layout: str, header: Iterable[int],
+          arrays: Iterable[np.ndarray]) -> None:
+    """Write ``magic``, the version and ``header`` packed by ``layout``, then
+    each of ``arrays`` in turn; no buffer of the whole file is built."""
+    with open(path, "wb") as handle:
+        handle.write(magic + struct.pack(layout, FORMAT_VERSION, *header))
+        for array in arrays:
+            handle.write(encode_matrix(array))
 
 
-@contextmanager
-def _reading(path: str | Path):
-    """Open a checkpoint for reading; a format error names the file."""
+def _load(path: str | Path, magic: bytes, layout: str,
+          shapes: Callable[..., Sequence[tuple[int, ...]]]) -> list[np.ndarray]:
+    """The matrices of a file :func:`_save` wrote, shaped by ``shapes`` called
+    with the header fields.  Each is read on its own, and one larger than the
+    bytes left in the file is rejected before it is read."""
     try:
         with open(path, "rb") as handle:
-            yield handle
+            observed = handle.read(4)
+            if observed != magic:
+                raise CheckpointError(f"bad magic {observed!r}, expected {magic!r}")
+            size = struct.calcsize(layout)
+            raw = handle.read(size)
+            if len(raw) != size:
+                raise CheckpointError("truncated checkpoint header")
+            version, *fields = struct.unpack(layout, raw)
+            if version != FORMAT_VERSION:
+                raise CheckpointError(f"unsupported format version {version}")
+            left = os.fstat(handle.fileno()).st_size - handle.tell()
+            arrays = []
+            for shape in shapes(*fields):
+                size = 4 * math.prod(shape)
+                if size > left:
+                    raise CheckpointError("truncated checkpoint")
+                left -= size
+                values = decode_matrix(handle.read(size))
+                try:
+                    arrays.append(values.reshape(shape))
+                except ValueError:  # an empty matrix with a row count numpy cannot index
+                    raise CheckpointError(f"matrix shape {shape} out of range") from None
+            return arrays
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
 
 
 def save_table(path: str | Path, table: EmbeddingTable) -> None:
-    with open(path, "wb") as handle:
-        handle.write(MAGIC_TABLE)
-        handle.write(
-            struct.pack(
-                "<IIQQQ",
-                FORMAT_VERSION,
-                table.dim,
-                table.entity.shape[0],
-                table.relation.shape[0],
-                table.time.shape[0],
-            )
-        )
-        for array in (table.entity, table.relation, table.time):
-            _write_array(handle, array)
+    _save(path, MAGIC_TABLE, _TABLE_LAYOUT,
+          (table.dim, len(table.entity), len(table.relation), len(table.time)),
+          (table.entity, table.relation, table.time))
 
 
 def load_table(path: str | Path) -> EmbeddingTable:
-    with _reading(path) as handle:
-        d, n_entities, n_relation_rows, n_times = _read_header(
-            handle, MAGIC_TABLE, "<IIQQQ"
-        )
-        return EmbeddingTable(
-            entity=_read_array(handle, (n_entities, d)),
-            relation=_read_array(handle, (n_relation_rows, d)),
-            time=_read_array(handle, (n_times, d)),
-        )
+    return EmbeddingTable(*_load(
+        path, MAGIC_TABLE, _TABLE_LAYOUT,
+        lambda d, n_entities, n_relation_rows, n_times: (
+            (n_entities, d), (n_relation_rows, d), (n_times, d)),
+    ))
 
 
 def save_tgnn(path: str | Path, params: TgnnParams) -> None:
-    with open(path, "wb") as handle:
-        handle.write(MAGIC_TGNN)
-        handle.write(
-            struct.pack(
-                "<IIQ",
-                FORMAT_VERSION,
-                params.dim,
-                params.decoder_b.shape[0],
-            )
-        )
-        for array in (
-            params.w_msg, params.w_query, params.w_key, params.decoder_w, params.decoder_b
-        ):
-            _write_array(handle, array)
+    _save(path, MAGIC_TGNN, _TGNN_LAYOUT, (params.dim, len(params.decoder_b)),
+          (params.w_msg, params.w_query, params.w_key, params.decoder_w, params.decoder_b))
 
 
 def load_tgnn(path: str | Path) -> TgnnParams:
-    with _reading(path) as handle:
-        d, n_entities = _read_header(handle, MAGIC_TGNN, "<IIQ")
-        return TgnnParams(
-            w_msg=_read_array(handle, (d, d)),
-            w_query=_read_array(handle, (d, d)),
-            w_key=_read_array(handle, (d, d)),
-            decoder_w=_read_array(handle, (d, n_entities)),
-            decoder_b=_read_array(handle, (n_entities,)),
-        )
+    return TgnnParams(*_load(
+        path, MAGIC_TGNN, _TGNN_LAYOUT,
+        lambda d, n_entities: ((d, d), (d, d), (d, d), (d, n_entities), (n_entities,)),
+    ))
 
 
 def _sidecar_path(path: str | Path) -> Path:
@@ -152,20 +139,9 @@ def _sidecar_path(path: str | Path) -> Path:
 def save_head(path: str | Path, params: HeadParams, projection: Projection) -> None:
     if projection.dim_out != params.dim:
         raise CheckpointError("projection output width does not match head width")
-    with open(path, "wb") as handle:
-        handle.write(MAGIC_HEAD)
-        handle.write(
-            struct.pack(
-                "<IIIQQ",
-                FORMAT_VERSION,
-                params.dim,
-                projection.dim_in,
-                params.token_emb.shape[0],
-                params.scoring.shape[1],
-            )
-        )
-        for array in (params.token_emb, params.scoring, projection.weight):
-            _write_array(handle, array)
+    _save(path, MAGIC_HEAD, _HEAD_LAYOUT,
+          (params.dim, projection.dim_in, len(params.token_emb), params.scoring.shape[1]),
+          (params.token_emb, params.scoring, projection.weight))
     tokens = [""] * len(params.token_vocab)
     for token, row in params.token_vocab.items():
         tokens[row] = token
@@ -180,11 +156,11 @@ def save_head(path: str | Path, params: HeadParams, projection: Projection) -> N
 
 
 def load_head(path: str | Path) -> tuple[HeadParams, Projection]:
-    with _reading(path) as handle:
-        d_llm, d_in, n_tokens, n_answers = _read_header(handle, MAGIC_HEAD, "<IIIQQ")
-        token_emb = _read_array(handle, (n_tokens, d_llm))
-        scoring = _read_array(handle, (d_llm, n_answers))
-        weight = _read_array(handle, (d_in, d_llm))
+    token_emb, scoring, weight = _load(
+        path, MAGIC_HEAD, _HEAD_LAYOUT,
+        lambda d_llm, d_in, n_tokens, n_answers: (
+            (n_tokens, d_llm), (d_llm, n_answers), (d_in, d_llm)),
+    )
     sidecar = _sidecar_path(path)
     try:
         record = json.loads(sidecar.read_text(encoding="utf-8"))
@@ -193,7 +169,7 @@ def load_head(path: str | Path) -> tuple[HeadParams, Projection]:
         raise CheckpointError(f"{sidecar}: head sidecar has no key {exc}") from None
     except (ValueError, TypeError) as exc:  # undecodable text or JSON, wrong types
         raise CheckpointError(f"{sidecar}: malformed head sidecar ({exc})") from None
-    if len(tokens) != n_tokens or len(answer_labels) != n_answers:
+    if len(tokens) != len(token_emb) or len(answer_labels) != scoring.shape[1]:
         raise CheckpointError(f"{sidecar}: sidecar does not match the shapes in {path}")
     params = HeadParams(
         token_vocab={token: row for row, token in enumerate(tokens)},

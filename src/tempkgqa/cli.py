@@ -134,17 +134,17 @@ def _read_jsonl(
 
 
 def _encode_vector(vector: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(vector, dtype="<f4").tobytes()).decode("ascii")
+    return base64.b64encode(checkpoint.encode_matrix(vector)).decode("ascii")
 
 
 def _decode_vector(record: dict, key: str, width: int) -> np.ndarray:
     try:
-        vector = np.frombuffer(base64.b64decode(record[key], validate=True), dtype="<f4")
+        vector = checkpoint.decode_matrix(base64.b64decode(record[key], validate=True))
     except ValueError as exc:  # binascii.Error is a ValueError
         raise ValueError(f"{key!r} is not a base64 float32 vector ({exc})") from None
     if vector.shape != (width,):
         raise ValueError(f"{key!r} has width {len(vector)}, expected {width}")
-    return vector.astype(np.float64)
+    return vector
 
 
 World = tuple[TkgStore, list[Question], list[Question]]  # the store, train and test
@@ -356,11 +356,9 @@ def stage_predict(cfg: RunConfig, world: World) -> None:
         (q.uid for q in answered),
         head_mod.predict_topk(examples, params, projection, PREDICT_DEPTH),
     ))
-    records = [
-        {"uid": q.uid,
-         "answers": evaluation.parse_generated("\t".join(ranked.get(q.uid, [])))}
-        for q in test
-    ]
+    # an entity and a time can share a label; rank_of rejects repeats
+    records = [{"uid": q.uid, "answers": list(dict.fromkeys(ranked.get(q.uid, [])))}
+               for q in test]
     _write_jsonl(_dump_path(cfg, "predictions.jsonl"), records)
 
 
@@ -377,24 +375,7 @@ def stage_evaluate(cfg: RunConfig, world: World) -> None:
             evaluation.RankRecord(question.uid, question.qtype.value, question.atype.value, rank)
         )
     report = evaluation.build_report(records)
-    _write_json(_dump_path(cfg, "report.json"), {
-        "ks": list(report.ks),
-        "overall": {str(k): v for k, v in report.overall.items()},
-        "by_question_type": {
-            name: {str(k): v for k, v in cell.items()}
-            for name, cell in report.by_question_type.items()
-        },
-        "by_group": {
-            name: {str(k): v for k, v in cell.items()}
-            for name, cell in report.by_group.items()
-        },
-        "by_answer_type": {
-            name: {str(k): v for k, v in cell.items()}
-            for name, cell in report.by_answer_type.items()
-        },
-        "counts": report.counts,
-        "records": [evaluation.record_payload(r) for r in report.records],
-    })
+    _write_json(_dump_path(cfg, "report.json"), evaluation.report_payload(report))
     print(evaluation.render_report(report))
 
 

@@ -9,7 +9,7 @@ weighted mean decomposition of the overall number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import AbstractSet, Mapping, Sequence
 
 from .errors import TempkgqaError
@@ -47,19 +47,6 @@ def hits_at_k(records: Sequence[RankRecord], k: int) -> float:
     if k < 1:
         raise EvaluationError("k must be >= 1")
     return sum(1 for r in records if r.rank is not None and r.rank <= k) / len(records)
-
-
-def parse_generated(text: str) -> list[str]:
-    """Split a generated answer line on tabs into at most ten deduplicated
-    non-empty labels, order preserved."""
-    seen: dict[str, None] = {}
-    for raw in text.split("\t"):
-        label = raw.strip()
-        if label and label not in seen:
-            seen[label] = None
-        if len(seen) >= 10:
-            break
-    return list(seen)
 
 
 _SIMPLE = frozenset(t.value for t in SIMPLE_TYPES)
@@ -132,10 +119,20 @@ def render_report(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def record_payload(record: RankRecord) -> dict:
+def report_payload(report: EvalReport) -> dict:
+    """The JSON form of ``report``, each Hits@K cell keyed by ``str(k)``."""
+    def keyed(cell: Mapping[int, float]) -> dict[str, float]:
+        return {str(k): v for k, v in cell.items()}
+
+    def sliced(cells: Mapping[str, Mapping[int, float]]) -> dict[str, dict[str, float]]:
+        return {name: keyed(cell) for name, cell in cells.items()}
+
     return {
-        "uid": record.uid,
-        "qtype": record.qtype,
-        "atype": record.atype,
-        "rank": record.rank,
+        "ks": list(report.ks),
+        "overall": keyed(report.overall),
+        "by_question_type": sliced(report.by_question_type),
+        "by_group": sliced(report.by_group),
+        "by_answer_type": sliced(report.by_answer_type),
+        "counts": report.counts,
+        "records": [asdict(r) for r in report.records],
     }

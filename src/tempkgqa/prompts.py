@@ -27,11 +27,10 @@ class PromptError(TempkgqaError, ValueError):
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """A rendered prompt: role-tagged messages plus render provenance."""
+    """A rendered prompt: role-tagged messages and the template they came from."""
 
     messages: tuple[Mapping[str, str], ...]
     template_id: str
-    substitutions: Mapping[str, str]
 
     @property
     def text(self) -> str:
@@ -198,11 +197,7 @@ def _render(template_id: str, template: str, substitutions: Mapping[str, str]) -
     text = _PLACEHOLDER_PATTERN.sub(fill, template)
     if "{" in text or "}" in text:
         raise PromptError(f"{template_id}: rendered text still contains a brace")
-    return PromptBundle(
-        messages=({"role": "user", "content": text},),
-        template_id=template_id,
-        substitutions=dict(substitutions),
-    )
+    return PromptBundle(messages=({"role": "user", "content": text},), template_id=template_id)
 
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")

@@ -659,8 +659,6 @@ def load_questions(path: str | Path, store: TkgStore) -> list[Question]:
 
             answer_vocab = store.entities if atype is AnswerType.ENTITY else store.times
             gold = frozenset(answer_vocab.id(str(a)) for a in record["answers"])
-            if not gold:
-                raise StoreError(f"question {uid!r} has no gold answers")
             questions.append(
                 Question(uid, text, tuple(entity_ids), tuple(time_ids), qtype, atype, gold)
             )

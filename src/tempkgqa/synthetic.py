@@ -21,13 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .cli import MAX_FACTS
 from .store import (
     AnswerType,
     Question,
     QuestionType,
     Quadruple,
+    TemporalConstraint,
     TkgStore,
     Vocabulary,
+    facts_filtered,
 )
 
 FactLine = tuple[str, str, str, int, int]
@@ -229,40 +232,26 @@ def qa_fixture(seed: int = 0) -> QaFixture:
 
     lines = [f"{s}|{r}|{o}|{a}|{b}" for s, r, o, a, b in facts]
 
-    def supported(
-        annotated: list[str], relation: str, kind: str,
-        t1: int | tuple[int, int] | None, answers: list, atype: str, cap: int = 10,
-    ) -> bool:
-        """Would the capped evidence window still cover every answer?
+    entities = Vocabulary("entity", dict.fromkeys(x for s, _, o, _, _ in facts for x in (s, o)))
+    relations = Vocabulary("relation", dict.fromkeys(r for _, r, _, _, _ in facts))
+    times = Vocabulary("time", map(str, range(YEAR_LO, YEAR_HI + 1)))
+    store = TkgStore(entities, relations, times, [
+        (entities.id(s), relations.id(r), entities.id(o), times.id(str(a)), times.id(str(b)))
+        for s, r, o, a, b in facts
+    ])
 
-        Mirrors the offline retrieval arithmetic: keep facts under
-        ``relation`` touching any annotated entity and admitted by the
-        temporal window, sorted by (start, end, position), first ``cap``.
-        ``t1`` is the year for ``at``/``before``/``after`` and the
-        ``(start, end)`` pair for ``between``.
-        """
-        rows = []
-        for index, (s, r, o, a, b) in enumerate(facts):
-            if r != relation or (s not in annotated and o not in annotated):
-                continue
-            if kind == "none":
-                admitted = True
-            elif kind == "at":
-                admitted = a <= t1 <= b
-            elif kind == "before":
-                admitted = a < t1
-            elif kind == "after":
-                admitted = b > t1
-            else:
-                admitted = _overlap(a, b, *t1)
-            if admitted:
-                rows.append((a, b, index, s, o))
-        rows.sort()
-        rows = rows[:cap]
-        if atype == "time":
-            covered: set = {a for a, _, _, _, _ in rows} | {b for _, b, _, _, _ in rows}
+    def time_id(year: int) -> int:
+        return times.id(str(year))
+
+    def supported(annotated: list[str], relation: str, constraint: TemporalConstraint,
+                  answers: list, atype: AnswerType) -> bool:
+        """Would the evidence offline retrieval keeps cover every answer?"""
+        kept = facts_filtered(store, map(entities.id, annotated), [relations.id(relation)],
+                              constraint)[:MAX_FACTS]
+        if atype is AnswerType.TIME:
+            covered = {store.year(t) for fact in kept for t in (fact.t_start, fact.t_end)}
         else:
-            covered = {s for _, _, _, s, _ in rows}
+            covered = {entities.label(fact.subject) for fact in kept}
         return set(answers) <= covered
 
     # -- questions ------------------------------------------------------
@@ -308,7 +297,8 @@ def qa_fixture(seed: int = 0) -> QaFixture:
         anchor = occupants[int(rng.integers(len(occupants)))]
         year = int(rng.integers(anchor[1], anchor[2] + 1))
         answers = [p for p, a, b in occupants if a <= year <= b]
-        assert supported([obj], relation, "at", year, answers, "entity")
+        assert supported([obj], relation, TemporalConstraint.at(time_id(year)), answers,
+                         AnswerType.ENTITY)
         t1, t2 = entity_templates[relation]
         emit(
             (t1.format(obj=obj, year=year), t2.format(obj=obj, year=year)),
@@ -340,7 +330,8 @@ def qa_fixture(seed: int = 0) -> QaFixture:
     }
 
     def simple_time(subj: str, obj: str, relation: str, start: int, end: int) -> None:
-        assert supported([subj], relation, "none", None, [start, end], "time")
+        assert supported([subj], relation, TemporalConstraint.none(), [start, end],
+                         AnswerType.TIME)
         t1, t2 = time_templates[relation]
         emit(
             (t1.format(subj=subj, obj=obj), t2.format(subj=subj, obj=obj)),
@@ -373,7 +364,8 @@ def qa_fixture(seed: int = 0) -> QaFixture:
         chain = holders_of[position]
         anchor = chain[int(rng.integers(0, 2))]  # not the last holder
         answers = [p for p, a, b in chain if b > anchor[2]]
-        assert supported([anchor[0], position], POSITION_HELD, "after", anchor[2], answers, "entity")
+        assert supported([anchor[0], position], POSITION_HELD,
+                         TemporalConstraint.after(time_id(anchor[2])), answers, AnswerType.ENTITY)
         t1, t2 = before_after_templates["after"]
         emit(
             (t1.format(obj=position, anchor=anchor[0]),
@@ -382,7 +374,8 @@ def qa_fixture(seed: int = 0) -> QaFixture:
         )
         anchor = chain[int(rng.integers(2, 4))]  # not the first holder
         answers = [p for p, a, b in chain if a < anchor[1]]
-        assert supported([anchor[0], position], POSITION_HELD, "before", anchor[1], answers, "entity")
+        assert supported([anchor[0], position], POSITION_HELD,
+                         TemporalConstraint.before(time_id(anchor[1])), answers, AnswerType.ENTITY)
         t1, t2 = before_after_templates["before"]
         emit(
             (t1.format(obj=position, anchor=anchor[0]),
@@ -409,7 +402,8 @@ def qa_fixture(seed: int = 0) -> QaFixture:
             answer = min(a for _, a, _ in stints)
         else:
             answer = max(b for _, _, b in stints)
-        assert supported([athlete], MEMBER_OF, "none", None, [answer], "time")
+        assert supported([athlete], MEMBER_OF, TemporalConstraint.none(), [answer],
+                         AnswerType.TIME)
         answer = str(answer)
         t1, t2 = first_last_templates[which]
         emit(
@@ -433,8 +427,9 @@ def qa_fixture(seed: int = 0) -> QaFixture:
             if p != anchor[0] and _overlap(a, b, anchor[1], anchor[2])
         ]
         if not answers or not supported(
-            [anchor[0], team], MEMBER_OF, "between",
-            (anchor[1], anchor[2]), answers, "entity",
+            [anchor[0], team], MEMBER_OF,
+            TemporalConstraint.between(time_id(anchor[1]), time_id(anchor[2])), answers,
+            AnswerType.ENTITY,
         ):
             continue
         emit(

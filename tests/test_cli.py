@@ -397,6 +397,32 @@ class TestStageSequencing:
         assert predictions[uid] == []
         assert len(predictions) == 76
 
+    def test_label_holding_a_tab_is_predicted_whole(self, tmp_path):
+        # the fact format strips only the ends of a field, so a label may hold a tab
+        (tmp_path / "facts.txt").write_text(
+            "Ann\tLee|position held|Mayor of Oslo|1990|1993\n"
+            "Bo Li|position held|Mayor of Oslo|1994|1996\n"
+            "Cy Ng|member of|Oslo FC|1990|1992\n"
+            "Ann\tLee|member of|Oslo FC|1991|1995\n", encoding="utf-8")
+        for split, text in (("train", "Who held the position of Mayor of Oslo in 1991?"),
+                            ("test", "Which person held the position Mayor of Oslo during 1991?")):
+            question = {"uid": f"{split}1", "text": text, "entities": ["Mayor of Oslo"],
+                        "times": [1991], "qtype": "simple_entity", "atype": "entity",
+                        "answers": ["Ann\tLee"]}
+            (tmp_path / f"{split}.jsonl").write_text(json.dumps(question) + "\n",
+                                                     encoding="utf-8")
+        config = fast_config(tmp_path, tkg_path=str(tmp_path / "facts.txt"),
+                             questions_train=str(tmp_path / "train.jsonl"),
+                             questions_test=str(tmp_path / "test.jsonl"),
+                             head_epochs=40, head_learning_rate=0.3)
+        assert main(["e2e", "--config", str(config)]) == 0
+        dumps = tmp_path / "dumps"
+        [prediction] = read_jsonl(dumps / "predictions.jsonl")
+        assert prediction["answers"][0] == "Ann\tLee"
+        assert "Ann" not in prediction["answers"]
+        report = json.loads((dumps / "report.json").read_text(encoding="utf-8"))
+        assert report["records"][0]["rank"] == 1
+
     def test_single_stage_reruns_cleanly(self, pipeline):
         dumps, config = pipeline
         before = (dumps / "report.json").read_bytes()

@@ -7,10 +7,9 @@ from tempkgqa.evaluation import (
     RankRecord,
     build_report,
     hits_at_k,
-    parse_generated,
     rank_of,
-    record_payload,
     render_report,
+    report_payload,
 )
 
 
@@ -68,22 +67,6 @@ class TestHitsAtK:
         records = [record(r) for r in ranks]
         values = [hits_at_k(records, k) for k in range(1, 31)]
         assert values == sorted(values)
-
-
-class TestParseGenerated:
-    def test_tab_split_and_strip(self):
-        assert parse_generated("a\t b \tc") == ["a", "b", "c"]
-
-    def test_deduplicates_keeping_first(self):
-        assert parse_generated("a\tb\ta\tc") == ["a", "b", "c"]
-
-    def test_drops_empties(self):
-        assert parse_generated("\ta\t\t\tb\t") == ["a", "b"]
-        assert parse_generated("") == []
-
-    def test_caps_at_ten(self):
-        text = "\t".join(str(i) for i in range(30))
-        assert parse_generated(text) == [str(i) for i in range(10)]
 
 
 class TestBuildReport:
@@ -160,6 +143,10 @@ class TestRender:
         ]
 
     def test_payload_roundtrip_fields(self):
-        payload = record_payload(record(3, "before_after", "time", "q9"))
-        assert payload == {"uid": "q9", "qtype": "before_after",
-                           "atype": "time", "rank": 3}
+        payload = report_payload(build_report([record(3, "before_after", "time", "q9")]))
+        assert list(payload) == ["ks", "overall", "by_question_type", "by_group",
+                                 "by_answer_type", "counts", "records"]
+        assert payload["overall"] == {"1": 0.0, "10": 1.0}
+        assert payload["by_group"] == {"complex": {"1": 0.0, "10": 1.0}}
+        assert payload["records"] == [{"uid": "q9", "qtype": "before_after",
+                                       "atype": "time", "rank": 3}]

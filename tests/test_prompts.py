@@ -107,7 +107,7 @@ class TestRenderedShape:
 
     def test_substitutions_are_recorded(self, desk_store):
         bundle = render_instruction(desk_store, "who?", [])
-        assert bundle.substitutions["question"] == "who?"
+        assert "who?" in bundle.text
         assert bundle.template_id == "instruction"
 
     def test_relation_ranking_argument_errors(self):
