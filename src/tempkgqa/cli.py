@@ -28,7 +28,7 @@ import numpy as np
 
 from . import checkpoint, evaluation, head as head_mod, indicators as ind_mod, tgnn
 from .config import ConfigError, RunConfig, TrainSchedule, load_config
-from .embeddings import init_random, pretrain_base
+from .embeddings import EmbeddingTable, init_random, pretrain_base
 from .errors import TempkgqaError
 from .llm import RemoteLlmClient
 from .prompts import render_instruction
@@ -147,6 +147,25 @@ def _decode_vector(record: dict, key: str, width: int) -> np.ndarray:
     return vector
 
 
+def _load_sized(cfg: RunConfig, store: TkgStore, name: str, stage: str, load: Callable):
+    """The table or encoder checkpoint ``name`` that ``stage`` writes, read by
+    ``load``; its sizes must match ``cfg.d`` and the store's vocabularies."""
+    path = _ckpt_path(cfg, name)
+    loaded = load(path)
+    found = ({"d": loaded.dim, "entities": len(loaded.entity),
+              "relation rows": len(loaded.relation), "times": len(loaded.time)}
+             if isinstance(loaded, EmbeddingTable)
+             else {"d": loaded.dim, "entities": len(loaded.decoder_b)})
+    expected = {"d": cfg.d, "entities": len(store.entities),
+                "relation rows": 2 * len(store.relations), "times": len(store.times)}
+    wrong = [f"{key} {size}, expected {expected[key]}"
+             for key, size in found.items() if size != expected[key]]
+    if wrong:
+        raise CliError(f"{path}: {', '.join(wrong)} (written for another config or fact "
+                       f"file); rerun {stage}")
+    return loaded
+
+
 World = tuple[TkgStore, list[Question], list[Question]]  # the store, train and test
 
 
@@ -218,7 +237,7 @@ def stage_pretrain_base(cfg: RunConfig, world: World) -> None:
 
 def stage_pretrain_tgnn(cfg: RunConfig, world: World) -> None:
     store, _, _ = world
-    table = checkpoint.load_table(_ckpt_path(cfg, BASE_TABLE_CKPT))
+    table = _load_sized(cfg, store, BASE_TABLE_CKPT, "pretrain-base", checkpoint.load_table)
     params = tgnn.init_params(cfg.d, len(store.entities), cfg.seed)
     schedule = TrainSchedule(cfg.tgnn_learning_rate, cfg.tgnn_epochs, cfg.batch_size, cfg.seed,
                              cfg.tgnn_max_steps)
@@ -272,8 +291,8 @@ def stage_build_prompts(cfg: RunConfig, world: World) -> None:
 
 def stage_build_indicators(cfg: RunConfig, world: World) -> None:
     store, _, _ = world
-    table = checkpoint.load_table(_ckpt_path(cfg, TGNN_TABLE_CKPT))
-    params = checkpoint.load_tgnn(_ckpt_path(cfg, TGNN_CKPT))
+    table = _load_sized(cfg, store, TGNN_TABLE_CKPT, "pretrain-tgnn", checkpoint.load_table)
+    params = _load_sized(cfg, store, TGNN_CKPT, "pretrain-tgnn", checkpoint.load_tgnn)
     for split in SPLITS:
         records = []
         for subgraph in _read_subgraphs(cfg, store, split):
@@ -362,10 +381,22 @@ def stage_predict(cfg: RunConfig, world: World) -> None:
     _write_jsonl(_dump_path(cfg, "predictions.jsonl"), records)
 
 
+def _prediction(record: dict) -> tuple[str, list[str]]:
+    """A predictions record's uid and its answers, distinct strings."""
+    uid, answers = record["uid"], record["answers"]
+    if not isinstance(uid, str):
+        raise ValueError(f"'uid' is not a string but {type(uid).__name__}")
+    if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
+        raise ValueError("'answers' is not a list of strings")
+    if len(set(answers)) != len(answers):
+        raise ValueError("'answers' repeats a label")
+    return uid, answers
+
+
 def stage_evaluate(cfg: RunConfig, world: World) -> None:
     store, _, test = world
     path = _dump_path(cfg, "predictions.jsonl")
-    predictions = {r["uid"]: r["answers"] for r in _read_jsonl(path, "predict", PREDICTION_KEYS)}
+    predictions = dict(_read_jsonl(path, "predict", PREDICTION_KEYS, _prediction))
     records = []
     for question in test:
         rank = evaluation.rank_of(

@@ -15,9 +15,9 @@ distribution.  The relu sits on the attention scalar itself and there is no
 ``sqrt(d)`` scaling.
 
 Every entry point runs one kernel over a :class:`SubgraphBatch`, which may be
-the disjoint union of many query subgraphs (:func:`merge_batches`, the
-mini-batching of PyTorch Geometric).  Edges are grouped by destination once,
-so the neighbourhood softmax and the aggregation are segment reductions
+the disjoint union of many query subgraphs (the mini-batching of PyTorch
+Geometric).  Each batch groups its edges by destination once, when built, so
+the neighbourhood softmax and the aggregation are segment reductions
 (``np.maximum.reduceat`` / ``np.add.reduceat``) over every graph at once.
 The decoder is the base pre-trainer's full-vocabulary softmax kernel
 (:func:`embeddings.softmax_cross_entropy`) over ``decoder_w.T``: one product
@@ -33,11 +33,11 @@ the table and parameters it is given.  Every kernel, buffer and gradient
 takes the dtype of its inputs, so float64 inputs, such as the fresh
 :func:`init_params` and the tables checkpoints load, stay float64.
 
-Subgraphs are built from fact rows, one edge builder serving
-:func:`build_query_subgraph` and :func:`batch_from_facts`.  A pre-training
-query's subgraph is its anchor, its masked node and the two query edges: at
-one layer the masked node's only in-edge is the query edge from its anchor,
-so no other edge could change the loss or a gradient.
+Subgraphs are built from fact rows: :func:`batch_from_facts` builds an
+evidence subgraph fact by fact, :func:`build_query_subgraph` a mini-batch of
+masked queries in one pass.  A query's subgraph is its anchor, its masked
+node and the two query edges: at one layer the masked node's only in-edge is
+the query edge from its anchor, so no other edge could change the loss.
 
 All gradients are derived by hand (reverse mode) and checked against central
 finite differences in the test suite; no autodiff framework is involved.
@@ -46,7 +46,7 @@ finite differences in the test suite; no autodiff framework is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,15 +108,17 @@ class SubgraphBatch:
     ``(src_node, dst_node, relation_row, t_start)`` indexing into ``nodes``
     and into the embedding table.  Rows with a fifth column, the fact's end
     year, are accepted and the column dropped, since no layer reads it.
-    ``order`` holds the edge ids stably sorted by destination and ``indptr``
-    cuts it into one segment per node: the in-edges of node ``j`` are
-    ``order[indptr[j]:indptr[j + 1]]``.
+    ``in_edges``, computed once here, holds the edge rows stably sorted by
+    destination.  ``receivers`` lists the nodes with in-edges, ascending;
+    receiver ``k`` has the ``counts[k]`` rows of ``in_edges`` from ``starts[k]``.
     """
 
     nodes: np.ndarray
     edges: np.ndarray
-    order: np.ndarray = field(init=False, repr=False)
-    indptr: np.ndarray = field(init=False, repr=False)
+    in_edges: np.ndarray = field(init=False, repr=False)
+    receivers: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.nodes = np.asarray(self.nodes, dtype=np.int64)
@@ -132,9 +134,11 @@ class SubgraphBatch:
             if endpoints.min() < 0 or endpoints.max() >= n:
                 raise TgnnError("edge endpoint outside node list")
         dst = self.edges[:, 1]
-        self.order = np.argsort(dst, kind="stable")
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=n), out=self.indptr[1:])
+        self.in_edges = self.edges[np.argsort(dst, kind="stable")]
+        degree = np.bincount(dst, minlength=n)
+        self.receivers = np.flatnonzero(degree)
+        self.counts = degree[self.receivers]
+        self.starts = np.cumsum(self.counts) - self.counts
 
     @property
     def n_nodes(self) -> int:
@@ -145,18 +149,6 @@ class SubgraphBatch:
         if len(positions) != 1:
             raise TgnnError(f"expected exactly one masked node, found {len(positions)}")
         return int(positions[0])
-
-
-def merge_batches(batches: Sequence[SubgraphBatch]) -> SubgraphBatch:
-    """Disjoint union of ``batches``: nodes concatenated in order, edge
-    endpoints shifted by each graph's node offset.  Masked nodes keep the
-    order of their graphs."""
-    if not batches:
-        raise TgnnError("cannot merge zero batches")
-    offsets = np.cumsum([0] + [b.n_nodes for b in batches[:-1]])
-    edges = np.concatenate([b.edges for b in batches])
-    edges[:, :2] += np.repeat(offsets, [len(b.edges) for b in batches])[:, None]
-    return SubgraphBatch(np.concatenate([b.nodes for b in batches]), edges)
 
 
 def _segment_softmax(u: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -181,29 +173,6 @@ def attention_weights(
     return _segment_softmax(u, np.zeros(1, dtype=np.intp), np.array([len(u)]))
 
 
-@dataclass
-class _Segments:
-    """A batch's edges in destination order, one segment per receiving node."""
-
-    edges: np.ndarray      # edge rows sorted by destination, (E, 4)
-    receivers: np.ndarray  # nodes with at least one in-edge, ascending
-    starts: np.ndarray     # offset of each receiver's first edge in ``edges``
-    counts: np.ndarray     # in-degree of each receiver
-
-    @classmethod
-    def of(cls, batch: SubgraphBatch) -> "_Segments":
-        degree = np.diff(batch.indptr)
-        receivers = np.flatnonzero(degree)
-        return cls(batch.edges[batch.order], receivers, batch.indptr[receivers],
-                   degree[receivers])
-
-    def sum(self, values: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(values, self.starts, axis=0)
-
-    def spread(self, per_segment: np.ndarray) -> np.ndarray:
-        return np.repeat(per_segment, self.counts, axis=0)
-
-
 def _layer_inputs(batch: SubgraphBatch, table: EmbeddingTable) -> np.ndarray:
     base = np.zeros((batch.n_nodes, table.dim), dtype=table.entity.dtype)
     real = batch.nodes != MASK
@@ -223,23 +192,25 @@ class _LayerCache:
 
 
 def _forward_layer(
-    seg: _Segments, x: np.ndarray, table: EmbeddingTable, params: TgnnParams
+    batch: SubgraphBatch, x: np.ndarray, table: EmbeddingTable, params: TgnnParams
 ) -> tuple[np.ndarray, _LayerCache]:
-    sources = x[seg.edges[:, 0]]
-    summed = sources + table.relation[seg.edges[:, 2]] + table.time[seg.edges[:, 3]]
+    """The layer over ``batch.in_edges``; the cache is in that edge order."""
+    src, _, rel, start = batch.in_edges.T
+    sources = x[src]
+    summed = sources + table.relation[rel] + table.time[start]
     messages_ = summed @ params.w_msg.T
     queries = sources @ params.w_query.T
     keys = messages_ @ params.w_key.T
     z = np.einsum("ed,ed->e", queries, keys)
-    alpha = _segment_softmax(np.maximum(z, 0.0), seg.starts, seg.counts)
+    alpha = _segment_softmax(np.maximum(z, 0.0), batch.starts, batch.counts)
     y = x.copy()
-    y[seg.receivers] = seg.sum(alpha[:, None] * messages_)
+    y[batch.receivers] = np.add.reduceat(alpha[:, None] * messages_, batch.starts, axis=0)
     return y, _LayerCache(sources, summed, messages_, queries, keys, z, alpha)
 
 
 def forward(batch: SubgraphBatch, table: EmbeddingTable, params: TgnnParams) -> np.ndarray:
     """Final node embeddings after the layer's aggregation."""
-    return _forward_layer(_Segments.of(batch), _layer_inputs(batch, table), table, params)[0]
+    return _forward_layer(batch, _layer_inputs(batch, table), table, params)[0]
 
 
 def _masked_rows(
@@ -303,21 +274,22 @@ class TgnnGradients:
 
 
 def _backward_layer(
-    seg: _Segments,
+    batch: SubgraphBatch,
     cache: _LayerCache,
     d_out: np.ndarray,
     params: TgnnParams,
     grads: TgnnGradients,
 ) -> np.ndarray:
     """Backpropagate the layer; returns the gradient wrt the layer input."""
-    src, dst, rel, start = seg.edges.T
+    src, dst, rel, start = batch.in_edges.T
     d_x = d_out.copy()
-    d_x[seg.receivers] = 0.0  # aggregation replaced these rows
+    d_x[batch.receivers] = 0.0  # aggregation replaced these rows
 
     d_received = d_out[dst]
     d_alpha = np.einsum("ed,ed->e", cache.messages, d_received)
     d_messages = cache.alpha[:, None] * d_received
-    d_u = cache.alpha * (d_alpha - seg.spread(seg.sum(cache.alpha * d_alpha)))
+    d_u = cache.alpha * (d_alpha - np.repeat(
+        np.add.reduceat(cache.alpha * d_alpha, batch.starts), batch.counts))
 
     d_z = d_u * (cache.z > 0.0)
     d_queries = d_z[:, None] * cache.keys
@@ -358,14 +330,13 @@ def gradients(
     row the subgraph touches.
 
     ``target`` is one entity id for a batch with one masked node, or one id
-    per masked node (node order) for a merged batch; loss and gradients are
+    per masked node (node order) otherwise; loss and gradients are
     then sums over the masked nodes.  Table gradients are table-shaped and
     nonzero only on the rows the batch touches.  The decoder and entity
     gradients live in ``buffers``, overwritten by the next call.
     """
     rows, targets = _masked_rows(batch, target)
-    seg = _Segments.of(batch)
-    final, cache = _forward_layer(seg, _layer_inputs(batch, table), table, params)
+    final, cache = _forward_layer(batch, _layer_inputs(batch, table), table, params)
     if buffers is None:
         buffers = TgnnBuffers(table, params, len(rows))
     loss, d_queries = softmax_cross_entropy(
@@ -383,7 +354,7 @@ def gradients(
     )
     d_nodes = np.zeros_like(final)
     d_nodes[rows] = d_queries
-    d_nodes = _backward_layer(seg, cache, d_nodes, params, grads)
+    d_nodes = _backward_layer(batch, cache, d_nodes, params, grads)
 
     real = batch.nodes != MASK
     buffers.entity_rows = batch.nodes[real]
@@ -395,64 +366,56 @@ def gradients(
 # subgraph construction
 # ---------------------------------------------------------------------------
 
-def _fact_subgraph(
-    node_of: dict[int, int], facts: Iterable[Sequence[int]], n_relations: int
-) -> SubgraphBatch:
-    """Batch over fact id rows ``(subject, relation, object, t_start, t_end)``;
-    an edge keeps the start year only.
-
-    Entities not yet in ``node_of`` are numbered after those in it, in
-    first-appearance order (subject before object), and added to it in
-    place.  Each fact contributes its forward edge and then its inverse edge,
-    whose relation row is offset by ``n_relations``.
-    """
+def batch_from_facts(
+    facts: Sequence[Quadruple], n_relations: int
+) -> tuple[SubgraphBatch, dict[int, int]]:
+    """Mask-free batch over the entities of ``facts``, numbered in
+    first-appearance order (subject before object).  Each fact contributes
+    its forward edge and then its inverse edge, whose relation row is offset
+    by ``n_relations``; an edge keeps the start year only.  Also returns
+    entity id -> node index."""
+    if not facts:
+        raise TgnnError("cannot build a batch from zero facts")
+    node_of: dict[int, int] = {}
     edges: list[list[int]] = []
     for subject, relation, obj, start, _ in facts:
         s, o = node_of.setdefault(subject, len(node_of)), node_of.setdefault(obj, len(node_of))
         edges += ([s, o, relation, start], [o, s, n_relations + relation, start])
-    return SubgraphBatch(list(node_of), edges)
-
-
-def batch_from_facts(
-    facts: Sequence[Quadruple], n_relations: int
-) -> tuple[SubgraphBatch, dict[int, int]]:
-    """Mask-free batch over the entities of ``facts``; each fact contributes
-    its forward and inverse edge.  Also returns entity id -> node index."""
-    if not facts:
-        raise TgnnError("cannot build a batch from zero facts")
-    node_of: dict[int, int] = {}
-    return _fact_subgraph(node_of, facts, n_relations), node_of
+    return SubgraphBatch(list(node_of), edges), node_of
 
 
 def build_query_subgraph(
     store: TkgStore,
     table: EmbeddingTable,
-    fact: Quadruple,
-    mask_object: bool,
+    facts: Quadruple | np.ndarray | Sequence[Quadruple],
+    mask_object: bool | np.ndarray | Sequence[bool],
     rng: np.random.Generator | None = None,
-) -> tuple[SubgraphBatch, int]:
-    """Subgraph for one masked query: node 0 is the unmasked entity (the
-    anchor), node 1 the masked one, joined by the fact's edge and its
-    inverse.  Returns the batch and the target entity id.
+) -> tuple[SubgraphBatch, int | np.ndarray]:
+    """Disjoint union of the subgraphs of masked queries, one per fact row.
+
+    ``facts`` is one :class:`Quadruple` with one ``mask_object`` flag, or
+    ``(n, 5)`` fact id rows with ``n`` flags.  Query ``i`` owns node ``2i``,
+    the unmasked entity (the anchor), and node ``2i + 1``, the masked one,
+    joined by the fact's edge and then its inverse.  Returns the batch and
+    the target entity ids, an ``int`` for one fact.
 
     ``store`` and ``rng`` are not read: the anchor's neighbourhood cannot
     reach the masked node through one layer (see the module docstring).
     """
-    anchor = fact.subject if mask_object else fact.object
-    target = fact.object if mask_object else fact.subject
-    query = list(fact)
-    query[2 if mask_object else 0] = MASK
-    return _fact_subgraph({anchor: 0, MASK: 1}, [query], table.n_relations), target
-
-
-def _query_batch(
-    store: TkgStore, table: EmbeddingTable, queries: Iterable[tuple[Quadruple, bool]]
-) -> tuple[SubgraphBatch, list[int]]:
-    """Disjoint union of the subgraphs of ``(fact, mask_object)`` queries,
-    built in order, and the target of each."""
-    built = [build_query_subgraph(store, table, fact, mask_object)
-             for fact, mask_object in queries]
-    return merge_batches([b for b, _ in built]), [t for _, t in built]
+    rows = np.asarray(facts, dtype=np.int64)
+    subject, relation, obj, start, _ = rows.reshape(-1, 5).T
+    flags = np.asarray(mask_object, dtype=bool).reshape(-1)
+    if flags.shape != subject.shape:
+        raise TgnnError(f"{len(flags)} mask flags for {len(subject)} facts")
+    anchor = 2 * np.arange(len(flags))
+    # the fact's edge runs from the anchor to the mask when the object is masked
+    src, dst = np.where(flags, anchor, anchor + 1), np.where(flags, anchor + 1, anchor)
+    nodes = np.column_stack((np.where(flags, subject, obj), np.full_like(anchor, MASK)))
+    edges = np.column_stack(
+        (src, dst, relation, start, dst, src, table.n_relations + relation, start))
+    targets = np.where(flags, obj, subject)
+    batch = SubgraphBatch(nodes.ravel(), edges.reshape(-1, 4))
+    return batch, int(targets[0]) if rows.ndim == 1 else targets
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +460,20 @@ def pretrain(
     """Masked-entity pre-training over both directions of every fact.
 
     ``schedule`` orders the (fact, direction) queries, every query once per
-    epoch.  A mini-batch of queries is merged into one disjoint-union graph
-    and takes one :func:`gradients` call; the reported per-epoch loss is the
-    sum of per-query cross entropies accumulated before the corresponding
-    update.  The loss list has one entry per epoch that ran, the last one
-    partial when ``schedule.max_steps`` ends training mid-epoch.  Returns
-    trained :data:`~tempkgqa.embeddings.TRAIN_DTYPE` copies of ``table`` and
+    epoch.  One :func:`build_query_subgraph` call builds a mini-batch's
+    disjoint-union graph, and one :func:`gradients` call takes its gradient;
+    the reported per-epoch loss is the sum of per-query cross entropies
+    accumulated before the corresponding update.  The loss list has one
+    entry per epoch that ran, the last one partial when
+    ``schedule.max_steps`` ends training mid-epoch.  Returns trained
+    :data:`~tempkgqa.embeddings.TRAIN_DTYPE` copies of ``table`` and
     ``params``.
     """
     table = table.astype(TRAIN_DTYPE)
     params = params.astype(TRAIN_DTYPE)
-    fact_ids = list(fact_indices) if fact_indices is not None else range(len(store.facts))
-    if not fact_ids:
+    fact_ids = (np.arange(len(store.facts)) if fact_indices is None
+                else np.asarray(fact_indices, dtype=np.int64))
+    if not len(fact_ids):
         raise TgnnError("no facts to train on")
     # query i masks the object of fact_ids[i // 2] when i is even, else the subject
     rng = np.random.default_rng(schedule.seed)
@@ -517,9 +482,9 @@ def pretrain(
     for order, rows in schedule.batches(2 * len(fact_ids), rng):
         if rows.start == 0:
             losses.append(0.0)
-        chunk = order[rows].tolist()
-        batch, targets = _query_batch(
-            store, table, ((store.facts[fact_ids[i // 2]], i % 2 == 0) for i in chunk))
+        chunk = order[rows]
+        batch, targets = build_query_subgraph(
+            store, table, store.facts_of(fact_ids[chunk // 2]), chunk % 2 == 0)
         loss, grads = gradients(batch, table, params, targets, buffers)
         losses[-1] += loss
         _sgd_step(table, params, grads, batch, schedule.learning_rate / len(chunk))
@@ -536,11 +501,14 @@ def evaluate_masked(
     """Pessimistic 1-based rank of the answer entity for both directions of
     each held-out fact.  Queries are decoded ``schedule.batch_size`` at a
     time; the schedule's other fields are not read."""
-    queries = [(fact, mask_object) for fact in facts for mask_object in (True, False)]
+    fact_rows = np.asarray(facts, dtype=np.int64).reshape(-1, 5)
+    queries = np.arange(2 * len(fact_rows))
     buffers = SoftmaxBuffers(params.decoder_w.T, schedule.batch_size)
     ranks: list[int] = []
     for lo in range(0, len(queries), schedule.batch_size):
-        batch, targets = _query_batch(store, table, queries[lo : lo + schedule.batch_size])
+        chunk = queries[lo : lo + schedule.batch_size]
+        batch, targets = build_query_subgraph(
+            store, table, fact_rows[chunk // 2], chunk % 2 == 0)
         rows, targets = _masked_rows(batch, targets)
         final = forward(batch, table, params)
         probs = _decode(final, rows, params, buffers)[0]

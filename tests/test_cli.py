@@ -370,6 +370,55 @@ class TestStageSequencing:
         assert f"{path}, line 3: {message}" in caplog.text
         assert "; rerun build-indicators" in caplog.text
 
+    @pytest.mark.parametrize("change", ["d", "new-entity"])
+    @pytest.mark.parametrize("command, name, stage", [
+        ("pretrain-tgnn", "base_table.ckpt", "pretrain-base"),
+        ("build-indicators", "tgnn_table.ckpt", "pretrain-tgnn"),
+    ])
+    def test_checkpoint_of_another_shape_returns_2(
+        self, pipeline, tmp_path, caplog, change, command, name, stage
+    ):
+        copied_run(pipeline, tmp_path)
+        if change == "d":
+            config, message = fast_config(tmp_path, d=16), "d 8, expected 16"
+        else:
+            # one more fact, naming an entity the checkpoints have no row for
+            facts = tmp_path / "facts.txt"
+            text = (DESK / "facts.txt").read_text(encoding="utf-8")
+            first = text.splitlines()[0].split("|")
+            facts.write_text(text + "|".join(["Newcomer", *first[1:]]) + "\n", encoding="utf-8")
+            config = fast_config(tmp_path, tkg_path=str(facts))
+            n = json.loads((tmp_path / "dumps" / "kg.json").read_bytes())["entities"]
+            message = f"entities {n}, expected {n + 1}"
+        path = tmp_path / "dumps" / "checkpoints" / name
+        assert main([command, "--config", str(config)]) == 2
+        assert (f"{path}: {message} (written for another config or fact file); "
+                f"rerun {stage}") in caplog.text
+
+    def test_encoder_checkpoint_of_another_width_returns_2(self, pipeline, tmp_path, caplog):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "checkpoints" / "tgnn.ckpt"
+        checkpoint.save_tgnn(path, tgnn.init_params(4, len(load_tgnn(path).decoder_b), 0))
+        assert main(["build-indicators", "--config", str(config)]) == 2
+        assert f"{path}: d 4, expected 8" in caplog.text
+        assert "rerun pretrain-tgnn" in caplog.text
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("answers", 5, "'answers' is not a list of strings"),
+        ("answers", [["a"]], "'answers' is not a list of strings"),
+        ("answers", "abc", "'answers' is not a list of strings"),
+        ("uid", {"a": 1}, "'uid' is not a string but dict"),
+        ("answers", ["x", "y", "x"], "'answers' repeats a label"),
+    ], ids=["number", "nested-list", "string", "uid-object", "repeated"])
+    def test_malformed_prediction_returns_2(self, pipeline, tmp_path, caplog, key, value, message):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "predictions.jsonl"
+        records = read_jsonl(path)
+        records[1][key] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["evaluate", "--config", str(config)]) == 2
+        assert f"{path}, line 2: {message}; rerun predict" in caplog.text
+
     def test_e2e_parses_the_fact_file_once(self, tmp_path, monkeypatch):
         calls = []
 

@@ -19,7 +19,6 @@ from tempkgqa.tgnn import (
     init_params,
     mask_predict,
     masked_loss,
-    merge_batches,
     pretrain,
 )
 from tempkgqa.store import TkgStore, Vocabulary
@@ -70,8 +69,40 @@ def random_graph(rng, mask_reachable=True, n_nodes=7, n_edges=10):
 
 
 def incoming(batch, node):
-    """Edge ids into ``node``, read from the batch's segment layout."""
-    return batch.order[batch.indptr[node] : batch.indptr[node + 1]]
+    """In-edge rows of ``node``, in edge order, read from the batch's
+    segment layout."""
+    k = np.searchsorted(batch.receivers, node)
+    if k == len(batch.receivers) or batch.receivers[k] != node:
+        return batch.in_edges[:0]
+    return batch.in_edges[batch.starts[k] : batch.starts[k] + batch.counts[k]]
+
+
+def merge_batches(batches):
+    """Reference: the disjoint union of ``batches``, nodes concatenated in
+    order and edge endpoints shifted by each graph's node offset."""
+    offsets = np.cumsum([0] + [b.n_nodes for b in batches[:-1]])
+    edges = np.concatenate([b.edges for b in batches])
+    edges[:, :2] += np.repeat(offsets, [len(b.edges) for b in batches])[:, None]
+    return SubgraphBatch(np.concatenate([b.nodes for b in batches]), edges)
+
+
+def reference_query_graph(fact, mask_object, n_relations):
+    """Reference: one masked query's two-node graph from explicit lists.
+    Node 0 is the anchor and node 1 the mask; the fact's forward edge comes
+    before its inverse edge."""
+    subject, relation, obj, start, _ = fact
+    anchor, target = (subject, obj) if mask_object else (obj, subject)
+    src, dst = (0, 1) if mask_object else (1, 0)
+    edges = [[src, dst, relation, start], [dst, src, n_relations + relation, start]]
+    return SubgraphBatch(np.array([anchor, MASK]), np.array(edges)), target
+
+
+def reference_query_batch(queries, n_relations):
+    """Reference: the union of the ``(fact, mask_object)`` queries' graphs,
+    in order, and the target of each."""
+    built = [reference_query_graph(fact, mask_object, n_relations)
+             for fact, mask_object in queries]
+    return merge_batches([graph for graph, _ in built]), [target for _, target in built]
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +256,13 @@ class TestBatch:
             np.array([0, 1, 2]),
             np.array([[0, 1, 0, 0, 0], [2, 1, 1, 0, 0], [1, 0, 0, 0, 0]]),
         )
-        assert incoming(batch, 1).tolist() == [0, 1]
-        assert incoming(batch, 0).tolist() == [2]
+        assert incoming(batch, 1).tolist() == [[0, 1, 0, 0], [2, 1, 1, 0]]
+        assert incoming(batch, 0).tolist() == [[1, 0, 0, 0]]
         assert incoming(batch, 2).tolist() == []
-        assert batch.order.tolist() == [2, 0, 1]
-        assert batch.indptr.tolist() == [0, 1, 3, 3]
+        assert batch.in_edges.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0], [2, 1, 1, 0]]
+        assert batch.receivers.tolist() == [0, 1]
+        assert batch.starts.tolist() == [0, 1]
+        assert batch.counts.tolist() == [1, 2]
 
     def test_mask_index_requires_exactly_one(self):
         no_mask = SubgraphBatch(np.array([0, 1]), np.zeros((0, 5)))
@@ -410,7 +443,7 @@ class TestMerge:
         merged = merge_batches([a, b])
         assert merged.nodes.tolist() == [3, MASK, MASK, 4, 5]
         assert merged.edges.tolist() == [[0, 1, 2, 0], [3, 2, 1, 1], [4, 2, 0, 0]]
-        assert incoming(merged, 2).tolist() == [1, 2]
+        assert incoming(merged, 2).tolist() == [[3, 2, 1, 1], [4, 2, 0, 0]]
         assert np.flatnonzero(merged.nodes == MASK).tolist() == [1, 2]
 
     def test_graph_without_edges(self):
@@ -418,10 +451,6 @@ class TestMerge:
         b = SubgraphBatch(np.array([0, MASK]), np.array([[0, 1, 0, 0, 0]]))
         merged = merge_batches([a, b])
         assert merged.edges.tolist() == [[1, 2, 0, 0]]
-
-    def test_rejects_empty(self):
-        with pytest.raises(TgnnError):
-            merge_batches([])
 
 
 def hub_store(seed, n_entities=60, n_facts=600):
@@ -503,7 +532,7 @@ class TestSubgraphConstruction:
         assert batch.nodes[1] == MASK
         assert batch.mask_index() == 1
         # the mask is reachable: its in-edges carry the query relation row
-        incoming_edges = batch.edges[incoming(batch, 1)]
+        incoming_edges = incoming(batch, 1)
         assert fact.relation in incoming_edges[:, 2]
 
     def test_query_subgraph_subject_masking(self, tiny_store):
@@ -513,8 +542,45 @@ class TestSubgraphConstruction:
         fact = tiny_store.facts[0]
         batch, target = build_query_subgraph(tiny_store, table, fact, False, rng)
         assert target == fact.subject
-        incoming_edges = batch.edges[incoming(batch, 1)]
+        incoming_edges = incoming(batch, 1)
         assert table.n_relations + fact.relation in incoming_edges[:, 2]
+
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    @pytest.mark.parametrize("masks", ["object", "subject", "mixed"])
+    def test_batch_is_the_union_of_single_queries(self, n, masks):
+        """One call over ``n`` fact rows builds the union of the ``n``
+        single-query reference graphs: the same nodes, edges, segments and
+        targets.  The first row is a self-loop."""
+        store = hub_store(3)
+        table = init_random(len(store.entities), len(store.relations), len(store.times), D, 0)
+        rng = np.random.default_rng(n)
+        loop = int(np.flatnonzero(store.subject == store.object)[0])
+        ids = np.concatenate(([loop], rng.integers(0, len(store.facts), size=n - 1)))
+        flags = {"object": np.ones(n, dtype=bool), "subject": np.zeros(n, dtype=bool),
+                 "mixed": np.arange(n) % 3 == 1}[masks]
+        batch, targets = build_query_subgraph(store, table, store.facts_of(ids), flags)
+        expected, expected_targets = reference_query_batch(
+            zip(store.facts_of(ids), flags.tolist()), table.n_relations)
+        assert isinstance(targets, np.ndarray) and targets.tolist() == expected_targets
+        for name in ("nodes", "edges", "in_edges", "receivers", "starts", "counts"):
+            assert getattr(batch, name).tolist() == getattr(expected, name).tolist(), name
+
+    @pytest.mark.parametrize("mask_object", [True, False])
+    def test_one_fact_gives_one_int_target(self, mask_object):
+        store = hub_store(3)
+        table = init_random(len(store.entities), len(store.relations), len(store.times), D, 0)
+        fact = store.facts[int(np.flatnonzero(store.subject == store.object)[0])]
+        batch, target = build_query_subgraph(store, table, fact, mask_object)
+        expected, expected_target = reference_query_graph(fact, mask_object, table.n_relations)
+        assert type(target) is int and target == expected_target
+        assert batch.nodes.tolist() == expected.nodes.tolist()
+        assert batch.edges.tolist() == expected.edges.tolist()
+
+    def test_one_flag_per_fact(self):
+        store = hub_store(3)
+        table = init_random(len(store.entities), len(store.relations), len(store.times), D, 0)
+        with pytest.raises(TgnnError, match="1 mask flags for 3 facts"):
+            build_query_subgraph(store, table, store.facts[:3], True)
 
     @pytest.mark.parametrize("mask_object", [True, False])
     @pytest.mark.parametrize("anchor", ["hub", "leaf"])
@@ -570,8 +636,8 @@ def list_order_pretrain(store, table, params, config, fact_indices=None):
             if steps >= limit:
                 break
             chunk = [queries[i] for i in order[lo : lo + config.batch_size]]
-            batch, targets = tgnn._query_batch(
-                store, table, ((store.facts[fid], mask) for fid, mask in chunk))
+            batch, targets = reference_query_batch(
+                ((store.facts[fid], mask) for fid, mask in chunk), table.n_relations)
             loss, grads = gradients(batch, table, params, targets, buffers)
             total += loss
             tgnn._sgd_step(table, params, grads, batch, config.learning_rate / len(chunk))
@@ -669,14 +735,11 @@ class TestPretrain:
         # reference in float64.
         table, params = table.astype(np.float32), params.astype(np.float32)
         rng = np.random.default_rng(config.seed)
-        queries = [(fid, m) for fid in range(len(store.facts)) for m in (True, False)]
-        graphs, targets = [], []
-        for idx in rng.permutation(len(queries))[: config.batch_size]:
-            fid, mask_object = queries[idx]
-            graph, target = build_query_subgraph(store, table, store.facts[fid], mask_object)
-            graphs.append(graph)
-            targets.append(target)
-        loss, expected = gradients(merge_batches(graphs), table, params, targets)
+        queries = [(store.facts[fid], m) for fid in range(len(store.facts)) for m in (True, False)]
+        batch, targets = reference_query_batch(
+            (queries[i] for i in rng.permutation(len(queries))[: config.batch_size]),
+            table.n_relations)
+        loss, expected = gradients(batch, table, params, targets)
         step = config.learning_rate / config.batch_size
         assert losses == [loss]
         for name in PARAM_NAMES:
