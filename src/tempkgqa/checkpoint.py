@@ -12,8 +12,9 @@ dumps' too.  Header fields and matrices, by kind:
 - ``TGNN``  d, n_entities; w_msg, w_query, w_key (all d x d), decoder_w
   (d x n_entities), decoder_b (n_entities).
 - ``HEAD``  d_llm, d_in, n_tokens, n_answers; token_emb (n_tokens x d_llm),
-  scoring (d_llm x n_answers), projection (d_in x d_llm).  Token and answer
-  labels travel in a JSON sidecar written next to the binary file.
+  scoring (d_llm x n_answers on disk; held in memory as its transpose, one
+  row per answer), projection (d_in x d_llm).  Token and answer labels
+  travel in a JSON sidecar written next to the binary file.
 
 Version 2 dropped the head's fixed mixing weights and version 3 the
 encoder's layer count (the encoder is one layer); files of an earlier version
@@ -140,8 +141,8 @@ def save_head(path: str | Path, params: HeadParams, projection: Projection) -> N
     if projection.dim_out != params.dim:
         raise CheckpointError("projection output width does not match head width")
     _save(path, MAGIC_HEAD, _HEAD_LAYOUT,
-          (params.dim, projection.dim_in, len(params.token_emb), params.scoring.shape[1]),
-          (params.token_emb, params.scoring, projection.weight))
+          (params.dim, projection.dim_in, len(params.token_emb), len(params.scoring)),
+          (params.token_emb, params.scoring.T, projection.weight))
     tokens = [""] * len(params.token_vocab)
     for token, row in params.token_vocab.items():
         tokens[row] = token
@@ -174,7 +175,7 @@ def load_head(path: str | Path) -> tuple[HeadParams, Projection]:
     params = HeadParams(
         token_vocab={token: row for row, token in enumerate(tokens)},
         token_emb=token_emb,
-        scoring=scoring,
+        scoring=np.ascontiguousarray(scoring.T),
         answer_labels=answer_labels,
     )
     return params, Projection(weight)

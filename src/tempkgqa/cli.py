@@ -20,6 +20,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -131,6 +132,30 @@ def _read_jsonl(
         except (ValueError, KeyError, TypeError) as exc:  # StoreError is a ValueError
             raise CliError(f"{path}, line {number}: {exc}; rerun {stage}") from None
     return records
+
+
+def _read_by_uid(
+    path: Path, stage: str, keys: Sequence[str],
+    convert: Callable[[dict], tuple[str, object]],
+) -> dict:
+    """A dump read as :func:`_read_jsonl` does, keyed by uid: ``convert``
+    returns each record's uid and value.  A uid on two lines names both."""
+    values: dict = {}
+    first_line: dict[str, int] = {}
+    # every line of a dump is one record, so record i is on line i
+    for number, (uid, value) in enumerate(_read_jsonl(path, stage, keys, convert), 1):
+        if first_line.setdefault(uid, number) != number:
+            raise CliError(f"{path}, lines {first_line[uid]} and {number}: uid {uid!r} "
+                           f"appears twice; rerun {stage}")
+        values[uid] = value
+    return values
+
+
+def _uid(record: dict) -> str:
+    uid = record["uid"]
+    if not isinstance(uid, str):
+        raise ValueError(f"'uid' is not a string but {type(uid).__name__}")
+    return uid
 
 
 def _encode_vector(vector: np.ndarray) -> str:
@@ -263,17 +288,17 @@ def stage_retrieve(cfg: RunConfig, world: World) -> None:
         _write_jsonl(_dump_path(cfg, f"subgraphs_{split}.jsonl"), records)
 
 
-def _read_subgraphs(cfg: RunConfig, store: TkgStore, split: str) -> list[RetrievedSubgraph]:
+def _read_subgraphs(cfg: RunConfig, store: TkgStore, split: str) -> dict[str, RetrievedSubgraph]:
     path = _dump_path(cfg, f"subgraphs_{split}.jsonl")
-    return _read_jsonl(path, "retrieve", SUBGRAPH_KEYS,
-                       lambda record: subgraph_from_record(store, record))
+    return _read_by_uid(path, "retrieve", SUBGRAPH_KEYS,
+                        lambda record: (_uid(record), subgraph_from_record(store, record)))
 
 
 def stage_build_prompts(cfg: RunConfig, world: World) -> None:
     store, train, test = world
     for split, questions in zip(SPLITS, (train, test)):
         path = _dump_path(cfg, f"subgraphs_{split}.jsonl")
-        subgraphs = {s.uid: s for s in _read_subgraphs(cfg, store, split)}
+        subgraphs = _read_subgraphs(cfg, store, split)
         records = []
         for question in questions:
             subgraph = subgraphs.get(question.uid)
@@ -295,7 +320,7 @@ def stage_build_indicators(cfg: RunConfig, world: World) -> None:
     params = _load_sized(cfg, store, TGNN_CKPT, "pretrain-tgnn", checkpoint.load_tgnn)
     for split in SPLITS:
         records = []
-        for subgraph in _read_subgraphs(cfg, store, split):
+        for subgraph in _read_subgraphs(cfg, store, split).values():
             if subgraph.empty:
                 continue
             encoded = tgnn.encode_entities(subgraph.facts, table, params)
@@ -319,7 +344,7 @@ def _indicator_sets(
     def convert(record: dict) -> tuple[str, ind_mod.IndicatorSet]:
         if record["d"] != cfg.d:
             raise ValueError(f"indicator width {record['d']} does not match config d {cfg.d}")
-        return record["uid"], ind_mod.IndicatorSet(
+        return _uid(record), ind_mod.IndicatorSet(
             sub_vec=_decode_vector(record, "sub", cfg.d),
             rel_vec=_decode_vector(record, "rel", cfg.d),
             obj_vec=_decode_vector(record, "obj", cfg.d),
@@ -328,7 +353,7 @@ def _indicator_sets(
         )
 
     path = _dump_path(cfg, f"indicators_{split}.jsonl")
-    return dict(_read_jsonl(path, "build-indicators", INDICATOR_KEYS, convert))
+    return _read_by_uid(path, "build-indicators", INDICATOR_KEYS, convert)
 
 
 def stage_train_head(cfg: RunConfig, world: World) -> None:
@@ -383,9 +408,7 @@ def stage_predict(cfg: RunConfig, world: World) -> None:
 
 def _prediction(record: dict) -> tuple[str, list[str]]:
     """A predictions record's uid and its answers, distinct strings."""
-    uid, answers = record["uid"], record["answers"]
-    if not isinstance(uid, str):
-        raise ValueError(f"'uid' is not a string but {type(uid).__name__}")
+    uid, answers = _uid(record), record["answers"]
     if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
         raise ValueError("'answers' is not a list of strings")
     if len(set(answers)) != len(answers):
@@ -396,7 +419,7 @@ def _prediction(record: dict) -> tuple[str, list[str]]:
 def stage_evaluate(cfg: RunConfig, world: World) -> None:
     store, _, test = world
     path = _dump_path(cfg, "predictions.jsonl")
-    predictions = dict(_read_jsonl(path, "predict", PREDICTION_KEYS, _prediction))
+    predictions = _read_by_uid(path, "predict", PREDICTION_KEYS, _prediction)
     records = []
     for question in test:
         rank = evaluation.rank_of(
@@ -407,7 +430,14 @@ def stage_evaluate(cfg: RunConfig, world: World) -> None:
         )
     report = evaluation.build_report(records)
     _write_json(_dump_path(cfg, "report.json"), evaluation.report_payload(report))
-    print(evaluation.render_report(report))
+    try:
+        print(evaluation.render_report(report), flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``), which is no failure.
+        # Point stdout at the null device, so the flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 STAGES = {

@@ -2,14 +2,15 @@
 
 An example pairs an :class:`~tempkgqa.indicators.IndicatorSet` with its
 question text.  The score of an answer candidate is a softmax over
-``feature @ scoring`` where the feature is the weighted mean of four
+``feature @ scoring.T`` where the feature is the weighted mean of four
 language-model-width vectors: the three indicators mapped by the indicator
 projection, and the mean embedding of the question's tokens.  The mixing
 weights are the fixed constant :data:`MIX`, 1/4 each, so the feature is the
 plain mean.  The projection is linear, so the three encoder-width
 indicators are mixed first and projected once, in :func:`_forward`.  The
 answer space is the entity vocabulary followed by the time vocabulary, so
-one scoring matrix covers both answer types.
+one scoring matrix covers both answer types; it holds one ``d_llm`` row per
+answer.
 
 Training minimises cross-entropy against the gold answers (mean over golds
 for multi-answer questions) and updates the token embeddings, the scoring
@@ -34,6 +35,19 @@ of scaling the gradients afterwards; any other step may differ in the last
 ulp.  Compiled memory grows with tokens per question; only the per-batch
 bag and target span the vocabulary and the answer space.
 
+:func:`train` runs in float32 (:data:`~tempkgqa.embeddings.TRAIN_DTYPE`),
+the precision checkpoints store, on copies of its parameters, its
+projection and the compiled rows; the power-of-two note above holds there
+too.  :func:`loss_and_grads`, :func:`score` and :func:`predict_topk` compute
+in the dtype of the parameters they are given, so the gradchecks run in
+float64.  Every product of a step reads its operands along their rows: the
+logits are ``feature @ scoring.T``, and ``d_logits @ scoring`` and
+``d_logits.T @ feature`` give the feature and scoring gradients.  At desk
+shapes (8 rows, 96 answers, ``d_llm`` 256; a 2-vCPU Xeon VM, one BLAS
+thread) the feature gradient took 16.3 us on the transposed operand of a
+``(d_llm, n_answers)`` scoring matrix, 6.2 us on rows in float64 and 4.9 us
+on rows in float32.
+
 :func:`predict_topk` ranks by a partial selection: a partition finds each
 row's ``k``-th largest probability, and only the answers at least that
 likely, ties included, are sorted, so the ranking equals a stable full
@@ -48,6 +62,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import TrainSchedule
+from .embeddings import TRAIN_DTYPE
 from .errors import TempkgqaError
 from .indicators import IndicatorSet, Projection
 from .prompts import tokenize
@@ -55,8 +70,9 @@ from .prompts import tokenize
 UNKNOWN_TOKEN = "<unk>"
 
 #: Fixed weights of the subject, relation and object indicators and of the
-#: question tokens in the feature: the plain mean.
-MIX = np.full(4, 0.25)
+#: question tokens in the feature: the plain mean.  Stored in float32, where
+#: 1/4 is exact, so a product with it keeps the dtype of what it weights.
+MIX = np.full(4, 0.25, dtype=np.float32)
 
 #: One example: the indicators of its evidence and the question text.
 Example = tuple[IndicatorSet, str]
@@ -70,7 +86,7 @@ class HeadError(TempkgqaError, ValueError):
 class HeadParams:
     token_vocab: dict[str, int]      # token -> row, UNKNOWN_TOKEN at row 0
     token_emb: np.ndarray            # (n_tokens, d_llm)
-    scoring: np.ndarray              # (d_llm, n_answers)
+    scoring: np.ndarray              # (n_answers, d_llm): one row per answer
     answer_labels: tuple[str, ...]
 
     @property
@@ -78,10 +94,14 @@ class HeadParams:
         return self.token_emb.shape[1]
 
     def copy(self) -> "HeadParams":
+        return self.astype(self.token_emb.dtype)
+
+    def astype(self, dtype) -> "HeadParams":
+        """A copy with both matrices in ``dtype``."""
         return HeadParams(
             dict(self.token_vocab),
-            self.token_emb.copy(),
-            self.scoring.copy(),
+            self.token_emb.astype(dtype),
+            self.scoring.astype(dtype),
             self.answer_labels,
         )
 
@@ -90,7 +110,9 @@ def init_head(
     texts: Iterable[str], answer_labels: Sequence[str], d_llm: int, seed: int
 ) -> HeadParams:
     """Build the token vocabulary from ``texts`` (first-appearance order,
-    unknown token first) and draw the trainable matrices."""
+    unknown token first) and draw the trainable matrices.  ``scoring`` is
+    drawn as ``(d_llm, n_answers)`` and stored as its transposed rows, the
+    values the desk reference was trained from."""
     if d_llm < 1:
         raise HeadError("d_llm must be >= 1")
     if not answer_labels:
@@ -104,7 +126,7 @@ def init_head(
     return HeadParams(
         token_vocab=vocab,
         token_emb=rng.uniform(-scale, scale, size=(len(vocab), d_llm)),
-        scoring=rng.uniform(-scale, scale, size=(d_llm, len(answer_labels))),
+        scoring=rng.uniform(-scale, scale, size=(d_llm, len(answer_labels))).T.copy(),
         answer_labels=tuple(answer_labels),
     )
 
@@ -126,10 +148,12 @@ def _pad(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scatter(ids: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
-    """Dense ``(B, width)`` rows of summed weights; a repeated id adds up."""
+    """Dense ``(B, width)`` rows of summed weights, in the weights' dtype; a
+    repeated id adds up."""
     flat = (np.arange(len(ids))[:, None] * width + ids).ravel()
     dense = np.bincount(flat, weights.ravel(), minlength=len(ids) * width)
-    return dense.reshape(len(ids), width)
+    # bincount sums in float64; a float64 bag would widen the token product
+    return dense.reshape(len(ids), width).astype(weights.dtype, copy=False)
 
 
 def _features(
@@ -137,7 +161,7 @@ def _features(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Feature rows of ``examples``: the mix-weighted encoder-width
     indicators ``(N, d)``, and the padded question token ids with their
-    averaging weights times ``MIX[3]``."""
+    averaging weights times ``MIX[3]``, the weights in ``params``' dtype."""
     blocks = [(ind.sub_vec, ind.rel_vec, ind.obj_vec) for ind, _ in examples]
     if len({vector.shape for block in blocks for vector in block}) != 1:
         raise HeadError("indicator vectors differ in width")
@@ -146,7 +170,9 @@ def _features(
         [vocab.get(t, 0) for t in tokenize(question) or [UNKNOWN_TOKEN]]
         for _, question in examples
     ])
-    return MIX[:3] @ np.array(blocks), token_ids, MIX[3] * token_weights
+    dtype = params.token_emb.dtype
+    return ((MIX[:3] @ np.array(blocks)).astype(dtype, copy=False), token_ids,
+            (MIX[3] * token_weights).astype(dtype, copy=False))
 
 
 def _forward(
@@ -164,7 +190,7 @@ def _forward(
     feature = indicators @ projection.weight
     feature += bag @ params.token_emb
     # log-softmax in place in the logits
-    log_probs = feature @ params.scoring
+    log_probs = feature @ params.scoring.T
     log_probs -= log_probs.max(axis=1, keepdims=True)
     log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
     return bag, feature, log_probs
@@ -241,7 +267,7 @@ def compile_examples(examples: Sequence[TrainExample], params: HeadParams) -> Co
     """Validate training examples and turn them into a :class:`CompiledBatch`."""
     if not examples:
         raise HeadError("no training examples")
-    n_answers = params.scoring.shape[1]
+    n_answers = len(params.scoring)
     for _, golds in examples:
         if not golds:
             raise HeadError("training example without gold answers")
@@ -249,7 +275,7 @@ def compile_examples(examples: Sequence[TrainExample], params: HeadParams) -> Co
             raise HeadError("gold answer index outside the answer space")
     gold_ids, gold_weights = _pad([golds for _, golds in examples])
     return CompiledBatch(*_features([example for example, _ in examples], params),
-                         gold_ids, gold_weights)
+                         gold_ids, gold_weights.astype(params.token_emb.dtype))
 
 
 @dataclass
@@ -283,15 +309,15 @@ def loss_and_grads(
     gold_weights = batch.gold_weights.ravel()
     loss = -float((log_probs.take(gold) * gold_weights).sum())
     target = np.bincount(gold, gold_weights, minlength=log_probs.size)
-    # the softmax minus the target, in the log-probabilities' memory
+    # the softmax minus the target, in the log-probabilities' memory and dtype
     d_logits = np.exp(log_probs, out=log_probs)
-    d_logits -= target.reshape(n_rows, n_answers)
+    d_logits -= target.reshape(n_rows, n_answers).astype(d_logits.dtype, copy=False)
     d_logits *= scale
-    d_feature = d_logits @ params.scoring.T
+    d_feature = d_logits @ params.scoring
     if out is None:
         out = HeadGradients.empty(params, projection)
     np.matmul(bag.T, d_feature, out=out.token_emb)
-    np.matmul(feature.T, d_logits, out=out.scoring)
+    np.matmul(d_logits.T, feature, out=out.scoring)
     np.matmul(batch.indicators.T, d_feature, out=out.projection)
     return loss, out
 
@@ -302,11 +328,12 @@ def train(
     projection: Projection,
     schedule: TrainSchedule,
 ) -> tuple[HeadParams, Projection, list[float]]:
-    """Mini-batch SGD in the batches of ``schedule``; returns trained copies
-    and the per-epoch summed loss.  Each epoch gathers its shuffled rows once
-    and slices its batches from them."""
-    params = params.copy()
-    projection = projection.copy()
+    """Mini-batch SGD in the batches of ``schedule``; returns trained
+    :data:`~tempkgqa.embeddings.TRAIN_DTYPE` copies and the per-epoch summed
+    loss.  Each epoch gathers its shuffled rows once and slices its batches
+    from them."""
+    params = params.astype(TRAIN_DTYPE)
+    projection = Projection(projection.weight.astype(TRAIN_DTYPE))
     compiled = compile_examples(dataset, params)
     grads = HeadGradients.empty(params, projection)
     rng = np.random.default_rng(schedule.seed)

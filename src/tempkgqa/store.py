@@ -617,8 +617,9 @@ def load_questions(path: str | Path, store: TkgStore) -> list[Question]:
 
     A line ends only at a line feed, a carriage return or both, so a
     question's text may hold any other Unicode line separator.  An error in
-    a line names the file and the line."""
+    a line names the file and the line; a repeated uid names both lines."""
     questions: list[Question] = []
+    first_line: dict[str, int] = {}
     try:
         for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
             try:
@@ -638,6 +639,8 @@ def load_questions(path: str | Path, store: TkgStore) -> list[Question]:
                 if not isinstance(record[key], list):
                     raise StoreError(f"{key!r} must be a list")
             uid = str(record["uid"])
+            if first_line.setdefault(uid, lineno) != lineno:
+                raise StoreError(f"uid {uid!r} already on line {first_line[uid]}")
             text = str(record["text"])
             lowered_text = text.lower()
             try:

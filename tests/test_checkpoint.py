@@ -148,7 +148,7 @@ class TestHeadCheckpoint:
         params, projection = self.make()
         path = tmp_path / "head.ckpt"
         save_head(path, params, projection)
-        n_tokens, n_answers = params.token_emb.shape[0], params.scoring.shape[1]
+        n_tokens, n_answers = params.token_emb.shape[0], len(params.answer_labels)
         floats = n_tokens * D_LLM + D_LLM * n_answers + D * D_LLM
         assert path.stat().st_size == 4 + 4 * 3 + 8 * 2 + 4 * floats
 

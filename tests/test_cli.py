@@ -1,7 +1,9 @@
 import base64
+import errno
 import json
 import math
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -357,7 +359,8 @@ class TestStageSequencing:
         ("obj", "AAAAAA==", "'obj' has width 1, expected 8"),
         ("rel", "AAA", "'rel' is not a base64 float32 vector"),
         ("d", 4, "indicator width 4 does not match config d 8"),
-    ], ids=["not-base64", "short", "bad-padding", "width"])
+        ("uid", [1], "'uid' is not a string but list"),
+    ], ids=["not-base64", "short", "bad-padding", "width", "uid-list"])
     def test_malformed_indicator_vector_returns_2(
         self, pipeline, tmp_path, caplog, key, value, message
     ):
@@ -418,6 +421,49 @@ class TestStageSequencing:
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         assert main(["evaluate", "--config", str(config)]) == 2
         assert f"{path}, line 2: {message}; rerun predict" in caplog.text
+
+    @pytest.mark.parametrize("dump, stage, command", [
+        ("subgraphs_test.jsonl", "retrieve", "build-prompts"),
+        ("indicators_train.jsonl", "build-indicators", "train-head"),
+        ("indicators_test.jsonl", "build-indicators", "predict"),
+        ("predictions.jsonl", "predict", "evaluate"),
+    ])
+    def test_uid_on_two_lines_returns_2(self, pipeline, tmp_path, caplog, dump, stage, command):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / dump
+        records = read_jsonl(path)
+        repeated = dict(records[1])
+        if "answers" in repeated:
+            repeated["answers"] = []  # would have replaced the first line's ranking
+        records.append(repeated)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main([command, "--config", str(config)]) == 2
+        assert (f"{path}, lines 2 and {len(records)}: uid {repeated['uid']!r} appears twice; "
+                f"rerun {stage}") in caplog.text
+
+    @pytest.mark.parametrize("error, status", [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), 0),
+        (OSError(errno.ENOSPC, "No space left on device"), 2),
+    ], ids=["closed-pipe", "disk-full"])
+    def test_report_print_failure(self, pipeline, tmp_path, monkeypatch, caplog, error, status):
+        # a reader that stops early (``evaluate | head``) is no failure; any
+        # other error writing the report is one
+        config = copied_run(pipeline, tmp_path)
+        with open(tmp_path / "stdout", "w") as sink:
+            class FailingStdout:
+                def write(self, text):
+                    raise error
+
+                def flush(self):
+                    pass
+
+                def fileno(self):
+                    return sink.fileno()
+
+            monkeypatch.setattr(sys, "stdout", FailingStdout())
+            assert main(["evaluate", "--config", str(config)]) == status
+        assert (tmp_path / "dumps" / "report.json").exists()
+        assert ("No space left on device" in caplog.text) is (status == 2)
 
     def test_e2e_parses_the_fact_file_once(self, tmp_path, monkeypatch):
         calls = []
@@ -555,7 +601,10 @@ class TestErrorHandling:
          "line 3: 'answers' must be a list"),
         (lambda line: b"\xff" + line, "line 3: not UTF-8 text"),
         (lambda line: DEEPLY_NESTED, "line 3: not a valid record (nested too deeply)"),
-    ], ids=["number", "list-of-keys", "answers-number", "not-utf8", "nested-too-deeply"])
+        (lambda line: json.dumps({**json.loads(line), "uid": "q0002"}).encode(),
+         "line 3: uid 'q0002' already on line 1"),
+    ], ids=["number", "list-of-keys", "answers-number", "not-utf8", "nested-too-deeply",
+            "repeated-uid"])
     def test_malformed_question_file_returns_2(self, tmp_path, caplog, edit, message):
         lines = (DESK / "questions_test.jsonl").read_bytes().splitlines()
         lines[2] = edit(lines[2])

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from tempkgqa.checkpoint import load_head, save_head
 from tempkgqa.config import TrainSchedule
 from tempkgqa.embeddings import init_random
 from tempkgqa.head import (
@@ -29,6 +32,9 @@ from gradcheck import fd_gradient, relative_error
 
 D, D_LLM = 5, 7
 ANSWERS = ("alice", "bob", "mill", "1990", "1991")
+#: Relative agreement of two float32 computations that round differently: a
+#: few float32 ulps (eps 1.2e-7), where float64 ones are held to 1e-12.
+TOL32 = 1e-6
 
 
 def make_indicators(seed=0, facts=None):
@@ -121,6 +127,18 @@ def reference_train(dataset, params, projection, config):
     return params, projection, losses
 
 
+def column_layout(params):
+    """``params`` as the references above index them: ``scoring`` as the
+    ``(d_llm, n_answers)`` matrix whose columns are the answer rows, a view
+    of the same memory."""
+    return dataclasses.replace(params, scoring=params.scoring.T)
+
+
+def float32_copies(params, projection):
+    """The float32 copies :func:`train` starts from."""
+    return params.astype(np.float32), Projection(projection.weight.astype(np.float32))
+
+
 def reference_topk(examples, params, projection, k):
     """Reference: the stable full sort of every probability row."""
     probs = score(examples, params, projection)
@@ -162,7 +180,7 @@ class TestInitHead:
         params = init_head(["b a", "a c"], ANSWERS, D_LLM, 0)
         assert params.token_vocab == {UNKNOWN_TOKEN: 0, "b": 1, "a": 2, "c": 3}
         assert params.token_emb.shape == (4, D_LLM)
-        assert params.scoring.shape == (D_LLM, len(ANSWERS))
+        assert params.scoring.shape == (len(ANSWERS), D_LLM)
         assert np.array_equal(MIX, np.full(4, 0.25))
 
     def test_argument_errors(self):
@@ -231,7 +249,7 @@ class TestScore:
                             indicators.obj_vec]) @ retrained.weight
         rows = [params.token_vocab.get(t, 0) for t in tokenize(question)]
         feature = MIX @ np.vstack([vectors, params.token_emb[rows].mean(axis=0)])
-        logits = feature @ params.scoring
+        logits = feature @ params.scoring.T
         expected = np.exp(logits - logits.max())
         expected /= expected.sum()
         probs = score([(indicators, question)], params, retrained)[0]
@@ -283,7 +301,7 @@ class TestPredictTopk:
         rng = np.random.default_rng(4)
         examples, params, projection = random_batch(rng, 3 * D_LLM + 2)
         examples = [example for example, _ in examples]
-        params.scoring[:, [1, 3]] = params.scoring[:, [0, 0]]  # answers 0, 1, 3 tie
+        params.scoring[[1, 3]] = params.scoring[[0, 0]]  # answers 0, 1, 3 tie
         for k in range(1, len(ANSWERS) + 2):
             assert (predict_topk(examples, params, projection, k)
                     == reference_topk(examples, params, projection, k)), k
@@ -384,7 +402,8 @@ class TestLossAndGrads:
         rng = np.random.default_rng(seed * 10 + size)
         batch, params, projection = random_batch(rng, size)
         loss, grads = loss_and_grads(batch, params, projection)
-        ref_loss, ref_grads = looped_loss_and_grads(batch, params, projection)
+        ref_loss, ref_grads = looped_loss_and_grads(batch, column_layout(params), projection)
+        ref_grads.scoring = ref_grads.scoring.T
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         for name in ("token_emb", "scoring", "projection"):
             error = relative_error(getattr(grads, name), getattr(ref_grads, name))
@@ -473,7 +492,7 @@ class TestTrain:
         config = TrainSchedule(0.4, 1, 3, 11)
         trained, trained_projection, losses = train(dataset, params, projection, config)
 
-        params, projection = params.copy(), projection.copy()
+        params, projection = float32_copies(params, projection)
         order = np.random.default_rng(config.seed).permutation(len(dataset))
         total = 0.0
         for lo in range(0, len(order), config.batch_size):
@@ -484,10 +503,11 @@ class TestTrain:
             params.token_emb -= step * grads.token_emb
             params.scoring -= step * grads.scoring
             projection.weight -= step * grads.projection
-        assert losses[0] == pytest.approx(total, rel=1e-12)
-        assert np.allclose(trained.token_emb, params.token_emb, rtol=1e-12, atol=0)
-        assert np.allclose(trained.scoring, params.scoring, rtol=1e-12, atol=0)
-        assert np.allclose(trained_projection.weight, projection.weight, rtol=1e-12, atol=0)
+        # the train step folds 0.4 / 3 into d_logits, so it rounds differently
+        assert losses[0] == pytest.approx(total, rel=TOL32)
+        assert np.allclose(trained.token_emb, params.token_emb, rtol=TOL32, atol=0)
+        assert np.allclose(trained.scoring, params.scoring, rtol=TOL32, atol=0)
+        assert np.allclose(trained_projection.weight, projection.weight, rtol=TOL32, atol=0)
 
     @pytest.mark.parametrize("size", (17, 18, 20, 24))
     @pytest.mark.parametrize("seed", range(2))
@@ -498,10 +518,11 @@ class TestTrain:
         dataset, params, projection = random_batch(rng, size)
         config = TrainSchedule(1.0, 3, 8, seed)
         got = train(dataset, params, projection, config)
-        expected = reference_train(dataset, params, projection, config)
+        params, projection = float32_copies(params, projection)
+        expected = reference_train(dataset, column_layout(params), projection, config)
         assert got[2] == expected[2]
         assert np.array_equal(got[0].token_emb, expected[0].token_emb)
-        assert np.array_equal(got[0].scoring, expected[0].scoring)
+        assert np.array_equal(got[0].scoring, expected[0].scoring.T)
         assert np.array_equal(got[1].weight, expected[1].weight)
 
     @pytest.mark.parametrize("rate, size", ((0.3, 20), (0.3, 21), (1.0, 21)))
@@ -512,14 +533,87 @@ class TestTrain:
         dataset, params, projection = random_batch(rng, size)
         config = TrainSchedule(rate, 3, 8, seed)
         got = train(dataset, params, projection, config)
-        expected = reference_train(dataset, params, projection, config)
-        assert got[2] == pytest.approx(expected[2], rel=1e-12)
-        assert relative_error(got[0].token_emb, expected[0].token_emb) < 1e-12
-        assert relative_error(got[0].scoring, expected[0].scoring) < 1e-12
-        assert relative_error(got[1].weight, expected[1].weight) < 1e-12
+        params, projection = float32_copies(params, projection)
+        expected = reference_train(dataset, column_layout(params), projection, config)
+        assert got[2] == pytest.approx(expected[2], rel=TOL32)
+        assert relative_error(got[0].token_emb, expected[0].token_emb) < TOL32
+        assert relative_error(got[0].scoring, expected[0].scoring.T) < TOL32
+        assert relative_error(got[1].weight, expected[1].weight) < TOL32
 
     def test_invalid_example_rejected_before_training(self):
         dataset, params, projection = self.dataset()
         dataset.append((dataset[0][0], [len(ANSWERS)]))
         with pytest.raises(HeadError, match="answer space"):
             train(dataset, params, projection, TrainSchedule(3e-4, 0, 8, 0))
+
+
+class TestDtype:
+    """The head computes in its parameters' dtype: float32 in :func:`train`,
+    float64 for the gradchecks and for a loaded checkpoint."""
+
+    def test_train_returns_float32_from_float64(self):
+        dataset, params, projection = random_batch(np.random.default_rng(8), 6)
+        trained, trained_projection, losses = train(dataset, params, projection,
+                                                    TrainSchedule(0.5, 2, 4, 0))
+        for array in (trained.token_emb, trained.scoring, trained_projection.weight):
+            assert array.dtype == np.float32 and array.flags.c_contiguous
+        for array in (params.token_emb, params.scoring, projection.weight):
+            assert array.dtype == np.float64
+        assert np.all(np.isfinite(losses))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_and_grads_and_score_follow_the_parameters(self, dtype):
+        batch, params, projection = random_batch(np.random.default_rng(9), 5)
+        params, projection = params.astype(dtype), Projection(projection.weight.astype(dtype))
+        compiled = compile_examples(batch, params)
+        for name in ("indicators", "token_weights", "gold_weights"):
+            assert getattr(compiled, name).dtype == dtype, name
+        for array in _forward(params, projection, compiled.indicators, compiled.token_ids,
+                              compiled.token_weights):  # bag, feature, log-probabilities
+            assert array.dtype == dtype
+        for given in (batch, compiled):
+            _, grads = loss_and_grads(given, params, projection)
+            for name in ("token_emb", "scoring", "projection"):
+                assert getattr(grads, name).dtype == dtype, name
+        assert score([example for example, _ in batch], params, projection).dtype == dtype
+
+    def test_float32_tracks_float64(self):
+        # the same float32 values in both precisions
+        batch, params, projection = random_batch(np.random.default_rng(10), 8)
+        narrow, narrow_projection = float32_copies(params, projection)
+        wide = narrow.astype(np.float64)
+        wide_projection = Projection(narrow_projection.weight.astype(np.float64))
+        compiled = compile_examples(batch, narrow)
+        widened = dataclasses.replace(compiled, **{
+            name: getattr(compiled, name).astype(np.float64)
+            for name in ("indicators", "token_weights", "gold_weights")})
+        loss32, grads32 = loss_and_grads(compiled, narrow, narrow_projection)
+        loss64, grads64 = loss_and_grads(widened, wide, wide_projection)
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        for name in ("token_emb", "scoring", "projection"):
+            assert relative_error(getattr(grads32, name), getattr(grads64, name)) < 1e-4, name
+
+    def test_init_head_stores_the_transposed_draw(self):
+        params = init_head(["b a", "a c"], ANSWERS, D_LLM, 3)
+        rng = np.random.default_rng(3)
+        scale = 1.0 / np.sqrt(D_LLM)
+        token_emb = rng.uniform(-scale, scale, size=(len(params.token_vocab), D_LLM))
+        drawn = rng.uniform(-scale, scale, size=(D_LLM, len(ANSWERS)))
+        assert np.array_equal(params.token_emb, token_emb)
+        assert np.array_equal(params.scoring, drawn.T)
+        assert params.scoring.flags.c_contiguous
+
+    def test_trained_head_roundtrip_is_exact(self, tmp_path):
+        dataset, params, projection = random_batch(np.random.default_rng(11), 6)
+        trained, trained_projection, _ = train(dataset, params, projection,
+                                               TrainSchedule(0.5, 2, 4, 0))
+        path = tmp_path / "head.ckpt"
+        save_head(path, trained, trained_projection)
+        loaded, loaded_projection = load_head(path)
+        assert loaded.scoring.shape == (len(ANSWERS), D_LLM)
+        assert loaded.scoring.flags.c_contiguous
+        for got, expected in ((loaded.token_emb, trained.token_emb),
+                              (loaded.scoring, trained.scoring),
+                              (loaded_projection.weight, trained_projection.weight)):
+            assert got.dtype == np.float64  # decode_matrix widens every stored matrix
+            assert np.array_equal(got, expected)
