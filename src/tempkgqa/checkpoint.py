@@ -14,7 +14,7 @@ dumps' too.  Header fields and matrices, by kind:
 - ``HEAD``  d_llm, d_in, n_tokens, n_answers; token_emb (n_tokens x d_llm),
   scoring (d_llm x n_answers on disk; held in memory as its transpose, one
   row per answer), projection (d_in x d_llm).  Token and answer labels
-  travel in a JSON sidecar written next to the binary file.
+  travel in a JSON sidecar next to it, read by ``store.decode_record``.
 
 Version 2 dropped the head's fixed mixing weights and version 3 the
 encoder's layer count (the encoder is one layer); files of an earlier version
@@ -36,6 +36,7 @@ from .embeddings import EmbeddingTable
 from .errors import TempkgqaError
 from .head import HeadParams
 from .indicators import Projection
+from .store import decode_record
 from .tgnn import TgnnParams
 
 FORMAT_VERSION = 3
@@ -164,12 +165,10 @@ def load_head(path: str | Path) -> tuple[HeadParams, Projection]:
     )
     sidecar = _sidecar_path(path)
     try:
-        record = json.loads(sidecar.read_text(encoding="utf-8"))
+        record = decode_record(sidecar.read_bytes(), ("tokens", "answer_labels"))
         tokens, answer_labels = list(record["tokens"]), tuple(record["answer_labels"])
-    except KeyError as exc:
-        raise CheckpointError(f"{sidecar}: head sidecar has no key {exc}") from None
-    except (ValueError, TypeError) as exc:  # undecodable text or JSON, wrong types
-        raise CheckpointError(f"{sidecar}: malformed head sidecar ({exc})") from None
+    except (ValueError, TypeError) as exc:  # StoreError is a ValueError
+        raise CheckpointError(f"{sidecar}: {exc}") from None
     if len(tokens) != len(token_emb) or len(answer_labels) != scoring.shape[1]:
         raise CheckpointError(f"{sidecar}: sidecar does not match the shapes in {path}")
     params = HeadParams(

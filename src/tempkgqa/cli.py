@@ -2,9 +2,10 @@
 
 Each subcommand covers one stage and exchanges data with the others only
 through files: checkpoints under ``checkpoint_dir`` and JSON/JSONL dumps
-under ``dump_dir``.  ``e2e`` chains every stage in order.  :func:`main` loads
-the fact file and the questions once per run and hands that world to each
-stage.  All artifacts are deterministic for a fixed config and seed.
+under ``dump_dir``, read back by :func:`tempkgqa.store.read_records`.  ``e2e``
+chains every stage in order.  :func:`main` loads the fact file and the
+questions once per run and hands that world to each stage.  All artifacts
+are deterministic for a fixed config and seed.
 
 ``retrieve`` asks the model at ``endpoint`` to rank relations and mine time
 constraints.  Without an endpoint it builds no client, and retrieval's
@@ -35,7 +36,8 @@ from .llm import RemoteLlmClient
 from .prompts import render_instruction
 from .retrieval import (RetrievedSubgraph, retrieve_question, subgraph_from_record,
                         subgraph_record)
-from .store import AnswerType, Question, TkgStore, load_questions, load_tkg
+from .store import (AnswerType, Question, StoreError, TkgStore, load_questions, load_tkg,
+                    read_records)
 
 log = logging.getLogger("tempkgqa")
 
@@ -106,49 +108,18 @@ def _write_losses(
                     stage, means[-1], means[0])
 
 
-def _read_jsonl(
-    path: Path, stage: str, keys: Sequence[str],
-    convert: Callable[[dict], object] = lambda record: record,
-) -> list:
-    """Records of a dump written by ``stage``, each a JSON object holding
-    ``keys``, passed through ``convert``.  Anything else, and any value that
-    ``convert`` rejects, names the dump, the line and the stage to rerun."""
-    if not path.exists():
-        raise CliError(f"missing artifact {path}; run the earlier stages first")
-    records = []
-    for number, line in enumerate(path.read_bytes().splitlines(), 1):
-        try:
-            # bytes would let json.loads read UTF-16 and UTF-32 too
-            record = json.loads(line.decode("utf-8"))  # UnicodeDecodeError is a ValueError
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
-            raise CliError(f"{path}, line {number}: malformed record ({exc}); "
-                           f"rerun {stage}") from None
-        missing = [k for k in keys if not isinstance(record, dict) or k not in record]
-        if missing:
-            raise CliError(f"{path}, line {number}: record has no key {missing[0]!r}; "
-                           f"rerun {stage}")
-        try:
-            records.append(convert(record))
-        except (ValueError, KeyError, TypeError) as exc:  # StoreError is a ValueError
-            raise CliError(f"{path}, line {number}: {exc}; rerun {stage}") from None
-    return records
-
-
 def _read_by_uid(
     path: Path, stage: str, keys: Sequence[str],
     convert: Callable[[dict], tuple[str, object]],
 ) -> dict:
-    """A dump read as :func:`_read_jsonl` does, keyed by uid: ``convert``
-    returns each record's uid and value.  A uid on two lines names both."""
-    values: dict = {}
-    first_line: dict[str, int] = {}
-    # every line of a dump is one record, so record i is on line i
-    for number, (uid, value) in enumerate(_read_jsonl(path, stage, keys, convert), 1):
-        if first_line.setdefault(uid, number) != number:
-            raise CliError(f"{path}, lines {first_line[uid]} and {number}: uid {uid!r} "
-                           f"appears twice; rerun {stage}")
-        values[uid] = value
-    return values
+    """A dump written by ``stage``, by uid (:func:`~tempkgqa.store.read_records`);
+    an error also names the stage to rerun."""
+    if not path.exists():
+        raise CliError(f"missing artifact {path}; run the earlier stages first")
+    try:
+        return read_records(path, keys, convert)
+    except StoreError as exc:
+        raise CliError(f"{exc}; rerun {stage}") from None
 
 
 def _uid(record: dict) -> str:
@@ -386,10 +357,10 @@ def stage_predict(cfg: RunConfig, world: World) -> None:
     indicator_sets = _indicator_sets(cfg, store, "test")
     # build-indicators skips exactly the questions with empty evidence; those
     # get an empty answer list, any other gap is a stale dump.
-    subgraphs = _read_jsonl(_dump_path(cfg, "subgraphs_test.jsonl"), "retrieve", SUBGRAPH_KEYS)
-    empty = {r["uid"] for r in subgraphs if r["empty"]}
+    empty = _read_by_uid(_dump_path(cfg, "subgraphs_test.jsonl"), "retrieve", SUBGRAPH_KEYS,
+                         lambda record: (_uid(record), record["empty"]))
     for question in test:
-        if question.uid not in indicator_sets and question.uid not in empty:
+        if question.uid not in indicator_sets and not empty.get(question.uid):
             path = _dump_path(cfg, "indicators_test.jsonl")
             raise CliError(
                 f"question {question.uid!r} is missing from {path}; rerun build-indicators"

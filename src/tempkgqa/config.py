@@ -21,6 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import TempkgqaError
+from .store import StoreError, decode_record
 
 _PATH_FIELDS = ("tkg_path", "questions_train", "questions_test", "dump_dir", "checkpoint_dir")
 
@@ -94,21 +95,15 @@ def _type_problems(raw: dict) -> list[str]:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read a JSON config; unknown keys and values of the wrong JSON type are
-    rejected, relative paths are anchored at the config file's directory."""
+    """Read a JSON config (``store.decode_record``); unknown keys and values of the
+    wrong JSON type are rejected, relative paths are anchored at its directory."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = decode_record(path.read_bytes())
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config ({exc.strerror or exc})") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: config is not UTF-8 text") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc.msg})") from None
-    except RecursionError:
-        raise ConfigError(f"{path}: not valid JSON (nested too deeply)") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be an object")
+    except StoreError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:

@@ -1,10 +1,11 @@
 """Prompt rendering for every LLM touchpoint.
 
-All four templates are fixed module constants with ``{placeholder}`` slots;
-rendering is a single substitution pass followed by a check that no slot
-survived.  The in-context demonstrations are part of the template text and
-are substituted together with the task-specific slots (in particular the
-``{k}`` occurrences inside the demonstrations).
+All four templates are fixed module constants with ``{placeholder}`` slots,
+and a template may hold no other brace.  Rendering is a single substitution
+pass, so a brace inside a question text or a label is never read as a slot
+and comes through verbatim.  The in-context demonstrations are part of the
+template text and are substituted together with the task-specific slots (in
+particular the ``{k}`` occurrences inside the demonstrations).
 
 Facts are serialized as ``[head, relation, tail, start_time, end_time]``
 for the model to read; nothing parses that form back.  Dumps store facts in
@@ -22,7 +23,7 @@ from .store import FACT_SEPARATOR, Quadruple, TkgStore
 
 
 class PromptError(TempkgqaError, ValueError):
-    """A template slot could not be filled, or output still contains one."""
+    """A template slot could not be filled, or a template holds a stray brace."""
 
 
 @dataclass(frozen=True)
@@ -194,9 +195,10 @@ def _render(template_id: str, template: str, substitutions: Mapping[str, str]) -
             raise PromptError(f"{template_id}: no value for placeholder {{{key}}}")
         return substitutions[key]
 
+    literal = _PLACEHOLDER_PATTERN.sub("", template)
+    if "{" in literal or "}" in literal:
+        raise PromptError(f"{template_id}: template holds a brace outside its placeholders")
     text = _PLACEHOLDER_PATTERN.sub(fill, template)
-    if "{" in text or "}" in text:
-        raise PromptError(f"{template_id}: rendered text still contains a brace")
     return PromptBundle(messages=({"role": "user", "content": text},), template_id=template_id)
 
 

@@ -30,6 +30,9 @@ the same checks run in bulk, and only when one fails runs the codec over the
 lines to name the first bad one.
 :class:`TemporalConstraint` is the one definition of interval satisfaction,
 for a single fact and for whole columns alike.
+
+Every JSON file the stages read goes through :func:`decode_record` or, by
+uid, :func:`read_records`, so a bad one is named in the same words.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -477,12 +480,20 @@ def _parse_fact_line(line: str) -> tuple[str, str, str, int, int]:
     return subject, relation, obj, start, end
 
 
+def _utf8(raw: bytes) -> str:
+    """``raw`` as text: the UTF-8 step of every file the stages read."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StoreError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_utf8(path: str | Path) -> str:
     """The file's text, which :func:`load_tkg` holds only while it parses."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise StoreError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        return _utf8(Path(path).read_bytes())
+    except StoreError as exc:
+        raise StoreError(f"{path}: {exc}") from None
 
 
 #: Characters of fact-file text parsed at a time: enough lines (~1,000 at
@@ -607,67 +618,85 @@ def load_tkg(path: str | Path) -> TkgStore:
     return TkgStore(*vocabularies, columns.T)
 
 
+def decode_json(raw: bytes):
+    """The JSON value of ``raw``, decoded as UTF-8 first (the ``json`` module
+    reads UTF-16 and UTF-32 bytes too), or a :class:`StoreError`."""
+    text = _utf8(raw)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise StoreError("not valid JSON (nested too deeply)") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        raise StoreError(f"not valid JSON ({getattr(exc, 'msg', exc)})") from None
+
+
+def decode_record(raw: bytes, keys: Sequence[str] = ()) -> dict:
+    """The JSON object of ``raw`` (:func:`decode_json`), holding ``keys``."""
+    record = decode_json(raw)
+    if not isinstance(record, dict):
+        raise StoreError("record is not a JSON object")
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise StoreError(f"record has no key {missing[0]!r}")
+    return record
+
+
+def read_records(path: str | Path, keys: Sequence[str],
+                 convert: Callable[[dict], tuple[str, object]]) -> dict:
+    """The values of a JSONL file by uid, in file order: ``convert`` returns
+    the uid and value of each line's :func:`decode_record` of ``keys``.  A
+    line ends only at a line feed, a carriage return or both.  A bad line,
+    and a uid already on an earlier one, raise :class:`StoreError` naming
+    the file and the line."""
+    values = {}
+    first_line: dict = {}
+    for number, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            uid, value = convert(decode_record(line, keys))
+            if first_line.setdefault(uid, number) != number:
+                raise StoreError(f"uid {uid!r} already on line {first_line[uid]}")
+        except (ValueError, KeyError, TypeError) as exc:  # StoreError is a ValueError
+            raise StoreError(f"{path}, line {number}: {exc}") from None
+        values[uid] = value
+    return values
+
+
 def _require_verbatim(label: str, lowered_text: str, uid: str) -> None:
     if label.lower() not in lowered_text:
         raise StoreError(f"question {uid!r}: annotation {label!r} not present in text")
 
 
+def _question(store: TkgStore, record: dict) -> tuple[str, Question]:
+    """A question record's uid and question, labels resolved against ``store``."""
+    for key in ("entities", "times", "answers"):
+        if not isinstance(record[key], list):
+            raise StoreError(f"{key!r} must be a list")
+    uid = str(record["uid"])
+    text = str(record["text"])
+    lowered_text = text.lower()
+    qtype = QuestionType(record["qtype"])
+    atype = AnswerType(record["atype"])
+
+    entity_ids = []
+    for label in record["entities"]:
+        _require_verbatim(str(label), lowered_text, uid)
+        entity_ids.append(store.entities.id(str(label)))
+    if not entity_ids:
+        raise StoreError(f"question {uid!r} has no annotated entities")
+    time_ids = []
+    for year in record["times"]:
+        _require_verbatim(str(year), lowered_text, uid)
+        time_ids.append(store.times.id(str(year)))
+
+    answer_vocab = store.entities if atype is AnswerType.ENTITY else store.times
+    gold = frozenset(answer_vocab.id(str(a)) for a in record["answers"])
+    return uid, Question(uid, text, tuple(entity_ids), tuple(time_ids), qtype, atype, gold)
+
+
 def load_questions(path: str | Path, store: TkgStore) -> list[Question]:
-    """Load one JSON object per line and resolve all labels against ``store``.
-
-    A line ends only at a line feed, a carriage return or both, so a
-    question's text may hold any other Unicode line separator.  An error in
-    a line names the file and the line; a repeated uid names both lines."""
-    questions: list[Question] = []
-    first_line: dict[str, int] = {}
-    try:
-        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise StoreError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-            except json.JSONDecodeError as exc:
-                raise StoreError(f"not a valid record ({exc.msg})") from None
-            except RecursionError:
-                raise StoreError("not a valid record (nested too deeply)") from None
-            if not isinstance(record, dict):
-                raise StoreError("record is not a JSON object")
-            missing = [k for k in QUESTION_KEYS if k not in record]
-            if missing:
-                raise StoreError(f"missing keys {missing}")
-            for key in ("entities", "times", "answers"):
-                if not isinstance(record[key], list):
-                    raise StoreError(f"{key!r} must be a list")
-            uid = str(record["uid"])
-            if first_line.setdefault(uid, lineno) != lineno:
-                raise StoreError(f"uid {uid!r} already on line {first_line[uid]}")
-            text = str(record["text"])
-            lowered_text = text.lower()
-            try:
-                qtype = QuestionType(record["qtype"])
-                atype = AnswerType(record["atype"])
-            except ValueError as exc:
-                raise StoreError(str(exc)) from None
-
-            entity_ids = []
-            for label in record["entities"]:
-                _require_verbatim(str(label), lowered_text, uid)
-                entity_ids.append(store.entities.id(str(label)))
-            if not entity_ids:
-                raise StoreError(f"question {uid!r} has no annotated entities")
-            time_ids = []
-            for year in record["times"]:
-                _require_verbatim(str(year), lowered_text, uid)
-                time_ids.append(store.times.id(str(year)))
-
-            answer_vocab = store.entities if atype is AnswerType.ENTITY else store.times
-            gold = frozenset(answer_vocab.id(str(a)) for a in record["answers"])
-            questions.append(
-                Question(uid, text, tuple(entity_ids), tuple(time_ids), qtype, atype, gold)
-            )
-    except StoreError as exc:
-        raise StoreError(f"{path}, line {lineno}: {exc}") from None
-    return questions
+    """The questions of a JSONL file, read by :func:`read_records`."""
+    return list(read_records(path, QUESTION_KEYS,
+                             lambda record: _question(store, record)).values())
 
 
 def facts_filtered(

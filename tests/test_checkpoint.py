@@ -192,7 +192,8 @@ class TestHeadCheckpoint:
 
     @pytest.mark.parametrize("text", [
         '{"tokens": [', '{"tokens": []}', '{"answer_labels": []}', "[]", "\udcff",
-    ], ids=["truncated", "no-labels", "no-tokens", "list", "not-utf8"])
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["truncated", "no-labels", "no-tokens", "list", "not-utf8", "nested"])
     def test_malformed_sidecar_rejected_with_its_path(self, tmp_path, text):
         params, projection = self.make()
         path = tmp_path / "head.ckpt"

@@ -261,10 +261,11 @@ class TestStageSequencing:
         assert f"{path}: truncated checkpoint" in caplog.text
 
     @pytest.mark.parametrize("text, message", [
-        ('{"tokens": [', "malformed head sidecar"),
-        ('{"tokens": []}', "has no key 'answer_labels'"),
-        ("[1, 2]", "malformed head sidecar"),
-    ], ids=["truncated", "missing-key", "not-an-object"])
+        ('{"tokens": [', "not valid JSON (Expecting value)"),
+        ('{"tokens": []}', "record has no key 'answer_labels'"),
+        ("[1, 2]", "record is not a JSON object"),
+        (DEEPLY_NESTED.decode(), "not valid JSON (nested too deeply)"),
+    ], ids=["truncated", "missing-key", "not-an-object", "nested"])
     def test_malformed_head_sidecar_returns_2(self, pipeline, tmp_path, caplog, text, message):
         config = copied_run(pipeline, tmp_path)
         path = tmp_path / "dumps" / "checkpoints" / "head.json"
@@ -291,7 +292,7 @@ class TestStageSequencing:
         path = tmp_path / "dumps" / "indicators_test.jsonl"
         path.write_bytes(path.read_bytes()[:300])
         assert main(["predict", "--config", str(config)]) == 2
-        assert f"{path}, line 2: malformed record" in caplog.text
+        assert f"{path}, line 2: not valid JSON (Unterminated string" in caplog.text
         assert "rerun build-indicators" in caplog.text
 
     @pytest.mark.parametrize("dump, stage, command, key", [
@@ -318,7 +319,7 @@ class TestStageSequencing:
         lines[-1] = lines[-1].decode("utf-8").encode("utf-16-le")
         path.write_bytes(b"\n".join(lines) + b"\n")
         assert main(["build-indicators", "--config", str(config)]) == 2
-        assert f"{path}, line {len(lines)}: malformed record" in caplog.text
+        assert f"{path}, line {len(lines)}: not valid JSON (" in caplog.text
         assert "rerun retrieve" in caplog.text
 
     def test_dump_line_nested_too_deeply_returns_2(self, pipeline, tmp_path, caplog):
@@ -328,15 +329,15 @@ class TestStageSequencing:
         lines[1] = DEEPLY_NESTED
         path.write_bytes(b"\n".join(lines) + b"\n")
         assert main(["build-indicators", "--config", str(config)]) == 2
-        assert f"{path}, line 2: malformed record (maximum recursion depth" in caplog.text
-        assert "rerun retrieve" in caplog.text
+        assert (f"{path}, line 2: not valid JSON (nested too deeply); rerun retrieve"
+                in caplog.text)
 
     def test_dump_line_that_is_not_an_object_returns_2(self, pipeline, tmp_path, caplog):
         config = copied_run(pipeline, tmp_path)
         path = tmp_path / "dumps" / "predictions.jsonl"
         path.write_text("[1, 2]\n", encoding="utf-8")
         assert main(["evaluate", "--config", str(config)]) == 2
-        assert f"{path}, line 1: record has no key 'uid'; rerun predict" in caplog.text
+        assert f"{path}, line 1: record is not a JSON object; rerun predict" in caplog.text
 
     @pytest.mark.parametrize("edit, message", [
         (lambda fact: fact.rsplit("|", 1)[0], "expected 5 '|'-separated fields, got 4"),
@@ -424,6 +425,7 @@ class TestStageSequencing:
 
     @pytest.mark.parametrize("dump, stage, command", [
         ("subgraphs_test.jsonl", "retrieve", "build-prompts"),
+        ("subgraphs_test.jsonl", "retrieve", "predict"),
         ("indicators_train.jsonl", "build-indicators", "train-head"),
         ("indicators_test.jsonl", "build-indicators", "predict"),
         ("predictions.jsonl", "predict", "evaluate"),
@@ -438,7 +440,7 @@ class TestStageSequencing:
         records.append(repeated)
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         assert main([command, "--config", str(config)]) == 2
-        assert (f"{path}, lines 2 and {len(records)}: uid {repeated['uid']!r} appears twice; "
+        assert (f"{path}, line {len(records)}: uid {repeated['uid']!r} already on line 2; "
                 f"rerun {stage}") in caplog.text
 
     @pytest.mark.parametrize("error, status", [
@@ -518,6 +520,35 @@ class TestStageSequencing:
         report = json.loads((dumps / "report.json").read_text(encoding="utf-8"))
         assert report["records"][0]["rank"] == 1
 
+    def test_braces_in_a_question_and_a_label_render_verbatim(self, tmp_path):
+        label, text = "position {held}", "Who held the position of Mayor of Oslo in 1990 {approx}?"
+        (tmp_path / "facts.txt").write_text(
+            f"Ann Lee|{label}|Mayor of Oslo|1990|1993\n"
+            f"Bo Li|{label}|Mayor of Oslo|1994|1996\n", encoding="utf-8")
+        for split in ("train", "test"):
+            question = {"uid": split, "text": text, "entities": ["Mayor of Oslo"],
+                        "times": [1990], "qtype": "simple_entity", "atype": "entity",
+                        "answers": ["Ann Lee"]}
+            (tmp_path / f"{split}.jsonl").write_text(json.dumps(question) + "\n",
+                                                     encoding="utf-8")
+        config = fast_config(tmp_path, tkg_path=str(tmp_path / "facts.txt"),
+                             questions_train=str(tmp_path / "train.jsonl"),
+                             questions_test=str(tmp_path / "test.jsonl"))
+        assert main(["retrieve", "--config", str(config)]) == 0
+        assert main(["build-prompts", "--config", str(config)]) == 0
+        [record] = read_jsonl(tmp_path / "dumps" / "prompts_test.jsonl")
+        assert text in record["messages"][0]["content"]
+        assert f"[Ann Lee, {label}, Mayor of Oslo, 1990, 1993]" in record["messages"][0]["content"]
+        world = store.load_tkg(tmp_path / "facts.txt")
+        for bundle in (
+            prompts.render_relation_ranking(text, [label], 1),
+            prompts.render_time_mining(text, prompts.fact_fields(world, world.facts[0]), "after"),
+            prompts.render_instruction(world, text, world.facts),
+            prompts.render_baseline(world, text, world.facts),
+        ):
+            assert text in bundle.text and label in bundle.text
+        assert text in prompts.render_baseline(world, text).text
+
     def test_single_stage_reruns_cleanly(self, pipeline):
         dumps, config = pipeline
         before = (dumps / "report.json").read_bytes()
@@ -581,7 +612,7 @@ class TestErrorHandling:
         binary = tmp_path / "binary.json"
         binary.write_bytes(b"\xff\xfe{")
         assert main(["e2e", "--config", str(binary)]) == 2
-        assert f"{binary}: config is not UTF-8 text" in caplog.text
+        assert f"{binary}: not UTF-8 text (invalid start byte at byte 0)" in caplog.text
 
     def test_config_nested_too_deeply_returns_2(self, tmp_path, caplog):
         path = tmp_path / "nested.json"
@@ -600,11 +631,13 @@ class TestErrorHandling:
         (lambda line: json.dumps({**json.loads(line), "answers": 5}).encode(),
          "line 3: 'answers' must be a list"),
         (lambda line: b"\xff" + line, "line 3: not UTF-8 text"),
-        (lambda line: DEEPLY_NESTED, "line 3: not a valid record (nested too deeply)"),
+        (lambda line: DEEPLY_NESTED, "line 3: not valid JSON (nested too deeply)"),
         (lambda line: json.dumps({**json.loads(line), "uid": "q0002"}).encode(),
          "line 3: uid 'q0002' already on line 1"),
+        (lambda line: b'{"uid": ' + b"1" * 5000 + b"}",
+         "line 3: not valid JSON (Exceeds the limit"),
     ], ids=["number", "list-of-keys", "answers-number", "not-utf8", "nested-too-deeply",
-            "repeated-uid"])
+            "repeated-uid", "integer-past-the-digit-limit"])
     def test_malformed_question_file_returns_2(self, tmp_path, caplog, edit, message):
         lines = (DESK / "questions_test.jsonl").read_bytes().splitlines()
         lines[2] = edit(lines[2])

@@ -1,5 +1,6 @@
 import pytest
 
+from tempkgqa import prompts
 from tempkgqa.prompts import (
     PromptError,
     evidence_set_plain,
@@ -98,6 +99,11 @@ class TestRenderedShape:
             render_baseline(desk_store, question.text),
         ):
             assert "{" not in bundle.text and "}" not in bundle.text
+
+    def test_template_with_a_stray_brace_rejected(self, desk_store, monkeypatch):
+        monkeypatch.setattr(prompts, "INSTRUCTION_TEMPLATE", "Q: {question} {evidence_set} {")
+        with pytest.raises(PromptError, match="^instruction: template holds a brace outside"):
+            render_instruction(desk_store, "who?", [])
 
     def test_bundle_is_single_user_message(self, desk_store):
         bundle = render_baseline(desk_store, "who?")

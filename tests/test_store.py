@@ -474,7 +474,7 @@ class TestQuestionFile:
     def test_missing_key_rejected(self, tmp_path, tiny_store):
         record = self.record()
         del record["atype"]
-        with pytest.raises(StoreError, match="missing keys"):
+        with pytest.raises(StoreError, match="line 1: record has no key 'atype'$"):
             load_questions(self.write(tmp_path, [record]), tiny_store)
 
     def test_bad_enum_rejected(self, tmp_path, tiny_store):
