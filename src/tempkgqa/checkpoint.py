@@ -18,7 +18,8 @@ dumps' too.  Header fields and matrices, by kind:
 
 Version 2 dropped the head's fixed mixing weights and version 3 the
 encoder's layer count (the encoder is one layer); files of an earlier version
-are rejected.  A load error names the file it was reading.
+are rejected.  A load error, a stored NaN or infinity included, names the
+file it was reading.
 """
 
 from __future__ import annotations
@@ -60,8 +61,12 @@ def encode_matrix(array: np.ndarray) -> bytes:
 
 def decode_matrix(raw: bytes) -> np.ndarray:
     """The flat ``float64`` values of stored bytes; a length that is not a
-    whole number of ``float32`` values raises ``ValueError``."""
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    whole number of ``float32`` values, or a NaN or infinite value, raises
+    ``ValueError``."""
+    values = np.frombuffer(raw, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value (NaN or infinity)")
+    return values.astype(np.float64)
 
 
 def _save(path: str | Path, magic: bytes, layout: str, header: Iterable[int],
@@ -104,7 +109,7 @@ def _load(path: str | Path, magic: bytes, layout: str,
                 except ValueError:  # an empty matrix with a row count numpy cannot index
                     raise CheckpointError(f"matrix shape {shape} out of range") from None
             return arrays
-    except CheckpointError as exc:
+    except ValueError as exc:  # CheckpointError is a ValueError
         raise CheckpointError(f"{path}: {exc}") from None
 
 
@@ -166,9 +171,13 @@ def load_head(path: str | Path) -> tuple[HeadParams, Projection]:
     sidecar = _sidecar_path(path)
     try:
         record = decode_record(sidecar.read_bytes(), ("tokens", "answer_labels"))
-        tokens, answer_labels = list(record["tokens"]), tuple(record["answer_labels"])
-    except (ValueError, TypeError) as exc:  # StoreError is a ValueError
+        for key in ("tokens", "answer_labels"):
+            if not (isinstance(record[key], list)
+                    and all(isinstance(item, str) for item in record[key])):
+                raise CheckpointError(f"{key!r} is not a list of strings")
+    except ValueError as exc:  # StoreError and CheckpointError are ValueErrors
         raise CheckpointError(f"{sidecar}: {exc}") from None
+    tokens, answer_labels = record["tokens"], tuple(record["answer_labels"])
     if len(tokens) != len(token_emb) or len(answer_labels) != scoring.shape[1]:
         raise CheckpointError(f"{sidecar}: sidecar does not match the shapes in {path}")
     params = HeadParams(

@@ -1,11 +1,12 @@
 """Command line pipeline.
 
-Each subcommand covers one stage and exchanges data with the others only
-through files: checkpoints under ``checkpoint_dir`` and JSON/JSONL dumps
-under ``dump_dir``, read back by :func:`tempkgqa.store.read_records`.  ``e2e``
-chains every stage in order.  :func:`main` loads the fact file and the
-questions once per run and hands that world to each stage.  All artifacts
-are deterministic for a fixed config and seed.
+Each subcommand runs one stage (``e2e`` all, in order) and exchanges data
+with the others only through the files under ``dump_dir`` that
+:data:`WRITES` and :data:`READS` declare.  :func:`run_stage` runs a stage
+once its inputs exist, and an error in one names the stage to rerun.
+:func:`main` loads the fact file and the questions once per run and hands
+that world to each stage.  All artifacts are deterministic for a fixed
+config and seed.
 
 ``retrieve`` asks the model at ``endpoint`` to rank relations and mine time
 constraints.  Without an endpoint it builds no client, and retrieval's
@@ -36,8 +37,7 @@ from .llm import RemoteLlmClient
 from .prompts import render_instruction
 from .retrieval import (RetrievedSubgraph, retrieve_question, subgraph_from_record,
                         subgraph_record)
-from .store import (AnswerType, Question, StoreError, TkgStore, load_questions, load_tkg,
-                    read_records)
+from .store import AnswerType, Question, TkgStore, load_questions, load_tkg, read_records
 
 log = logging.getLogger("tempkgqa")
 
@@ -45,13 +45,32 @@ PREDICT_DEPTH = 10
 TOP_K = 1  # relations retrieval keeps per question
 MAX_FACTS = 10  # evidence facts retrieval keeps per question
 
-# artifact names, relative to dump_dir / checkpoint_dir
-KG_SUMMARY = "kg.json"
-BASE_TABLE_CKPT = "base_table.ckpt"
-TGNN_TABLE_CKPT = "tgnn_table.ckpt"
-TGNN_CKPT = "tgnn.ckpt"
-HEAD_CKPT = "head.ckpt"
 SPLITS = ("train", "test")
+# The artifacts each stage writes, relative to dump_dir; the code names an
+# artifact by its file's stem ("head", "subgraphs_test")
+WRITES = {
+    "build-kg": ("kg.json",),
+    "pretrain-base": ("checkpoints/base_table.ckpt", "base_losses.json"),
+    "pretrain-tgnn": ("checkpoints/tgnn_table.ckpt", "checkpoints/tgnn.ckpt",
+                      "tgnn_losses.json"),
+    "retrieve": ("subgraphs_train.jsonl", "subgraphs_test.jsonl"),
+    "build-prompts": ("prompts_train.jsonl", "prompts_test.jsonl"),
+    "build-indicators": ("indicators_train.jsonl", "indicators_test.jsonl"),
+    "train-head": ("checkpoints/head.ckpt", "head_losses.json"),
+    "predict": ("predictions.jsonl",),
+    "evaluate": ("report.json",),
+}
+# the artifacts each stage reads, which run_stage requires to exist
+READS = {
+    "pretrain-tgnn": ("base_table",),
+    "build-prompts": ("subgraphs_train", "subgraphs_test"),
+    "build-indicators": ("tgnn_table", "tgnn", "subgraphs_train", "subgraphs_test"),
+    "train-head": ("indicators_train",),
+    "predict": ("head", "indicators_test", "subgraphs_test"),
+    "evaluate": ("predictions",),
+}
+# artifact -> its file and the stage that writes it
+ARTIFACTS = {Path(file).stem: (file, stage) for stage, files in WRITES.items() for file in files}
 # keys each JSONL dump's readers index, checked when the dump is read
 SUBGRAPH_KEYS = ("uid", "relations", "constraint", "facts", "empty")
 INDICATOR_KEYS = ("uid", "d", "sub", "rel", "obj", "t_min", "t_max")
@@ -66,15 +85,8 @@ class CliError(TempkgqaError, RuntimeError):
 # small helpers
 # ---------------------------------------------------------------------------
 
-def _dump_path(cfg: RunConfig, name: str) -> Path:
-    path = Path(cfg.dump_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path / name
-
-def _ckpt_path(cfg: RunConfig, name: str) -> Path:
-    path = Path(cfg.checkpoint_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path / name
+def _path(cfg: RunConfig, name: str) -> Path:
+    return Path(cfg.dump_dir) / ARTIFACTS[name][0]
 
 
 def _write_json(path: Path, payload) -> None:
@@ -91,35 +103,35 @@ def _write_jsonl(path: Path, records) -> None:
 
 
 def _write_losses(
-    cfg: RunConfig, stage: str, name: str, losses: list[float],
-    epoch_batches: Sequence[int] | None = None,
+    cfg: RunConfig, name: str, losses: list[float], epoch_batches: Sequence[int] | None = None,
 ) -> None:
-    """The dump ``name``: a training stage's per-epoch losses and whether it
+    """The dump ``name``: its stage's per-epoch losses and whether it
     diverged, that is whether its last epoch's loss per batch is not finite
     or above the first's.  ``epoch_batches`` counts each epoch's batches;
     without it every epoch ran the same number.  A diverged stage logs a
     warning and still succeeds."""
     means = [loss / count for loss, count in zip(losses, epoch_batches or [1] * len(losses))]
     diverged = bool(means) and (not math.isfinite(means[-1]) or means[-1] > means[0])
-    _write_json(_dump_path(cfg, name), {"losses": losses, "diverged": diverged})
+    _write_json(_path(cfg, name), {"losses": losses, "diverged": diverged})
+    stage = ARTIFACTS[name][1]
     log.info("%s epochs: %s", stage, [round(x, 4) for x in losses])
     if diverged:
         log.warning("%s diverged: last epoch loss per batch %s, first %s",
                     stage, means[-1], means[0])
 
 
-def _read_by_uid(
-    path: Path, stage: str, keys: Sequence[str],
-    convert: Callable[[dict], tuple[str, object]],
-) -> dict:
-    """A dump written by ``stage``, by uid (:func:`~tempkgqa.store.read_records`);
-    an error also names the stage to rerun."""
-    if not path.exists():
-        raise CliError(f"missing artifact {path}; run the earlier stages first")
+def _read(cfg: RunConfig, name: str, read: Callable, *args, cover: Sequence[Question] = ()):
+    """``read(path, *args)`` of the artifact ``name``, which must hold each
+    question of ``cover``; an error also names the stage to rerun."""
+    path = _path(cfg, name)
     try:
-        return read_records(path, keys, convert)
-    except StoreError as exc:
-        raise CliError(f"{exc}; rerun {stage}") from None
+        loaded = read(path, *args)
+        missing = [q.uid for q in cover if q.uid not in loaded]
+        if missing:
+            raise CliError(f"question {missing[0]!r} is missing from {path}")
+        return loaded
+    except TempkgqaError as exc:
+        raise CliError(f"{exc}; rerun {ARTIFACTS[name][1]}") from None
 
 
 def _uid(record: dict) -> str:
@@ -143,10 +155,9 @@ def _decode_vector(record: dict, key: str, width: int) -> np.ndarray:
     return vector
 
 
-def _load_sized(cfg: RunConfig, store: TkgStore, name: str, stage: str, load: Callable):
-    """The table or encoder checkpoint ``name`` that ``stage`` writes, read by
-    ``load``; its sizes must match ``cfg.d`` and the store's vocabularies."""
-    path = _ckpt_path(cfg, name)
+def _load_sized(path: Path, cfg: RunConfig, store: TkgStore, load: Callable):
+    """The table or encoder checkpoint at ``path``, read by ``load``; its
+    sizes must match ``cfg.d`` and the store's vocabularies."""
     loaded = load(path)
     found = ({"d": loaded.dim, "entities": len(loaded.entity),
               "relation rows": len(loaded.relation), "times": len(loaded.time)}
@@ -157,8 +168,7 @@ def _load_sized(cfg: RunConfig, store: TkgStore, name: str, stage: str, load: Ca
     wrong = [f"{key} {size}, expected {expected[key]}"
              for key, size in found.items() if size != expected[key]]
     if wrong:
-        raise CliError(f"{path}: {', '.join(wrong)} (written for another config or fact "
-                       f"file); rerun {stage}")
+        raise CliError(f"{path}: {', '.join(wrong)} (written for another config or fact file)")
     return loaded
 
 
@@ -208,7 +218,7 @@ def stage_build_kg(cfg: RunConfig, world: World) -> None:
         for q in questions:
             counts[q.qtype.value] = counts.get(q.qtype.value, 0) + 1
         return dict(sorted(counts.items()))
-    _write_json(_dump_path(cfg, KG_SUMMARY), {
+    _write_json(_path(cfg, "kg"), {
         "entities": len(store.entities),
         "relations": len(store.relations),
         "times": len(store.times),
@@ -227,21 +237,20 @@ def stage_pretrain_base(cfg: RunConfig, world: World) -> None:
     )
     schedule = TrainSchedule(cfg.base_learning_rate, cfg.base_epochs, cfg.batch_size, cfg.seed)
     trained, losses = pretrain_base(store, table, schedule)
-    checkpoint.save_table(_ckpt_path(cfg, BASE_TABLE_CKPT), trained)
-    _write_losses(cfg, "pretrain-base", "base_losses.json", losses)
+    checkpoint.save_table(_path(cfg, "base_table"), trained)
+    _write_losses(cfg, "base_losses", losses)
 
 
 def stage_pretrain_tgnn(cfg: RunConfig, world: World) -> None:
     store, _, _ = world
-    table = _load_sized(cfg, store, BASE_TABLE_CKPT, "pretrain-base", checkpoint.load_table)
+    table = _read(cfg, "base_table", _load_sized, cfg, store, checkpoint.load_table)
     params = tgnn.init_params(cfg.d, len(store.entities), cfg.seed)
     schedule = TrainSchedule(cfg.tgnn_learning_rate, cfg.tgnn_epochs, cfg.batch_size, cfg.seed,
                              cfg.tgnn_max_steps)
     table, params, losses = tgnn.pretrain(store, table, params, schedule)
-    checkpoint.save_table(_ckpt_path(cfg, TGNN_TABLE_CKPT), table)
-    checkpoint.save_tgnn(_ckpt_path(cfg, TGNN_CKPT), params)
-    _write_losses(cfg, "pretrain-tgnn", "tgnn_losses.json", losses,
-                  schedule.epoch_batches(2 * len(store.facts)))
+    checkpoint.save_table(_path(cfg, "tgnn_table"), table)
+    checkpoint.save_tgnn(_path(cfg, "tgnn"), params)
+    _write_losses(cfg, "tgnn_losses", losses, schedule.epoch_batches(2 * len(store.facts)))
 
 
 def stage_retrieve(cfg: RunConfig, world: World) -> None:
@@ -256,25 +265,24 @@ def stage_retrieve(cfg: RunConfig, world: World) -> None:
         empties = sum(1 for r in records if r["empty"])
         if empties:
             log.warning("%s split: %d empty subgraphs", split, empties)
-        _write_jsonl(_dump_path(cfg, f"subgraphs_{split}.jsonl"), records)
+        _write_jsonl(_path(cfg, f"subgraphs_{split}"), records)
 
 
-def _read_subgraphs(cfg: RunConfig, store: TkgStore, split: str) -> dict[str, RetrievedSubgraph]:
-    path = _dump_path(cfg, f"subgraphs_{split}.jsonl")
-    return _read_by_uid(path, "retrieve", SUBGRAPH_KEYS,
-                        lambda record: (_uid(record), subgraph_from_record(store, record)))
+def _read_subgraphs(
+    cfg: RunConfig, store: TkgStore, split: str, cover: Sequence[Question] = ()
+) -> dict[str, RetrievedSubgraph]:
+    return _read(cfg, f"subgraphs_{split}", read_records, SUBGRAPH_KEYS,
+                 lambda record: (_uid(record), subgraph_from_record(store, record)),
+                 cover=cover)
 
 
 def stage_build_prompts(cfg: RunConfig, world: World) -> None:
     store, train, test = world
     for split, questions in zip(SPLITS, (train, test)):
-        path = _dump_path(cfg, f"subgraphs_{split}.jsonl")
-        subgraphs = _read_subgraphs(cfg, store, split)
+        subgraphs = _read_subgraphs(cfg, store, split, questions)
         records = []
         for question in questions:
-            subgraph = subgraphs.get(question.uid)
-            if subgraph is None:
-                raise CliError(f"question {question.uid!r} is missing from {path}; rerun retrieve")
+            subgraph = subgraphs[question.uid]
             answer = _answer_text(store, question) if split == "train" else None
             bundle = render_instruction(store, question.text, subgraph.facts, answer)
             records.append({
@@ -282,13 +290,13 @@ def stage_build_prompts(cfg: RunConfig, world: World) -> None:
                 "template_id": bundle.template_id,
                 "messages": [dict(m) for m in bundle.messages],
             })
-        _write_jsonl(_dump_path(cfg, f"prompts_{split}.jsonl"), records)
+        _write_jsonl(_path(cfg, f"prompts_{split}"), records)
 
 
 def stage_build_indicators(cfg: RunConfig, world: World) -> None:
     store, _, _ = world
-    table = _load_sized(cfg, store, TGNN_TABLE_CKPT, "pretrain-tgnn", checkpoint.load_table)
-    params = _load_sized(cfg, store, TGNN_CKPT, "pretrain-tgnn", checkpoint.load_tgnn)
+    table = _read(cfg, "tgnn_table", _load_sized, cfg, store, checkpoint.load_table)
+    params = _read(cfg, "tgnn", _load_sized, cfg, store, checkpoint.load_tgnn)
     for split in SPLITS:
         records = []
         for subgraph in _read_subgraphs(cfg, store, split).values():
@@ -305,11 +313,11 @@ def stage_build_indicators(cfg: RunConfig, world: World) -> None:
                 "t_min": store.times.label(built.t_min),
                 "t_max": store.times.label(built.t_max),
             })
-        _write_jsonl(_dump_path(cfg, f"indicators_{split}.jsonl"), records)
+        _write_jsonl(_path(cfg, f"indicators_{split}"), records)
 
 
 def _indicator_sets(
-    cfg: RunConfig, store: TkgStore, split: str
+    cfg: RunConfig, store: TkgStore, split: str, cover: Sequence[Question] = ()
 ) -> dict[str, ind_mod.IndicatorSet]:
     """Rebuild the encoder-width indicator sets of a split from its dump."""
     def convert(record: dict) -> tuple[str, ind_mod.IndicatorSet]:
@@ -323,8 +331,7 @@ def _indicator_sets(
             t_max=store.times.id(record["t_max"]),
         )
 
-    path = _dump_path(cfg, f"indicators_{split}.jsonl")
-    return _read_by_uid(path, "build-indicators", INDICATOR_KEYS, convert)
+    return _read(cfg, f"indicators_{split}", read_records, INDICATOR_KEYS, convert, cover=cover)
 
 
 def stage_train_head(cfg: RunConfig, world: World) -> None:
@@ -347,24 +354,19 @@ def stage_train_head(cfg: RunConfig, world: World) -> None:
 
     schedule = TrainSchedule(cfg.head_learning_rate, cfg.head_epochs, cfg.batch_size, cfg.seed)
     params, projection, losses = head_mod.train(dataset, params, projection, schedule)
-    checkpoint.save_head(_ckpt_path(cfg, HEAD_CKPT), params, projection)
-    _write_losses(cfg, "train-head", "head_losses.json", losses)
+    checkpoint.save_head(_path(cfg, "head"), params, projection)
+    _write_losses(cfg, "head_losses", losses)
 
 
 def stage_predict(cfg: RunConfig, world: World) -> None:
     store, _, test = world
-    params, projection = checkpoint.load_head(_ckpt_path(cfg, HEAD_CKPT))
-    indicator_sets = _indicator_sets(cfg, store, "test")
+    params, projection = _read(cfg, "head", checkpoint.load_head)
     # build-indicators skips exactly the questions with empty evidence; those
     # get an empty answer list, any other gap is a stale dump.
-    empty = _read_by_uid(_dump_path(cfg, "subgraphs_test.jsonl"), "retrieve", SUBGRAPH_KEYS,
-                         lambda record: (_uid(record), record["empty"]))
-    for question in test:
-        if question.uid not in indicator_sets and not empty.get(question.uid):
-            path = _dump_path(cfg, "indicators_test.jsonl")
-            raise CliError(
-                f"question {question.uid!r} is missing from {path}; rerun build-indicators"
-            )
+    empty = _read(cfg, "subgraphs_test", read_records, SUBGRAPH_KEYS,
+                  lambda record: (_uid(record), record["empty"]))
+    indicator_sets = _indicator_sets(cfg, store, "test",
+                                     [q for q in test if not empty.get(q.uid)])
     answered = [q for q in test if q.uid in indicator_sets]
     examples = [(indicator_sets[q.uid], q.text) for q in answered]
     ranked = dict(zip(
@@ -374,7 +376,7 @@ def stage_predict(cfg: RunConfig, world: World) -> None:
     # an entity and a time can share a label; rank_of rejects repeats
     records = [{"uid": q.uid, "answers": list(dict.fromkeys(ranked.get(q.uid, [])))}
                for q in test]
-    _write_jsonl(_dump_path(cfg, "predictions.jsonl"), records)
+    _write_jsonl(_path(cfg, "predictions"), records)
 
 
 def _prediction(record: dict) -> tuple[str, list[str]]:
@@ -389,8 +391,7 @@ def _prediction(record: dict) -> tuple[str, list[str]]:
 
 def stage_evaluate(cfg: RunConfig, world: World) -> None:
     store, _, test = world
-    path = _dump_path(cfg, "predictions.jsonl")
-    predictions = _read_by_uid(path, "predict", PREDICTION_KEYS, _prediction)
+    predictions = _read(cfg, "predictions", read_records, PREDICTION_KEYS, _prediction)
     records = []
     for question in test:
         rank = evaluation.rank_of(
@@ -400,7 +401,7 @@ def stage_evaluate(cfg: RunConfig, world: World) -> None:
             evaluation.RankRecord(question.uid, question.qtype.value, question.atype.value, rank)
         )
     report = evaluation.build_report(records)
-    _write_json(_dump_path(cfg, "report.json"), evaluation.report_payload(report))
+    _write_json(_path(cfg, "report"), evaluation.report_payload(report))
     try:
         print(evaluation.render_report(report), flush=True)
     except BrokenPipeError:
@@ -424,10 +425,16 @@ STAGES = {
 }
 
 
-def stage_e2e(cfg: RunConfig, world: World) -> None:
-    for name, stage in STAGES.items():
-        log.info("stage %s", name)
-        stage(cfg, world)
+def run_stage(name: str, cfg: RunConfig, world: World) -> None:
+    """Run ``STAGES[name]``, looked up at this call, once the artifacts it reads exist."""
+    for artifact in READS.get(name, ()):
+        path = _path(cfg, artifact)
+        if not path.exists():
+            raise CliError(f"missing artifact {path}; run {ARTIFACTS[artifact][1]} first")
+    for file in WRITES[name]:
+        Path(cfg.dump_dir, file).parent.mkdir(parents=True, exist_ok=True)
+    log.info("stage %s", name)
+    STAGES[name](cfg, world)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides: dict[str, object] = {}
-    for name in ("seed", "endpoint", "model"):
+    for name in ("seed", "endpoint", "model", "dump_dir"):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    if args.dump_dir is not None:
-        overrides["dump_dir"] = args.dump_dir
-        overrides["checkpoint_dir"] = str(Path(args.dump_dir) / "checkpoints")
     cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()
     return cfg
@@ -481,9 +485,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         log.error("%s", exc)
         return 2
     log.info("resolved config: %s", json.dumps(cfg.resolved(), ensure_ascii=False))
-    stage = stage_e2e if args.command == "e2e" else STAGES[args.command]
     try:
-        stage(cfg, _load_world(cfg))
+        world = _load_world(cfg)
+        for name in STAGES if args.command == "e2e" else [args.command]:
+            run_stage(name, cfg, world)
     except (TempkgqaError, OSError) as exc:
         log.error("%s", exc)
         return 2

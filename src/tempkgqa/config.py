@@ -5,7 +5,8 @@ Defaults: width 512, batch eight, and for each of the three training stages
 (base, graph encoder, answer head) four epochs at learning rate 3e-4.  A
 config file's values must have their field's JSON type, and its paths are
 resolved relative to the file's directory so configs can ship with fixtures.
-Learning rates must be finite.
+Learning rates must be finite.  Every artifact goes under ``dump_dir``, the
+checkpoints under its ``checkpoints/``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import TempkgqaError
 from .store import StoreError, decode_record
 
-_PATH_FIELDS = ("tkg_path", "questions_train", "questions_test", "dump_dir", "checkpoint_dir")
+_PATH_FIELDS = ("tkg_path", "questions_train", "questions_test", "dump_dir")
 
 
 class ConfigError(TempkgqaError, ValueError):
@@ -36,8 +37,7 @@ class RunConfig:
     tkg_path: str = "facts.txt"
     questions_train: str = "questions_train.jsonl"
     questions_test: str = "questions_test.jsonl"
-    dump_dir: str = "dumps"
-    checkpoint_dir: str = "dumps/checkpoints"
+    dump_dir: str = "dumps"  # every artifact, the checkpoints included
     # shared hyperparameters
     seed: int = 0
     d: int = 512

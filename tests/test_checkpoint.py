@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 
@@ -7,6 +8,8 @@ import pytest
 from tempkgqa.checkpoint import (
     FORMAT_VERSION,
     CheckpointError,
+    decode_matrix,
+    encode_matrix,
     load_head,
     load_table,
     load_tgnn,
@@ -203,6 +206,20 @@ class TestHeadCheckpoint:
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(sidecar))}: "):
             load_head(path)
 
+    @pytest.mark.parametrize("key", ["tokens", "answer_labels"])
+    @pytest.mark.parametrize("value", ["xyz", [1, 2, 3]], ids=["string", "numbers"])
+    def test_sidecar_field_that_is_not_a_list_of_strings_rejected(self, tmp_path, key, value):
+        params, projection = self.make()
+        path = tmp_path / "head.ckpt"
+        save_head(path, params, projection)
+        sidecar = tmp_path / "head.json"
+        record = json.loads(sidecar.read_text(encoding="utf-8"))
+        record[key] = value
+        sidecar.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(sidecar))}: '{key}' is not a list of strings$"):
+            load_head(path)
+
     def test_missing_sidecar_raises(self, tmp_path):
         params, projection = self.make()
         path = tmp_path / "head.ckpt"
@@ -248,3 +265,21 @@ class TestOversizedHeader:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: matrix shape"):
             load_table(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_decode_matrix_rejects_non_finite_values(value):
+    raw = encode_matrix(np.array([1.0, value, 2.0]))
+    with pytest.raises(ValueError, match="non-finite value"):
+        decode_matrix(raw)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["TKGE", "TGNN", "HEAD"])
+def test_non_finite_stored_value_rejected_with_path(tmp_path, kind, value):
+    path, load, _ = TestOversizedHeader().write(tmp_path, kind)
+    # the last value of the last matrix
+    path.write_bytes(path.read_bytes()[:-4] + np.float32(value).tobytes())
+    with pytest.raises(CheckpointError,
+                       match=f"^{re.escape(str(path))}: non-finite value \\(NaN or infinity\\)$"):
+        load(path)

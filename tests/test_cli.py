@@ -31,7 +31,6 @@ def fast_config(tmp_path, **extra):
         "questions_train": str(DESK / "questions_train.jsonl"),
         "questions_test": str(DESK / "questions_test.jsonl"),
         "dump_dir": str(tmp_path / "dumps"),
-        "checkpoint_dir": str(tmp_path / "dumps" / "checkpoints"),
         "seed": 0,
         "d": 8,
         "d_llm": 16,
@@ -125,7 +124,7 @@ class TestArtifacts:
     ])
     def test_divergence_flag(self, tmp_path, caplog, losses, diverged):
         cfg = config.RunConfig(dump_dir=str(tmp_path))
-        cli._write_losses(cfg, "train-head", "head_losses.json", losses)
+        cli._write_losses(cfg, "head_losses", losses)
         record = json.loads((tmp_path / "head_losses.json").read_text())
         assert record["diverged"] is diverged
         assert ("train-head diverged" in caplog.text) is diverged
@@ -140,7 +139,7 @@ class TestArtifacts:
         self, tmp_path, caplog, losses, epoch_batches, diverged
     ):
         cfg = config.RunConfig(dump_dir=str(tmp_path))
-        cli._write_losses(cfg, "pretrain-tgnn", "tgnn_losses.json", losses, epoch_batches)
+        cli._write_losses(cfg, "tgnn_losses", losses, epoch_batches)
         record = json.loads((tmp_path / "tgnn_losses.json").read_text())
         assert record == {"losses": losses, "diverged": diverged}
         assert ("pretrain-tgnn diverged" in caplog.text) is diverged
@@ -156,8 +155,8 @@ class TestArtifacts:
         copied_run(pipeline, tmp_path)
         run = fast_config(tmp_path, tgnn_epochs=2, tgnn_max_steps=per_epoch + 1)
         assert main(["pretrain-tgnn", "--config", str(run)]) == 0
-        _, stage, _, losses, epoch_batches = written["args"]
-        assert stage == "pretrain-tgnn"
+        _, name, losses, epoch_batches = written["args"]
+        assert name == "tgnn_losses"
         assert len(losses) == 2 and epoch_batches == [per_epoch, 1]
 
     @pytest.mark.parametrize("learning_rate, diverged", [(0.3, False), (10.0, True)])
@@ -229,11 +228,72 @@ class TestArtifacts:
         assert len(report["records"]) == 76
 
 
+def dump_files(dumps):
+    """The files under ``dumps``, relative to it."""
+    return {path.relative_to(dumps).as_posix() for path in dumps.rglob("*") if path.is_file()}
+
+
+class TestArtifactTable:
+    def test_every_read_is_written_by_an_earlier_stage(self):
+        assert list(cli.WRITES) == list(cli.STAGES)
+        assert set(cli.READS) <= set(cli.STAGES)
+        written = set()
+        for stage in cli.STAGES:
+            for name in cli.READS.get(stage, ()):
+                assert name in written, f"{stage} reads {name} before any stage writes it"
+            written |= {name for name, (_, writer) in cli.ARTIFACTS.items() if writer == stage}
+
+    def test_every_artifact_has_one_writer(self):
+        files = [file for files in cli.WRITES.values() for file in files]
+        assert len(files) == len(set(files)) == len(cli.ARTIFACTS) == 16
+        assert sorted(file for file, _ in cli.ARTIFACTS.values()) == sorted(files)
+
+    def test_each_stage_alone_writes_exactly_its_declared_files(self, tmp_path):
+        config = fast_config(tmp_path)
+        dumps = tmp_path / "dumps"
+        before = set()
+        for stage in cli.STAGES:
+            assert main([stage, "--config", str(config)]) == 0, stage
+            after = dump_files(dumps)
+            expected = set(cli.WRITES[stage])
+            if stage == "train-head":
+                expected.add("checkpoints/head.json")  # the head's label sidecar
+            assert after - before == expected, stage
+            before = after
+
+    @pytest.mark.parametrize("command, missing, writer", [
+        ("pretrain-tgnn", "checkpoints/base_table.ckpt", "pretrain-base"),
+        ("build-prompts", "subgraphs_train.jsonl", "retrieve"),
+        ("build-indicators", "checkpoints/tgnn_table.ckpt", "pretrain-tgnn"),
+        ("train-head", "indicators_train.jsonl", "build-indicators"),
+        ("predict", "checkpoints/head.ckpt", "train-head"),
+        ("evaluate", "predictions.jsonl", "predict"),
+    ])
+    def test_stage_in_an_empty_dir_names_the_stage_to_run(
+        self, tmp_path, caplog, command, missing, writer
+    ):
+        config = fast_config(tmp_path)
+        dumps = tmp_path / "dumps"
+        assert main([command, "--config", str(config)]) == 2
+        assert f"missing artifact {dumps / missing}; run {writer} first" in caplog.text
+        assert not dumps.exists()
+
+    def test_build_prompts_with_one_split_missing_writes_nothing(self, pipeline, tmp_path, caplog):
+        config = fast_config(tmp_path)
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        shutil.copy(pipeline[0] / "subgraphs_train.jsonl", dumps)
+        assert main(["build-prompts", "--config", str(config)]) == 2
+        assert (f"missing artifact {dumps / 'subgraphs_test.jsonl'}; run retrieve first"
+                in caplog.text)
+        assert dump_files(dumps) == {"subgraphs_train.jsonl"}
+
+
 class TestStageSequencing:
     def test_missing_dump_fails_with_guidance(self, tmp_path, caplog):
         config = fast_config(tmp_path)
         assert main(["build-prompts", "--config", str(config)]) == 2
-        assert "run the earlier stages first" in caplog.text
+        assert "run retrieve first" in caplog.text
 
     def test_missing_checkpoint_fails_by_name(self, tmp_path, caplog):
         config = fast_config(tmp_path)
@@ -273,6 +333,26 @@ class TestStageSequencing:
         assert main(["predict", "--config", str(config)]) == 2
         assert f"{path}: " in caplog.text
         assert message in caplog.text
+
+    @pytest.mark.parametrize("key", ["tokens", "answer_labels"])
+    def test_head_sidecar_field_of_characters_returns_2(self, pipeline, tmp_path, caplog, key):
+        # a string as long as the list it replaces, which once split into characters
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "checkpoints" / "head.json"
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record[key] = "x" * len(record[key])
+        path.write_text(json.dumps(record), encoding="utf-8")
+        assert main(["predict", "--config", str(config)]) == 2
+        assert f"{path}: {key!r} is not a list of strings; rerun train-head" in caplog.text
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_head_checkpoint_returns_2(self, pipeline, tmp_path, caplog, value):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "checkpoints" / "head.ckpt"
+        path.write_bytes(path.read_bytes()[:-4] + np.float32(value).tobytes())
+        assert main(["predict", "--config", str(config)]) == 2
+        assert (f"{path}: non-finite value (NaN or infinity); rerun train-head"
+                in caplog.text)
 
     def test_question_missing_from_indicators_fails_with_guidance(
         self, pipeline, tmp_path, caplog
@@ -361,7 +441,9 @@ class TestStageSequencing:
         ("rel", "AAA", "'rel' is not a base64 float32 vector"),
         ("d", 4, "indicator width 4 does not match config d 8"),
         ("uid", [1], "'uid' is not a string but list"),
-    ], ids=["not-base64", "short", "bad-padding", "width", "uid-list"])
+        ("rel", base64.b64encode(np.full(8, np.nan, "<f4").tobytes()).decode(),
+         "'rel' is not a base64 float32 vector (non-finite value (NaN or infinity))"),
+    ], ids=["not-base64", "short", "bad-padding", "width", "uid-list", "non-finite"])
     def test_malformed_indicator_vector_returns_2(
         self, pipeline, tmp_path, caplog, key, value, message
     ):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from tempkgqa import embeddings, tgnn
+from tempkgqa import cli, embeddings, tgnn
 from tempkgqa.cli import build_parser, resolve_config
 from tempkgqa.config import ConfigError, RunConfig, TrainSchedule, load_config
 
@@ -26,7 +26,7 @@ class TestRunConfig:
             assert getattr(config, f"{stage}_learning_rate") == 3e-4
             assert getattr(config, f"{stage}_epochs") == 4
         assert config.tgnn_max_steps is None
-        assert len(dataclasses.fields(config)) == 18
+        assert len(dataclasses.fields(config)) == 17
 
     @pytest.mark.parametrize(
         "kwargs, fragment",
@@ -206,7 +206,10 @@ class TestCliOverrides:
     def test_dump_dir_override_moves_checkpoints_too(self, tmp_path):
         config = resolve_config(self.parse("--dump-dir", str(tmp_path / "out")))
         assert config.dump_dir == str(tmp_path / "out")
-        assert config.checkpoint_dir == str(tmp_path / "out" / "checkpoints")
+        checkpoints = [cli._path(config, name) for name, (file, _) in cli.ARTIFACTS.items()
+                       if file.endswith(".ckpt")]
+        assert len(checkpoints) == 4
+        assert {path.parent for path in checkpoints} == {tmp_path / "out" / "checkpoints"}
 
     def test_override_still_validated(self):
         with pytest.raises(ConfigError):
