@@ -3,7 +3,9 @@
 Each subcommand runs one stage (``e2e`` all, in order) and exchanges data
 with the others only through the files under ``dump_dir`` that
 :data:`WRITES` and :data:`READS` declare.  :func:`run_stage` runs a stage
-once its inputs exist, and an error in one names the stage to rerun.
+once its inputs exist, and an error in one names the stage to rerun.  A
+training stage whose parameters turn non-finite saves nothing and names its
+learning rate.
 :func:`main` loads the fact file and the questions once per run and hands
 that world to each stage.  All artifacts are deterministic for a fixed
 config and seed.
@@ -130,8 +132,15 @@ def _read(cfg: RunConfig, name: str, read: Callable, *args, cover: Sequence[Ques
         if missing:
             raise CliError(f"question {missing[0]!r} is missing from {path}")
         return loaded
-    except TempkgqaError as exc:
+    except (TempkgqaError, OSError) as exc:
         raise CliError(f"{exc}; rerun {ARTIFACTS[name][1]}") from None
+
+
+def _require_finite(cfg: RunConfig, learning_rate: str, *arrays: np.ndarray) -> None:
+    """Refuse trained parameters holding NaN or infinity before they are saved."""
+    if not all(np.isfinite(array).all() for array in arrays):
+        raise CliError(f"training made a parameter non-finite (NaN or infinity), so nothing "
+                       f"was saved; lower {learning_rate} ({getattr(cfg, learning_rate)})")
 
 
 def _uid(record: dict) -> str:
@@ -237,6 +246,7 @@ def stage_pretrain_base(cfg: RunConfig, world: World) -> None:
     )
     schedule = TrainSchedule(cfg.base_learning_rate, cfg.base_epochs, cfg.batch_size, cfg.seed)
     trained, losses = pretrain_base(store, table, schedule)
+    _require_finite(cfg, "base_learning_rate", trained.entity, trained.relation, trained.time)
     checkpoint.save_table(_path(cfg, "base_table"), trained)
     _write_losses(cfg, "base_losses", losses)
 
@@ -248,6 +258,8 @@ def stage_pretrain_tgnn(cfg: RunConfig, world: World) -> None:
     schedule = TrainSchedule(cfg.tgnn_learning_rate, cfg.tgnn_epochs, cfg.batch_size, cfg.seed,
                              cfg.tgnn_max_steps)
     table, params, losses = tgnn.pretrain(store, table, params, schedule)
+    _require_finite(cfg, "tgnn_learning_rate", table.entity, table.relation, table.time,
+                    *vars(params).values())
     checkpoint.save_table(_path(cfg, "tgnn_table"), table)
     checkpoint.save_tgnn(_path(cfg, "tgnn"), params)
     _write_losses(cfg, "tgnn_losses", losses, schedule.epoch_batches(2 * len(store.facts)))
@@ -278,8 +290,10 @@ def _read_subgraphs(
 
 def stage_build_prompts(cfg: RunConfig, world: World) -> None:
     store, train, test = world
-    for split, questions in zip(SPLITS, (train, test)):
-        subgraphs = _read_subgraphs(cfg, store, split, questions)
+    # both splits are read and checked before either output is written
+    read = [(split, questions, _read_subgraphs(cfg, store, split, questions))
+            for split, questions in zip(SPLITS, (train, test))]
+    for split, questions, subgraphs in read:
         records = []
         for question in questions:
             subgraph = subgraphs[question.uid]
@@ -297,9 +311,11 @@ def stage_build_indicators(cfg: RunConfig, world: World) -> None:
     store, _, _ = world
     table = _read(cfg, "tgnn_table", _load_sized, cfg, store, checkpoint.load_table)
     params = _read(cfg, "tgnn", _load_sized, cfg, store, checkpoint.load_tgnn)
-    for split in SPLITS:
+    # both splits are read and checked before either output is written
+    read = {split: _read_subgraphs(cfg, store, split) for split in SPLITS}
+    for split, subgraphs in read.items():
         records = []
-        for subgraph in _read_subgraphs(cfg, store, split).values():
+        for subgraph in subgraphs.values():
             if subgraph.empty:
                 continue
             encoded = tgnn.encode_entities(subgraph.facts, table, params)
@@ -354,6 +370,8 @@ def stage_train_head(cfg: RunConfig, world: World) -> None:
 
     schedule = TrainSchedule(cfg.head_learning_rate, cfg.head_epochs, cfg.batch_size, cfg.seed)
     params, projection, losses = head_mod.train(dataset, params, projection, schedule)
+    _require_finite(cfg, "head_learning_rate", params.token_emb, params.scoring,
+                    projection.weight)
     checkpoint.save_head(_path(cfg, "head"), params, projection)
     _write_losses(cfg, "head_losses", losses)
 

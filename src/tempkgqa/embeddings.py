@@ -14,11 +14,24 @@ verifiable against central finite differences.
 
 The cross-entropy over all entities is :func:`softmax_cross_entropy`, which
 the graph encoder's decoder shares.  It writes the logits, their in-place
-max-shifted exp, ``d_logits`` and the dense vocabulary gradient into
-:class:`SoftmaxBuffers` that :func:`pretrain_base` allocates once; the
-normalisation scales the small ``(B, d)`` operands of the backward products.
-The entity gradient is applied in place, so no step allocates an array of
-vocabulary size; relation and time gradients are table-sized.
+max-shifted exp and ``d_logits`` into :class:`SoftmaxBuffers` that
+:func:`pretrain_base` allocates once; the normalisation scales the small
+``(B, d)`` operands of the backward products.  The backward pass is one
+sweep over blocks of :data:`SWEEP_ROWS` vocabulary rows: each block adds its
+share of the query gradient from its still-unchanged rows, then writes its
+rows of the vocabulary (and bias) gradient into a block buffer in the
+vocabulary's memory order.  In step mode (``step`` given) the sweep scales
+that buffer and subtracts it from the block in place, so the SGD step needs
+no vocabulary-sized gradient and no extra pass over one; without ``step``
+the blocks fill the ``(n, d)`` gradient of :class:`SoftmaxBuffers`,
+allocated on first use, for the gradchecks.  The base anchors, the entity
+rows the queries are built from, take their query-gradient share before the
+scaling, after the sweep; a step-mode update therefore has the bits of the
+gradient followed by ``param -= step * grad``.  Past one block the query
+gradient is summed block by block, so its rounding differs from that of one
+whole-vocabulary product; a vocabulary of at most :data:`SWEEP_ROWS` rows,
+such as the desk world's, runs one block with the bits of that product.
+Relation and time gradients are table-sized.
 
 :func:`pretrain_base` takes its mini-batches of facts from a
 :class:`~tempkgqa.config.TrainSchedule`, the schedule of every trainer.
@@ -33,6 +46,7 @@ finite-difference gradchecks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -100,7 +114,7 @@ TRAIN_DTYPE = np.float32
 
 @dataclass
 class BaseGradients:
-    entity: np.ndarray
+    entity: np.ndarray | None  # None in step mode, which applied it
     relation: np.ndarray
     time: np.ndarray
 
@@ -118,20 +132,36 @@ def _queries(table: EmbeddingTable, facts: Sequence[Quadruple]):
     return anchors, rows, targets, np.tile(starts, 2), np.tile(ends, 2)
 
 
+#: Vocabulary rows per block of the backward sweep: the float32 block buffer
+#: at d = 32 is 512 KB, so each block's scale and subtract stay in cache.
+SWEEP_ROWS = 4096
+
+
 class SoftmaxBuffers:
-    """Vocabulary-sized arrays :func:`softmax_cross_entropy` writes into, for
-    up to ``max_batch`` queries against the ``(n, d)`` matrix ``vocab``.  The
-    logits take ``vocab``'s memory order, so the logits product reads it
-    along its rows: at n = 125k, d = 32 and one BLAS thread on a 2-vCPU VM it
-    took 2.4 against 8.8 ms for the entity table and 3.0 against 5.1 ms for
-    ``decoder_w`` in the other order."""
+    """Arrays :func:`softmax_cross_entropy` writes into, for up to
+    ``max_batch`` queries against the ``(n, d)`` matrix ``vocab``.  The
+    logits and the sweep's block buffer take ``vocab``'s memory order, so the
+    products read it along its rows: at n = 125k, d = 32 and one BLAS thread
+    on a 2-vCPU VM the logits product took 2.4 against 8.8 ms for the entity
+    table and 3.0 against 5.1 ms for ``decoder_w`` in the other order.  The
+    vocabulary-sized gradients exist only once a gradient-mode call asks."""
 
     def __init__(self, vocab: np.ndarray, max_batch: int) -> None:
         self.order = "C" if vocab.flags.c_contiguous else "F"
+        self.shape = vocab.shape
         self.logits = np.empty(len(vocab) * max_batch, dtype=vocab.dtype)
         self.ones = np.ones(len(vocab), dtype=vocab.dtype)
-        self.vocab_grad = np.empty(vocab.shape, dtype=vocab.dtype, order=self.order)
-        self.bias_grad = np.empty(len(vocab), dtype=vocab.dtype)
+        rows = min(len(vocab), SWEEP_ROWS)
+        self.block = np.empty(rows * vocab.shape[1], dtype=vocab.dtype)
+        self.bias_block = np.empty(rows, dtype=vocab.dtype)
+
+    @cached_property
+    def vocab_grad(self) -> np.ndarray:
+        return np.empty(self.shape, dtype=self.logits.dtype, order=self.order)
+
+    @cached_property
+    def bias_grad(self) -> np.ndarray:
+        return np.empty(self.shape[0], dtype=self.logits.dtype)
 
 
 # numpy reduces a C-ordered (n, B) array along axis 0 one B-wide row at a
@@ -192,43 +222,87 @@ def softmax_cross_entropy(
     targets: np.ndarray,
     buffers: SoftmaxBuffers,
     bias: np.ndarray | None = None,
+    anchors: np.ndarray | None = None,
+    step: float | None = None,
 ) -> tuple[float, np.ndarray]:
     """Summed cross entropy of ``targets`` under :func:`softmax_probs`, and the
-    ``(B, d)`` query gradient; the gradients of ``vocab`` and ``bias`` go to
-    ``buffers``.  The buffer holds ``d_logits`` times each query's exp sum
-    ``s``: the target entries lose ``s`` in place, before any scaling, so
-    ``p - 1`` keeps its precision, and ``1 / s`` scales the ``(B, d)``
-    operands instead of the ``(n, B)`` buffer, which saves one pass over it."""
+    ``(B, d)`` query gradient.  Query ``j`` may hold row ``anchors[j]`` of
+    ``vocab`` as a summand, which then gains ``d_queries[j]``.  Without
+    ``step`` the gradients of ``vocab`` and ``bias`` go to ``buffers``; with
+    it, ``vocab`` and ``bias`` take ``-= step * grad`` in place.
+
+    The logits buffer holds ``d_logits`` times each query's exp sum ``s``:
+    the target entries lose ``s`` in place, before any scaling, so ``p - 1``
+    keeps its precision, and ``1 / s`` scales the ``(B, d)`` operands instead
+    of the ``(n, B)`` buffer, which saves one pass over it."""
     d_logits, sums, loss = _shifted_exp(vocab, queries, buffers, bias, targets)
     d_logits[targets, np.arange(len(queries))] -= sums
     inv = 1.0 / sums
-    np.matmul(d_logits, queries * inv[:, None], out=buffers.vocab_grad)
-    if bias is not None:
-        np.matmul(d_logits, inv, out=buffers.bias_grad)
-    return loss, (d_logits.T @ vocab) * inv[:, None]
+    scaled = queries * inv[:, None]
+    if step is not None and anchors is not None:
+        held_rows, where = np.unique(anchors, return_inverse=True)
+        held = np.empty((len(held_rows), vocab.shape[1]), dtype=vocab.dtype)
+    for lo in range(0, len(vocab), SWEEP_ROWS):
+        hi = min(lo + SWEEP_ROWS, len(vocab))
+        block = d_logits[lo:hi]
+        share = block.T @ vocab[lo:hi]
+        d_queries = share if lo == 0 else d_queries + share
+        if step is None:
+            grad, bias_grad = buffers.vocab_grad[lo:hi], buffers.bias_grad[lo:hi]
+        else:
+            grad = buffers.block[: (hi - lo) * vocab.shape[1]].reshape(
+                (hi - lo, vocab.shape[1]), order=buffers.order)
+            bias_grad = buffers.bias_block[: hi - lo]
+        np.matmul(block, scaled, out=grad)
+        if bias is not None:
+            np.matmul(block, inv, out=bias_grad)
+        if step is None:
+            continue
+        if anchors is not None:
+            first, last = np.searchsorted(held_rows, (lo, hi))
+            local = held_rows[first:last] - lo
+            held[first:last] = grad[local]
+            grad[local] = 0.0  # stepped once d_queries is complete
+        grad *= step
+        vocab[lo:hi] -= grad
+        if bias is not None:
+            bias_grad *= step
+            bias[lo:hi] -= bias_grad
+    d_queries *= inv[:, None]
+    if anchors is not None:
+        if step is None:
+            np.add.at(buffers.vocab_grad, anchors, d_queries)
+        else:
+            np.add.at(held, where, d_queries)
+            held *= step
+            vocab[held_rows] -= held
+    return loss, d_queries
 
 
 def base_loss_and_grads(
     table: EmbeddingTable,
     facts: Sequence[Quadruple],
     buffers: SoftmaxBuffers | None = None,
+    step: float | None = None,
 ) -> tuple[float, BaseGradients]:
     """Summed cross-entropy over both masking directions of ``facts`` and its
     gradient with respect to every embedding row.  The entity gradient is
-    ``buffers.vocab_grad``, overwritten by the next call."""
+    ``buffers.vocab_grad``, overwritten by the next call.  With ``step`` the
+    entity table instead takes its SGD step in place, with the bits of
+    ``entity -= step * grad``, and the returned entity gradient is None."""
     anchors, rows, targets, starts, ends = _queries(table, facts)
     t_mid = 0.5 * (table.time[starts] + table.time[ends])
     queries = table.entity[anchors] + table.relation[rows] + t_mid
     if buffers is None:
         buffers = SoftmaxBuffers(table.entity, len(targets))
-    loss, d_queries = softmax_cross_entropy(table.entity, queries, targets, buffers)
+    loss, d_queries = softmax_cross_entropy(
+        table.entity, queries, targets, buffers, anchors=anchors, step=step)
 
     grads = BaseGradients(
-        entity=buffers.vocab_grad,
+        entity=buffers.vocab_grad if step is None else None,
         relation=np.zeros_like(table.relation),
         time=np.zeros_like(table.time),
     )
-    np.add.at(grads.entity, anchors, d_queries)
     np.add.at(grads.relation, rows, d_queries)
     np.add.at(grads.time, starts, 0.5 * d_queries)
     np.add.at(grads.time, ends, 0.5 * d_queries)
@@ -260,11 +334,9 @@ def pretrain_base(
         if rows.start == 0:
             losses.append(0.0)
         batch = facts[order[rows]]
-        loss, grads = base_loss_and_grads(table, batch, buffers)
-        losses[-1] += loss
         step = schedule.learning_rate / (2 * len(batch))
-        grads.entity *= step
-        table.entity -= grads.entity
+        loss, grads = base_loss_and_grads(table, batch, buffers, step)
+        losses[-1] += loss
         table.relation -= step * grads.relation
         table.time -= step * grads.time
     return table, losses

@@ -26,7 +26,14 @@ Pre-training builds one such union per mini-batch of a
 :class:`~tempkgqa.config.TrainSchedule`, takes one gradient of the summed
 loss, and updates only the embedding rows the mini-batch touches.  Its
 :class:`TgnnBuffers` hold the decoder's softmax buffers and a dense entity
-gradient, allocated once per :func:`pretrain` call.
+gradient, allocated once per :func:`pretrain` call.  :func:`pretrain` calls
+:func:`gradients` in step mode: the kernel's backward sweep over blocks of
+:data:`embeddings.SWEEP_ROWS` decoder rows applies the decoder's SGD step
+block by block, in the F order of ``decoder_w.T``, so no ``(d, |E|)``
+decoder gradient is allocated or passed over again.  The result has the bits
+of the gradient followed by ``param -= step * grad``.  Without a step, as in
+the gradchecks, the decoder gradient lives in the softmax buffers, allocated
+on first use.
 
 Pre-training runs in float32 (:data:`embeddings.TRAIN_DTYPE`) on copies of
 the table and parameters it is given.  Every kernel, buffer and gradient
@@ -266,8 +273,8 @@ class TgnnGradients:
     w_msg: np.ndarray
     w_query: np.ndarray
     w_key: np.ndarray
-    decoder_w: np.ndarray
-    decoder_b: np.ndarray
+    decoder_w: np.ndarray | None  # None in step mode, which applied it
+    decoder_b: np.ndarray | None
     entity: np.ndarray
     relation: np.ndarray
     time: np.ndarray
@@ -324,6 +331,7 @@ def gradients(
     params: TgnnParams,
     target: int | Sequence[int],
     buffers: TgnnBuffers | None = None,
+    step: float | None = None,
 ) -> tuple[float, TgnnGradients]:
     """Cross-entropy loss of the masked prediction and its full gradient,
     covering the three projection matrices, the decoder, and every embedding
@@ -333,21 +341,23 @@ def gradients(
     per masked node (node order) otherwise; loss and gradients are
     then sums over the masked nodes.  Table gradients are table-shaped and
     nonzero only on the rows the batch touches.  The decoder and entity
-    gradients live in ``buffers``, overwritten by the next call.
+    gradients live in ``buffers``, overwritten by the next call.  With
+    ``step`` the decoder instead takes its SGD step in place, with the bits
+    of ``param -= step * grad``, and its returned gradients are None.
     """
     rows, targets = _masked_rows(batch, target)
     final, cache = _forward_layer(batch, _layer_inputs(batch, table), table, params)
     if buffers is None:
         buffers = TgnnBuffers(table, params, len(rows))
     loss, d_queries = softmax_cross_entropy(
-        params.decoder_w.T, final[rows], targets, buffers.decoder, params.decoder_b)
+        params.decoder_w.T, final[rows], targets, buffers.decoder, params.decoder_b, step=step)
     buffers.entity[buffers.entity_rows] = 0.0
     grads = TgnnGradients(
         w_msg=np.zeros_like(params.w_msg),
         w_query=np.zeros_like(params.w_query),
         w_key=np.zeros_like(params.w_key),
-        decoder_w=buffers.decoder.vocab_grad.T,
-        decoder_b=buffers.decoder.bias_grad,
+        decoder_w=buffers.decoder.vocab_grad.T if step is None else None,
+        decoder_b=buffers.decoder.bias_grad if step is None else None,
         entity=buffers.entity,
         relation=np.zeros_like(table.relation),
         time=np.zeros_like(table.time),
@@ -434,9 +444,12 @@ def _sgd_step(
     step: float,
 ) -> None:
     """In-place SGD step; embedding rows the batch does not touch are not
-    written, so they stay bit-identical.  Scales ``grads`` in place."""
+    written, so they stay bit-identical.  Scales ``grads`` in place.  A
+    decoder gradient of None was applied by :func:`gradients`' step mode."""
     for name in _PARAM_FIELDS:
         update = getattr(grads, name)
+        if update is None:
+            continue
         update *= step
         param = getattr(params, name)
         param -= update
@@ -485,9 +498,10 @@ def pretrain(
         chunk = order[rows]
         batch, targets = build_query_subgraph(
             store, table, store.facts_of(fact_ids[chunk // 2]), chunk % 2 == 0)
-        loss, grads = gradients(batch, table, params, targets, buffers)
+        step = schedule.learning_rate / len(chunk)
+        loss, grads = gradients(batch, table, params, targets, buffers, step)
         losses[-1] += loss
-        _sgd_step(table, params, grads, batch, schedule.learning_rate / len(chunk))
+        _sgd_step(table, params, grads, batch, step)
     return table, params, losses
 
 

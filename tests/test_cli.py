@@ -174,6 +174,24 @@ class TestArtifacts:
         for name in ("base_losses.json", "tgnn_losses.json"):
             assert json.loads((tmp_path / "dumps" / name).read_text())["diverged"] is False
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
+    @pytest.mark.parametrize("command, key, written", [
+        ("pretrain-base", "base_learning_rate", ("base_table.ckpt",)),
+        ("pretrain-tgnn", "tgnn_learning_rate", ("tgnn_table.ckpt", "tgnn.ckpt")),
+        ("train-head", "head_learning_rate", ("head.ckpt", "head.json")),
+    ])
+    def test_non_finite_training_saves_nothing(
+        self, pipeline, tmp_path, caplog, command, key, written
+    ):
+        copied_run(pipeline, tmp_path)
+        checkpoints = tmp_path / "dumps" / "checkpoints"
+        for name in written:
+            (checkpoints / name).unlink()
+        run = fast_config(tmp_path, **{key: 1e6})
+        assert main([command, "--config", str(run)]) == 2
+        assert f"so nothing was saved; lower {key} (1000000.0)" in caplog.text
+        assert not any((checkpoints / name).exists() for name in written)
+
     def test_subgraph_dumps_cover_every_question(self, pipeline):
         dumps, _ = pipeline
         for split, count in (("train", 76), ("test", 76)):
@@ -353,6 +371,30 @@ class TestStageSequencing:
         assert main(["predict", "--config", str(config)]) == 2
         assert (f"{path}: non-finite value (NaN or infinity); rerun train-head"
                 in caplog.text)
+
+    def test_missing_head_sidecar_names_the_stage_to_rerun(self, pipeline, tmp_path, caplog):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "checkpoints" / "head.json"
+        path.unlink()
+        assert main(["predict", "--config", str(config)]) == 2
+        assert f"{path}'; rerun train-head" in caplog.text
+
+    @pytest.mark.parametrize("command, outputs", [
+        ("build-prompts", ("prompts_train.jsonl", "prompts_test.jsonl")),
+        ("build-indicators", ("indicators_train.jsonl", "indicators_test.jsonl")),
+    ])
+    def test_corrupt_test_split_leaves_no_output(
+        self, pipeline, tmp_path, caplog, command, outputs
+    ):
+        # the train split reads cleanly; the stage still writes neither split
+        config = copied_run(pipeline, tmp_path)
+        dumps = tmp_path / "dumps"
+        for name in outputs:
+            (dumps / name).unlink()
+        (dumps / "subgraphs_test.jsonl").write_text("[1]\n", encoding="utf-8")
+        assert main([command, "--config", str(config)]) == 2
+        assert "line 1: record is not a JSON object; rerun retrieve" in caplog.text
+        assert not any((dumps / name).exists() for name in outputs)
 
     def test_question_missing_from_indicators_fails_with_guidance(
         self, pipeline, tmp_path, caplog

@@ -15,6 +15,7 @@ import pytest
 from tempkgqa import tgnn
 from tempkgqa.embeddings import (
     _MAX_BLOCK,
+    SWEEP_ROWS,
     BasePretrainConfig,
     SoftmaxBuffers,
     base_loss_and_grads,
@@ -32,6 +33,8 @@ TOL = 1e-12
 TABLE_NAMES = ("entity", "relation", "time")
 # |E| = 1, below one max block, a non-multiple above it, and an exact multiple
 VOCAB_SIZES = (1, 7, _MAX_BLOCK + 44, 2 * _MAX_BLOCK)
+# two and three blocks of the backward sweep, each with a partial last block
+SWEEP_SIZES = (SWEEP_ROWS + 300, 2 * SWEEP_ROWS + 5)
 
 
 def reference_base_loss_and_grads(table, facts):
@@ -107,7 +110,7 @@ def assert_decoder_matches(decoder_w, decoder_b, queries, targets, buffers):
 
 
 class TestKernel:
-    @pytest.mark.parametrize("n", VOCAB_SIZES)
+    @pytest.mark.parametrize("n", VOCAB_SIZES + SWEEP_SIZES)
     @pytest.mark.parametrize("batch", [1, 3, 16])
     def test_decoder_layout_matches_reference(self, n, batch):
         rng = np.random.default_rng(n * 31 + batch)
@@ -118,7 +121,7 @@ class TestKernel:
         assert_decoder_matches(decoder_w, decoder_b, queries, targets,
                                SoftmaxBuffers(decoder_w.T, batch))
 
-    @pytest.mark.parametrize("n", VOCAB_SIZES)
+    @pytest.mark.parametrize("n", VOCAB_SIZES + SWEEP_SIZES)
     @pytest.mark.parametrize("batch", [1, 3, 16])
     def test_table_layout_matches_reference(self, n, batch):
         # a C-ordered (n, d) vocabulary with no bias, as the base table
@@ -188,7 +191,7 @@ def assert_base_matches(table, facts, buffers=None):
 
 
 class TestBaseKernel:
-    @pytest.mark.parametrize("n", VOCAB_SIZES)
+    @pytest.mark.parametrize("n", VOCAB_SIZES + SWEEP_SIZES)
     def test_matches_dense_reference(self, n):
         table, rng = base_world(n, seed=n)
         facts = random_facts(rng, n, 3, 5, 8)
@@ -264,6 +267,77 @@ class TestBaseKernel:
         assert np.isfinite(loss) and loss > 1e3
         for name in TABLE_NAMES:
             assert np.all(np.isfinite(getattr(grads, name))), name
+
+
+def sweep_facts(rng, n):
+    """Facts over ``n`` entities whose anchors repeat, fall in the last,
+    partial sweep block and equal their own target."""
+    facts = random_facts(rng, n, 3, 5, 8)
+    facts[0] = Quadruple(n - 1, 0, 3, 0, 2)       # subject anchor in the last block
+    facts[1] = Quadruple(n - 1, 1, n - 2, 1, 4)   # the same anchor again, object too
+    facts[2] = Quadruple(SWEEP_ROWS, 2, SWEEP_ROWS, 2, 3)  # target equal to its anchor
+    facts[3] = Quadruple(5, 0, 5, 0, 0)           # the same in the first block
+    return facts
+
+
+class TestStepMode:
+    """A step-mode call leaves the parameters with the bits of a gradient-mode
+    call followed by ``param -= step * grad``, past one sweep block too."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", VOCAB_SIZES[2:] + SWEEP_SIZES)
+    def test_base_step_is_gradient_then_step(self, n, dtype):
+        table, rng = base_world(n, seed=n + 1)
+        table = table.astype(dtype)
+        facts = sweep_facts(rng, n) if n > SWEEP_ROWS else random_facts(rng, n, 3, 5, 8)
+        step = 0.3 / 16
+        loss, grads = base_loss_and_grads(table, facts)
+        expected = table.entity - step * grads.entity
+        stepped = table.copy()
+        buffers = SoftmaxBuffers(stepped.entity, 16)
+        step_loss, step_grads = base_loss_and_grads(stepped, facts, buffers, step)
+        assert step_loss == loss
+        assert step_grads.entity is None
+        assert np.array_equal(stepped.entity, expected)
+        for name in ("relation", "time"):
+            assert np.array_equal(getattr(step_grads, name), getattr(grads, name)), name
+            assert np.array_equal(getattr(stepped, name), getattr(table, name)), name
+
+    @pytest.mark.parametrize("n", VOCAB_SIZES[2:] + SWEEP_SIZES)
+    def test_decoder_step_is_gradient_then_step(self, n):
+        # the encoder's layout: an F-ordered vocabulary, decoder_w.T, with a bias
+        rng = np.random.default_rng(n + 2)
+        decoder_w, decoder_b = (a.astype(np.float32) for a in random_decoder(rng, n))
+        queries = rng.uniform(-1, 1, size=(16, decoder_w.shape[0])).astype(np.float32)
+        targets = rng.integers(0, n, size=16)
+        targets[:2] = n - 1, 0
+        step = 0.2 / 16
+        buffers = SoftmaxBuffers(decoder_w.T, 16)
+        loss, d_queries = softmax_cross_entropy(decoder_w.T, queries, targets, buffers, decoder_b)
+        expected_w = decoder_w - step * buffers.vocab_grad.T
+        expected_b = decoder_b - step * buffers.bias_grad
+        stepped = SoftmaxBuffers(decoder_w.T, 16)
+        step_loss, step_queries = softmax_cross_entropy(
+            decoder_w.T, queries, targets, stepped, decoder_b, step=step)
+        assert step_loss == loss
+        assert np.array_equal(step_queries, d_queries)
+        assert np.array_equal(decoder_w, expected_w)
+        assert np.array_equal(decoder_b, expected_b)
+
+    def test_step_mode_allocates_no_vocabulary_gradient(self):
+        n = SWEEP_SIZES[1]
+        table, rng = base_world(n, seed=9)
+        buffers = SoftmaxBuffers(table.entity, 16)
+        base_loss_and_grads(table, sweep_facts(rng, n), buffers, 0.01)
+        decoder_w, decoder_b = random_decoder(rng, n)
+        decoder = SoftmaxBuffers(decoder_w.T, 4)
+        softmax_cross_entropy(decoder_w.T, rng.uniform(-1, 1, size=(4, decoder_w.shape[0])),
+                              rng.integers(0, n, size=4), decoder, decoder_b, step=0.01)
+        for used in (buffers, decoder):
+            assert "vocab_grad" not in vars(used) and "bias_grad" not in vars(used)
+            held = [a.size for a in vars(used).values()
+                    if isinstance(a, np.ndarray) and a is not used.logits]
+            assert sum(held) < n * table.dim
 
 
 class TestDtype:

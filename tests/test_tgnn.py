@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tempkgqa import tgnn
-from tempkgqa.embeddings import init_random
+from tempkgqa.embeddings import SWEEP_ROWS, init_random
 from tempkgqa.tgnn import (
     MASK,
     SubgraphBatch,
@@ -715,6 +715,32 @@ class TestPretrain:
         assert len(ranks) == 4
         assert all(1 <= r <= len(store.entities) for r in ranks)
 
+
+    @pytest.mark.parametrize("n", [7, SWEEP_ROWS + 300, 2 * SWEEP_ROWS + 5])
+    def test_step_mode_is_gradient_then_step(self, n):
+        # decoder rows in one sweep block and past it, the last block partial
+        rng = np.random.default_rng(n)
+        table = init_random(n, N_RELATIONS, N_TIMES, D, n).astype(np.float32)
+        params = init_params(D, n, n + 1).astype(np.float32)
+        params.decoder_b[...] = rng.uniform(-0.5, 0.5, size=n)
+        facts = np.column_stack((rng.integers(0, n, size=(8, 1)),
+                                 rng.integers(0, N_RELATIONS, size=(8, 1)),
+                                 rng.integers(0, n, size=(8, 1)),
+                                 np.sort(rng.integers(0, N_TIMES, size=(8, 2)), axis=1)))
+        facts[0, [0, 2]] = n - 1, 0
+        batch, targets = build_query_subgraph(None, table, facts, rng.random(8) < 0.5)
+        step = 0.2 / 8
+        expected_table, expected = table.copy(), params.copy()
+        loss, grads = gradients(batch, expected_table, expected, targets)
+        tgnn._sgd_step(expected_table, expected, grads, batch, step)
+        step_loss, step_grads = gradients(batch, table, params, targets, step=step)
+        assert step_grads.decoder_w is None and step_grads.decoder_b is None
+        tgnn._sgd_step(table, params, step_grads, batch, step)
+        assert step_loss == loss
+        for name in PARAM_NAMES:
+            assert np.array_equal(getattr(params, name), getattr(expected, name)), name
+        for name in TABLE_NAMES:
+            assert np.array_equal(getattr(table, name), getattr(expected_table, name)), name
 
     def test_one_step_matches_hand_step(self):
         # no end year is also a start year, so the end-only rows must stay put
