@@ -3,9 +3,10 @@
 Each subcommand runs one stage (``e2e`` all, in order) and exchanges data
 with the others only through the files under ``dump_dir`` that
 :data:`WRITES` and :data:`READS` declare.  :func:`run_stage` runs a stage
-once its inputs exist, and an error in one names the stage to rerun.  A
-training stage whose parameters turn non-finite saves nothing and names its
-learning rate.
+once its inputs exist, after removing the files it writes, and an error in
+one names the stage to rerun.  A failed stage therefore leaves none of its
+outputs behind: a training stage whose parameters turn non-finite saves
+nothing and names its learning rate.
 :func:`main` loads the fact file and the questions once per run and hands
 that world to each stage.  All artifacts are deterministic for a fixed
 config and seed.
@@ -444,13 +445,17 @@ STAGES = {
 
 
 def run_stage(name: str, cfg: RunConfig, world: World) -> None:
-    """Run ``STAGES[name]``, looked up at this call, once the artifacts it reads exist."""
+    """Run ``STAGES[name]``, looked up at this call, once the artifacts it
+    reads exist.  The files it writes are removed first, so a stage that
+    fails leaves none of an earlier run's outputs for a later stage to read."""
     for artifact in READS.get(name, ()):
         path = _path(cfg, artifact)
         if not path.exists():
             raise CliError(f"missing artifact {path}; run {ARTIFACTS[artifact][1]} first")
     for file in WRITES[name]:
-        Path(cfg.dump_dir, file).parent.mkdir(parents=True, exist_ok=True)
+        path = Path(cfg.dump_dir, file)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.unlink(missing_ok=True)
     log.info("stage %s", name)
     STAGES[name](cfg, world)
 

@@ -17,20 +17,21 @@ the graph encoder's decoder shares.  It writes the logits, their in-place
 max-shifted exp and ``d_logits`` into :class:`SoftmaxBuffers` that
 :func:`pretrain_base` allocates once; the normalisation scales the small
 ``(B, d)`` operands of the backward products.  The backward pass is one
-sweep over blocks of :data:`SWEEP_ROWS` vocabulary rows: each block adds its
-share of the query gradient from its still-unchanged rows, then writes its
-rows of the vocabulary (and bias) gradient into a block buffer in the
-vocabulary's memory order.  In step mode (``step`` given) the sweep scales
-that buffer and subtracts it from the block in place, so the SGD step needs
-no vocabulary-sized gradient and no extra pass over one; without ``step``
-the blocks fill the ``(n, d)`` gradient of :class:`SoftmaxBuffers`,
-allocated on first use, for the gradchecks.  The base anchors, the entity
-rows the queries are built from, take their query-gradient share before the
-scaling, after the sweep; a step-mode update therefore has the bits of the
-gradient followed by ``param -= step * grad``.  Past one block the query
-gradient is summed block by block, so its rounding differs from that of one
-whole-vocabulary product; a vocabulary of at most :data:`SWEEP_ROWS` rows,
-such as the desk world's, runs one block with the bits of that product.
+sweep over blocks of :data:`SWEEP_ROWS` vocabulary rows with one path: each
+block adds its share of the query gradient from its still-unchanged rows,
+writes its rows of the vocabulary (and bias) gradient into a block buffer in
+the vocabulary's memory order, scales that buffer by the step and subtracts
+it from the block in place.  The base anchors, the entity rows the queries
+are built from, are held aside and take their query-gradient share after the
+sweep.  A step-mode call (``step`` given) is the whole SGD step: the sweep
+steps the entity table, :func:`base_loss_and_grads` then the relation and
+time rows, and no vocabulary-sized gradient is allocated.  Gradient mode, for
+the gradchecks, is the same sweep at step -1 into new zero arrays, which it
+returns; negation and subtraction from zero are exact, so a step has the bits
+of the gradient followed by ``param -= step * grad``.  Past one block the
+query gradient is summed block by block, so its rounding differs from that of
+one whole-vocabulary product; a vocabulary of at most :data:`SWEEP_ROWS`
+rows, such as the desk world's, runs one block with the bits of that product.
 Relation and time gradients are table-sized.
 
 :func:`pretrain_base` takes its mini-batches of facts from a
@@ -46,7 +47,6 @@ finite-difference gradchecks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -114,7 +114,7 @@ TRAIN_DTYPE = np.float32
 
 @dataclass
 class BaseGradients:
-    entity: np.ndarray | None  # None in step mode, which applied it
+    entity: np.ndarray
     relation: np.ndarray
     time: np.ndarray
 
@@ -143,25 +143,15 @@ class SoftmaxBuffers:
     logits and the sweep's block buffer take ``vocab``'s memory order, so the
     products read it along its rows: at n = 125k, d = 32 and one BLAS thread
     on a 2-vCPU VM the logits product took 2.4 against 8.8 ms for the entity
-    table and 3.0 against 5.1 ms for ``decoder_w`` in the other order.  The
-    vocabulary-sized gradients exist only once a gradient-mode call asks."""
+    table and 3.0 against 5.1 ms for ``decoder_w`` in the other order."""
 
     def __init__(self, vocab: np.ndarray, max_batch: int) -> None:
         self.order = "C" if vocab.flags.c_contiguous else "F"
-        self.shape = vocab.shape
         self.logits = np.empty(len(vocab) * max_batch, dtype=vocab.dtype)
         self.ones = np.ones(len(vocab), dtype=vocab.dtype)
         rows = min(len(vocab), SWEEP_ROWS)
         self.block = np.empty(rows * vocab.shape[1], dtype=vocab.dtype)
         self.bias_block = np.empty(rows, dtype=vocab.dtype)
-
-    @cached_property
-    def vocab_grad(self) -> np.ndarray:
-        return np.empty(self.shape, dtype=self.logits.dtype, order=self.order)
-
-    @cached_property
-    def bias_grad(self) -> np.ndarray:
-        return np.empty(self.shape[0], dtype=self.logits.dtype)
 
 
 # numpy reduces a C-ordered (n, B) array along axis 0 one B-wide row at a
@@ -224,22 +214,29 @@ def softmax_cross_entropy(
     bias: np.ndarray | None = None,
     anchors: np.ndarray | None = None,
     step: float | None = None,
-) -> tuple[float, np.ndarray]:
-    """Summed cross entropy of ``targets`` under :func:`softmax_probs`, and the
-    ``(B, d)`` query gradient.  Query ``j`` may hold row ``anchors[j]`` of
-    ``vocab`` as a summand, which then gains ``d_queries[j]``.  Without
-    ``step`` the gradients of ``vocab`` and ``bias`` go to ``buffers``; with
-    it, ``vocab`` and ``bias`` take ``-= step * grad`` in place.
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Summed cross entropy of ``targets`` under :func:`softmax_probs`, the
+    ``(B, d)`` query gradient, and the arrays the sweep stepped.  Query ``j``
+    may hold row ``anchors[j]`` of ``vocab`` as a summand, which then gains
+    ``d_queries[j]``.  With ``step``, ``vocab`` and ``bias`` take
+    ``-= step * grad`` in place and are returned; without it, the sweep takes
+    step -1 on new zero arrays, so the returned arrays are the gradients of
+    ``vocab`` and ``bias`` (None without a bias), bit for bit.
 
     The logits buffer holds ``d_logits`` times each query's exp sum ``s``:
     the target entries lose ``s`` in place, before any scaling, so ``p - 1``
     keeps its precision, and ``1 / s`` scales the ``(B, d)`` operands instead
     of the ``(n, B)`` buffer, which saves one pass over it."""
+    into, bias_into = vocab, bias
+    if step is None:
+        into = np.zeros_like(vocab)
+        bias_into = None if bias is None else np.zeros_like(bias)
+        step = -1.0
     d_logits, sums, loss = _shifted_exp(vocab, queries, buffers, bias, targets)
     d_logits[targets, np.arange(len(queries))] -= sums
     inv = 1.0 / sums
     scaled = queries * inv[:, None]
-    if step is not None and anchors is not None:
+    if anchors is not None:
         held_rows, where = np.unique(anchors, return_inverse=True)
         held = np.empty((len(held_rows), vocab.shape[1]), dtype=vocab.dtype)
     for lo in range(0, len(vocab), SWEEP_ROWS):
@@ -247,36 +244,27 @@ def softmax_cross_entropy(
         block = d_logits[lo:hi]
         share = block.T @ vocab[lo:hi]
         d_queries = share if lo == 0 else d_queries + share
-        if step is None:
-            grad, bias_grad = buffers.vocab_grad[lo:hi], buffers.bias_grad[lo:hi]
-        else:
-            grad = buffers.block[: (hi - lo) * vocab.shape[1]].reshape(
-                (hi - lo, vocab.shape[1]), order=buffers.order)
-            bias_grad = buffers.bias_block[: hi - lo]
+        grad = buffers.block[: (hi - lo) * vocab.shape[1]].reshape(
+            (hi - lo, vocab.shape[1]), order=buffers.order)
         np.matmul(block, scaled, out=grad)
-        if bias is not None:
-            np.matmul(block, inv, out=bias_grad)
-        if step is None:
-            continue
         if anchors is not None:
             first, last = np.searchsorted(held_rows, (lo, hi))
             local = held_rows[first:last] - lo
             held[first:last] = grad[local]
             grad[local] = 0.0  # stepped once d_queries is complete
         grad *= step
-        vocab[lo:hi] -= grad
+        into[lo:hi] -= grad
         if bias is not None:
+            bias_grad = buffers.bias_block[: hi - lo]
+            np.matmul(block, inv, out=bias_grad)
             bias_grad *= step
-            bias[lo:hi] -= bias_grad
+            bias_into[lo:hi] -= bias_grad
     d_queries *= inv[:, None]
     if anchors is not None:
-        if step is None:
-            np.add.at(buffers.vocab_grad, anchors, d_queries)
-        else:
-            np.add.at(held, where, d_queries)
-            held *= step
-            vocab[held_rows] -= held
-    return loss, d_queries
+        np.add.at(held, where, d_queries)
+        held *= step
+        into[held_rows] -= held
+    return loss, d_queries, into, bias_into
 
 
 def base_loss_and_grads(
@@ -284,29 +272,29 @@ def base_loss_and_grads(
     facts: Sequence[Quadruple],
     buffers: SoftmaxBuffers | None = None,
     step: float | None = None,
-) -> tuple[float, BaseGradients]:
+) -> tuple[float, BaseGradients | None]:
     """Summed cross-entropy over both masking directions of ``facts`` and its
-    gradient with respect to every embedding row.  The entity gradient is
-    ``buffers.vocab_grad``, overwritten by the next call.  With ``step`` the
-    entity table instead takes its SGD step in place, with the bits of
-    ``entity -= step * grad``, and the returned entity gradient is None."""
+    gradient with respect to every embedding row.  With ``step`` the table
+    instead takes its SGD step in place, with the bits of
+    ``param -= step * grad`` for each of its matrices, and no gradients are
+    returned."""
     anchors, rows, targets, starts, ends = _queries(table, facts)
     t_mid = 0.5 * (table.time[starts] + table.time[ends])
     queries = table.entity[anchors] + table.relation[rows] + t_mid
     if buffers is None:
         buffers = SoftmaxBuffers(table.entity, len(targets))
-    loss, d_queries = softmax_cross_entropy(
+    loss, d_queries, entity, _ = softmax_cross_entropy(
         table.entity, queries, targets, buffers, anchors=anchors, step=step)
 
-    grads = BaseGradients(
-        entity=buffers.vocab_grad if step is None else None,
-        relation=np.zeros_like(table.relation),
-        time=np.zeros_like(table.time),
-    )
+    grads = BaseGradients(entity, np.zeros_like(table.relation), np.zeros_like(table.time))
     np.add.at(grads.relation, rows, d_queries)
     np.add.at(grads.time, starts, 0.5 * d_queries)
     np.add.at(grads.time, ends, 0.5 * d_queries)
-    return loss, grads
+    if step is None:
+        return loss, grads
+    table.relation -= step * grads.relation
+    table.time -= step * grads.time
+    return loss, None
 
 
 def pretrain_base(
@@ -335,8 +323,5 @@ def pretrain_base(
             losses.append(0.0)
         batch = facts[order[rows]]
         step = schedule.learning_rate / (2 * len(batch))
-        loss, grads = base_loss_and_grads(table, batch, buffers, step)
-        losses[-1] += loss
-        table.relation -= step * grads.relation
-        table.time -= step * grads.time
+        losses[-1] += base_loss_and_grads(table, batch, buffers, step)[0]
     return table, losses

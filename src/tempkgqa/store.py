@@ -469,6 +469,8 @@ def _parse_fact_line(line: str) -> tuple[str, str, str, int, int]:
     subject, relation, obj, start_text, end_text = fields
     if not subject or not relation or not obj:
         raise StoreError("empty label")
+    if "\t" in subject + relation + obj:
+        raise StoreError("label holds a tab, which separates answers in prompts")
     try:
         start, end = int(start_text), int(end_text)
     except ValueError:
@@ -577,7 +579,9 @@ def _parse_fact_text(path: str | Path, text: str) -> tuple[tuple[Vocabulary, ...
     entities = _merge_stripped(entity_ids, columns[0:3:2])
     relations = _merge_stripped(relation_ids, columns[1])
     years = [_canonical_year(label.strip()) for label in year_ids]
-    if "" in entities or "" in relations or None in years:
+    # one scan of the text first: only a file holding a tab searches its labels
+    tabbed = "\t" in text and "\t" in "".join(chain(entities, relations))
+    if "" in entities or "" in relations or None in years or tabbed:
         _raise_first_bad_line(path, text)
     chronological = sorted(set(years))
     rank = dict(zip(chronological, range(len(chronological))))
@@ -601,7 +605,7 @@ def load_tkg(path: str | Path) -> TkgStore:
     Every check of :func:`_parse_fact_line` runs in bulk: the field count as
     the set of each block's per-line ``|`` counts (a count over the whole
     block would let a 6-field line beside a 4-field line pass as two facts);
-    stripping, empty labels and year spelling once per distinct text, raw
+    stripping, empty labels, tabs and year spelling once per distinct text, raw
     labels that strip alike merging into one id; start after end as one
     array comparison.  Only a failed check runs :func:`_parse_fact_line`
     over the lines, to raise the first bad line's error naming the file and

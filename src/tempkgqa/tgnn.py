@@ -23,17 +23,18 @@ The decoder is the base pre-trainer's full-vocabulary softmax kernel
 (:func:`embeddings.softmax_cross_entropy`) over ``decoder_w.T``: one product
 decodes all ``B`` masked nodes into ``(B, |E|)``-contiguous logits.
 Pre-training builds one such union per mini-batch of a
-:class:`~tempkgqa.config.TrainSchedule`, takes one gradient of the summed
-loss, and updates only the embedding rows the mini-batch touches.  Its
-:class:`TgnnBuffers` hold the decoder's softmax buffers and a dense entity
-gradient, allocated once per :func:`pretrain` call.  :func:`pretrain` calls
-:func:`gradients` in step mode: the kernel's backward sweep over blocks of
-:data:`embeddings.SWEEP_ROWS` decoder rows applies the decoder's SGD step
-block by block, in the F order of ``decoder_w.T``, so no ``(d, |E|)``
-decoder gradient is allocated or passed over again.  The result has the bits
+:class:`~tempkgqa.config.TrainSchedule`, and one step-mode :func:`gradients`
+call per mini-batch is its whole SGD step.  The kernel's sweep over blocks
+of :data:`embeddings.SWEEP_ROWS` decoder rows steps the decoder block by
+block, in the F order of ``decoder_w.T``; after the backward pass the
+projection matrices are stepped, then only the entity, relation and time
+rows the mini-batch touches.  The entity gradient is summed per distinct
+node into a ``(k, d)`` array, so no ``(|E|, d)`` entity gradient and no
+``(d, |E|)`` decoder gradient is allocated, and the decoder's softmax
+buffers are all :func:`pretrain` allocates once.  The result has the bits
 of the gradient followed by ``param -= step * grad``.  Without a step, as in
-the gradchecks, the decoder gradient lives in the softmax buffers, allocated
-on first use.
+the gradchecks, the same code returns the gradients: the decoder's from the
+sweep at step -1 into new zero arrays, the tables' table-shaped.
 
 Pre-training runs in float32 (:data:`embeddings.TRAIN_DTYPE`) on copies of
 the table and parameters it is given.  Every kernel, buffer and gradient
@@ -273,8 +274,8 @@ class TgnnGradients:
     w_msg: np.ndarray
     w_query: np.ndarray
     w_key: np.ndarray
-    decoder_w: np.ndarray | None  # None in step mode, which applied it
-    decoder_b: np.ndarray | None
+    decoder_w: np.ndarray
+    decoder_b: np.ndarray
     entity: np.ndarray
     relation: np.ndarray
     time: np.ndarray
@@ -315,24 +316,14 @@ def _backward_layer(
     return d_x
 
 
-class TgnnBuffers:
-    """The decoder's softmax buffers and a dense entity gradient, zero
-    outside the rows the last :func:`gradients` call wrote."""
-
-    def __init__(self, table: EmbeddingTable, params: TgnnParams, max_batch: int) -> None:
-        self.decoder = SoftmaxBuffers(params.decoder_w.T, max_batch)
-        self.entity = np.zeros_like(table.entity)
-        self.entity_rows = np.zeros(0, dtype=np.int64)
-
-
 def gradients(
     batch: SubgraphBatch,
     table: EmbeddingTable,
     params: TgnnParams,
     target: int | Sequence[int],
-    buffers: TgnnBuffers | None = None,
+    buffers: SoftmaxBuffers | None = None,
     step: float | None = None,
-) -> tuple[float, TgnnGradients]:
+) -> tuple[float, TgnnGradients | None]:
     """Cross-entropy loss of the masked prediction and its full gradient,
     covering the three projection matrices, the decoder, and every embedding
     row the subgraph touches.
@@ -340,25 +331,26 @@ def gradients(
     ``target`` is one entity id for a batch with one masked node, or one id
     per masked node (node order) otherwise; loss and gradients are
     then sums over the masked nodes.  Table gradients are table-shaped and
-    nonzero only on the rows the batch touches.  The decoder and entity
-    gradients live in ``buffers``, overwritten by the next call.  With
-    ``step`` the decoder instead takes its SGD step in place, with the bits
-    of ``param -= step * grad``, and its returned gradients are None.
+    nonzero only on the rows the batch touches.  ``buffers`` are the
+    decoder's softmax buffers.  With ``step`` the parameters and the touched
+    table rows instead take their SGD step in place, with the bits of
+    ``param -= step * grad``, and no gradients are returned; rows the batch
+    does not touch are not written, so they stay bit-identical.
     """
     rows, targets = _masked_rows(batch, target)
     final, cache = _forward_layer(batch, _layer_inputs(batch, table), table, params)
     if buffers is None:
-        buffers = TgnnBuffers(table, params, len(rows))
-    loss, d_queries = softmax_cross_entropy(
-        params.decoder_w.T, final[rows], targets, buffers.decoder, params.decoder_b, step=step)
-    buffers.entity[buffers.entity_rows] = 0.0
+        buffers = SoftmaxBuffers(params.decoder_w.T, len(rows))
+    loss, d_queries, decoder_w, decoder_b = softmax_cross_entropy(
+        params.decoder_w.T, final[rows], targets, buffers, params.decoder_b, step=step)
+    # in step mode the decoder and entity fields are the stepped parameters
     grads = TgnnGradients(
         w_msg=np.zeros_like(params.w_msg),
         w_query=np.zeros_like(params.w_query),
         w_key=np.zeros_like(params.w_key),
-        decoder_w=buffers.decoder.vocab_grad.T if step is None else None,
-        decoder_b=buffers.decoder.bias_grad if step is None else None,
-        entity=buffers.entity,
+        decoder_w=decoder_w.T,
+        decoder_b=decoder_b,
+        entity=np.zeros_like(table.entity) if step is None else table.entity,
         relation=np.zeros_like(table.relation),
         time=np.zeros_like(table.time),
     )
@@ -367,9 +359,20 @@ def gradients(
     d_nodes = _backward_layer(batch, cache, d_nodes, params, grads)
 
     real = batch.nodes != MASK
-    buffers.entity_rows = batch.nodes[real]
-    np.add.at(grads.entity, buffers.entity_rows, d_nodes[real])
-    return loss, grads
+    entities, where = np.unique(batch.nodes[real], return_inverse=True)
+    d_entities = np.zeros((len(entities), table.dim), dtype=d_nodes.dtype)
+    np.add.at(d_entities, where, d_nodes[real])
+    if step is None:
+        grads.entity[entities] = d_entities
+        return loss, grads
+    for name in ("w_msg", "w_query", "w_key"):
+        getattr(params, name)[...] -= step * getattr(grads, name)
+    table.entity[entities] -= step * d_entities
+    # a row listed twice is written twice with the same value
+    relations, times = batch.edges[:, 2], batch.edges[:, 3]
+    table.relation[relations] -= step * grads.relation[relations]
+    table.time[times] -= step * grads.time[times]
+    return loss, None
 
 
 # ---------------------------------------------------------------------------
@@ -436,33 +439,6 @@ def build_query_subgraph(
 TgnnPretrainConfig = TrainSchedule
 
 
-def _sgd_step(
-    table: EmbeddingTable,
-    params: TgnnParams,
-    grads: TgnnGradients,
-    batch: SubgraphBatch,
-    step: float,
-) -> None:
-    """In-place SGD step; embedding rows the batch does not touch are not
-    written, so they stay bit-identical.  Scales ``grads`` in place.  A
-    decoder gradient of None was applied by :func:`gradients`' step mode."""
-    for name in _PARAM_FIELDS:
-        update = getattr(grads, name)
-        if update is None:
-            continue
-        update *= step
-        param = getattr(params, name)
-        param -= update
-    # A row id listed twice writes the same value twice, so the ids need no
-    # deduplication.
-    for array, grad, rows in (
-        (table.entity, grads.entity, batch.nodes[batch.nodes != MASK]),
-        (table.relation, grads.relation, batch.edges[:, 2]),
-        (table.time, grads.time, batch.edges[:, 3]),
-    ):
-        array[rows] -= step * grad[rows]
-
-
 def pretrain(
     store: TkgStore,
     table: EmbeddingTable,
@@ -490,7 +466,7 @@ def pretrain(
         raise TgnnError("no facts to train on")
     # query i masks the object of fact_ids[i // 2] when i is even, else the subject
     rng = np.random.default_rng(schedule.seed)
-    buffers = TgnnBuffers(table, params, schedule.batch_size)
+    buffers = SoftmaxBuffers(params.decoder_w.T, schedule.batch_size)
     losses: list[float] = []
     for order, rows in schedule.batches(2 * len(fact_ids), rng):
         if rows.start == 0:
@@ -499,9 +475,7 @@ def pretrain(
         batch, targets = build_query_subgraph(
             store, table, store.facts_of(fact_ids[chunk // 2]), chunk % 2 == 0)
         step = schedule.learning_rate / len(chunk)
-        loss, grads = gradients(batch, table, params, targets, buffers, step)
-        losses[-1] += loss
-        _sgd_step(table, params, grads, batch, step)
+        losses[-1] += gradients(batch, table, params, targets, buffers, step)[0]
     return table, params, losses
 
 

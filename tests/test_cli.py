@@ -192,6 +192,26 @@ class TestArtifacts:
         assert f"so nothing was saved; lower {key} (1000000.0)" in caplog.text
         assert not any((checkpoints / name).exists() for name in written)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
+    @pytest.mark.parametrize("command, key, reader, checkpoint_file", [
+        ("pretrain-base", "base_learning_rate", "pretrain-tgnn", "base_table.ckpt"),
+        ("pretrain-tgnn", "tgnn_learning_rate", "build-indicators", "tgnn_table.ckpt"),
+        ("train-head", "head_learning_rate", "predict", "head.ckpt"),
+    ])
+    def test_refused_training_leaves_no_earlier_output(
+        self, pipeline, tmp_path, caplog, command, key, reader, checkpoint_file
+    ):
+        # a good run's outputs are in place; the refused rerun removes them,
+        # so the next stage cannot read them as if this config wrote them
+        copied_run(pipeline, tmp_path)
+        dumps = tmp_path / "dumps"
+        run = fast_config(tmp_path, **{key: 1e6})
+        assert main([command, "--config", str(run)]) == 2
+        assert not any((dumps / file).exists() for file in cli.WRITES[command])
+        assert main([reader, "--config", str(run)]) == 2
+        path = dumps / "checkpoints" / checkpoint_file
+        assert f"missing artifact {path}; run {command} first" in caplog.text
+
     def test_subgraph_dumps_cover_every_question(self, pipeline):
         dumps, _ = pipeline
         for split, count in (("train", 76), ("test", 76)):
@@ -618,31 +638,17 @@ class TestStageSequencing:
         assert predictions[uid] == []
         assert len(predictions) == 76
 
-    def test_label_holding_a_tab_is_predicted_whole(self, tmp_path):
-        # the fact format strips only the ends of a field, so a label may hold a tab
+    def test_label_holding_a_tab_is_rejected(self, tmp_path, caplog):
+        # prompts join a question's golds with tabs, so a tab inside a label
+        # would read as two answers; the ends of a field are still stripped
         (tmp_path / "facts.txt").write_text(
-            "Ann\tLee|position held|Mayor of Oslo|1990|1993\n"
-            "Bo Li|position held|Mayor of Oslo|1994|1996\n"
-            "Cy Ng|member of|Oslo FC|1990|1992\n"
-            "Ann\tLee|member of|Oslo FC|1991|1995\n", encoding="utf-8")
-        for split, text in (("train", "Who held the position of Mayor of Oslo in 1991?"),
-                            ("test", "Which person held the position Mayor of Oslo during 1991?")):
-            question = {"uid": f"{split}1", "text": text, "entities": ["Mayor of Oslo"],
-                        "times": [1991], "qtype": "simple_entity", "atype": "entity",
-                        "answers": ["Ann\tLee"]}
-            (tmp_path / f"{split}.jsonl").write_text(json.dumps(question) + "\n",
-                                                     encoding="utf-8")
-        config = fast_config(tmp_path, tkg_path=str(tmp_path / "facts.txt"),
-                             questions_train=str(tmp_path / "train.jsonl"),
-                             questions_test=str(tmp_path / "test.jsonl"),
-                             head_epochs=40, head_learning_rate=0.3)
-        assert main(["e2e", "--config", str(config)]) == 0
-        dumps = tmp_path / "dumps"
-        [prediction] = read_jsonl(dumps / "predictions.jsonl")
-        assert prediction["answers"][0] == "Ann\tLee"
-        assert "Ann" not in prediction["answers"]
-        report = json.loads((dumps / "report.json").read_text(encoding="utf-8"))
-        assert report["records"][0]["rank"] == 1
+            "Bo Li\t|position held|Mayor of Oslo|1994|1996\n"
+            "Ann\tLee|position held|Mayor of Oslo|1990|1993\n", encoding="utf-8")
+        config = fast_config(tmp_path, tkg_path=str(tmp_path / "facts.txt"))
+        assert main(["e2e", "--config", str(config)]) == 2
+        assert (f"{tmp_path / 'facts.txt'}, line 2: label holds a tab, which separates "
+                f"answers in prompts") in caplog.text
+        assert not (tmp_path / "dumps").exists()
 
     def test_braces_in_a_question_and_a_label_render_verbatim(self, tmp_path):
         label, text = "position {held}", "Who held the position of Mayor of Oslo in 1990 {approx}?"

@@ -9,6 +9,8 @@ caller-owned buffers and sums in another order, so the two agree to a
 relative error of 1e-12 rather than bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,12 +103,13 @@ def random_facts(rng, n_entities, n_relations, n_times, count):
 
 
 def assert_decoder_matches(decoder_w, decoder_b, queries, targets, buffers):
-    loss, d_queries = softmax_cross_entropy(decoder_w.T, queries, targets, buffers, decoder_b)
+    loss, d_queries, grad_w, grad_b = softmax_cross_entropy(
+        decoder_w.T, queries, targets, buffers, decoder_b)
     ref_loss, ref_queries, ref_w, ref_b = reference_decoder(queries, decoder_w, decoder_b, targets)
     assert loss == pytest.approx(ref_loss, rel=TOL)
     assert relative_error(d_queries, ref_queries) < TOL
-    assert relative_error(buffers.vocab_grad.T, ref_w) < TOL
-    assert relative_error(buffers.bias_grad, ref_b) < TOL
+    assert relative_error(grad_w.T, ref_w) < TOL
+    assert relative_error(grad_b, ref_b) < TOL
 
 
 class TestKernel:
@@ -131,11 +134,12 @@ class TestKernel:
         queries = rng.uniform(-1, 1, size=(batch, vocab.shape[1]))
         targets = rng.integers(0, n, size=batch)
         buffers = SoftmaxBuffers(vocab, batch)
-        loss, d_queries = softmax_cross_entropy(vocab, queries, targets, buffers)
+        loss, d_queries, grad, no_bias = softmax_cross_entropy(vocab, queries, targets, buffers)
         ref_loss, ref_queries, ref_w, _ = reference_decoder(queries, decoder_w, 0.0, targets)
         assert loss == pytest.approx(ref_loss, rel=TOL)
         assert relative_error(d_queries, ref_queries) < TOL
-        assert relative_error(buffers.vocab_grad, ref_w.T) < TOL
+        assert relative_error(grad, ref_w.T) < TOL
+        assert no_bias is None
 
     def test_probabilities_are_a_distribution(self):
         rng = np.random.default_rng(3)
@@ -157,13 +161,12 @@ class TestKernel:
         # a short batch after a full one
         queries = rng.uniform(-1, 1, size=(3, decoder_w.shape[0]))
         targets = rng.integers(0, 300, size=3)
-        loss, d_queries = softmax_cross_entropy(decoder_w.T, queries, targets, reused, decoder_b)
-        fresh = SoftmaxBuffers(decoder_w.T, 3)
-        loss_f, d_queries_f = softmax_cross_entropy(decoder_w.T, queries, targets, fresh, decoder_b)
-        assert loss == loss_f
-        assert np.array_equal(d_queries, d_queries_f)
-        assert np.array_equal(reused.vocab_grad, fresh.vocab_grad)
-        assert np.array_equal(reused.bias_grad, fresh.bias_grad)
+        got = softmax_cross_entropy(decoder_w.T, queries, targets, reused, decoder_b)
+        fresh = softmax_cross_entropy(
+            decoder_w.T, queries, targets, SoftmaxBuffers(decoder_w.T, 3), decoder_b)
+        assert got[0] == fresh[0]
+        for array, fresh_array in zip(got[1:], fresh[1:]):
+            assert np.array_equal(array, fresh_array)
 
     def test_large_scores_stay_finite(self):
         rng = np.random.default_rng(7)
@@ -171,9 +174,9 @@ class TestKernel:
         queries = 1e3 * rng.uniform(-1, 1, size=(4, decoder_w.shape[0]))
         targets = rng.integers(0, VOCAB_SIZES[2], size=4)
         buffers = SoftmaxBuffers(decoder_w.T, 4)
-        loss, d_queries = softmax_cross_entropy(decoder_w.T, queries, targets, buffers, decoder_b)
+        loss, *arrays = softmax_cross_entropy(decoder_w.T, queries, targets, buffers, decoder_b)
         assert np.isfinite(loss) and loss > 1e3
-        for array in (d_queries, buffers.vocab_grad, buffers.bias_grad):
+        for array in arrays:
             assert np.all(np.isfinite(array))
 
 
@@ -292,16 +295,14 @@ class TestStepMode:
         facts = sweep_facts(rng, n) if n > SWEEP_ROWS else random_facts(rng, n, 3, 5, 8)
         step = 0.3 / 16
         loss, grads = base_loss_and_grads(table, facts)
-        expected = table.entity - step * grads.entity
         stepped = table.copy()
         buffers = SoftmaxBuffers(stepped.entity, 16)
         step_loss, step_grads = base_loss_and_grads(stepped, facts, buffers, step)
         assert step_loss == loss
-        assert step_grads.entity is None
-        assert np.array_equal(stepped.entity, expected)
-        for name in ("relation", "time"):
-            assert np.array_equal(getattr(step_grads, name), getattr(grads, name)), name
-            assert np.array_equal(getattr(stepped, name), getattr(table, name)), name
+        assert step_grads is None
+        for name in TABLE_NAMES:
+            expected = getattr(table, name) - step * getattr(grads, name)
+            assert np.array_equal(getattr(stepped, name), expected), name
 
     @pytest.mark.parametrize("n", VOCAB_SIZES[2:] + SWEEP_SIZES)
     def test_decoder_step_is_gradient_then_step(self, n):
@@ -313,31 +314,45 @@ class TestStepMode:
         targets[:2] = n - 1, 0
         step = 0.2 / 16
         buffers = SoftmaxBuffers(decoder_w.T, 16)
-        loss, d_queries = softmax_cross_entropy(decoder_w.T, queries, targets, buffers, decoder_b)
-        expected_w = decoder_w - step * buffers.vocab_grad.T
-        expected_b = decoder_b - step * buffers.bias_grad
+        loss, d_queries, grad_w, grad_b = softmax_cross_entropy(
+            decoder_w.T, queries, targets, buffers, decoder_b)
+        expected_w = decoder_w - step * grad_w.T
+        expected_b = decoder_b - step * grad_b
         stepped = SoftmaxBuffers(decoder_w.T, 16)
-        step_loss, step_queries = softmax_cross_entropy(
+        step_loss, step_queries, vocab, bias = softmax_cross_entropy(
             decoder_w.T, queries, targets, stepped, decoder_b, step=step)
         assert step_loss == loss
         assert np.array_equal(step_queries, d_queries)
+        assert vocab.base is decoder_w and bias is decoder_b
         assert np.array_equal(decoder_w, expected_w)
         assert np.array_equal(decoder_b, expected_b)
 
     def test_step_mode_allocates_no_vocabulary_gradient(self):
         n = SWEEP_SIZES[1]
         table, rng = base_world(n, seed=9)
+        facts = sweep_facts(rng, n)
         buffers = SoftmaxBuffers(table.entity, 16)
-        base_loss_and_grads(table, sweep_facts(rng, n), buffers, 0.01)
         decoder_w, decoder_b = random_decoder(rng, n)
+        queries = rng.uniform(-1, 1, size=(4, decoder_w.shape[0]))
+        targets = rng.integers(0, n, size=4)
         decoder = SoftmaxBuffers(decoder_w.T, 4)
-        softmax_cross_entropy(decoder_w.T, rng.uniform(-1, 1, size=(4, decoder_w.shape[0])),
-                              rng.integers(0, n, size=4), decoder, decoder_b, step=0.01)
-        for used in (buffers, decoder):
-            assert "vocab_grad" not in vars(used) and "bias_grad" not in vars(used)
-            held = [a.size for a in vars(used).values()
-                    if isinstance(a, np.ndarray) and a is not used.logits]
-            assert sum(held) < n * table.dim
+        tracemalloc.start()
+        try:
+            base_loss_and_grads(table, facts, buffers, 0.01)
+            softmax_cross_entropy(decoder_w.T, queries, targets, decoder, decoder_b, step=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.entity.nbytes // 2
+
+    def test_gradients_outlive_the_next_call_on_the_buffers(self):
+        table, rng = base_world(VOCAB_SIZES[2], seed=10)
+        buffers = SoftmaxBuffers(table.entity, 16)
+        _, grads = base_loss_and_grads(table, random_facts(rng, VOCAB_SIZES[2], 3, 5, 8), buffers)
+        kept = {name: getattr(grads, name).copy() for name in TABLE_NAMES}
+        base_loss_and_grads(table, random_facts(rng, VOCAB_SIZES[2], 3, 5, 8), buffers)
+        for name in TABLE_NAMES:
+            assert np.array_equal(getattr(grads, name), kept[name]), name
 
 
 class TestDtype:
@@ -349,7 +364,7 @@ class TestDtype:
         table, rng = base_world(VOCAB_SIZES[2], seed=7)
         table = table.astype(dtype)
         buffers = SoftmaxBuffers(table.entity, 16)
-        for array in (buffers.logits, buffers.ones, buffers.vocab_grad, buffers.bias_grad):
+        for array in (buffers.logits, buffers.ones, buffers.block, buffers.bias_block):
             assert array.dtype == dtype
         _, grads = base_loss_and_grads(table, random_facts(rng, VOCAB_SIZES[2], 3, 5, 8), buffers)
         for name in TABLE_NAMES:

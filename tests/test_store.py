@@ -152,7 +152,8 @@ class TestFactFile:
         ("a|r|b|199O|1991", "non-integer"),
         ("a|r|b|01990|1991", "non-canonical"),
         ("a|r|b|1995|1990", "after end"),
-    ], ids=["short", "long", "empty", "alpha", "zero-pad", "reversed"])
+        ("a|r|Ann\tLee|1990|1991", "label holds a tab"),
+    ], ids=["short", "long", "empty", "alpha", "zero-pad", "reversed", "tab"])
     def test_rejects_malformed_lines(self, tmp_path, line, message):
         with pytest.raises(StoreError, match=message):
             load_tkg(self.write(tmp_path, line + "\n"))
@@ -336,7 +337,8 @@ class TestBlockParse:
         ("x|r|y|199O|1991", "non-integer year"),
         ("x|r|y|01990|1991", "non-canonical year spelling"),
         ("x|r|y|1995|1990", "start year 1995 after end year 1990"),
-    ], ids=["fields", "empty", "alpha", "zero-pad", "reversed"])
+        ("x|r\ts|y|1990|1991", "label holds a tab, which separates answers in prompts"),
+    ], ids=["fields", "empty", "alpha", "zero-pad", "reversed", "tab"])
     def test_bad_line_in_a_late_block_names_its_line(self, tmp_path, line, message):
         lines = self.many_lines()
         lines[3900] = line

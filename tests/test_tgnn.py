@@ -1,8 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tempkgqa import tgnn
-from tempkgqa.embeddings import SWEEP_ROWS, init_random
+from tempkgqa.embeddings import SWEEP_ROWS, SoftmaxBuffers, init_random
 from tempkgqa.tgnn import (
     MASK,
     SubgraphBatch,
@@ -413,7 +414,7 @@ class TestBatchedKernel:
 
     def test_reused_buffers_give_the_bits_of_fresh_ones(self):
         rng, table, params = random_world(11)
-        buffers = tgnn.TgnnBuffers(table, params, 3)
+        buffers = SoftmaxBuffers(params.decoder_w.T, 3)
         first = merge_batches([random_graph(rng) for _ in range(3)])
         gradients(first, table, params, rng.integers(0, N_ENTITIES, size=3), buffers)
         second = merge_batches([random_graph(rng) for _ in range(2)])  # a short batch
@@ -423,6 +424,17 @@ class TestBatchedKernel:
         assert loss == fresh_loss
         for name in PARAM_NAMES + TABLE_NAMES:
             assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+
+    def test_gradients_outlive_the_next_call_on_the_buffers(self):
+        rng, table, params = random_world(12)
+        buffers = SoftmaxBuffers(params.decoder_w.T, 3)
+        first = merge_batches([random_graph(rng) for _ in range(3)])
+        _, grads = gradients(first, table, params, rng.integers(0, N_ENTITIES, size=3), buffers)
+        kept = {name: getattr(grads, name).copy() for name in PARAM_NAMES + TABLE_NAMES}
+        second = merge_batches([random_graph(rng) for _ in range(3)])
+        gradients(second, table, params, rng.integers(0, N_ENTITIES, size=3), buffers)
+        for name in PARAM_NAMES + TABLE_NAMES:
+            assert np.array_equal(getattr(grads, name), kept[name]), name
 
     def test_target_count_must_match_masks(self):
         rng, table, params = random_world(65)
@@ -616,6 +628,21 @@ class TestSubgraphConstruction:
         assert not np.any(full_grads.w_query) and not np.any(full_grads.w_key)
 
 
+def sgd_step(table, params, grads, batch, step):
+    """Reference: a gradient-mode :func:`gradients` result applied as
+    ``param -= step * grad`` to every parameter and to the table rows the
+    batch touches, so the other rows stay bit-identical.  A row id listed
+    twice writes the same value twice."""
+    for name in PARAM_NAMES:
+        getattr(params, name)[...] -= step * getattr(grads, name)
+    for array, grad, rows in (
+        (table.entity, grads.entity, batch.nodes[batch.nodes != MASK]),
+        (table.relation, grads.relation, batch.edges[:, 2]),
+        (table.time, grads.time, batch.edges[:, 3]),
+    ):
+        array[rows] -= step * grad[rows]
+
+
 def list_order_pretrain(store, table, params, config, fact_indices=None):
     """Reference: pre-training that visits an explicit list of the 2n
     ``(fact_id, mask_object)`` queries, the order :func:`pretrain` now takes
@@ -624,7 +651,7 @@ def list_order_pretrain(store, table, params, config, fact_indices=None):
     fact_ids = list(fact_indices) if fact_indices is not None else list(range(len(store.facts)))
     queries = [(fid, mask_object) for fid in fact_ids for mask_object in (True, False)]
     rng = np.random.default_rng(config.seed)
-    buffers = tgnn.TgnnBuffers(table, params, config.batch_size)
+    buffers = SoftmaxBuffers(params.decoder_w.T, config.batch_size)
     losses, steps = [], 0
     limit = np.inf if config.max_steps is None else config.max_steps
     for _ in range(config.epochs):
@@ -640,7 +667,7 @@ def list_order_pretrain(store, table, params, config, fact_indices=None):
                 ((store.facts[fid], mask) for fid, mask in chunk), table.n_relations)
             loss, grads = gradients(batch, table, params, targets, buffers)
             total += loss
-            tgnn._sgd_step(table, params, grads, batch, config.learning_rate / len(chunk))
+            sgd_step(table, params, grads, batch, config.learning_rate / len(chunk))
             steps += 1
         losses.append(total)
     return table, params, losses
@@ -732,15 +759,33 @@ class TestPretrain:
         step = 0.2 / 8
         expected_table, expected = table.copy(), params.copy()
         loss, grads = gradients(batch, expected_table, expected, targets)
-        tgnn._sgd_step(expected_table, expected, grads, batch, step)
+        sgd_step(expected_table, expected, grads, batch, step)
         step_loss, step_grads = gradients(batch, table, params, targets, step=step)
-        assert step_grads.decoder_w is None and step_grads.decoder_b is None
-        tgnn._sgd_step(table, params, step_grads, batch, step)
+        assert step_grads is None
         assert step_loss == loss
         for name in PARAM_NAMES:
             assert np.array_equal(getattr(params, name), getattr(expected, name)), name
         for name in TABLE_NAMES:
             assert np.array_equal(getattr(table, name), getattr(expected_table, name)), name
+
+    def test_step_mode_allocates_no_entity_sized_array(self):
+        n = 2 * SWEEP_ROWS + 5
+        rng = np.random.default_rng(n)
+        table = init_random(n, N_RELATIONS, N_TIMES, D, n)
+        params = init_params(D, n, n + 1)
+        facts = np.column_stack((rng.integers(0, n, size=(8, 1)),
+                                 rng.integers(0, N_RELATIONS, size=(8, 1)),
+                                 rng.integers(0, n, size=(8, 1)),
+                                 np.sort(rng.integers(0, N_TIMES, size=(8, 2)), axis=1)))
+        batch, targets = build_query_subgraph(None, table, facts, rng.random(8) < 0.5)
+        buffers = SoftmaxBuffers(params.decoder_w.T, 8)
+        tracemalloc.start()
+        try:
+            gradients(batch, table, params, targets, buffers, step=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.entity.nbytes // 2
 
     def test_one_step_matches_hand_step(self):
         # no end year is also a start year, so the end-only rows must stay put
@@ -833,10 +878,8 @@ class TestDtype:
         rng, table, params = random_world(70)
         table, params = table.astype(dtype), params.astype(dtype)
         graphs = [random_graph(rng) for _ in range(3)]
-        buffers = tgnn.TgnnBuffers(table, params, 3)
-        decoder = buffers.decoder
-        for array in (buffers.entity, decoder.logits, decoder.ones, decoder.vocab_grad,
-                      decoder.bias_grad):
+        buffers = SoftmaxBuffers(params.decoder_w.T, 3)
+        for array in (buffers.logits, buffers.ones, buffers.block, buffers.bias_block):
             assert array.dtype == dtype
         _, grads = gradients(merge_batches(graphs), table, params, [0, 1, 2], buffers)
         for name in PARAM_NAMES + TABLE_NAMES:
