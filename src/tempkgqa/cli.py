@@ -8,8 +8,10 @@ one names the stage to rerun.  A failed stage therefore leaves none of its
 outputs behind: a training stage whose parameters turn non-finite saves
 nothing and names its learning rate.
 :func:`main` loads the fact file and the questions once per run and hands
-that world to each stage.  All artifacts are deterministic for a fixed
-config and seed.
+that world to each stage; ``predict`` rebuilds the head's tokens and answer
+labels from it.  Each checkpoint loaded must hold the sizes the config and
+the world imply (:func:`_sizes`).  All artifacts are deterministic for a
+fixed config and seed.
 
 ``retrieve`` asks the model at ``endpoint`` to rank relations and mine time
 constraints.  Without an endpoint it builds no client, and retrieval's
@@ -34,13 +36,14 @@ import numpy as np
 
 from . import checkpoint, evaluation, head as head_mod, indicators as ind_mod, tgnn
 from .config import ConfigError, RunConfig, TrainSchedule, load_config
-from .embeddings import EmbeddingTable, init_random, pretrain_base
+from .embeddings import init_random, pretrain_base
 from .errors import TempkgqaError
 from .llm import RemoteLlmClient
 from .prompts import render_instruction
 from .retrieval import (RetrievedSubgraph, retrieve_question, subgraph_from_record,
                         subgraph_record)
-from .store import AnswerType, Question, TkgStore, load_questions, load_tkg, read_records
+from .store import (AnswerType, Question, TkgStore, load_questions, load_tkg, read_records,
+                    string_list)
 
 log = logging.getLogger("tempkgqa")
 
@@ -165,21 +168,11 @@ def _decode_vector(record: dict, key: str, width: int) -> np.ndarray:
     return vector
 
 
-def _load_sized(path: Path, cfg: RunConfig, store: TkgStore, load: Callable):
-    """The table or encoder checkpoint at ``path``, read by ``load``; its
-    sizes must match ``cfg.d`` and the store's vocabularies."""
-    loaded = load(path)
-    found = ({"d": loaded.dim, "entities": len(loaded.entity),
-              "relation rows": len(loaded.relation), "times": len(loaded.time)}
-             if isinstance(loaded, EmbeddingTable)
-             else {"d": loaded.dim, "entities": len(loaded.decoder_b)})
-    expected = {"d": cfg.d, "entities": len(store.entities),
-                "relation rows": 2 * len(store.relations), "times": len(store.times)}
-    wrong = [f"{key} {size}, expected {expected[key]}"
-             for key, size in found.items() if size != expected[key]]
-    if wrong:
-        raise CliError(f"{path}: {', '.join(wrong)} (written for another config or fact file)")
-    return loaded
+def _sizes(cfg: RunConfig, store: TkgStore) -> dict[str, int]:
+    """The checkpoint sizes ``cfg`` and the store imply: every loader's
+    ``expected``."""
+    return {"d": cfg.d, "d_llm": cfg.d_llm, "entities": len(store.entities),
+            "relation rows": 2 * len(store.relations), "times": len(store.times)}
 
 
 World = tuple[TkgStore, list[Question], list[Question]]  # the store, train and test
@@ -254,7 +247,7 @@ def stage_pretrain_base(cfg: RunConfig, world: World) -> None:
 
 def stage_pretrain_tgnn(cfg: RunConfig, world: World) -> None:
     store, _, _ = world
-    table = _read(cfg, "base_table", _load_sized, cfg, store, checkpoint.load_table)
+    table = _read(cfg, "base_table", checkpoint.load_table, _sizes(cfg, store))
     params = tgnn.init_params(cfg.d, len(store.entities), cfg.seed)
     schedule = TrainSchedule(cfg.tgnn_learning_rate, cfg.tgnn_epochs, cfg.batch_size, cfg.seed,
                              cfg.tgnn_max_steps)
@@ -310,18 +303,23 @@ def stage_build_prompts(cfg: RunConfig, world: World) -> None:
 
 def stage_build_indicators(cfg: RunConfig, world: World) -> None:
     store, _, _ = world
-    table = _read(cfg, "tgnn_table", _load_sized, cfg, store, checkpoint.load_table)
-    params = _read(cfg, "tgnn", _load_sized, cfg, store, checkpoint.load_tgnn)
-    # both splits are read and checked before either output is written
+    table = _read(cfg, "tgnn_table", checkpoint.load_table, _sizes(cfg, store))
+    params = _read(cfg, "tgnn", checkpoint.load_tgnn, _sizes(cfg, store))
+    # both splits are read, built and checked before either output is written
     read = {split: _read_subgraphs(cfg, store, split) for split in SPLITS}
+    records: dict[str, list[dict]] = {split: [] for split in SPLITS}
     for split, subgraphs in read.items():
-        records = []
         for subgraph in subgraphs.values():
             if subgraph.empty:
                 continue
             encoded = tgnn.encode_entities(subgraph.facts, table, params)
             built = ind_mod.build_indicators(subgraph, encoded, table)
-            records.append({
+            # checked before the float32 cast, which would overflow to infinity
+            vectors = np.abs((built.sub_vec, built.rel_vec, built.obj_vec))
+            if not (vectors <= np.finfo(np.float32).max).all():
+                raise CliError(f"question {subgraph.uid!r}: an indicator vector does not fit "
+                               f"in float32; rerun {ARTIFACTS['tgnn'][1]}")
+            records[split].append({
                 "uid": subgraph.uid,
                 "d": cfg.d,
                 "sub": _encode_vector(built.sub_vec),
@@ -330,7 +328,8 @@ def stage_build_indicators(cfg: RunConfig, world: World) -> None:
                 "t_min": store.times.label(built.t_min),
                 "t_max": store.times.label(built.t_max),
             })
-        _write_jsonl(_path(cfg, f"indicators_{split}"), records)
+    for split in SPLITS:
+        _write_jsonl(_path(cfg, f"indicators_{split}"), records[split])
 
 
 def _indicator_sets(
@@ -378,8 +377,10 @@ def stage_train_head(cfg: RunConfig, world: World) -> None:
 
 
 def stage_predict(cfg: RunConfig, world: World) -> None:
-    store, _, test = world
-    params, projection = _read(cfg, "head", checkpoint.load_head)
+    store, train, test = world
+    params, projection = _read(cfg, "head", checkpoint.load_head,
+                               head_mod.token_vocab(q.text for q in train), answer_space(store),
+                               _sizes(cfg, store))
     # build-indicators skips exactly the questions with empty evidence; those
     # get an empty answer list, any other gap is a stale dump.
     empty = _read(cfg, "subgraphs_test", read_records, SUBGRAPH_KEYS,
@@ -400,9 +401,7 @@ def stage_predict(cfg: RunConfig, world: World) -> None:
 
 def _prediction(record: dict) -> tuple[str, list[str]]:
     """A predictions record's uid and its answers, distinct strings."""
-    uid, answers = _uid(record), record["answers"]
-    if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
-        raise ValueError("'answers' is not a list of strings")
+    uid, answers = _uid(record), string_list(record, "answers")
     if len(set(answers)) != len(answers):
         raise ValueError("'answers' repeats a label")
     return uid, answers

@@ -10,7 +10,8 @@ plain mean.  The projection is linear, so the three encoder-width
 indicators are mixed first and projected once, in :func:`_forward`.  The
 answer space is the entity vocabulary followed by the time vocabulary, so
 one scoring matrix covers both answer types; it holds one ``d_llm`` row per
-answer.
+answer.  The run's world fixes both spaces (the :func:`token_vocab` of the
+training questions, the world's labels), so a saved head holds neither.
 
 Training minimises cross-entropy against the gold answers (mean over golds
 for multi-answer questions) and updates the token embeddings, the scoring
@@ -106,21 +107,27 @@ class HeadParams:
         )
 
 
-def init_head(
-    texts: Iterable[str], answer_labels: Sequence[str], d_llm: int, seed: int
-) -> HeadParams:
-    """Build the token vocabulary from ``texts`` (first-appearance order,
-    unknown token first) and draw the trainable matrices.  ``scoring`` is
-    drawn as ``(d_llm, n_answers)`` and stored as its transposed rows, the
-    values the desk reference was trained from."""
-    if d_llm < 1:
-        raise HeadError("d_llm must be >= 1")
-    if not answer_labels:
-        raise HeadError("need at least one answer label")
+def token_vocab(texts: Iterable[str]) -> dict[str, int]:
+    """Each token of ``texts`` and its row, in first-appearance order, the
+    unknown token first."""
     vocab: dict[str, int] = {UNKNOWN_TOKEN: 0}
     for text in texts:
         for token in tokenize(text):
             vocab.setdefault(token, len(vocab))
+    return vocab
+
+
+def init_head(
+    texts: Iterable[str], answer_labels: Sequence[str], d_llm: int, seed: int
+) -> HeadParams:
+    """Build the :func:`token_vocab` of ``texts`` and draw the trainable
+    matrices.  ``scoring`` is drawn as ``(d_llm, n_answers)`` and stored as
+    its transposed rows, the values the desk reference was trained from."""
+    if d_llm < 1:
+        raise HeadError("d_llm must be >= 1")
+    if not answer_labels:
+        raise HeadError("need at least one answer label")
+    vocab = token_vocab(texts)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d_llm)
     return HeadParams(

@@ -47,6 +47,7 @@ from .store import (
     TkgStore,
     facts_filtered,
     member_mask,
+    string_list,
 )
 
 logger = logging.getLogger(__name__)
@@ -370,7 +371,7 @@ def subgraph_record(store: TkgStore, subgraph: RetrievedSubgraph) -> dict:
 def subgraph_from_record(store: TkgStore, record: dict) -> RetrievedSubgraph:
     return RetrievedSubgraph(
         record["uid"],
-        tuple(store.fact_from_label(text) for text in record["facts"]),
+        tuple(store.fact_from_label(text) for text in string_list(record, "facts")),
         tuple(store.relations.id(r) for r in record["relations"]),
         constraint_from_record(store, record["constraint"]),
         record.get("fallback_relation", False),

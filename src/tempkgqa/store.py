@@ -645,6 +645,13 @@ def decode_record(raw: bytes, keys: Sequence[str] = ()) -> dict:
     return record
 
 
+def string_list(record: dict, key: str) -> list[str]:
+    """``record[key]``, which must be a list of strings."""
+    if not isinstance(record[key], list) or not all(isinstance(s, str) for s in record[key]):
+        raise StoreError(f"{key!r} is not a list of strings")
+    return record[key]
+
+
 def read_records(path: str | Path, keys: Sequence[str],
                  convert: Callable[[dict], tuple[str, object]]) -> dict:
     """The values of a JSONL file by uid, in file order: ``convert`` returns

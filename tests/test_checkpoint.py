@@ -1,4 +1,3 @@
-import json
 import re
 import struct
 
@@ -135,17 +134,46 @@ class TestHeadCheckpoint:
         projection = init_projection(D, D_LLM, 1)
         return params, projection
 
-    def test_roundtrip_with_sidecar(self, tmp_path):
+    def load(self, path, params):
+        return load_head(path, params.token_vocab, params.answer_labels)
+
+    def test_roundtrip(self, tmp_path):
         params, projection = self.make()
         path = tmp_path / "head.ckpt"
         save_head(path, params, projection)
-        assert (tmp_path / "head.json").exists()
-        loaded_params, loaded_projection = load_head(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["head.ckpt"]
+        loaded_params, loaded_projection = self.load(path, params)
         assert loaded_params.token_vocab == params.token_vocab
         assert loaded_params.answer_labels == params.answer_labels
         assert np.array_equal(loaded_params.token_emb, float32_copy(params.token_emb))
         assert np.array_equal(loaded_params.scoring, float32_copy(params.scoring))
         assert np.array_equal(loaded_projection.weight, float32_copy(projection.weight))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda vocab, labels: (dict(list(vocab.items())[:-1]), labels), "tokens 7, expected 6"),
+        (lambda vocab, labels: (vocab, labels + ("x",)), "answers 3, expected 4"),
+        (lambda vocab, labels: ({**vocab, "x": len(vocab)}, labels[:-1]),
+         "tokens 7, expected 8, answers 3, expected 2"),
+    ], ids=["fewer-tokens", "more-answers", "both"])
+    def test_vocabulary_of_another_size_rejected_with_path(self, tmp_path, edit, message):
+        params, projection = self.make()
+        path = tmp_path / "head.ckpt"
+        save_head(path, params, projection)
+        with pytest.raises(CheckpointError, match=(
+                f"^{re.escape(str(path))}: {message} "
+                "\\(written for another config or fact file\\)$")):
+            load_head(path, *edit(params.token_vocab, params.answer_labels))
+
+    def test_expected_widths_checked(self, tmp_path):
+        params, projection = self.make()
+        path = tmp_path / "head.ckpt"
+        save_head(path, params, projection)
+        with pytest.raises(CheckpointError, match=f"d_llm {D_LLM}, expected 4, d {D}, expected 5"):
+            load_head(path, params.token_vocab, params.answer_labels, {"d_llm": 4, "d": 5})
+        # a size the header does not hold is not checked
+        loaded, _ = load_head(path, params.token_vocab, params.answer_labels,
+                              {"d_llm": D_LLM, "entities": 1})
+        assert loaded.dim == D_LLM
 
     def test_layout_has_no_mixing_weights(self, tmp_path):
         params, projection = self.make()
@@ -164,7 +192,7 @@ class TestHeadCheckpoint:
         data[4] = 1  # the layout that still carried the mixing weights
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="unsupported format version 1"):
-            load_head(path)
+            self.load(path, params)
 
     @pytest.mark.parametrize("keep", [4, 10, 100])
     def test_truncated_rejected_with_path(self, tmp_path, keep):
@@ -174,7 +202,7 @@ class TestHeadCheckpoint:
         path.write_bytes(path.read_bytes()[:keep])
         message = "truncated checkpoint header" if keep < 32 else "truncated checkpoint$"
         with pytest.raises(CheckpointError, match=message) as caught:
-            load_head(path)
+            self.load(path, params)
         assert str(path) in str(caught.value)
 
     def test_width_mismatch_rejected_at_save(self, tmp_path):
@@ -182,51 +210,6 @@ class TestHeadCheckpoint:
         wrong = init_projection(D, D_LLM + 1, 0)
         with pytest.raises(CheckpointError, match="width"):
             save_head(tmp_path / "head.ckpt", params, wrong)
-
-    def test_sidecar_shape_mismatch_rejected(self, tmp_path):
-        params, projection = self.make()
-        path = tmp_path / "head.ckpt"
-        save_head(path, params, projection)
-        sidecar = tmp_path / "head.json"
-        text = sidecar.read_text(encoding="utf-8").replace('"ada", ', "")
-        sidecar.write_text(text, encoding="utf-8")
-        with pytest.raises(CheckpointError, match="sidecar"):
-            load_head(path)
-
-    @pytest.mark.parametrize("text", [
-        '{"tokens": [', '{"tokens": []}', '{"answer_labels": []}', "[]", "\udcff",
-        "[" * 100_000 + "]" * 100_000,
-    ], ids=["truncated", "no-labels", "no-tokens", "list", "not-utf8", "nested"])
-    def test_malformed_sidecar_rejected_with_its_path(self, tmp_path, text):
-        params, projection = self.make()
-        path = tmp_path / "head.ckpt"
-        save_head(path, params, projection)
-        sidecar = tmp_path / "head.json"
-        sidecar.write_bytes(text.encode("utf-8", "surrogateescape"))
-        with pytest.raises(CheckpointError, match=f"^{re.escape(str(sidecar))}: "):
-            load_head(path)
-
-    @pytest.mark.parametrize("key", ["tokens", "answer_labels"])
-    @pytest.mark.parametrize("value", ["xyz", [1, 2, 3]], ids=["string", "numbers"])
-    def test_sidecar_field_that_is_not_a_list_of_strings_rejected(self, tmp_path, key, value):
-        params, projection = self.make()
-        path = tmp_path / "head.ckpt"
-        save_head(path, params, projection)
-        sidecar = tmp_path / "head.json"
-        record = json.loads(sidecar.read_text(encoding="utf-8"))
-        record[key] = value
-        sidecar.write_text(json.dumps(record), encoding="utf-8")
-        with pytest.raises(CheckpointError,
-                           match=f"^{re.escape(str(sidecar))}: '{key}' is not a list of strings$"):
-            load_head(path)
-
-    def test_missing_sidecar_raises(self, tmp_path):
-        params, projection = self.make()
-        path = tmp_path / "head.ckpt"
-        save_head(path, params, projection)
-        (tmp_path / "head.json").unlink()
-        with pytest.raises(FileNotFoundError):
-            load_head(path)
 
 
 class TestOversizedHeader:
@@ -242,8 +225,9 @@ class TestOversizedHeader:
         if kind == "TGNN":
             save_tgnn(path, init_params(D, 7, 3))
             return path, load_tgnn, 12  # offset of n_entities
-        save_head(path, *TestHeadCheckpoint().make())
-        return path, load_head, 16  # offset of n_tokens
+        params, projection = TestHeadCheckpoint().make()
+        save_head(path, params, projection)
+        return path, lambda p: TestHeadCheckpoint().load(p, params), 16  # offset of n_tokens
 
     @pytest.mark.parametrize("rows", [2**33, 2**61])
     @pytest.mark.parametrize("kind", ["TKGE", "TGNN", "HEAD"])

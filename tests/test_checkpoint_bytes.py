@@ -1,5 +1,5 @@
-"""The stored bytes of every checkpoint kind, its sidecar and an indicator
-vector, pinned by digest.  The round-trip tests in test_checkpoint.py would
+"""The stored bytes of every checkpoint kind and of an indicator vector,
+pinned by digest.  The round-trip tests in test_checkpoint.py would
 pass for any self-consistent layout; these fail on any change to the one
 that is written."""
 
@@ -23,7 +23,6 @@ DIGESTS = {
     "table.ckpt": ("2beb3d4961d32215a5d9bf6b4d86298742da0fe8236c6b537ce505253a095b77", 324),
     "tgnn.ckpt": ("da3489f0f4692dbec38fd2abea5075ee8a15d69572aae82d8544e02c0ea4d74f", 352),
     "head.ckpt": ("652018abf03bb6ac9982b1a5f8cc33da4885fc8974055afdace676a6b954e2fc", 656),
-    "head.json": ("10a3575a10caee45847d39ab85a1dbc734f2a835e3c6860492bfec8601bd0c93", 213),
 }
 
 

@@ -106,8 +106,12 @@ class TestArtifacts:
         assert tgnn_table.entity.shape == table.entity.shape
         params = load_tgnn(ckpts / "tgnn.ckpt")
         assert params.dim == 8
-        head, projection = load_head(ckpts / "head.ckpt")
-        assert head.dim == 16
+        world = store.load_tkg(DESK / "facts.txt")
+        train = store.load_questions(DESK / "questions_train.jsonl", world)
+        head_params, projection = load_head(ckpts / "head.ckpt",
+                                            head.token_vocab(q.text for q in train),
+                                            cli.answer_space(world))
+        assert head_params.dim == 16
         assert projection.dim_in == 8 and projection.dim_out == 16
 
     def test_loss_dumps(self, pipeline):
@@ -178,7 +182,7 @@ class TestArtifacts:
     @pytest.mark.parametrize("command, key, written", [
         ("pretrain-base", "base_learning_rate", ("base_table.ckpt",)),
         ("pretrain-tgnn", "tgnn_learning_rate", ("tgnn_table.ckpt", "tgnn.ckpt")),
-        ("train-head", "head_learning_rate", ("head.ckpt", "head.json")),
+        ("train-head", "head_learning_rate", ("head.ckpt",)),
     ])
     def test_non_finite_training_saves_nothing(
         self, pipeline, tmp_path, caplog, command, key, written
@@ -293,10 +297,7 @@ class TestArtifactTable:
         for stage in cli.STAGES:
             assert main([stage, "--config", str(config)]) == 0, stage
             after = dump_files(dumps)
-            expected = set(cli.WRITES[stage])
-            if stage == "train-head":
-                expected.add("checkpoints/head.json")  # the head's label sidecar
-            assert after - before == expected, stage
+            assert after - before == set(cli.WRITES[stage]), stage
             before = after
 
     @pytest.mark.parametrize("command, missing, writer", [
@@ -358,31 +359,6 @@ class TestStageSequencing:
         assert main(["predict", "--config", str(config)]) == 2
         assert f"{path}: truncated checkpoint" in caplog.text
 
-    @pytest.mark.parametrize("text, message", [
-        ('{"tokens": [', "not valid JSON (Expecting value)"),
-        ('{"tokens": []}', "record has no key 'answer_labels'"),
-        ("[1, 2]", "record is not a JSON object"),
-        (DEEPLY_NESTED.decode(), "not valid JSON (nested too deeply)"),
-    ], ids=["truncated", "missing-key", "not-an-object", "nested"])
-    def test_malformed_head_sidecar_returns_2(self, pipeline, tmp_path, caplog, text, message):
-        config = copied_run(pipeline, tmp_path)
-        path = tmp_path / "dumps" / "checkpoints" / "head.json"
-        path.write_text(text, encoding="utf-8")
-        assert main(["predict", "--config", str(config)]) == 2
-        assert f"{path}: " in caplog.text
-        assert message in caplog.text
-
-    @pytest.mark.parametrize("key", ["tokens", "answer_labels"])
-    def test_head_sidecar_field_of_characters_returns_2(self, pipeline, tmp_path, caplog, key):
-        # a string as long as the list it replaces, which once split into characters
-        config = copied_run(pipeline, tmp_path)
-        path = tmp_path / "dumps" / "checkpoints" / "head.json"
-        record = json.loads(path.read_text(encoding="utf-8"))
-        record[key] = "x" * len(record[key])
-        path.write_text(json.dumps(record), encoding="utf-8")
-        assert main(["predict", "--config", str(config)]) == 2
-        assert f"{path}: {key!r} is not a list of strings; rerun train-head" in caplog.text
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_head_checkpoint_returns_2(self, pipeline, tmp_path, caplog, value):
         config = copied_run(pipeline, tmp_path)
@@ -391,13 +367,6 @@ class TestStageSequencing:
         assert main(["predict", "--config", str(config)]) == 2
         assert (f"{path}: non-finite value (NaN or infinity); rerun train-head"
                 in caplog.text)
-
-    def test_missing_head_sidecar_names_the_stage_to_rerun(self, pipeline, tmp_path, caplog):
-        config = copied_run(pipeline, tmp_path)
-        path = tmp_path / "dumps" / "checkpoints" / "head.json"
-        path.unlink()
-        assert main(["predict", "--config", str(config)]) == 2
-        assert f"{path}'; rerun train-head" in caplog.text
 
     @pytest.mark.parametrize("command, outputs", [
         ("build-prompts", ("prompts_train.jsonl", "prompts_test.jsonl")),
@@ -497,6 +466,35 @@ class TestStageSequencing:
         assert main(["build-indicators", "--config", str(config)]) == 2
         assert f"{path}, line {line}: fact {fact!r}: {message}; rerun retrieve" in caplog.text
 
+    @pytest.mark.parametrize("edit", [
+        lambda record: record["facts"].__setitem__(0, 123),
+        lambda record: record.update(facts=record["facts"][0]),
+    ], ids=["number", "string"])
+    def test_subgraph_facts_that_are_not_strings_return_2(self, pipeline, tmp_path, caplog, edit):
+        # a string once split into characters, each read as a fact
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "subgraphs_test.jsonl"
+        records = read_jsonl(path)
+        line = next(i for i, r in enumerate(records) if r["facts"]) + 1
+        edit(records[line - 1])
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["build-indicators", "--config", str(config)]) == 2
+        assert (f"{path}, line {line}: 'facts' is not a list of strings; rerun retrieve"
+                in caplog.text)
+
+    def test_indicator_beyond_float32_leaves_no_output(self, pipeline, tmp_path, caplog):
+        # time rows near float32's largest value: each indicator adds two, so
+        # it would overflow to infinity when stored
+        config = copied_run(pipeline, tmp_path)
+        dumps = tmp_path / "dumps"
+        path = dumps / "checkpoints" / "tgnn_table.ckpt"
+        table = load_table(path)
+        table.time[:] = 3e38
+        checkpoint.save_table(path, table)
+        assert main(["build-indicators", "--config", str(config)]) == 2
+        assert "does not fit in float32; rerun pretrain-tgnn" in caplog.text
+        assert not any((dumps / f"indicators_{split}.jsonl").exists() for split in cli.SPLITS)
+
     @pytest.mark.parametrize("key, value, message", [
         ("sub", "!!", "'sub' is not a base64 float32 vector"),
         ("obj", "AAAAAA==", "'obj' has width 1, expected 8"),
@@ -542,6 +540,36 @@ class TestStageSequencing:
         assert main([command, "--config", str(config)]) == 2
         assert (f"{path}: {message} (written for another config or fact file); "
                 f"rerun {stage}") in caplog.text
+
+    @pytest.mark.parametrize("change", ["d_llm", "d", "tokens"])
+    def test_head_of_another_size_returns_2(self, pipeline, tmp_path, caplog, change):
+        copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "checkpoints" / "head.ckpt"
+        world = store.load_tkg(DESK / "facts.txt")
+        texts = [q.text for q in store.load_questions(DESK / "questions_train.jsonl", world)]
+        if change == "d":
+            checkpoint.save_head(path, head.init_head(texts, cli.answer_space(world), 16, 0),
+                                 indicators.init_projection(4, 16, 0))
+            message = "d 4, expected 8"
+        else:
+            if change == "d_llm":
+                other, message = fast_config(tmp_path, d_llm=32), "d_llm 32, expected 16"
+            else:
+                # one training question gains a word no other question holds
+                lines = (DESK / "questions_train.jsonl").read_text(encoding="utf-8").splitlines()
+                record = json.loads(lines[0])
+                record["text"] += " Zebrafish"
+                questions = tmp_path / "questions_train.jsonl"
+                questions.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n",
+                                     encoding="utf-8")
+                other = fast_config(tmp_path, questions_train=str(questions))
+                n = len(head.token_vocab(texts))
+                message = f"tokens {n + 1}, expected {n}"
+            assert main(["train-head", "--config", str(other)]) == 0
+        config = fast_config(tmp_path)
+        assert main(["predict", "--config", str(config)]) == 2
+        assert (f"{path}: {message} (written for another config or fact file); "
+                f"rerun train-head") in caplog.text
 
     def test_encoder_checkpoint_of_another_width_returns_2(self, pipeline, tmp_path, caplog):
         config = copied_run(pipeline, tmp_path)

@@ -609,7 +609,7 @@ class TestDtype:
                                                TrainSchedule(0.5, 2, 4, 0))
         path = tmp_path / "head.ckpt"
         save_head(path, trained, trained_projection)
-        loaded, loaded_projection = load_head(path)
+        loaded, loaded_projection = load_head(path, trained.token_vocab, trained.answer_labels)
         assert loaded.scoring.shape == (len(ANSWERS), D_LLM)
         assert loaded.scoring.flags.c_contiguous
         for got, expected in ((loaded.token_emb, trained.token_emb),
