@@ -3,10 +3,10 @@
 Every checkpoint is one file with one framing: a 4-byte magic, a
 little-endian ``u32`` format version, the kind's header fields (``u32``
 widths, ``u64`` row counts), then the kind's matrices one after another as
-row-major little-endian ``float32``.  Matrices are widened back to
-``float64`` on load; :func:`encode_matrix` and :func:`decode_matrix` hold
-that rule for every stored vector, the indicator dumps' too.  Header fields
-and matrices, by kind:
+row-major little-endian ``float32``.  They load as they are stored: each
+matrix is read straight into its own writable ``float32`` array.
+:func:`encode_matrix` and :func:`decode_matrix` hold the same rule for the
+indicator dumps' vectors.  Header fields and matrices, by kind:
 
 - ``TKGE``  d, entities, relation rows, times; the entity / relation / time
   matrices.
@@ -58,14 +58,17 @@ def encode_matrix(array: np.ndarray) -> bytes:
     return np.ascontiguousarray(array, dtype="<f4").tobytes()
 
 
-def decode_matrix(raw: bytes) -> np.ndarray:
-    """The flat ``float64`` values of stored bytes; a length that is not a
-    whole number of ``float32`` values, or a NaN or infinite value, raises
-    ``ValueError``."""
-    values = np.frombuffer(raw, dtype="<f4")
+def _require_finite(values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError("non-finite value (NaN or infinity)")
-    return values.astype(np.float64)
+    return values
+
+
+def decode_matrix(raw: bytes) -> np.ndarray:
+    """The flat ``float32`` values of stored bytes, in a writable array; a
+    length that is not a whole number of ``float32`` values, or a NaN or
+    infinite value, raises ``ValueError``."""
+    return _require_finite(np.frombuffer(raw, dtype="<f4").copy())
 
 
 def _save(path: str | Path, magic: bytes, header: Iterable[int],
@@ -82,9 +85,10 @@ def _save(path: str | Path, magic: bytes, header: Iterable[int],
 def _load(path: str | Path, magic: bytes, shapes: Callable[..., Sequence[tuple[int, ...]]],
           expected: Mapping[str, int]) -> list[np.ndarray]:
     """The matrices of a file :func:`_save` wrote, shaped by ``shapes`` called
-    with the header fields.  Each is read on its own, and one larger than the
-    bytes left in the file is rejected before it is read.  Each header field
-    that ``expected`` names must hold the size it gives."""
+    with the header fields.  Each is read straight into its own array, and
+    one larger than the bytes left in the file is rejected before it is
+    allocated.  Each header field that ``expected`` names must hold the size
+    it gives."""
     layout, names = _HEADERS[magic]
     try:
         with open(path, "rb") as handle:
@@ -105,11 +109,13 @@ def _load(path: str | Path, magic: bytes, shapes: Callable[..., Sequence[tuple[i
                 if size > left:
                     raise CheckpointError("truncated checkpoint")
                 left -= size
-                values = decode_matrix(handle.read(size))
                 try:
-                    arrays.append(values.reshape(shape))
+                    array = np.empty(shape, "<f4")
                 except ValueError:  # an empty matrix with a row count numpy cannot index
                     raise CheckpointError(f"matrix shape {shape} out of range") from None
+                if handle.readinto(array) != size:
+                    raise CheckpointError("truncated checkpoint")
+                arrays.append(_require_finite(array))
             wrong = [f"{name} {size}, expected {expected[name]}"
                      for name, size in zip(names, fields) if expected.get(name, size) != size]
             if wrong:

@@ -303,8 +303,9 @@ def stage_build_prompts(cfg: RunConfig, world: World) -> None:
 
 def stage_build_indicators(cfg: RunConfig, world: World) -> None:
     store, _, _ = world
-    table = _read(cfg, "tgnn_table", checkpoint.load_table, _sizes(cfg, store))
-    params = _read(cfg, "tgnn", checkpoint.load_tgnn, _sizes(cfg, store))
+    # encoded in float64, so no float32 sum overflows before the check below
+    table = _read(cfg, "tgnn_table", checkpoint.load_table, _sizes(cfg, store)).astype(np.float64)
+    params = _read(cfg, "tgnn", checkpoint.load_tgnn, _sizes(cfg, store)).astype(np.float64)
     # both splits are read, built and checked before either output is written
     read = {split: _read_subgraphs(cfg, store, split) for split in SPLITS}
     records: dict[str, list[dict]] = {split: [] for split in SPLITS}
@@ -337,8 +338,11 @@ def _indicator_sets(
 ) -> dict[str, ind_mod.IndicatorSet]:
     """Rebuild the encoder-width indicator sets of a split from its dump."""
     def convert(record: dict) -> tuple[str, ind_mod.IndicatorSet]:
-        if record["d"] != cfg.d:
-            raise ValueError(f"indicator width {record['d']} does not match config d {cfg.d}")
+        width = record["d"]
+        if isinstance(width, bool) or not isinstance(width, int):
+            raise ValueError(f"'d' is not an integer but {type(width).__name__} {width!r}")
+        if width != cfg.d:
+            raise ValueError(f"indicator width {width!r} does not match config d {cfg.d}")
         return _uid(record), ind_mod.IndicatorSet(
             sub_vec=_decode_vector(record, "sub", cfg.d),
             rel_vec=_decode_vector(record, "rel", cfg.d),

@@ -40,8 +40,9 @@ bag and target span the vocabulary and the answer space.
 the precision checkpoints store, on copies of its parameters, its
 projection and the compiled rows; the power-of-two note above holds there
 too.  :func:`loss_and_grads`, :func:`score` and :func:`predict_topk` compute
-in the dtype of the parameters they are given, so the gradchecks run in
-float64.  Every product of a step reads its operands along their rows: the
+in the dtype of the parameters they are given: ``predict`` ranks in the
+float32 a checkpoint loads as, and the gradchecks run in float64.  Every
+product of a step reads its operands along their rows: the
 logits are ``feature @ scoring.T``, and ``d_logits @ scoring`` and
 ``d_logits.T @ feature`` give the feature and scoring gradients.  At desk
 shapes (8 rows, 96 answers, ``d_llm`` 256; a 2-vCPU Xeon VM, one BLAS
@@ -49,10 +50,11 @@ thread) the feature gradient took 16.3 us on the transposed operand of a
 ``(d_llm, n_answers)`` scoring matrix, 6.2 us on rows in float64 and 4.9 us
 on rows in float32.
 
-:func:`predict_topk` ranks by a partial selection: a partition finds each
-row's ``k``-th largest probability, and only the answers at least that
-likely, ties included, are sorted, so the ranking equals a stable full
-sort.
+:func:`predict_topk` scores ``d_llm`` examples at a time, each block's
+probabilities in the memory of its log-probabilities (:func:`score`), and
+ranks by a partial selection: a partition finds each row's ``k``-th largest
+probability, and only the answers at least that likely, ties included, are
+sorted, so the ranking equals a stable full sort.
 """
 
 from __future__ import annotations
@@ -207,10 +209,12 @@ def score(
     examples: Sequence[Example], params: HeadParams, projection: Projection
 ) -> np.ndarray:
     """Answer distributions, one row per example; strictly positive, each
-    row sums to one."""
+    row sums to one.  They are exponentiated in the memory of the
+    log-probabilities, so a block of examples holds one answer-wide array."""
     if not examples:
         raise HeadError("no examples to score")
-    return np.exp(_forward(params, projection, *_features(examples, params))[2])
+    log_probs = _forward(params, projection, *_features(examples, params))[2]
+    return np.exp(log_probs, out=log_probs)
 
 
 def predict_topk(

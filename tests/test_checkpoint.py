@@ -1,9 +1,12 @@
 import re
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from tempkgqa import checkpoint
 from tempkgqa.checkpoint import (
     FORMAT_VERSION,
     CheckpointError,
@@ -36,10 +39,10 @@ class TestTableCheckpoint:
         path = tmp_path / "table.ckpt"
         save_table(path, table)
         loaded = load_table(path)
-        assert np.array_equal(loaded.entity, float32_copy(table.entity))
-        assert np.array_equal(loaded.relation, float32_copy(table.relation))
-        assert np.array_equal(loaded.time, float32_copy(table.time))
-        assert loaded.entity.dtype == np.float64
+        for name in ("entity", "relation", "time"):
+            got = getattr(loaded, name)
+            assert got.dtype == np.float32, name  # loaded as stored
+            assert np.array_equal(got, getattr(table, name).astype(np.float32)), name
 
     def test_trained_table_roundtrip_is_exact(self, tmp_path):
         store = build_store([("a", "r1", "b", 1990, 1991), ("b", "r2", "c", 1991, 1992)])
@@ -212,6 +215,57 @@ class TestHeadCheckpoint:
             save_head(tmp_path / "head.ckpt", params, wrong)
 
 
+class TestLoadedArrays:
+    """Every loader returns the stored float32 values as they are: writable,
+    C-contiguous ``float32`` arrays, bit for bit the float32 values saved."""
+
+    def saved_and_loaded(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.ckpt"
+        if kind == "TKGE":
+            table = init_random(5, 3, 4, D, 0)
+            save_table(path, table)
+            loaded = load_table(path)
+            return ([table.entity, table.relation, table.time],
+                    [loaded.entity, loaded.relation, loaded.time])
+        if kind == "TGNN":
+            params = init_params(D, 7, 3)
+            save_tgnn(path, params)
+            names = ("w_msg", "w_query", "w_key", "decoder_w", "decoder_b")
+            loaded = load_tgnn(path)
+            return ([getattr(params, n) for n in names], [getattr(loaded, n) for n in names])
+        params, projection = TestHeadCheckpoint().make()
+        save_head(path, params, projection)
+        loaded, loaded_projection = TestHeadCheckpoint().load(path, params)
+        return ([params.token_emb, params.scoring, projection.weight],
+                [loaded.token_emb, loaded.scoring, loaded_projection.weight])
+
+    @pytest.mark.parametrize("kind", ["TKGE", "TGNN", "HEAD"])
+    def test_float32_as_saved(self, tmp_path, kind):
+        saved, loaded = self.saved_and_loaded(tmp_path, kind)
+        for expected, got in zip(saved, loaded):
+            assert got.dtype == np.float32
+            assert got.flags.writeable and got.flags.c_contiguous
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.astype(np.float32).tobytes()
+
+    def test_decode_matrix_is_float32_as_encoded(self):
+        values = np.random.default_rng(0).standard_normal(7)
+        decoded = decode_matrix(encode_matrix(values))
+        assert decoded.dtype == np.float32 and decoded.flags.writeable
+        assert decoded.tobytes() == values.astype(np.float32).tobytes()
+
+    def test_file_shorter_than_its_size_is_truncated(self, tmp_path, monkeypatch):
+        # a file that shrinks after its size is read: the matrix's read comes up short
+        path = tmp_path / "table.ckpt"
+        save_table(path, init_random(5, 3, 4, D, 0))
+        path.write_bytes(path.read_bytes()[:-8])
+        stat = lambda fd: SimpleNamespace(st_size=10**6)
+        monkeypatch.setattr(checkpoint, "os", SimpleNamespace(fstat=stat))
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: truncated checkpoint$"):
+            load_table(path)
+
+
 class TestOversizedHeader:
     """A header whose row counts claim more data than the file holds is
     rejected, naming the file, before anything the size of the claim is
@@ -240,6 +294,22 @@ class TestOversizedHeader:
         with pytest.raises(CheckpointError, match="truncated checkpoint$") as caught:
             load(path)
         assert str(caught.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("kind", ["TKGE", "TGNN", "HEAD"])
+    def test_rejected_before_allocating_the_claim(self, tmp_path, kind):
+        # 2**22 rows claim at least 16 MB; the rejection allocates none of it
+        path, load, offset = self.write(tmp_path, kind)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 8] = (2**22).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated checkpoint$"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_empty_matrix_with_too_many_rows_rejected(self, tmp_path):
         path, _, _ = self.write(tmp_path, "TKGE")

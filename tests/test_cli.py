@@ -516,6 +516,24 @@ class TestStageSequencing:
         assert f"{path}, line 3: {message}" in caplog.text
         assert "; rerun build-indicators" in caplog.text
 
+    @pytest.mark.parametrize("value, message", [
+        ("8", "'d' is not an integer but str '8'"),
+        (8.0, "'d' is not an integer but float 8.0"),
+        (True, "'d' is not an integer but bool True"),
+    ], ids=["string", "float", "bool"])
+    def test_indicator_width_that_is_not_an_integer_returns_2(
+        self, pipeline, tmp_path, caplog, value, message
+    ):
+        # the config's d is 8: the string once read "indicator width 8 does
+        # not match config d 8", and the float passed
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "indicators_test.jsonl"
+        records = read_jsonl(path)
+        records[0]["d"] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["predict", "--config", str(config)]) == 2
+        assert f"{path}, line 1: {message}; rerun build-indicators" in caplog.text
+
     @pytest.mark.parametrize("change", ["d", "new-entity"])
     @pytest.mark.parametrize("command, name, stage", [
         ("pretrain-tgnn", "base_table.ckpt", "pretrain-base"),

@@ -306,6 +306,21 @@ class TestPredictTopk:
             assert (predict_topk(examples, params, projection, k)
                     == reference_topk(examples, params, projection, k)), k
 
+    def test_matches_stable_sort_on_a_random_float32_head(self):
+        # a loaded head's dtype, an answer space wider than the head, and
+        # more examples than one d_llm block
+        rng = np.random.default_rng(12)
+        labels = [f"answer {i}" for i in range(300)]
+        params = init_head([" ".join(WORDS)], labels, D_LLM, 5).astype(np.float32)
+        projection = Projection(init_projection(D, D_LLM, 6).weight.astype(np.float32))
+        examples = []
+        for _ in range(2 * D_LLM + 3):
+            indicators, _ = make_indicators(int(rng.integers(100)))
+            examples.append((indicators, " ".join(rng.choice(WORDS, size=4))))
+        for k in (1, 10, len(labels)):
+            assert (predict_topk(examples, params, projection, k)
+                    == reference_topk(examples, params, projection, k)), k
+
     def test_partial_selection_keeps_ties_at_the_kth_value(self):
         rng = np.random.default_rng(0)
         # few distinct values, so ties straddle the k-th position in most rows
@@ -615,5 +630,5 @@ class TestDtype:
         for got, expected in ((loaded.token_emb, trained.token_emb),
                               (loaded.scoring, trained.scoring),
                               (loaded_projection.weight, trained_projection.weight)):
-            assert got.dtype == np.float64  # decode_matrix widens every stored matrix
+            assert got.dtype == np.float32  # loaded as stored
             assert np.array_equal(got, expected)
