@@ -79,7 +79,7 @@ READS = {
 ARTIFACTS = {Path(file).stem: (file, stage) for stage, files in WRITES.items() for file in files}
 # keys each JSONL dump's readers index, checked when the dump is read
 SUBGRAPH_KEYS = ("uid", "relations", "constraint", "facts", "empty")
-INDICATOR_KEYS = ("uid", "d", "sub", "rel", "obj", "t_min", "t_max")
+INDICATOR_KEYS = ("uid", "vector")
 PREDICTION_KEYS = ("uid", "answers")
 
 
@@ -320,55 +320,36 @@ def stage_build_indicators(cfg: RunConfig, world: World) -> None:
             if not (vectors <= np.finfo(np.float32).max).all():
                 raise CliError(f"question {subgraph.uid!r}: an indicator vector does not fit "
                                f"in float32; rerun {ARTIFACTS['tgnn'][1]}")
-            records[split].append({
-                "uid": subgraph.uid,
-                "d": cfg.d,
-                "sub": _encode_vector(built.sub_vec),
-                "rel": _encode_vector(built.rel_vec),
-                "obj": _encode_vector(built.obj_vec),
-                "t_min": store.times.label(built.t_min),
-                "t_max": store.times.label(built.t_max),
-            })
+            vector = _encode_vector(np.asarray(built, np.float32))
+            records[split].append({"uid": subgraph.uid, "vector": vector})
     for split in SPLITS:
         _write_jsonl(_path(cfg, f"indicators_{split}"), records[split])
 
 
-def _indicator_sets(
-    cfg: RunConfig, store: TkgStore, split: str, cover: Sequence[Question] = ()
-) -> dict[str, ind_mod.IndicatorSet]:
-    """Rebuild the encoder-width indicator sets of a split from its dump."""
-    def convert(record: dict) -> tuple[str, ind_mod.IndicatorSet]:
-        width = record["d"]
-        if isinstance(width, bool) or not isinstance(width, int):
-            raise ValueError(f"'d' is not an integer but {type(width).__name__} {width!r}")
-        if width != cfg.d:
-            raise ValueError(f"indicator width {width!r} does not match config d {cfg.d}")
-        return _uid(record), ind_mod.IndicatorSet(
-            sub_vec=_decode_vector(record, "sub", cfg.d),
-            rel_vec=_decode_vector(record, "rel", cfg.d),
-            obj_vec=_decode_vector(record, "obj", cfg.d),
-            t_min=store.times.id(record["t_min"]),
-            t_max=store.times.id(record["t_max"]),
-        )
-
-    return _read(cfg, f"indicators_{split}", read_records, INDICATOR_KEYS, convert, cover=cover)
+def _indicators(
+    cfg: RunConfig, split: str, cover: Sequence[Question] = ()
+) -> dict[str, np.ndarray]:
+    """The encoder-width indicator vectors of a split, by uid, from its dump."""
+    return _read(cfg, f"indicators_{split}", read_records, INDICATOR_KEYS,
+                 lambda record: (_uid(record), _decode_vector(record, "vector", cfg.d)),
+                 cover=cover)
 
 
 def stage_train_head(cfg: RunConfig, world: World) -> None:
     store, train, _ = world
     projection = ind_mod.init_projection(cfg.d, cfg.d_llm, cfg.seed)
-    indicator_sets = _indicator_sets(cfg, store, "train")
+    indicators = _indicators(cfg, "train")
     params = head_mod.init_head(
         (q.text for q in train), answer_space(store), cfg.d_llm, cfg.seed
     )
     dataset: list[head_mod.TrainExample] = []
     skipped = 0
     for question in train:
-        built = indicator_sets.get(question.uid)
-        if built is None:
+        vector = indicators.get(question.uid)
+        if vector is None:
             skipped += 1
             continue
-        dataset.append(((built, question.text), gold_answer_ids(store, question)))
+        dataset.append(((vector, question.text), gold_answer_ids(store, question)))
     if skipped:
         log.warning("skipping %d training questions without evidence", skipped)
 
@@ -389,10 +370,9 @@ def stage_predict(cfg: RunConfig, world: World) -> None:
     # get an empty answer list, any other gap is a stale dump.
     empty = _read(cfg, "subgraphs_test", read_records, SUBGRAPH_KEYS,
                   lambda record: (_uid(record), record["empty"]))
-    indicator_sets = _indicator_sets(cfg, store, "test",
-                                     [q for q in test if not empty.get(q.uid)])
-    answered = [q for q in test if q.uid in indicator_sets]
-    examples = [(indicator_sets[q.uid], q.text) for q in answered]
+    indicators = _indicators(cfg, "test", [q for q in test if not empty.get(q.uid)])
+    answered = [q for q in test if q.uid in indicators]
+    examples = [(indicators[q.uid], q.text) for q in answered]
     ranked = dict(zip(
         (q.uid for q in answered),
         head_mod.predict_topk(examples, params, projection, PREDICT_DEPTH),

@@ -1,17 +1,17 @@
 """Trainable answer head over indicator vectors and question tokens.
 
-An example pairs an :class:`~tempkgqa.indicators.IndicatorSet` with its
-question text.  The score of an answer candidate is a softmax over
-``feature @ scoring.T`` where the feature is the weighted mean of four
-language-model-width vectors: the three indicators mapped by the indicator
-projection, and the mean embedding of the question's tokens.  The mixing
-weights are the fixed constant :data:`MIX`, 1/4 each, so the feature is the
-plain mean.  The projection is linear, so the three encoder-width
-indicators are mixed first and projected once, in :func:`_forward`.  The
-answer space is the entity vocabulary followed by the time vocabulary, so
-one scoring matrix covers both answer types; it holds one ``d_llm`` row per
-answer.  The run's world fixes both spaces (the :func:`token_vocab` of the
-training questions, the world's labels), so a saved head holds neither.
+An example pairs one encoder-width indicator vector, the mix of an
+:class:`~tempkgqa.indicators.IndicatorSet`, with its question text.  The
+score of an answer candidate is a softmax over ``feature @ scoring.T`` where
+the feature is the weighted mean of four language-model-width vectors: the
+three indicators mapped by the indicator projection, and the mean embedding
+of the question's tokens, each weighted 1/4 by :data:`MIX`.  The projection
+is linear, so the indicators are mixed first, in :mod:`tempkgqa.indicators`,
+and the mix is projected once, in :func:`_forward`.  The answer space is
+the entity vocabulary followed by the time vocabulary, so one scoring
+matrix covers both answer types; it holds one ``d_llm`` row per answer.
+The run's world fixes both spaces (the :func:`token_vocab` of the training
+questions, the world's labels), so a saved head holds neither.
 
 Training minimises cross-entropy against the gold answers (mean over golds
 for multi-answer questions) and updates the token embeddings, the scoring
@@ -19,7 +19,7 @@ matrix, and the indicator projection jointly, in the mini-batches of a
 :class:`~tempkgqa.config.TrainSchedule`.
 
 Training is batched.  :func:`train` compiles the dataset into arrays once:
-the mix-weighted encoder-width indicators as one ``(N, d)`` matrix, and the
+the mixed encoder-width indicators as one ``(N, d)`` matrix, and the
 question tokens and gold answers as padded id arrays whose averaging
 weights are zero on the padding.  The token weights are scaled by
 ``MIX[3]`` there, so the token bag is already mix-weighted and neither the
@@ -67,18 +67,13 @@ import numpy as np
 from .config import TrainSchedule
 from .embeddings import TRAIN_DTYPE
 from .errors import TempkgqaError
-from .indicators import IndicatorSet, Projection
+from .indicators import MIX, IndicatorSet, Projection
 from .prompts import tokenize
 
 UNKNOWN_TOKEN = "<unk>"
 
-#: Fixed weights of the subject, relation and object indicators and of the
-#: question tokens in the feature: the plain mean.  Stored in float32, where
-#: 1/4 is exact, so a product with it keeps the dtype of what it weights.
-MIX = np.full(4, 0.25, dtype=np.float32)
-
-#: One example: the indicators of its evidence and the question text.
-Example = tuple[IndicatorSet, str]
+#: One example: its indicator vector, or the set it mixes, and the question text.
+Example = tuple[np.ndarray | IndicatorSet, str]
 
 
 class HeadError(TempkgqaError, ValueError):
@@ -168,11 +163,11 @@ def _scatter(ids: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
 def _features(
     examples: Sequence[Example], params: HeadParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Feature rows of ``examples``: the mix-weighted encoder-width
-    indicators ``(N, d)``, and the padded question token ids with their
-    averaging weights times ``MIX[3]``, the weights in ``params``' dtype."""
-    blocks = [(ind.sub_vec, ind.rel_vec, ind.obj_vec) for ind, _ in examples]
-    if len({vector.shape for block in blocks for vector in block}) != 1:
+    """Feature rows of ``examples``: the encoder-width indicator vectors
+    ``(N, d)``, and the padded question token ids with their averaging
+    weights times ``MIX[3]``, both in ``params``' dtype."""
+    indicators = [np.asarray(indicator) for indicator, _ in examples]
+    if len({vector.shape for vector in indicators}) != 1:
         raise HeadError("indicator vectors differ in width")
     vocab = params.token_vocab
     token_ids, token_weights = _pad([
@@ -180,7 +175,7 @@ def _features(
         for _, question in examples
     ])
     dtype = params.token_emb.dtype
-    return ((MIX[:3] @ np.array(blocks)).astype(dtype, copy=False), token_ids,
+    return (np.array(indicators, dtype=dtype), token_ids,
             (MIX[3] * token_weights).astype(dtype, copy=False))
 
 
@@ -259,7 +254,7 @@ TrainExample = tuple[Example, Sequence[int]]
 class CompiledBatch:
     """Training examples as arrays, one row each (see the module docstring)."""
 
-    indicators: np.ndarray     # (N, d) mix-weighted encoder-width indicators
+    indicators: np.ndarray     # (N, d) encoder-width indicator vectors
     token_ids: np.ndarray      # (N, max tokens), padded with row 0
     token_weights: np.ndarray  # (N, max tokens), MIX[3] / tokens, zero on the padding
     gold_ids: np.ndarray       # (N, max golds), padded with answer 0

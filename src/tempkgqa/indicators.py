@@ -1,13 +1,15 @@
-"""Indicator vectors: compressing a retrieved subgraph into three vectors.
+"""Indicator vectors: compressing a retrieved subgraph into one vector.
 
 For a subgraph we mean-pool the graph-encoder embeddings of all subject
 entities, the base embeddings of all relations (forward rows), and the
 graph-encoder embeddings of all object entities, one pooled vector each.
 Every pooled vector is then shifted by the embeddings of the subgraph's
-earliest and latest time ids.  These encoder-width vectors are the only
-indicator data; the answer head maps them into the language model's width
-with the :class:`Projection` it trains (see :mod:`tempkgqa.head`).  Pooling
-is per fact occurrence, so a fact appearing twice counts twice.
+earliest and latest time ids.  Pooling is per fact occurrence, so a fact
+appearing twice counts twice.  The answer head weighs the three by the fixed
+:data:`MIX` before one linear map, so it reads only their mix, made here
+alone: the array form of an :class:`IndicatorSet`, and the one vector per
+question ``build-indicators`` stores.  The head maps it into the language
+model's width with the :class:`Projection` it trains.
 """
 
 from __future__ import annotations
@@ -20,6 +22,12 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .errors import TempkgqaError
 from .retrieval import RetrievedSubgraph
+
+
+#: Fixed weights of the subject, relation and object indicators and of the
+#: question tokens in the head's feature: the plain mean.  Stored in float32,
+#: where 1/4 is exact, so a product with it keeps the dtype of what it weights.
+MIX = np.full(4, 0.25, dtype=np.float32)
 
 
 class IndicatorError(TempkgqaError, ValueError):
@@ -61,6 +69,13 @@ class IndicatorSet:
     obj_vec: np.ndarray
     t_min: int
     t_max: int
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The mix the head reads: the :data:`MIX`-weighted sum of the three
+        vectors, each cast to ``dtype`` first.  Scaling by 1/4 is exact above
+        the subnormal range, so it has the bits of ``MIX[:3] @`` their stack."""
+        sub, rel, obj = (np.asarray(v, dtype) for v in (self.sub_vec, self.rel_vec, self.obj_vec))
+        return MIX[0] * sub + MIX[1] * rel + MIX[2] * obj
 
 
 def local_pool(vectors: Sequence[np.ndarray]) -> np.ndarray:

@@ -349,6 +349,8 @@ def constraint_record(store: TkgStore, constraint: TemporalConstraint) -> dict:
 
 
 def constraint_from_record(store: TkgStore, record: dict) -> TemporalConstraint:
+    if not isinstance(record, dict):
+        raise ValueError(f"'constraint' is not an object but {type(record).__name__}")
     kind = ConstraintKind(record["kind"])
     to_id = lambda y: None if y is None else store.times.id(str(y))
     return TemporalConstraint(kind, to_id(record.get("t1")), to_id(record.get("t2")))
@@ -372,7 +374,7 @@ def subgraph_from_record(store: TkgStore, record: dict) -> RetrievedSubgraph:
     return RetrievedSubgraph(
         record["uid"],
         tuple(store.fact_from_label(text) for text in string_list(record, "facts")),
-        tuple(store.relations.id(r) for r in record["relations"]),
+        tuple(store.relations.id(r) for r in string_list(record, "relations")),
         constraint_from_record(store, record["constraint"]),
         record.get("fallback_relation", False),
         record.get("fallback_time", False),

@@ -244,13 +244,11 @@ class TestArtifacts:
         records = read_jsonl(dumps / "indicators_test.jsonl")
         assert records, "no indicator records"
         for record in records[:5]:
-            # encoder-width vectors only; the head projects them at use
-            assert set(record) == {"uid", "d", "sub", "rel", "obj", "t_min", "t_max"}
-            assert record["d"] == 8
-            for key in ("sub", "rel", "obj"):
-                raw = np.frombuffer(base64.b64decode(record[key]), dtype="<f4")
-                assert raw.shape == (8,), key
-                assert np.all(np.isfinite(raw))
+            # one encoder-width vector; the head projects it at use
+            assert set(record) == {"uid", "vector"}
+            raw = np.frombuffer(base64.b64decode(record["vector"]), dtype="<f4")
+            assert raw.shape == (8,)
+            assert np.all(np.isfinite(raw))
 
     def test_predictions(self, pipeline):
         dumps, _ = pipeline
@@ -401,13 +399,14 @@ class TestStageSequencing:
     def test_truncated_indicator_dump_returns_2(self, pipeline, tmp_path, caplog):
         config = copied_run(pipeline, tmp_path)
         path = tmp_path / "dumps" / "indicators_test.jsonl"
-        path.write_bytes(path.read_bytes()[:300])
+        first, second = path.read_bytes().splitlines(keepends=True)[:2]
+        path.write_bytes(first + second[: len(second) // 2])  # ends inside the vector
         assert main(["predict", "--config", str(config)]) == 2
         assert f"{path}, line 2: not valid JSON (Unterminated string" in caplog.text
         assert "rerun build-indicators" in caplog.text
 
     @pytest.mark.parametrize("dump, stage, command, key", [
-        ("indicators_test.jsonl", "build-indicators", "predict", "d"),
+        ("indicators_test.jsonl", "build-indicators", "predict", "vector"),
         ("subgraphs_test.jsonl", "retrieve", "predict", "empty"),
         ("subgraphs_train.jsonl", "retrieve", "build-prompts", "facts"),
         ("predictions.jsonl", "predict", "evaluate", "answers"),
@@ -482,6 +481,24 @@ class TestStageSequencing:
         assert (f"{path}, line {line}: 'facts' is not a list of strings; rerun retrieve"
                 in caplog.text)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("relations", "held", "'relations' is not a list of strings"),
+        ("constraint", 5, "'constraint' is not an object but int"),
+    ], ids=["relations-string", "constraint-number"])
+    def test_subgraph_field_of_another_type_names_the_key(
+        self, pipeline, tmp_path, caplog, key, value, message
+    ):
+        # the string was looked up one character at a time ("unknown relation
+        # label: 'h'"), and the number was indexed ("'int' object is not
+        # subscriptable")
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "subgraphs_test.jsonl"
+        records = read_jsonl(path)
+        records[0][key] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["build-indicators", "--config", str(config)]) == 2
+        assert f"{path}, line 1: {message}; rerun retrieve" in caplog.text
+
     def test_indicator_beyond_float32_leaves_no_output(self, pipeline, tmp_path, caplog):
         # time rows near float32's largest value: each indicator adds two, so
         # it would overflow to infinity when stored
@@ -496,13 +513,14 @@ class TestStageSequencing:
         assert not any((dumps / f"indicators_{split}.jsonl").exists() for split in cli.SPLITS)
 
     @pytest.mark.parametrize("key, value, message", [
-        ("sub", "!!", "'sub' is not a base64 float32 vector"),
-        ("obj", "AAAAAA==", "'obj' has width 1, expected 8"),
-        ("rel", "AAA", "'rel' is not a base64 float32 vector"),
-        ("d", 4, "indicator width 4 does not match config d 8"),
+        ("vector", "!!", "'vector' is not a base64 float32 vector"),
+        ("vector", "AAAAAA==", "'vector' has width 1, expected 8"),
+        ("vector", "AAA", "'vector' is not a base64 float32 vector"),
+        ("vector", base64.b64encode(np.ones(4, "<f4").tobytes()).decode(),
+         "'vector' has width 4, expected 8"),
         ("uid", [1], "'uid' is not a string but list"),
-        ("rel", base64.b64encode(np.full(8, np.nan, "<f4").tobytes()).decode(),
-         "'rel' is not a base64 float32 vector (non-finite value (NaN or infinity))"),
+        ("vector", base64.b64encode(np.full(8, np.nan, "<f4").tobytes()).decode(),
+         "'vector' is not a base64 float32 vector (non-finite value (NaN or infinity))"),
     ], ids=["not-base64", "short", "bad-padding", "width", "uid-list", "non-finite"])
     def test_malformed_indicator_vector_returns_2(
         self, pipeline, tmp_path, caplog, key, value, message
@@ -515,24 +533,6 @@ class TestStageSequencing:
         assert main(["train-head", "--config", str(config)]) == 2
         assert f"{path}, line 3: {message}" in caplog.text
         assert "; rerun build-indicators" in caplog.text
-
-    @pytest.mark.parametrize("value, message", [
-        ("8", "'d' is not an integer but str '8'"),
-        (8.0, "'d' is not an integer but float 8.0"),
-        (True, "'d' is not an integer but bool True"),
-    ], ids=["string", "float", "bool"])
-    def test_indicator_width_that_is_not_an_integer_returns_2(
-        self, pipeline, tmp_path, caplog, value, message
-    ):
-        # the config's d is 8: the string once read "indicator width 8 does
-        # not match config d 8", and the float passed
-        config = copied_run(pipeline, tmp_path)
-        path = tmp_path / "dumps" / "indicators_test.jsonl"
-        records = read_jsonl(path)
-        records[0]["d"] = value
-        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-        assert main(["predict", "--config", str(config)]) == 2
-        assert f"{path}, line 1: {message}; rerun build-indicators" in caplog.text
 
     @pytest.mark.parametrize("change", ["d", "new-entity"])
     @pytest.mark.parametrize("command, name, stage", [

@@ -443,6 +443,22 @@ class TestLossAndGrads:
         for name in ("token_emb", "scoring", "projection"):
             assert relative_error(getattr(taken[1], name), getattr(direct[1], name)) < 1e-12
 
+    def test_a_set_compiles_to_the_bits_of_its_stored_mix(self):
+        # float32 sets, as build-indicators casts them before it stores their
+        # mix; the mix once ran in the head as MIX[:3] @ the (N, 3, d) stack
+        batch, params, _ = random_batch(np.random.default_rng(11), 40)
+        params = params.astype(np.float32)
+        sets = [IndicatorSet(*(v.astype(np.float32) for v in (s.sub_vec, s.rel_vec, s.obj_vec)),
+                             0, 0) for (s, _), _ in batch]
+        rest = [(question, golds) for (_, question), golds in batch]
+        sets_rows, vector_rows = (
+            compile_examples([((ind, q), g) for ind, (q, g) in zip(inds, rest)], params).indicators
+            for inds in (sets, map(np.asarray, sets)))
+        blocks = np.array([(s.sub_vec, s.rel_vec, s.obj_vec) for s in sets])
+        assert sets_rows.dtype == np.float32
+        assert sets_rows.tobytes() == vector_rows.tobytes() == (MIX[:3] @ blocks).tobytes()
+
+
 class TestTrain:
     def dataset(self):
         examples = []
