@@ -6,7 +6,7 @@ with the others only through the files under ``dump_dir`` that
 once its inputs exist, after removing the files it writes, and an error in
 one names the stage to rerun.  A failed stage therefore leaves none of its
 outputs behind: a training stage whose parameters turn non-finite saves
-nothing and names its learning rate.
+nothing and names its learning rate.  Each dump is read against its record schema.
 :func:`main` loads the fact file and the questions once per run and hands
 that world to each stage; ``predict`` rebuilds the head's tokens and answer
 labels from it.  Each checkpoint loaded must hold the sizes the config and
@@ -29,6 +29,7 @@ import logging
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -40,10 +41,9 @@ from .embeddings import init_random, pretrain_base
 from .errors import TempkgqaError
 from .llm import RemoteLlmClient
 from .prompts import render_instruction
-from .retrieval import (RetrievedSubgraph, retrieve_question, subgraph_from_record,
-                        subgraph_record)
-from .store import (AnswerType, Question, TkgStore, load_questions, load_tkg, read_records,
-                    string_list)
+from .retrieval import (SUBGRAPH_SCHEMA, RetrievedSubgraph, retrieve_question,
+                        subgraph_from_record, subgraph_record)
+from .store import AnswerType, Question, TkgStore, load_questions, load_tkg, read_records
 
 log = logging.getLogger("tempkgqa")
 
@@ -77,10 +77,8 @@ READS = {
 }
 # artifact -> its file and the stage that writes it
 ARTIFACTS = {Path(file).stem: (file, stage) for stage, files in WRITES.items() for file in files}
-# keys each JSONL dump's readers index, checked when the dump is read
-SUBGRAPH_KEYS = ("uid", "relations", "constraint", "facts", "empty")
-INDICATOR_KEYS = ("uid", "vector")
-PREDICTION_KEYS = ("uid", "answers")
+INDICATOR_SCHEMA = {"uid": str, "vector": str}
+PREDICTION_SCHEMA = {"uid": str, "answers": list[str]}
 
 
 class CliError(TempkgqaError, RuntimeError):
@@ -147,13 +145,6 @@ def _require_finite(cfg: RunConfig, learning_rate: str, *arrays: np.ndarray) -> 
                        f"was saved; lower {learning_rate} ({getattr(cfg, learning_rate)})")
 
 
-def _uid(record: dict) -> str:
-    uid = record["uid"]
-    if not isinstance(uid, str):
-        raise ValueError(f"'uid' is not a string but {type(uid).__name__}")
-    return uid
-
-
 def _encode_vector(vector: np.ndarray) -> str:
     return base64.b64encode(checkpoint.encode_matrix(vector)).decode("ascii")
 
@@ -216,11 +207,7 @@ def _answer_text(store: TkgStore, question: Question) -> str:
 
 def stage_build_kg(cfg: RunConfig, world: World) -> None:
     store, train, test = world
-    def histogram(questions: Sequence[Question]) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for q in questions:
-            counts[q.qtype.value] = counts.get(q.qtype.value, 0) + 1
-        return dict(sorted(counts.items()))
+    histogram = lambda questions: dict(sorted(Counter(q.qtype.value for q in questions).items()))
     _write_json(_path(cfg, "kg"), {
         "entities": len(store.entities),
         "relations": len(store.relations),
@@ -268,7 +255,7 @@ def stage_retrieve(cfg: RunConfig, world: World) -> None:
                 store, question, client, top_k=TOP_K, max_facts=MAX_FACTS))
             for question in questions
         ]
-        empties = sum(1 for r in records if r["empty"])
+        empties = sum(1 for r in records if not r["facts"])
         if empties:
             log.warning("%s split: %d empty subgraphs", split, empties)
         _write_jsonl(_path(cfg, f"subgraphs_{split}"), records)
@@ -277,8 +264,8 @@ def stage_retrieve(cfg: RunConfig, world: World) -> None:
 def _read_subgraphs(
     cfg: RunConfig, store: TkgStore, split: str, cover: Sequence[Question] = ()
 ) -> dict[str, RetrievedSubgraph]:
-    return _read(cfg, f"subgraphs_{split}", read_records, SUBGRAPH_KEYS,
-                 lambda record: (_uid(record), subgraph_from_record(store, record)),
+    return _read(cfg, f"subgraphs_{split}", read_records, SUBGRAPH_SCHEMA,
+                 lambda record: (record["uid"], subgraph_from_record(store, record)),
                  cover=cover)
 
 
@@ -330,8 +317,8 @@ def _indicators(
     cfg: RunConfig, split: str, cover: Sequence[Question] = ()
 ) -> dict[str, np.ndarray]:
     """The encoder-width indicator vectors of a split, by uid, from its dump."""
-    return _read(cfg, f"indicators_{split}", read_records, INDICATOR_KEYS,
-                 lambda record: (_uid(record), _decode_vector(record, "vector", cfg.d)),
+    return _read(cfg, f"indicators_{split}", read_records, INDICATOR_SCHEMA,
+                 lambda record: (record["uid"], _decode_vector(record, "vector", cfg.d)),
                  cover=cover)
 
 
@@ -342,16 +329,10 @@ def stage_train_head(cfg: RunConfig, world: World) -> None:
     params = head_mod.init_head(
         (q.text for q in train), answer_space(store), cfg.d_llm, cfg.seed
     )
-    dataset: list[head_mod.TrainExample] = []
-    skipped = 0
-    for question in train:
-        vector = indicators.get(question.uid)
-        if vector is None:
-            skipped += 1
-            continue
-        dataset.append(((vector, question.text), gold_answer_ids(store, question)))
-    if skipped:
-        log.warning("skipping %d training questions without evidence", skipped)
+    dataset = [((indicators[q.uid], q.text), gold_answer_ids(store, q))
+               for q in train if q.uid in indicators]
+    if len(dataset) < len(train):
+        log.warning("skipping %d training questions without evidence", len(train) - len(dataset))
 
     schedule = TrainSchedule(cfg.head_learning_rate, cfg.head_epochs, cfg.batch_size, cfg.seed)
     params, projection, losses = head_mod.train(dataset, params, projection, schedule)
@@ -368,15 +349,18 @@ def stage_predict(cfg: RunConfig, world: World) -> None:
                                _sizes(cfg, store))
     # build-indicators skips exactly the questions with empty evidence; those
     # get an empty answer list, any other gap is a stale dump.
-    empty = _read(cfg, "subgraphs_test", read_records, SUBGRAPH_KEYS,
-                  lambda record: (_uid(record), record["empty"]))
+    empty = _read(cfg, "subgraphs_test", read_records, SUBGRAPH_SCHEMA,
+                  lambda record: (record["uid"], not record["facts"]))
     indicators = _indicators(cfg, "test", [q for q in test if not empty.get(q.uid)])
     answered = [q for q in test if q.uid in indicators]
     examples = [(indicators[q.uid], q.text) for q in answered]
-    ranked = dict(zip(
-        (q.uid for q in answered),
-        head_mod.predict_topk(examples, params, projection, PREDICT_DEPTH),
-    ))
+    try:  # finite stored values can still overflow float32 once multiplied
+        with np.errstate(over="raise", invalid="raise"):
+            ranked = dict(zip((q.uid for q in answered),
+                              head_mod.predict_topk(examples, params, projection, PREDICT_DEPTH)))
+    except FloatingPointError:
+        raise CliError(f"{_path(cfg, 'head')}: scores of {_path(cfg, 'indicators_test')} "
+                       f"overflow float32; rerun train-head") from None
     # an entity and a time can share a label; rank_of rejects repeats
     records = [{"uid": q.uid, "answers": list(dict.fromkeys(ranked.get(q.uid, [])))}
                for q in test]
@@ -384,16 +368,15 @@ def stage_predict(cfg: RunConfig, world: World) -> None:
 
 
 def _prediction(record: dict) -> tuple[str, list[str]]:
-    """A predictions record's uid and its answers, distinct strings."""
-    uid, answers = _uid(record), string_list(record, "answers")
-    if len(set(answers)) != len(answers):
+    """A predictions record's uid and its answers, which must be distinct."""
+    if len(set(record["answers"])) != len(record["answers"]):
         raise ValueError("'answers' repeats a label")
-    return uid, answers
+    return record["uid"], record["answers"]
 
 
 def stage_evaluate(cfg: RunConfig, world: World) -> None:
     store, _, test = world
-    predictions = _read(cfg, "predictions", read_records, PREDICTION_KEYS, _prediction)
+    predictions = _read(cfg, "predictions", read_records, PREDICTION_SCHEMA, _prediction)
     records = []
     for question in test:
         rank = evaluation.rank_of(

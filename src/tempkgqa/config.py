@@ -3,7 +3,7 @@ and :class:`TrainSchedule`, the schedule of all three training stages.
 
 Defaults: width 512, batch eight, and for each of the three training stages
 (base, graph encoder, answer head) four epochs at learning rate 3e-4.  A
-config file's values must have their field's JSON type, and its paths are
+config file's values must have their field's annotated type, and its paths are
 resolved relative to the file's directory so configs can ship with fixtures.
 Learning rates must be finite.  Every artifact goes under ``dump_dir``, the
 checkpoints under its ``checkpoints/``.
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import TempkgqaError
-from .store import StoreError, decode_record
+from .store import StoreError, decode_record, schema_problems
 
 _PATH_FIELDS = ("tkg_path", "questions_train", "questions_test", "dump_dir")
 
@@ -75,42 +75,23 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-# JSON value types each annotation accepts; a bool is never an int or float here
-_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
-
-
-def _type_problems(raw: dict) -> list[str]:
-    """One message per value of ``raw`` whose JSON type its field rejects.
-    Float fields take ints, and only ``| None`` fields take null."""
-    problems = []
-    for f in dataclasses.fields(RunConfig):
-        kind, _, optional = f.type.partition(" | ")
-        value = raw.get(f.name)
-        if f.name not in raw or (value is None and optional):
-            continue
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-            expected = f"{kind} or null" if optional else kind
-            problems.append(f"config key {f.name!r} must be {expected}, not {json.dumps(value)}")
-    return problems
-
-
 def load_config(path: str | Path) -> RunConfig:
-    """Read a JSON config (``store.decode_record``); unknown keys and values of the
-    wrong JSON type are rejected, relative paths are anchored at its directory."""
+    """Read a JSON config (``store.decode_record``); unknown keys and values not of their
+    field's type are rejected, relative paths are anchored at its directory."""
     path = Path(path)
     try:
         raw = decode_record(path.read_bytes())
+        fields = typing.get_type_hints(RunConfig)
+        unknown = sorted(set(raw) - set(fields))
+        if unknown:
+            raise ConfigError(f"{path}: unknown config keys {unknown}")
+        problems = schema_problems(raw, {name: fields[name] for name in fields if name in raw})
+        if problems:
+            raise ConfigError(f"{path}: " + "; ".join(problems))
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config ({exc.strerror or exc})") from None
     except StoreError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {unknown}")
-    problems = _type_problems(raw)
-    if problems:
-        raise ConfigError(f"{path}: " + "; ".join(problems))
     config = RunConfig(**raw)
     base = path.parent
     for name in _PATH_FIELDS:

@@ -47,7 +47,6 @@ from .store import (
     TkgStore,
     facts_filtered,
     member_mask,
-    string_list,
 )
 
 logger = logging.getLogger(__name__)
@@ -349,11 +348,15 @@ def constraint_record(store: TkgStore, constraint: TemporalConstraint) -> dict:
 
 
 def constraint_from_record(store: TkgStore, record: dict) -> TemporalConstraint:
-    if not isinstance(record, dict):
-        raise ValueError(f"'constraint' is not an object but {type(record).__name__}")
-    kind = ConstraintKind(record["kind"])
     to_id = lambda y: None if y is None else store.times.id(str(y))
-    return TemporalConstraint(kind, to_id(record.get("t1")), to_id(record.get("t2")))
+    return TemporalConstraint(ConstraintKind(record["kind"]), to_id(record["t1"]),
+                              to_id(record["t2"]))
+
+
+#: The record :func:`subgraph_record` writes; its evidence is empty when its ``facts`` are.
+SUBGRAPH_SCHEMA = {"uid": str, "relations": list[str],
+                   "constraint": {"kind": str, "t1": int | None, "t2": int | None},
+                   "facts": list[str], "fallback_relation": bool, "fallback_time": bool}
 
 
 def subgraph_record(store: TkgStore, subgraph: RetrievedSubgraph) -> dict:
@@ -366,16 +369,15 @@ def subgraph_record(store: TkgStore, subgraph: RetrievedSubgraph) -> dict:
         "facts": [store.fact_label(f) for f in subgraph.facts],
         "fallback_relation": subgraph.fallback_relation,
         "fallback_time": subgraph.fallback_time,
-        "empty": subgraph.empty,
     }
 
 
 def subgraph_from_record(store: TkgStore, record: dict) -> RetrievedSubgraph:
     return RetrievedSubgraph(
         record["uid"],
-        tuple(store.fact_from_label(text) for text in string_list(record, "facts")),
-        tuple(store.relations.id(r) for r in string_list(record, "relations")),
+        tuple(store.fact_from_label(text) for text in record["facts"]),
+        tuple(store.relations.id(r) for r in record["relations"]),
         constraint_from_record(store, record["constraint"]),
-        record.get("fallback_relation", False),
-        record.get("fallback_time", False),
+        record["fallback_relation"],
+        record["fallback_time"],
     )

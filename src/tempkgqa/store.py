@@ -32,19 +32,21 @@ lines to name the first bad one.
 for a single fact and for whole columns alike.
 
 Every JSON file the stages read goes through :func:`decode_record` or, by
-uid, :func:`read_records`, so a bad one is named in the same words.
+uid, :func:`read_records`, so a bad one is named in the same words.  They check
+each record against its kind's :data:`Schema` with :func:`schema_problems`.
 """
 
 from __future__ import annotations
 
 import json
+import typing
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,9 +54,6 @@ from .errors import TempkgqaError
 
 FACT_SEPARATOR = "|"
 FACT_FIELDS = 5
-
-QUESTION_KEYS = ("uid", "text", "entities", "times", "qtype", "atype", "answers")
-
 
 class StoreError(TempkgqaError, ValueError):
     """Malformed input file or unresolvable label."""
@@ -622,48 +621,80 @@ def load_tkg(path: str | Path) -> TkgStore:
     return TkgStore(*vocabularies, columns.T)
 
 
-def decode_json(raw: bytes):
-    """The JSON value of ``raw``, decoded as UTF-8 first (the ``json`` module
-    reads UTF-16 and UTF-32 bytes too), or a :class:`StoreError`."""
+#: A record kind's type per key: ``str``, ``bool``, ``int`` (never a bool), ``float`` (an
+#: int too), ``list``, ``list[str]``, ``X | None``, a nested schema, or ``object`` (any).
+Schema = Mapping[str, object]
+_TYPE_NAMES = {str: "a string", bool: "a boolean", int: "an integer", float: "a number",
+               list: "a list", list[str]: "a list of strings", dict: "an object",
+               int | None: "an integer or null", str | None: "a string or null"}
+
+
+def _fits(spec, value) -> bool:
+    """Whether the JSON value ``value`` has the schema type ``spec``."""
+    if typing.get_origin(spec) is list:
+        item, = typing.get_args(spec)
+        return type(value) is list and all(_fits(item, v) for v in value)
+    if typing.get_args(spec):  # a union
+        return any(_fits(option, value) for option in typing.get_args(spec))
+    return (spec is object or type(value) is (dict if isinstance(spec, dict) else spec)
+            or spec is float and type(value) is int)
+
+
+def _found(spec, value) -> str:
+    """``value``'s JSON type; in a list of ``spec`` items, also the first wrong item's."""
+    if type(value) is list and typing.get_origin(spec) is list:
+        item, = typing.get_args(spec)
+        return "list holding " + _found(item, next(v for v in value if not _fits(item, v)))
+    return "null" if value is None else type(value).__name__
+
+
+def schema_problems(record: dict, schema: Schema, owner: str = "record") -> list[str]:
+    """A message per key of ``schema`` that ``record`` lacks or holds a value
+    of another type under; a nested object's messages name its key too."""
+    problems = []
+    for key, spec in schema.items():
+        if key not in record:
+            problems.append(f"{owner} has no key {key!r}")
+        elif spec is object or type(record[key]) is spec:  # the common case, checked first
+            continue
+        elif isinstance(spec, dict) and type(record[key]) is dict:
+            problems += schema_problems(record[key], spec, repr(key))
+        elif not _fits(spec, record[key]):
+            name = repr(key) if owner == "record" else f"{owner} key {key!r}"
+            expected = _TYPE_NAMES[dict if isinstance(spec, dict) else spec]
+            problems.append(f"{name} is not {expected} but {_found(spec, record[key])}")
+    return problems
+
+
+def decode_record(raw: bytes, schema: Schema = {}) -> dict:
+    """The JSON object of ``raw``, decoded as UTF-8 first (the ``json`` module reads
+    UTF-16 and UTF-32 bytes too) and checked against ``schema``, or a :class:`StoreError`."""
     text = _utf8(raw)
     try:
-        return json.loads(text)
+        record = json.loads(text)
     except RecursionError:
         raise StoreError("not valid JSON (nested too deeply)") from None
     except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise StoreError(f"not valid JSON ({getattr(exc, 'msg', exc)})") from None
-
-
-def decode_record(raw: bytes, keys: Sequence[str] = ()) -> dict:
-    """The JSON object of ``raw`` (:func:`decode_json`), holding ``keys``."""
-    record = decode_json(raw)
     if not isinstance(record, dict):
         raise StoreError("record is not a JSON object")
-    missing = [key for key in keys if key not in record]
-    if missing:
-        raise StoreError(f"record has no key {missing[0]!r}")
+    problems = schema_problems(record, schema)
+    if problems:
+        raise StoreError("; ".join(problems))
     return record
 
 
-def string_list(record: dict, key: str) -> list[str]:
-    """``record[key]``, which must be a list of strings."""
-    if not isinstance(record[key], list) or not all(isinstance(s, str) for s in record[key]):
-        raise StoreError(f"{key!r} is not a list of strings")
-    return record[key]
-
-
-def read_records(path: str | Path, keys: Sequence[str],
+def read_records(path: str | Path, schema: Schema,
                  convert: Callable[[dict], tuple[str, object]]) -> dict:
-    """The values of a JSONL file by uid, in file order: ``convert`` returns
-    the uid and value of each line's :func:`decode_record` of ``keys``.  A
-    line ends only at a line feed, a carriage return or both.  A bad line,
-    and a uid already on an earlier one, raise :class:`StoreError` naming
-    the file and the line."""
+    """The values of a JSONL file by uid, in file order: ``convert`` returns the
+    uid and value of each line's :func:`decode_record` against ``schema``.  A line
+    ends only at a line feed, a carriage return or both.  A bad line, and a uid
+    already on an earlier one, raise :class:`StoreError` naming the file and the line."""
     values = {}
     first_line: dict = {}
     for number, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         try:
-            uid, value = convert(decode_record(line, keys))
+            uid, value = convert(decode_record(line, schema))
             if first_line.setdefault(uid, number) != number:
                 raise StoreError(f"uid {uid!r} already on line {first_line[uid]}")
         except (ValueError, KeyError, TypeError) as exc:  # StoreError is a ValueError
@@ -677,11 +708,13 @@ def _require_verbatim(label: str, lowered_text: str, uid: str) -> None:
         raise StoreError(f"question {uid!r}: annotation {label!r} not present in text")
 
 
+#: A question file's record; the values that are not lists are read through ``str()``.
+QUESTION_SCHEMA = {"uid": object, "text": object, "entities": list, "times": list,
+                   "qtype": object, "atype": object, "answers": list}
+
+
 def _question(store: TkgStore, record: dict) -> tuple[str, Question]:
     """A question record's uid and question, labels resolved against ``store``."""
-    for key in ("entities", "times", "answers"):
-        if not isinstance(record[key], list):
-            raise StoreError(f"{key!r} must be a list")
     uid = str(record["uid"])
     text = str(record["text"])
     lowered_text = text.lower()
@@ -706,7 +739,7 @@ def _question(store: TkgStore, record: dict) -> tuple[str, Question]:
 
 def load_questions(path: str | Path, store: TkgStore) -> list[Question]:
     """The questions of a JSONL file, read by :func:`read_records`."""
-    return list(read_records(path, QUESTION_KEYS,
+    return list(read_records(path, QUESTION_SCHEMA,
                              lambda record: _question(store, record)).values())
 
 

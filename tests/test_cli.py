@@ -1,12 +1,15 @@
 import base64
+import dataclasses
 import errno
 import json
+import logging
 import math
 import shutil
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tempkgqa import (checkpoint, cli, config, embeddings, evaluation, head, indicators,
                       llm, prompts, retrieval, store, tgnn)
@@ -222,8 +225,7 @@ class TestArtifacts:
             records = read_jsonl(dumps / f"subgraphs_{split}.jsonl")
             assert len(records) == count
             for record in records:
-                assert set(record) >= {"uid", "relations", "constraint", "facts",
-                                       "fallback_relation", "fallback_time", "empty"}
+                assert set(record) == set(retrieval.SUBGRAPH_SCHEMA)
                 assert len(record["facts"]) <= 10
 
     def test_prompt_dumps(self, pipeline):
@@ -366,6 +368,21 @@ class TestStageSequencing:
         assert (f"{path}: non-finite value (NaN or infinity); rerun train-head"
                 in caplog.text)
 
+    def test_head_whose_scores_overflow_returns_2(self, pipeline, tmp_path, caplog):
+        # every stored value is finite, but the projected features are not:
+        # the ranking once read NaN scores and failed with an IndexError
+        config = copied_run(pipeline, tmp_path)
+        dumps = tmp_path / "dumps"
+        path = dumps / "checkpoints" / "head.ckpt"
+        world = store.load_tkg(DESK / "facts.txt")
+        texts = [q.text for q in store.load_questions(DESK / "questions_train.jsonl", world)]
+        params, projection = load_head(path, head.token_vocab(texts), cli.answer_space(world))
+        projection.weight[:] = 3e38
+        checkpoint.save_head(path, params, projection)
+        assert main(["predict", "--config", str(config)]) == 2
+        assert (f"{path}: scores of {dumps / 'indicators_test.jsonl'} overflow float32; "
+                f"rerun train-head") in caplog.text
+
     @pytest.mark.parametrize("command, outputs", [
         ("build-prompts", ("prompts_train.jsonl", "prompts_test.jsonl")),
         ("build-indicators", ("indicators_train.jsonl", "indicators_test.jsonl")),
@@ -407,7 +424,7 @@ class TestStageSequencing:
 
     @pytest.mark.parametrize("dump, stage, command, key", [
         ("indicators_test.jsonl", "build-indicators", "predict", "vector"),
-        ("subgraphs_test.jsonl", "retrieve", "predict", "empty"),
+        ("subgraphs_test.jsonl", "retrieve", "predict", "fallback_relation"),
         ("subgraphs_train.jsonl", "retrieve", "build-prompts", "facts"),
         ("predictions.jsonl", "predict", "evaluate", "answers"),
     ])
@@ -465,11 +482,13 @@ class TestStageSequencing:
         assert main(["build-indicators", "--config", str(config)]) == 2
         assert f"{path}, line {line}: fact {fact!r}: {message}; rerun retrieve" in caplog.text
 
-    @pytest.mark.parametrize("edit", [
-        lambda record: record["facts"].__setitem__(0, 123),
-        lambda record: record.update(facts=record["facts"][0]),
+    @pytest.mark.parametrize("edit, found", [
+        (lambda record: record["facts"].__setitem__(0, 123), "list holding int"),
+        (lambda record: record.update(facts=record["facts"][0]), "str"),
     ], ids=["number", "string"])
-    def test_subgraph_facts_that_are_not_strings_return_2(self, pipeline, tmp_path, caplog, edit):
+    def test_subgraph_facts_that_are_not_strings_return_2(
+        self, pipeline, tmp_path, caplog, edit, found
+    ):
         # a string once split into characters, each read as a fact
         config = copied_run(pipeline, tmp_path)
         path = tmp_path / "dumps" / "subgraphs_test.jsonl"
@@ -478,19 +497,28 @@ class TestStageSequencing:
         edit(records[line - 1])
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         assert main(["build-indicators", "--config", str(config)]) == 2
-        assert (f"{path}, line {line}: 'facts' is not a list of strings; rerun retrieve"
-                in caplog.text)
+        assert (f"{path}, line {line}: 'facts' is not a list of strings but {found}; "
+                f"rerun retrieve") in caplog.text
 
     @pytest.mark.parametrize("key, value, message", [
-        ("relations", "held", "'relations' is not a list of strings"),
+        ("relations", "held", "'relations' is not a list of strings but str"),
         ("constraint", 5, "'constraint' is not an object but int"),
-    ], ids=["relations-string", "constraint-number"])
+        ("constraint", {}, "'constraint' has no key 'kind'; 'constraint' has no key 't1'; "
+                           "'constraint' has no key 't2'"),
+        ("constraint", {"kind": "at", "t1": True, "t2": None},
+         "'constraint' key 't1' is not an integer or null but bool"),
+        ("constraint", {"kind": "at", "t1": 1984.0, "t2": None},
+         "'constraint' key 't1' is not an integer or null but float"),
+        ("fallback_time", "x", "'fallback_time' is not a boolean but str"),
+    ], ids=["relations-string", "constraint-number", "constraint-empty", "t1-bool", "t1-float",
+            "fallback-string"])
     def test_subgraph_field_of_another_type_names_the_key(
         self, pipeline, tmp_path, caplog, key, value, message
     ):
         # the string was looked up one character at a time ("unknown relation
-        # label: 'h'"), and the number was indexed ("'int' object is not
-        # subscriptable")
+        # label: 'h'"), the number was indexed ("'int' object is not
+        # subscriptable"), a missing kind was a bare "'kind'", a bool or float
+        # year an "unknown time label", and a string flag was read as true
         config = copied_run(pipeline, tmp_path)
         path = tmp_path / "dumps" / "subgraphs_test.jsonl"
         records = read_jsonl(path)
@@ -519,9 +547,11 @@ class TestStageSequencing:
         ("vector", base64.b64encode(np.ones(4, "<f4").tobytes()).decode(),
          "'vector' has width 4, expected 8"),
         ("uid", [1], "'uid' is not a string but list"),
+        ("vector", 5, "'vector' is not a string but int"),
         ("vector", base64.b64encode(np.full(8, np.nan, "<f4").tobytes()).decode(),
          "'vector' is not a base64 float32 vector (non-finite value (NaN or infinity))"),
-    ], ids=["not-base64", "short", "bad-padding", "width", "uid-list", "non-finite"])
+    ], ids=["not-base64", "short", "bad-padding", "width", "uid-list", "vector-number",
+            "non-finite"])
     def test_malformed_indicator_vector_returns_2(
         self, pipeline, tmp_path, caplog, key, value, message
     ):
@@ -598,9 +628,9 @@ class TestStageSequencing:
         assert "rerun pretrain-tgnn" in caplog.text
 
     @pytest.mark.parametrize("key, value, message", [
-        ("answers", 5, "'answers' is not a list of strings"),
-        ("answers", [["a"]], "'answers' is not a list of strings"),
-        ("answers", "abc", "'answers' is not a list of strings"),
+        ("answers", 5, "'answers' is not a list of strings but int"),
+        ("answers", [["a"]], "'answers' is not a list of strings but list holding list"),
+        ("answers", "abc", "'answers' is not a list of strings but str"),
         ("uid", {"a": 1}, "'uid' is not a string but dict"),
         ("answers", ["x", "y", "x"], "'answers' repeats a label"),
     ], ids=["number", "nested-list", "string", "uid-object", "repeated"])
@@ -673,7 +703,7 @@ class TestStageSequencing:
         dumps = tmp_path / "dumps"
         subgraphs = read_jsonl(dumps / "subgraphs_test.jsonl")
         uid = subgraphs[0]["uid"]
-        subgraphs[0].update(facts=[], empty=True)
+        subgraphs[0].update(facts=[])
         indicators = [r for r in read_jsonl(dumps / "indicators_test.jsonl") if r["uid"] != uid]
         for name, records in (("subgraphs_test.jsonl", subgraphs),
                               ("indicators_test.jsonl", indicators)):
@@ -768,7 +798,13 @@ class TestErrorHandling:
     def test_config_value_of_wrong_type_returns_2(self, tmp_path, caplog, key, value):
         config = fast_config(tmp_path, **{key: value})
         assert main(["pretrain-base", "--config", str(config)]) == 2
-        assert f"{config}: config key {key!r} must be" in caplog.text
+        assert f"{config}: {key!r} is not " in caplog.text
+
+    def test_two_config_values_of_wrong_type_are_both_named(self, tmp_path, caplog):
+        config = fast_config(tmp_path, seed="0", head_learning_rate=True)
+        assert main(["pretrain-base", "--config", str(config)]) == 2
+        assert (f"{config}: 'seed' is not an integer but str; 'head_learning_rate' is not a "
+                f"number but bool") in caplog.text
 
     def test_zero_stage_overrides_accepted(self, tmp_path):
         config = fast_config(tmp_path, tgnn_epochs=0, tgnn_max_steps=0, tgnn_learning_rate=0.0)
@@ -805,7 +841,7 @@ class TestErrorHandling:
         (lambda line: json.dumps(list(json.loads(line))).encode(),
          "line 3: record is not a JSON object"),
         (lambda line: json.dumps({**json.loads(line), "answers": 5}).encode(),
-         "line 3: 'answers' must be a list"),
+         "line 3: 'answers' is not a list but int"),
         (lambda line: b"\xff" + line, "line 3: not UTF-8 text"),
         (lambda line: DEEPLY_NESTED, "line 3: not valid JSON (nested too deeply)"),
         (lambda line: json.dumps({**json.loads(line), "uid": "q0002"}).encode(),
@@ -947,3 +983,113 @@ class TestClient:
         first = read_jsonl(DESK / "questions_train.jsonl")[0]["uid"]
         assert (f"question {first!r}: relation ranking transport failure: "
                 "malformed completion payload") in caplog.text
+
+
+# ---------------------------------------------------------------------------
+# every reader, fuzzed through the command line
+# ---------------------------------------------------------------------------
+
+#: file of the fuzzed run (its dumps under ``dumps/``) -> the command that reads it
+FUZZED_RECORDS = {
+    "dumps/subgraphs_train.jsonl": "build-prompts",
+    "dumps/subgraphs_test.jsonl": "build-indicators",
+    "dumps/indicators_train.jsonl": "train-head",
+    "dumps/indicators_test.jsonl": "predict",
+    "dumps/predictions.jsonl": "evaluate",
+    "questions_test.jsonl": "build-kg",
+    "run.json": "build-kg",
+}
+FUZZED_CHECKPOINTS = {
+    "dumps/checkpoints/head.ckpt": "predict",
+    "dumps/checkpoints/tgnn.ckpt": "build-indicators",
+}
+#: the config keys fuzzed: a path key would point the stage at other files
+FUZZED_CONFIG_KEYS = sorted(
+    {f.name for f in dataclasses.fields(config.RunConfig)} - set(config._PATH_FIELDS))
+DELETE = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda values: st.lists(values, max_size=3)
+    | st.dictionaries(st.text(max_size=4), values, max_size=3),
+    max_leaves=4,
+)
+FUZZ_SETTINGS = settings(max_examples=10, derandomize=True, deadline=None)
+
+
+class LastError(logging.Handler):
+    """Keeps the message of the last error logged."""
+
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.message = None
+
+    def emit(self, record):
+        self.message = record.getMessage()
+
+
+@pytest.fixture(scope="module")
+def fuzzed_run(pipeline, tmp_path_factory):
+    """``(clean, work)``: ``clean`` holds a copy of the shared run, of the test
+    questions, and a config over both with no head epochs, so that
+    ``train-head`` costs its set-up only; each example copies it to ``work``,
+    where the config points, and mutates the copy."""
+    clean, work = tmp_path_factory.mktemp("fuzz-clean"), tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(pipeline[0], clean / "dumps")
+    shutil.copy(DESK / "questions_test.jsonl", clean / "questions_test.jsonl")
+    fast_config(work, head_epochs=0, questions_test=str(work / "questions_test.jsonl"))
+    shutil.move(work / "run.json", clean / "run.json")
+    return clean, work
+
+
+def run_fuzzed(fuzzed_run, file, command, mutate):
+    """Run ``command`` on a fresh copy of the fuzzed run whose ``file``
+    ``mutate`` rewrote: it must exit 0 or 2, and an exit 2 must name the file."""
+    clean, work = fuzzed_run
+    shutil.copytree(clean, work, dirs_exist_ok=True)
+    path = work / file
+    path.write_bytes(mutate(path.read_bytes()))
+    errors = LastError()
+    logger = logging.getLogger("tempkgqa")
+    logger.addHandler(errors)
+    try:
+        status = main([command, "--config", str(work / "run.json")])
+    finally:
+        logger.removeHandler(errors)
+    assert status in (0, 2)
+    if status == 2:
+        assert str(path) in errors.message
+
+
+class TestFuzzedReaders:
+    @pytest.mark.parametrize("file, command", FUZZED_RECORDS.items())
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_one_field_of_one_record(self, fuzzed_run, file, command, data):
+        def mutate(raw):
+            lines = raw.splitlines()
+            line = data.draw(st.integers(0, len(lines) - 1), label="line")
+            record = json.loads(lines[line])
+            keys = FUZZED_CONFIG_KEYS if file == "run.json" else sorted(record)
+            key = data.draw(st.sampled_from(keys), label="key")
+            value = data.draw(st.just(DELETE) | JSON_VALUES, label="value")
+            if value is DELETE:
+                record.pop(key, None)
+            else:
+                record[key] = value
+            lines[line] = json.dumps(record).encode()
+            return b"\n".join(lines) + b"\n"
+
+        run_fuzzed(fuzzed_run, file, command, mutate)
+
+    @pytest.mark.parametrize("file, command", FUZZED_CHECKPOINTS.items())
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_checkpoint_bytes(self, fuzzed_run, file, command, data):
+        def mutate(raw):
+            at = data.draw(st.integers(0, len(raw) - 1), label="at")
+            if data.draw(st.booleans(), label="truncate"):
+                return raw[:at]
+            replaced = data.draw(st.binary(min_size=1, max_size=4), label="bytes")
+            return raw[:at] + replaced + raw[at + 1:]
+
+        run_fuzzed(fuzzed_run, file, command, mutate)

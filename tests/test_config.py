@@ -95,7 +95,8 @@ class TestLoadConfig:
 
     def test_every_problem_value_named(self, tmp_path):
         path = write_config(tmp_path, {"d": "32", "seed": "0"})
-        with pytest.raises(ConfigError, match="'seed' must be int.*'d' must be int"):
+        message = "'seed' is not an integer but str; 'd' is not an integer but str$"
+        with pytest.raises(ConfigError, match=message):
             load_config(path)
 
     def test_invalid_json_rejected(self, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tempkgqa.llm import MockLlmClient, TransportError, message_key
 from tempkgqa.prompts import render_relation_ranking, render_time_mining
 from tempkgqa.retrieval import (
+    SUBGRAPH_SCHEMA,
     ConstraintKind,
     RetrievalError,
     RetrievedSubgraph,
@@ -37,6 +38,7 @@ from tempkgqa.store import (
     TkgStore,
     Vocabulary,
     facts_filtered,
+    schema_problems,
 )
 from tempkgqa.synthetic import retrieval_stress
 
@@ -642,7 +644,7 @@ class TestRecords:
         empty = RetrievedSubgraph("q5", (), (tiny_store.relations.id("leads"),),
                                   TemporalConstraint.none())
         record = subgraph_record(tiny_store, empty)
-        assert record["empty"] is True
+        assert record["facts"] == []
         assert subgraph_from_record(tiny_store, record) == empty
 
 
@@ -1003,5 +1005,5 @@ class TestRecordRoundTrips:
     @given(subgraphs())
     def test_subgraph_record_roundtrip(self, subgraph):
         record = json.loads(json.dumps(subgraph_record(RECORD_STORE, subgraph)))
-        assert record["empty"] == subgraph.empty
+        assert schema_problems(record, SUBGRAPH_SCHEMA) == []
         assert subgraph_from_record(RECORD_STORE, record) == subgraph

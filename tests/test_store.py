@@ -19,7 +19,7 @@ from tempkgqa.store import (
     Question,
     QuestionType,
     Quadruple,
-    QUESTION_KEYS,
+    QUESTION_SCHEMA,
     SIMPLE_TYPES,
     StoreError,
     TemporalConstraint,
@@ -508,7 +508,7 @@ class TestQuestionFile:
         with pytest.raises(StoreError, match="line 2"):
             load_questions(path, tiny_store)
 
-    @pytest.mark.parametrize("line", ["5", '"q2"', "null", json.dumps(list(QUESTION_KEYS))],
+    @pytest.mark.parametrize("line", ["5", '"q2"', "null", json.dumps(list(QUESTION_SCHEMA))],
                              ids=["number", "string", "null", "list-of-keys"])
     def test_record_that_is_not_an_object_rejected(self, tmp_path, tiny_store, line):
         path = tmp_path / "questions.jsonl"
@@ -522,7 +522,8 @@ class TestQuestionFile:
     def test_annotation_that_is_not_a_list_rejected(self, tmp_path, tiny_store, key, value):
         path = self.write(tmp_path, [self.record(**{key: value})])
         with pytest.raises(StoreError,
-                           match=f"^{re.escape(str(path))}, line 1: '{key}' must be a list$"):
+                           match=f"^{re.escape(str(path))}, line 1: '{key}' is not a list "
+                                 f"but (int|str|null)$"):
             load_questions(path, tiny_store)
 
     @pytest.mark.parametrize("overrides, message", [
