@@ -3,24 +3,26 @@
 Every checkpoint is one file with one framing: a 4-byte magic, a
 little-endian ``u32`` format version, the kind's header fields (``u32``
 widths, ``u64`` row counts), then the kind's matrices one after another as
-row-major little-endian ``float32``.  They load as they are stored: each
-matrix is read straight into its own writable ``float32`` array.
-:func:`encode_matrix` and :func:`decode_matrix` hold the same rule for the
-indicator dumps' vectors.  Header fields and matrices, by kind:
+row-major little-endian ``float32``.  Each matrix is stored as it is held
+in memory: it is written from its own ``float32`` buffer and read straight
+back into its own writable ``float32`` array.  :func:`encode_matrix` and
+:func:`decode_matrix` hold the same rule for the indicator dumps' vectors.
+Header fields and matrices, by kind:
 
 - ``TKGE``  d, entities, relation rows, times; the entity / relation / time
   matrices.
 - ``TGNN``  d, entities; w_msg, w_query, w_key (all d x d), decoder_w
   (d x entities), decoder_b (entities).
 - ``HEAD``  d_llm, d, tokens, answers; token_emb (tokens x d_llm), scoring
-  (d_llm x answers on disk; held in memory as its transpose, one row per
-  answer), projection (d x d_llm).  It holds no labels: its loader is given
-  the token vocabulary and the answer labels.
+  (answers x d_llm, one row per answer), projection (d x d_llm).  It holds
+  no labels: its loader is given the token vocabulary and the answer labels.
 
-Version 2 dropped the head's fixed mixing weights and version 3 the
-encoder's layer count (the encoder is one layer); files of an earlier version
-are rejected.  A load error names the file it was reading: a stored NaN or
-infinity, say, or a header field that differs from the loader's ``expected``.
+Version 2 dropped the head's fixed mixing weights, version 3 the encoder's
+layer count (the encoder is one layer), and version 4 stores the head's
+scoring matrix one row per answer, where version 3 stored its transpose;
+files of an earlier version are rejected.  A load error names the file it
+was reading: a stored NaN or infinity, say, or a header field that differs
+from the loader's ``expected``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .head import HeadParams
 from .indicators import Projection
 from .tgnn import TgnnParams
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # magic -> the struct layout of the header after it (the version, then the
 # fields) and the fields' names, as the module docstring lists them
 _HEADERS = {
@@ -59,7 +61,9 @@ def encode_matrix(array: np.ndarray) -> bytes:
 
 
 def _require_finite(values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
+    # a NaN propagates through min and max, so two reductions check every
+    # value without a temporary array the size of ``values``
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise ValueError("non-finite value (NaN or infinity)")
     return values
 
@@ -74,12 +78,13 @@ def decode_matrix(raw: bytes) -> np.ndarray:
 def _save(path: str | Path, magic: bytes, header: Iterable[int],
           arrays: Iterable[np.ndarray]) -> None:
     """Write ``magic``, the version and ``header`` packed by the kind's
-    layout, then each of ``arrays`` in turn; no buffer of the whole file is
-    built."""
+    layout, then each of ``arrays`` in turn from its own ``float32`` buffer,
+    which is the array itself when it is C-contiguous ``float32`` already; no
+    copy of a matrix and no buffer of the whole file is built."""
     with open(path, "wb") as handle:
         handle.write(magic + struct.pack(_HEADERS[magic][0], FORMAT_VERSION, *header))
         for array in arrays:
-            handle.write(encode_matrix(array))
+            handle.write(memoryview(np.ascontiguousarray(array, dtype="<f4")))
 
 
 def _load(path: str | Path, magic: bytes, shapes: Callable[..., Sequence[tuple[int, ...]]],
@@ -158,7 +163,7 @@ def save_head(path: str | Path, params: HeadParams, projection: Projection) -> N
         raise CheckpointError("projection output width does not match head width")
     _save(path, b"HEAD",
           (params.dim, projection.dim_in, len(params.token_emb), len(params.scoring)),
-          (params.token_emb, params.scoring.T, projection.weight))
+          (params.token_emb, params.scoring, projection.weight))
 
 
 def load_head(path: str | Path, token_vocab: Mapping[str, int], answer_labels: Sequence[str],
@@ -168,9 +173,8 @@ def load_head(path: str | Path, token_vocab: Mapping[str, int], answer_labels: S
     token_emb, scoring, weight = _load(
         path, b"HEAD",
         lambda d_llm, d_in, n_tokens, n_answers: (
-            (n_tokens, d_llm), (d_llm, n_answers), (d_in, d_llm)),
+            (n_tokens, d_llm), (n_answers, d_llm), (d_in, d_llm)),
         {**expected, "tokens": len(token_vocab), "answers": len(answer_labels)},
     )
-    params = HeadParams(dict(token_vocab), token_emb, np.ascontiguousarray(scoring.T),
-                        tuple(answer_labels))
+    params = HeadParams(dict(token_vocab), token_emb, scoring, tuple(answer_labels))
     return params, Projection(weight)

@@ -6,7 +6,11 @@ with the others only through the files under ``dump_dir`` that
 once its inputs exist, after removing the files it writes, and an error in
 one names the stage to rerun.  A failed stage therefore leaves none of its
 outputs behind: a training stage whose parameters turn non-finite saves
-nothing and names its learning rate.  Each dump is read against its record schema.
+nothing and names its learning rate.  Each dump is read against its record
+schema, and a dump of a split holds one record per question of it.  A
+question whose retrieved ``facts`` are empty has no evidence: its indicator
+record's ``vector`` is null, ``train-head`` skips it and ``predict`` gives it
+no answers, so each of them reads its indicator dump alone.
 :func:`main` loads the fact file and the questions once per run and hands
 that world to each stage; ``predict`` rebuilds the head's tokens and answer
 labels from it.  Each checkpoint loaded must hold the sizes the config and
@@ -72,12 +76,12 @@ READS = {
     "build-prompts": ("subgraphs_train", "subgraphs_test"),
     "build-indicators": ("tgnn_table", "tgnn", "subgraphs_train", "subgraphs_test"),
     "train-head": ("indicators_train",),
-    "predict": ("head", "indicators_test", "subgraphs_test"),
+    "predict": ("head", "indicators_test"),
     "evaluate": ("predictions",),
 }
 # artifact -> its file and the stage that writes it
 ARTIFACTS = {Path(file).stem: (file, stage) for stage, files in WRITES.items() for file in files}
-INDICATOR_SCHEMA = {"uid": str, "vector": str}
+INDICATOR_SCHEMA = {"uid": str, "vector": str | None}
 PREDICTION_SCHEMA = {"uid": str, "answers": list[str]}
 
 
@@ -249,12 +253,11 @@ def stage_pretrain_tgnn(cfg: RunConfig, world: World) -> None:
 def stage_retrieve(cfg: RunConfig, world: World) -> None:
     store, train, test = world
     client = _client(cfg)
-    for split, questions in zip(SPLITS, (train, test)):
-        records = [
-            subgraph_record(store, retrieve_question(
-                store, question, client, top_k=TOP_K, max_facts=MAX_FACTS))
-            for question in questions
-        ]
+    # both splits are retrieved before either output is written
+    retrieved = [[subgraph_record(store, retrieve_question(
+                      store, question, client, top_k=TOP_K, max_facts=MAX_FACTS))
+                  for question in questions] for questions in (train, test)]
+    for split, records in zip(SPLITS, retrieved):
         empties = sum(1 for r in records if not r["facts"])
         if empties:
             log.warning("%s split: %d empty subgraphs", split, empties)
@@ -262,11 +265,11 @@ def stage_retrieve(cfg: RunConfig, world: World) -> None:
 
 
 def _read_subgraphs(
-    cfg: RunConfig, store: TkgStore, split: str, cover: Sequence[Question] = ()
+    cfg: RunConfig, store: TkgStore, split: str, questions: Sequence[Question]
 ) -> dict[str, RetrievedSubgraph]:
     return _read(cfg, f"subgraphs_{split}", read_records, SUBGRAPH_SCHEMA,
                  lambda record: (record["uid"], subgraph_from_record(store, record)),
-                 cover=cover)
+                 cover=questions)
 
 
 def stage_build_prompts(cfg: RunConfig, world: World) -> None:
@@ -289,48 +292,51 @@ def stage_build_prompts(cfg: RunConfig, world: World) -> None:
 
 
 def stage_build_indicators(cfg: RunConfig, world: World) -> None:
-    store, _, _ = world
+    store, train, test = world
     # encoded in float64, so no float32 sum overflows before the check below
     table = _read(cfg, "tgnn_table", checkpoint.load_table, _sizes(cfg, store)).astype(np.float64)
     params = _read(cfg, "tgnn", checkpoint.load_tgnn, _sizes(cfg, store)).astype(np.float64)
     # both splits are read, built and checked before either output is written
-    read = {split: _read_subgraphs(cfg, store, split) for split in SPLITS}
+    read = [(split, questions, _read_subgraphs(cfg, store, split, questions))
+            for split, questions in zip(SPLITS, (train, test))]
     records: dict[str, list[dict]] = {split: [] for split in SPLITS}
-    for split, subgraphs in read.items():
-        for subgraph in subgraphs.values():
-            if subgraph.empty:
-                continue
-            encoded = tgnn.encode_entities(subgraph.facts, table, params)
-            built = ind_mod.build_indicators(subgraph, encoded, table)
-            # checked before the float32 cast, which would overflow to infinity
-            vectors = np.abs((built.sub_vec, built.rel_vec, built.obj_vec))
-            if not (vectors <= np.finfo(np.float32).max).all():
-                raise CliError(f"question {subgraph.uid!r}: an indicator vector does not fit "
-                               f"in float32; rerun {ARTIFACTS['tgnn'][1]}")
-            vector = _encode_vector(np.asarray(built, np.float32))
-            records[split].append({"uid": subgraph.uid, "vector": vector})
+    for split, questions, subgraphs in read:
+        for question in questions:
+            subgraph = subgraphs[question.uid]
+            vector = None  # a question without evidence has no indicator
+            if not subgraph.empty:
+                encoded = tgnn.encode_entities(subgraph.facts, table, params)
+                built = ind_mod.build_indicators(subgraph, encoded, table)
+                # checked before the float32 cast, which would overflow to infinity
+                vectors = np.abs((built.sub_vec, built.rel_vec, built.obj_vec))
+                if not (vectors <= np.finfo(np.float32).max).all():
+                    raise CliError(f"question {question.uid!r}: an indicator vector does not "
+                                   f"fit in float32; rerun {ARTIFACTS['tgnn'][1]}")
+                vector = _encode_vector(np.asarray(built, np.float32))
+            records[split].append({"uid": question.uid, "vector": vector})
     for split in SPLITS:
         _write_jsonl(_path(cfg, f"indicators_{split}"), records[split])
 
 
-def _indicators(
-    cfg: RunConfig, split: str, cover: Sequence[Question] = ()
-) -> dict[str, np.ndarray]:
-    """The encoder-width indicator vectors of a split, by uid, from its dump."""
+def _indicators(cfg: RunConfig, split: str, questions: Sequence[Question]
+                ) -> dict[str, np.ndarray | None]:
+    """The encoder-width indicator vector of each of a split's ``questions``,
+    by uid, from its dump; ``None`` for a question without evidence."""
     return _read(cfg, f"indicators_{split}", read_records, INDICATOR_SCHEMA,
-                 lambda record: (record["uid"], _decode_vector(record, "vector", cfg.d)),
-                 cover=cover)
+                 lambda record: (record["uid"], None if record["vector"] is None
+                                 else _decode_vector(record, "vector", cfg.d)),
+                 cover=questions)
 
 
 def stage_train_head(cfg: RunConfig, world: World) -> None:
     store, train, _ = world
     projection = ind_mod.init_projection(cfg.d, cfg.d_llm, cfg.seed)
-    indicators = _indicators(cfg, "train")
+    indicators = _indicators(cfg, "train", train)
     params = head_mod.init_head(
         (q.text for q in train), answer_space(store), cfg.d_llm, cfg.seed
     )
     dataset = [((indicators[q.uid], q.text), gold_answer_ids(store, q))
-               for q in train if q.uid in indicators]
+               for q in train if indicators[q.uid] is not None]
     if len(dataset) < len(train):
         log.warning("skipping %d training questions without evidence", len(train) - len(dataset))
 
@@ -347,12 +353,8 @@ def stage_predict(cfg: RunConfig, world: World) -> None:
     params, projection = _read(cfg, "head", checkpoint.load_head,
                                head_mod.token_vocab(q.text for q in train), answer_space(store),
                                _sizes(cfg, store))
-    # build-indicators skips exactly the questions with empty evidence; those
-    # get an empty answer list, any other gap is a stale dump.
-    empty = _read(cfg, "subgraphs_test", read_records, SUBGRAPH_SCHEMA,
-                  lambda record: (record["uid"], not record["facts"]))
-    indicators = _indicators(cfg, "test", [q for q in test if not empty.get(q.uid)])
-    answered = [q for q in test if q.uid in indicators]
+    indicators = _indicators(cfg, "test", test)
+    answered = [q for q in test if indicators[q.uid] is not None]
     examples = [(indicators[q.uid], q.text) for q in answered]
     try:  # finite stored values can still overflow float32 once multiplied
         with np.errstate(over="raise", invalid="raise"):

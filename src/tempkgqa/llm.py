@@ -4,9 +4,10 @@ Retrieval talks to a client through ``send(messages)``, which returns the
 reply text or raises :class:`TransportError`.  The CLI builds a
 :class:`RemoteLlmClient` only when an endpoint is configured; without one it
 passes no client and retrieval's deterministic oracles answer.  Every
-request is greedy (temperature 0) and capped at :data:`MAX_TOKENS`.  The
-mock scripts replies for tests.  API keys come from the
-``TEMPKGQA_API_KEY`` environment variable and are only ever placed in
+request is greedy (temperature 0), capped at :data:`MAX_TOKENS`, and tried
+up to :data:`MAX_RETRIES` times (:data:`TIMEOUT`, :data:`BACKOFF`).  The
+mock scripts replies for tests.  The API key comes from the
+``TEMPKGQA_API_KEY`` environment variable only and is only ever placed in
 request headers, never in dumps or logs.
 """
 
@@ -28,6 +29,9 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV = "TEMPKGQA_API_KEY"
 RETRYABLE_STATUSES = (429, 500, 502, 503, 504)
 MAX_TOKENS = 256  # completion cap of every request; retrieval's replies are short
+TIMEOUT = 30.0  # seconds a request may take
+MAX_RETRIES = 3  # attempts per request, the first included
+BACKOFF = 0.5  # seconds before the second attempt, doubled before each later one
 
 Message = Mapping[str, str]
 
@@ -90,24 +94,11 @@ class RemoteLlmClient:
     completion whose content is not a string.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        *,
-        model: str = "local",
-        api_key: str | None = None,
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-        session: requests.Session | None = None,
-    ) -> None:
+    def __init__(self, endpoint: str, model: str) -> None:
         self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.session = session or requests.Session()
+        self.api_key = os.environ.get(API_KEY_ENV)
+        self.session = requests.Session()
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -124,10 +115,10 @@ class RemoteLlmClient:
         }
         last_error: str = "no attempt made"
         last_status: int | None = None
-        for attempt in range(1, self.max_retries + 1):
+        for attempt in range(1, MAX_RETRIES + 1):
             try:
                 response = self.session.post(
-                    self.endpoint, json=body, headers=self._headers(), timeout=self.timeout
+                    self.endpoint, json=body, headers=self._headers(), timeout=TIMEOUT
                 )
             except requests.RequestException as exc:
                 last_error = f"transport failure: {exc.__class__.__name__}"
@@ -149,10 +140,8 @@ class RemoteLlmClient:
                     raise TransportError(
                         f"request rejected with {last_error}", last_status, attempt
                     )
-            if attempt < self.max_retries:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+            if attempt < MAX_RETRIES:
+                time.sleep(BACKOFF * (2 ** (attempt - 1)))
         raise TransportError(
-            f"gave up after {self.max_retries} attempts ({last_error})",
-            last_status,
-            self.max_retries,
+            f"gave up after {MAX_RETRIES} attempts ({last_error})", last_status, MAX_RETRIES
         )

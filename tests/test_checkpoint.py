@@ -191,11 +191,51 @@ class TestHeadCheckpoint:
         path = tmp_path / "head.ckpt"
         save_head(path, params, projection)
         data = bytearray(path.read_bytes())
-        assert data[4] == FORMAT_VERSION == 3
+        assert data[4] == FORMAT_VERSION == 4
         data[4] = 1  # the layout that still carried the mixing weights
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="unsupported format version 1"):
             self.load(path, params)
+
+    def test_version_3_rejected_with_path(self, tmp_path):
+        # the version 3 layout, whose scoring matrix was stored transposed:
+        # read as version 4 its values would land in the wrong rows
+        params, projection = self.make()
+        path = tmp_path / "head.ckpt"
+        checkpoint._save(path, b"HEAD", (D_LLM, D, len(params.token_emb), len(params.scoring)),
+                         (params.token_emb, params.scoring.T, projection.weight))
+        data = bytearray(path.read_bytes())
+        data[4] = 3
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: unsupported format version 3$"):
+            self.load(path, params)
+
+    def test_scoring_stored_as_held(self, tmp_path):
+        # one row per answer on disk, as the head holds it
+        params, projection = self.make()
+        path = tmp_path / "head.ckpt"
+        save_head(path, params, projection)
+        start = 4 + 4 * 3 + 8 * 2 + 4 * params.token_emb.size
+        stored = np.frombuffer(path.read_bytes()[start:start + 4 * params.scoring.size], "<f4")
+        assert stored.tobytes() == params.scoring.astype(np.float32).tobytes()
+
+    def test_load_peak_is_the_matrices_it_returns(self, tmp_path):
+        # 20,000 answers: the scoring matrix dominates, and the load holds no
+        # second copy of it, nor a temporary its size
+        labels = tuple(f"answer {i}" for i in range(20_000))
+        params = init_head(["who led the lab", "who ran the mill"], labels, 64, 0)
+        path = tmp_path / "head.ckpt"
+        save_head(path, params, init_projection(D, 64, 1))
+        tracemalloc.start()
+        try:
+            loaded, projection = load_head(path, params.token_vocab, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = loaded.token_emb.nbytes + loaded.scoring.nbytes + projection.weight.nbytes
+        assert loaded.scoring.shape == (20_000, 64)
+        assert peak <= 1.1 * held
 
     @pytest.mark.parametrize("keep", [4, 10, 100])
     def test_truncated_rejected_with_path(self, tmp_path, keep):

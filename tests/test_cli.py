@@ -413,6 +413,55 @@ class TestStageSequencing:
         assert f"question {uid!r} is missing from {path}" in caplog.text
         assert "rerun build-indicators" in caplog.text
 
+    def test_train_head_on_a_partial_indicator_dump_returns_2(self, pipeline, tmp_path, caplog):
+        # a missing record once read as a question without evidence
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "indicators_train.jsonl"
+        first, *rest = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(rest))
+        assert main(["train-head", "--config", str(config)]) == 2
+        uid = json.loads(first)["uid"]
+        assert (f"question {uid!r} is missing from {path}; rerun build-indicators"
+                in caplog.text)
+        assert not (tmp_path / "dumps" / "checkpoints" / "head.ckpt").exists()
+
+    def test_empty_evidence_gets_a_null_vector(self, pipeline, tmp_path):
+        config = copied_run(pipeline, tmp_path)
+        dumps = tmp_path / "dumps"
+        subgraphs = read_jsonl(dumps / "subgraphs_test.jsonl")
+        uid = subgraphs[1]["uid"]
+        subgraphs[1]["facts"] = []
+        (dumps / "subgraphs_test.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in subgraphs), encoding="utf-8")
+        assert main(["build-indicators", "--config", str(config)]) == 0
+        before = read_jsonl(pipeline[0] / "indicators_test.jsonl")
+        after = read_jsonl(dumps / "indicators_test.jsonl")
+        # one record per question, in the question file's order
+        questions = read_jsonl(DESK / "questions_test.jsonl")
+        assert [r["uid"] for r in after] == [q["uid"] for q in questions]
+        assert [r["uid"] for r in after if r["vector"] is None] == [uid]
+        assert [r for r in after if r["uid"] != uid] == [r for r in before if r["uid"] != uid]
+        assert ((dumps / "indicators_train.jsonl").read_bytes()
+                == (pipeline[0] / "indicators_train.jsonl").read_bytes())
+
+    def test_training_question_without_evidence_is_skipped(self, pipeline, tmp_path, caplog):
+        config = copied_run(pipeline, tmp_path)
+        path = tmp_path / "dumps" / "indicators_train.jsonl"
+        records = read_jsonl(path)
+        records[0]["vector"] = None
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["train-head", "--config", str(config)]) == 0
+        assert "skipping 1 training questions without evidence" in caplog.text
+
+    def test_predict_reads_no_subgraph_dump(self, pipeline, tmp_path):
+        config = copied_run(pipeline, tmp_path)
+        dumps = tmp_path / "dumps"
+        (dumps / "subgraphs_test.jsonl").unlink()
+        (dumps / "predictions.jsonl").unlink()
+        assert main(["predict", "--config", str(config)]) == 0
+        assert ((dumps / "predictions.jsonl").read_bytes()
+                == (pipeline[0] / "predictions.jsonl").read_bytes())
+
     def test_truncated_indicator_dump_returns_2(self, pipeline, tmp_path, caplog):
         config = copied_run(pipeline, tmp_path)
         path = tmp_path / "dumps" / "indicators_test.jsonl"
@@ -424,7 +473,7 @@ class TestStageSequencing:
 
     @pytest.mark.parametrize("dump, stage, command, key", [
         ("indicators_test.jsonl", "build-indicators", "predict", "vector"),
-        ("subgraphs_test.jsonl", "retrieve", "predict", "fallback_relation"),
+        ("subgraphs_test.jsonl", "retrieve", "build-indicators", "fallback_relation"),
         ("subgraphs_train.jsonl", "retrieve", "build-prompts", "facts"),
         ("predictions.jsonl", "predict", "evaluate", "answers"),
     ])
@@ -547,7 +596,7 @@ class TestStageSequencing:
         ("vector", base64.b64encode(np.ones(4, "<f4").tobytes()).decode(),
          "'vector' has width 4, expected 8"),
         ("uid", [1], "'uid' is not a string but list"),
-        ("vector", 5, "'vector' is not a string but int"),
+        ("vector", 5, "'vector' is not a string or null but int"),
         ("vector", base64.b64encode(np.full(8, np.nan, "<f4").tobytes()).decode(),
          "'vector' is not a base64 float32 vector (non-finite value (NaN or infinity))"),
     ], ids=["not-base64", "short", "bad-padding", "width", "uid-list", "vector-number",
@@ -645,7 +694,7 @@ class TestStageSequencing:
 
     @pytest.mark.parametrize("dump, stage, command", [
         ("subgraphs_test.jsonl", "retrieve", "build-prompts"),
-        ("subgraphs_test.jsonl", "retrieve", "predict"),
+        ("subgraphs_test.jsonl", "retrieve", "build-indicators"),
         ("indicators_train.jsonl", "build-indicators", "train-head"),
         ("indicators_test.jsonl", "build-indicators", "predict"),
         ("predictions.jsonl", "predict", "evaluate"),
@@ -701,18 +750,16 @@ class TestStageSequencing:
     def test_question_with_empty_evidence_gets_no_answers(self, pipeline, tmp_path):
         config = copied_run(pipeline, tmp_path)
         dumps = tmp_path / "dumps"
-        subgraphs = read_jsonl(dumps / "subgraphs_test.jsonl")
-        uid = subgraphs[0]["uid"]
-        subgraphs[0].update(facts=[])
-        indicators = [r for r in read_jsonl(dumps / "indicators_test.jsonl") if r["uid"] != uid]
-        for name, records in (("subgraphs_test.jsonl", subgraphs),
-                              ("indicators_test.jsonl", indicators)):
-            (dumps / name).write_text(
-                "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        indicators = read_jsonl(dumps / "indicators_test.jsonl")
+        uid = indicators[0]["uid"]
+        indicators[0]["vector"] = None
+        (dumps / "indicators_test.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in indicators), encoding="utf-8")
         assert main(["predict", "--config", str(config)]) == 0
         predictions = {r["uid"]: r["answers"] for r in read_jsonl(dumps / "predictions.jsonl")}
         assert predictions[uid] == []
         assert len(predictions) == 76
+        assert all(answers for other, answers in predictions.items() if other != uid)
 
     def test_label_holding_a_tab_is_rejected(self, tmp_path, caplog):
         # prompts join a question's golds with tabs, so a tab inside a label
@@ -884,6 +931,24 @@ class TestErrorHandling:
         first = read_jsonl(DESK / "questions_train.jsonl")[0]["uid"]
         assert f"question {first!r}" in caplog.text
         assert "transport failure" in caplog.text
+
+    def test_failure_on_the_test_split_writes_neither_split(self, tmp_path, caplog, monkeypatch):
+        # the train split once was written before the test split was retrieved
+        train = read_jsonl(DESK / "questions_train.jsonl")
+        failing = read_jsonl(DESK / "questions_test.jsonl")[0]
+        assert not any(failing["text"] in q["text"] for q in train)
+
+        class FailsOnTheTestSplit:
+            def send(self, messages):
+                if any(failing["text"] in m["content"] for m in messages):
+                    raise TransportError("connection refused", attempts=3)
+                return "n/a"
+
+        monkeypatch.setattr(cli, "_client", lambda cfg: FailsOnTheTestSplit())
+        assert main(["retrieve", "--config", str(fast_config(tmp_path))]) == 2
+        assert f"question {failing['uid']!r}" in caplog.text
+        assert "transport failure" in caplog.text
+        assert not (tmp_path / "dumps" / "subgraphs_train.jsonl").exists()
 
     def test_every_module_error_shares_one_base(self):
         errors = [checkpoint.CheckpointError, cli.CliError, config.ConfigError,

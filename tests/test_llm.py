@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from tempkgqa import llm
 from tempkgqa.llm import (
     API_KEY_ENV,
     MAX_TOKENS,
@@ -99,7 +100,7 @@ class TestMockClient:
 
 class TestRemoteClient:
     def test_success_and_request_body(self, stub):
-        client = RemoteLlmClient(stub.url, model="m7", api_key=None)
+        client = RemoteLlmClient(stub.url, "m7")
         stub.plan.append((200, completion("the answer")))
         reply = client.send(MESSAGES)
         assert reply == "the answer"
@@ -110,14 +111,15 @@ class TestRemoteClient:
         assert body["messages"] == [{"role": "user", "content": "hello"}]
 
     def test_retries_transient_status_then_succeeds(self, stub, no_sleep):
-        client = RemoteLlmClient(stub.url, api_key=None, max_retries=3, backoff=0.5)
+        assert (llm.MAX_RETRIES, llm.BACKOFF) == (3, 0.5)
+        client = RemoteLlmClient(stub.url, "local")
         stub.plan.extend([(503, {}), (503, {}), (200, completion("late"))])
         assert client.send(MESSAGES) == "late"
         assert len(stub.requests) == 3
         assert no_sleep == [0.5, 1.0]  # exponential backoff
 
     def test_non_retryable_status_fails_immediately(self, stub):
-        client = RemoteLlmClient(stub.url, api_key=None, max_retries=3)
+        client = RemoteLlmClient(stub.url, "local")
         stub.plan.append((400, {"error": "bad request"}))
         with pytest.raises(TransportError) as err:
             client.send(MESSAGES)
@@ -126,7 +128,7 @@ class TestRemoteClient:
         assert len(stub.requests) == 1
 
     def test_malformed_payload_is_not_retried(self, stub):
-        client = RemoteLlmClient(stub.url, api_key=None, max_retries=3)
+        client = RemoteLlmClient(stub.url, "local")
         stub.plan.append((200, {"choices": []}))
         with pytest.raises(TransportError, match="malformed"):
             client.send(MESSAGES)
@@ -135,7 +137,7 @@ class TestRemoteClient:
     @pytest.mark.parametrize("content", [None, [{"type": "text", "text": "hi"}], 5],
                              ids=["null", "list-of-parts", "number"])
     def test_content_that_is_not_a_string_is_malformed(self, stub, content):
-        client = RemoteLlmClient(stub.url, api_key=None, max_retries=3)
+        client = RemoteLlmClient(stub.url, "local")
         stub.plan.append((200, completion(content)))
         with pytest.raises(TransportError, match="^malformed completion payload$") as err:
             client.send(MESSAGES)
@@ -143,17 +145,19 @@ class TestRemoteClient:
         assert err.value.attempts == 1
         assert len(stub.requests) == 1
 
-    def test_gives_up_after_max_retries(self, stub):
-        client = RemoteLlmClient(stub.url, api_key=None, max_retries=2)
+    def test_gives_up_after_max_retries(self, stub, monkeypatch):
+        monkeypatch.setattr(llm, "MAX_RETRIES", 2)
+        client = RemoteLlmClient(stub.url, "local")
         stub.plan.extend([(503, {}), (503, {})])
         with pytest.raises(TransportError, match="gave up") as err:
             client.send(MESSAGES)
         assert err.value.attempts == 2
         assert err.value.status == 503
 
-    def test_connection_errors_are_retried(self):
-        client = RemoteLlmClient("http://127.0.0.1:9/nothing", max_retries=2,
-                                 timeout=0.2)
+    def test_connection_errors_are_retried(self, monkeypatch):
+        monkeypatch.setattr(llm, "MAX_RETRIES", 2)
+        monkeypatch.setattr(llm, "TIMEOUT", 0.2)
+        client = RemoteLlmClient("http://127.0.0.1:9/nothing", "local")
         with pytest.raises(TransportError, match="gave up"):
             client.send(MESSAGES)
 
@@ -161,25 +165,20 @@ class TestRemoteClient:
 class TestApiKeyHandling:
     def test_key_read_from_environment(self, stub, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test-123")
-        client = RemoteLlmClient(stub.url)
+        client = RemoteLlmClient(stub.url, "local")
         client.send(MESSAGES)
         assert stub.requests[0]["headers"]["Authorization"] == "Bearer sk-test-123"
 
-    def test_explicit_key_overrides_environment(self, stub, monkeypatch):
-        monkeypatch.setenv(API_KEY_ENV, "sk-from-env")
-        client = RemoteLlmClient(stub.url, api_key="sk-explicit")
-        client.send(MESSAGES)
-        assert stub.requests[0]["headers"]["Authorization"] == "Bearer sk-explicit"
-
     def test_no_key_sends_no_authorization_header(self, stub, monkeypatch):
         monkeypatch.delenv(API_KEY_ENV, raising=False)
-        client = RemoteLlmClient(stub.url)
+        client = RemoteLlmClient(stub.url, "local")
         client.send(MESSAGES)
         assert "Authorization" not in stub.requests[0]["headers"]
 
     def test_key_stays_out_of_body_and_logs(self, stub, monkeypatch, caplog):
         monkeypatch.setenv(API_KEY_ENV, "sk-sensitive")
-        client = RemoteLlmClient(stub.url, max_retries=2)
+        monkeypatch.setattr(llm, "MAX_RETRIES", 2)
+        client = RemoteLlmClient(stub.url, "local")
         stub.plan.extend([(503, {}), (200, completion("ok"))])
         with caplog.at_level("DEBUG"):
             client.send(MESSAGES)
