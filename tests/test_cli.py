@@ -694,7 +694,9 @@ class TestStageSequencing:
 
     @pytest.mark.parametrize("dump, stage, command", [
         ("subgraphs_test.jsonl", "retrieve", "build-prompts"),
-        ("subgraphs_test.jsonl", "retrieve", "build-indicators"),
+        # Its own id: the generated one shares its first 32 characters with the case above.
+        pytest.param("subgraphs_test.jsonl", "retrieve", "build-indicators",
+                     id="subgraphs_test.jsonl-build-indicators"),
         ("indicators_train.jsonl", "build-indicators", "train-head"),
         ("indicators_test.jsonl", "build-indicators", "predict"),
         ("predictions.jsonl", "predict", "evaluate"),
