@@ -7,10 +7,13 @@ once its inputs exist, after removing the files it writes, and an error in
 one names the stage to rerun.  A failed stage therefore leaves none of its
 outputs behind: a training stage whose parameters turn non-finite saves
 nothing and names its learning rate.  Each dump is read against its record
-schema, and a dump of a split holds one record per question of it.  A
-question whose retrieved ``facts`` are empty has no evidence: its indicator
-record's ``vector`` is null, ``train-head`` skips it and ``predict`` gives it
-no answers, so each of them reads its indicator dump alone.
+schema, and a dump of a split holds one record per question of it and no
+other.  A question whose retrieved ``facts`` are empty has no evidence: its
+indicator record's ``vector`` is null, ``train-head`` skips it and
+``predict`` gives it no answers, so each of them reads its indicator dump
+alone.  ``build-indicators`` encodes in the float32 the checkpoints load as;
+like ``predict``, it ends in an error naming the stage to rerun when finite
+stored values overflow float32 (an ``np.errstate`` that raises).
 :func:`main` loads the fact file and the questions once per run and hands
 that world to each stage; ``predict`` rebuilds the head's tokens and answer
 labels from it.  Each checkpoint loaded must hold the sizes the config and
@@ -57,7 +60,9 @@ MAX_FACTS = 10  # evidence facts retrieval keeps per question
 
 SPLITS = ("train", "test")
 # The artifacts each stage writes, relative to dump_dir; the code names an
-# artifact by its file's stem ("head", "subgraphs_test")
+# artifact by its file's stem ("head", "subgraphs_test").  No stage reads the
+# prompt dumps: they export the paper's instruction-tuning data, and retiring
+# them waits for a benchmark change, as perfbench traces build-prompts.
 WRITES = {
     "build-kg": ("kg.json",),
     "pretrain-base": ("checkpoints/base_table.ckpt", "base_losses.json"),
@@ -130,13 +135,18 @@ def _write_losses(
 
 def _read(cfg: RunConfig, name: str, read: Callable, *args, cover: Sequence[Question] = ()):
     """``read(path, *args)`` of the artifact ``name``, which must hold each
-    question of ``cover``; an error also names the stage to rerun."""
+    question of ``cover`` and, when ``cover`` is given, no other uid; an
+    error also names the stage to rerun."""
     path = _path(cfg, name)
     try:
         loaded = read(path, *args)
         missing = [q.uid for q in cover if q.uid not in loaded]
         if missing:
             raise CliError(f"question {missing[0]!r} is missing from {path}")
+        split = {q.uid for q in cover}
+        extra = [uid for uid in loaded if uid not in split] if cover else []
+        if extra:
+            raise CliError(f"{path}: question {extra[0]!r} is not in its split")
         return loaded
     except (TempkgqaError, OSError) as exc:
         raise CliError(f"{exc}; rerun {ARTIFACTS[name][1]}") from None
@@ -293,9 +303,8 @@ def stage_build_prompts(cfg: RunConfig, world: World) -> None:
 
 def stage_build_indicators(cfg: RunConfig, world: World) -> None:
     store, train, test = world
-    # encoded in float64, so no float32 sum overflows before the check below
-    table = _read(cfg, "tgnn_table", checkpoint.load_table, _sizes(cfg, store)).astype(np.float64)
-    params = _read(cfg, "tgnn", checkpoint.load_tgnn, _sizes(cfg, store)).astype(np.float64)
+    table = _read(cfg, "tgnn_table", checkpoint.load_table, _sizes(cfg, store))
+    params = _read(cfg, "tgnn", checkpoint.load_tgnn, _sizes(cfg, store))
     # both splits are read, built and checked before either output is written
     read = [(split, questions, _read_subgraphs(cfg, store, split, questions))
             for split, questions in zip(SPLITS, (train, test))]
@@ -305,14 +314,16 @@ def stage_build_indicators(cfg: RunConfig, world: World) -> None:
             subgraph = subgraphs[question.uid]
             vector = None  # a question without evidence has no indicator
             if not subgraph.empty:
-                encoded = tgnn.encode_entities(subgraph.facts, table, params)
-                built = ind_mod.build_indicators(subgraph, encoded, table)
-                # checked before the float32 cast, which would overflow to infinity
-                vectors = np.abs((built.sub_vec, built.rel_vec, built.obj_vec))
-                if not (vectors <= np.finfo(np.float32).max).all():
+                try:  # finite stored values can still overflow float32 once summed
+                    with np.errstate(over="raise", invalid="raise"):
+                        encoded = tgnn.encode_entities(subgraph.facts, table, params)
+                        built = np.asarray(ind_mod.build_indicators(subgraph, encoded, table))
+                    if not np.isfinite(built).all():  # the encoder's einsum turns NaN instead
+                        raise FloatingPointError
+                except FloatingPointError:
                     raise CliError(f"question {question.uid!r}: an indicator vector does not "
-                                   f"fit in float32; rerun {ARTIFACTS['tgnn'][1]}")
-                vector = _encode_vector(np.asarray(built, np.float32))
+                                   f"fit in float32; rerun {ARTIFACTS['tgnn'][1]}") from None
+                vector = _encode_vector(built)
             records[split].append({"uid": question.uid, "vector": vector})
     for split in SPLITS:
         _write_jsonl(_path(cfg, f"indicators_{split}"), records[split])

@@ -71,6 +71,7 @@ from .indicators import MIX, IndicatorSet, Projection
 from .prompts import tokenize
 
 UNKNOWN_TOKEN = "<unk>"
+ALIGNMENT = 64  # bytes; where the training matrices start (see _aligned)
 
 #: One example: its indicator vector, or the set it mixes, and the question text.
 Example = tuple[np.ndarray | IndicatorSet, str]
@@ -95,13 +96,29 @@ class HeadParams:
         return self.astype(self.token_emb.dtype)
 
     def astype(self, dtype) -> "HeadParams":
-        """A copy with both matrices in ``dtype``."""
+        """A copy with both matrices in ``dtype``, each :func:`_aligned`."""
         return HeadParams(
             dict(self.token_vocab),
-            self.token_emb.astype(dtype),
-            self.scoring.astype(dtype),
+            _aligned(self.token_emb, dtype),
+            _aligned(self.scoring, dtype),
             self.answer_labels,
         )
+
+
+def _aligned(array: np.ndarray, dtype=None) -> np.ndarray:
+    """A copy of ``array`` in ``dtype`` (its own by default) and in its memory
+    order, as ``astype`` makes, whose data starts on a :data:`ALIGNMENT`-byte
+    boundary.  A desk head step takes ~10 % longer when a parameter or
+    gradient matrix starts 16, 32 or 48 bytes off one, so without this its
+    time would follow what the process allocated before."""
+    dtype = np.dtype(array.dtype if dtype is None else dtype)
+    nbytes = array.size * dtype.itemsize
+    buffer = np.empty(nbytes + ALIGNMENT, np.uint8)
+    start = -buffer.ctypes.data % ALIGNMENT
+    copy = buffer[start : start + nbytes].view(dtype).reshape(
+        array.shape, order="F" if np.isfortran(array) else "C")
+    copy[...] = array
+    return copy
 
 
 def token_vocab(texts: Iterable[str]) -> dict[str, int]:
@@ -292,8 +309,9 @@ class HeadGradients:
 
     @classmethod
     def empty(cls, params: HeadParams, projection: Projection) -> "HeadGradients":
-        return cls(np.empty_like(params.token_emb), np.empty_like(params.scoring),
-                   np.empty_like(projection.weight))
+        """:func:`_aligned` copies of the parameters, for a step to overwrite."""
+        return cls(_aligned(params.token_emb), _aligned(params.scoring),
+                   _aligned(projection.weight))
 
 
 def loss_and_grads(
@@ -339,7 +357,7 @@ def train(
     loss.  Each epoch gathers its shuffled rows once and slices its batches
     from them."""
     params = params.astype(TRAIN_DTYPE)
-    projection = Projection(projection.weight.astype(TRAIN_DTYPE))
+    projection = Projection(_aligned(projection.weight, TRAIN_DTYPE))
     compiled = compile_examples(dataset, params)
     grads = HeadGradients.empty(params, projection)
     rng = np.random.default_rng(schedule.seed)

@@ -1,23 +1,20 @@
-"""Chat-completion clients: a deterministic scripted mock and an HTTP client.
+"""The chat-completion HTTP client.
 
 Retrieval talks to a client through ``send(messages)``, which returns the
 reply text or raises :class:`TransportError`.  The CLI builds a
 :class:`RemoteLlmClient` only when an endpoint is configured; without one it
 passes no client and retrieval's deterministic oracles answer.  Every
 request is greedy (temperature 0), capped at :data:`MAX_TOKENS`, and tried
-up to :data:`MAX_RETRIES` times (:data:`TIMEOUT`, :data:`BACKOFF`).  The
-mock scripts replies for tests.  The API key comes from the
-``TEMPKGQA_API_KEY`` environment variable only and is only ever placed in
-request headers, never in dumps or logs.
+up to :data:`MAX_RETRIES` times (:data:`TIMEOUT`, :data:`BACKOFF`).  The API
+key comes from the ``TEMPKGQA_API_KEY`` environment variable only and is
+only ever placed in request headers, never in dumps or logs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
 import requests
@@ -47,41 +44,6 @@ class TransportError(TempkgqaError, RuntimeError):
 
 class LlmClient(Protocol):
     def send(self, messages: Sequence[Message]) -> str: ...
-
-
-def message_key(messages: Sequence[Message]) -> str:
-    """Stable digest of a message list, used to script the mock."""
-    digest = hashlib.sha256()
-    for message in messages:
-        digest.update(message["role"].encode("utf-8"))
-        digest.update(b"\x1f")
-        digest.update(message["content"].encode("utf-8"))
-        digest.update(b"\x1e")
-    return digest.hexdigest()
-
-
-@dataclass
-class MockLlmClient:
-    """Replays scripted replies keyed by :func:`message_key`.
-
-    ``default`` answers any unscripted prompt; with no default an unscripted
-    prompt raises, which keeps tests honest about what they exercise.
-    Every call's key is recorded so tests can assert on traffic (or its
-    absence).
-    """
-
-    script: dict[str, str] = field(default_factory=dict)
-    default: str | None = None
-    calls: list[str] = field(default_factory=list)
-
-    def send(self, messages: Sequence[Message]) -> str:
-        key = message_key(messages)
-        self.calls.append(key)
-        if key in self.script:
-            return self.script[key]
-        if self.default is not None:
-            return self.default
-        raise TransportError(f"mock has no scripted reply for {key[:12]}...")
 
 
 class RemoteLlmClient:

@@ -45,11 +45,6 @@ class PatternedTkg:
     lines: list[str]          # fact file lines, one per fact
     heldout: list[int]        # indices into ``lines`` withheld from training
 
-    @property
-    def train_indices(self) -> list[int]:
-        withheld = set(self.heldout)
-        return [i for i in range(len(self.lines)) if i not in withheld]
-
 
 def patterned_tkg(
     seed: int = 0,

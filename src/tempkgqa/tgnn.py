@@ -38,9 +38,9 @@ sweep at step -1 into new zero arrays, the tables' table-shaped.
 
 Pre-training runs in float32 (:data:`embeddings.TRAIN_DTYPE`) on copies of
 the table and parameters it is given.  Every kernel, buffer and gradient
-takes the dtype of its inputs.  Checkpoints load as float32; the gradchecks'
-fresh :func:`init_params` and the encoder ``build-indicators`` widens stay
-float64.
+takes the dtype of its inputs.  Checkpoints load as float32, and
+``build-indicators`` encodes in it; the gradchecks' fresh
+:func:`init_params` stay float64.
 
 Subgraphs are built from fact rows: :func:`batch_from_facts` builds an
 evidence subgraph fact by fact, :func:`build_query_subgraph` a mini-batch of

@@ -425,6 +425,27 @@ class TestStageSequencing:
                 in caplog.text)
         assert not (tmp_path / "dumps" / "checkpoints" / "head.ckpt").exists()
 
+    @pytest.mark.parametrize("file, command", [
+        ("indicators_train.jsonl", "train-head"),
+        ("indicators_test.jsonl", "predict"),
+        ("subgraphs_test.jsonl", "build-indicators"),
+    ])
+    def test_a_dump_holding_another_question_returns_2(
+        self, pipeline, tmp_path, caplog, file, command
+    ):
+        # a record beyond the split's questions was once read without a word
+        config = copied_run(pipeline, tmp_path)
+        dumps = tmp_path / "dumps"
+        path = dumps / file
+        records = read_jsonl(path)
+        records.append({**records[-1], "uid": "not-a-question"})
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main([command, "--config", str(config)]) == 2
+        writer = cli.ARTIFACTS[path.stem][1]
+        assert (f"{path}: question 'not-a-question' is not in its split; rerun {writer}"
+                in caplog.text)
+        assert not any((dumps / output).exists() for output in cli.WRITES[command])
+
     def test_empty_evidence_gets_a_null_vector(self, pipeline, tmp_path):
         config = copied_run(pipeline, tmp_path)
         dumps = tmp_path / "dumps"
@@ -584,6 +605,35 @@ class TestStageSequencing:
         path = dumps / "checkpoints" / "tgnn_table.ckpt"
         table = load_table(path)
         table.time[:] = 3e38
+        checkpoint.save_table(path, table)
+        assert main(["build-indicators", "--config", str(config)]) == 2
+        assert "does not fit in float32; rerun pretrain-tgnn" in caplog.text
+        assert not any((dumps / f"indicators_{split}.jsonl").exists() for split in cli.SPLITS)
+
+    def test_encoder_overflow_leaves_no_output(self, pipeline, tmp_path, caplog, monkeypatch):
+        # entity and relation rows near float32's largest value: the sum
+        # e_i + r_rho of an edge's message overflows, before anything is pooled
+        config = copied_run(pipeline, tmp_path)
+        dumps = tmp_path / "dumps"
+        path = dumps / "checkpoints" / "tgnn_table.ckpt"
+        table = load_table(path)
+        table.entity[:] = table.relation[:] = 3e38
+        checkpoint.save_table(path, table)
+        pooled = []
+        monkeypatch.setattr(indicators, "build_indicators", lambda *args: pooled.append(args))
+        assert main(["build-indicators", "--config", str(config)]) == 2
+        assert "does not fit in float32; rerun pretrain-tgnn" in caplog.text
+        assert not pooled
+        assert not any((dumps / f"indicators_{split}.jsonl").exists() for split in cli.SPLITS)
+
+    def test_attention_overflow_leaves_no_output(self, pipeline, tmp_path, caplog):
+        # entity rows alone near float32's largest value: the messages fit,
+        # but the attention score's einsum overflows to NaN without raising
+        config = copied_run(pipeline, tmp_path)
+        dumps = tmp_path / "dumps"
+        path = dumps / "checkpoints" / "tgnn_table.ckpt"
+        table = load_table(path)
+        table.entity[:] = 3e38
         checkpoint.save_table(path, table)
         assert main(["build-indicators", "--config", str(config)]) == 2
         assert "does not fit in float32; rerun pretrain-tgnn" in caplog.text
@@ -996,7 +1046,6 @@ class TestClient:
             raise AssertionError("an offline run built a client")
 
         monkeypatch.setattr(cli, "RemoteLlmClient", refuse)
-        monkeypatch.setattr(llm, "MockLlmClient", refuse)
         config = fast_config(tmp_path)
         assert main(["retrieve", "--config", str(config)]) == 0
         for split in cli.SPLITS:

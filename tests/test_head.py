@@ -496,6 +496,17 @@ class TestTrain:
         assert np.array_equal(first[1].weight, second[1].weight)
         assert first[2] == second[2]
 
+    def test_trained_and_gradient_arrays_start_on_64_byte_boundaries(self):
+        # a step on matrices off a boundary is slower, so their speed would
+        # follow where the allocator happened to put them
+        dataset, params, projection = self.dataset()
+        trained, trained_projection, _ = train(dataset, params, projection,
+                                               TrainSchedule(0.5, 1, 8, 0))
+        grads = HeadGradients.empty(trained, trained_projection)
+        arrays = (trained.token_emb, trained.scoring, trained_projection.weight,
+                  grads.token_emb, grads.scoring, grads.projection)
+        assert [array.ctypes.data % 64 for array in arrays] == [0] * 6
+
     def test_bad_arguments(self):
         _, params, projection = self.dataset()
         with pytest.raises(HeadError):

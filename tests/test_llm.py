@@ -6,14 +6,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from tempkgqa import llm
-from tempkgqa.llm import (
-    API_KEY_ENV,
-    MAX_TOKENS,
-    MockLlmClient,
-    RemoteLlmClient,
-    TransportError,
-    message_key,
-)
+from tempkgqa.llm import API_KEY_ENV, MAX_TOKENS, RemoteLlmClient, TransportError
+
+from mock_llm import MockLlmClient, message_key
 
 MESSAGES = ({"role": "user", "content": "hello"},)
 
@@ -48,7 +43,8 @@ def stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.plan = []
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so shutdown() below returns within 10 ms, not 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     yield server

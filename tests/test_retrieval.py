@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tempkgqa.llm import MockLlmClient, TransportError, message_key
+from tempkgqa.llm import TransportError
 from tempkgqa.prompts import render_relation_ranking, render_time_mining
 from tempkgqa.retrieval import (
     SUBGRAPH_SCHEMA,
@@ -43,6 +43,7 @@ from tempkgqa.store import (
 from tempkgqa.synthetic import retrieval_stress
 
 from conftest import build_store
+from mock_llm import MockLlmClient, message_key
 
 
 def make_question(store, text, entities, qtype=QuestionType.SIMPLE_ENTITY,

@@ -13,12 +13,18 @@ from tempkgqa.synthetic import (
 )
 
 
+def train_indices(fixture):
+    """Indices of the fixture's lines that are not withheld from training."""
+    withheld = set(fixture.heldout)
+    return [i for i in range(len(fixture.lines)) if i not in withheld]
+
+
 class TestPatternedTkg:
     def test_advertised_shape(self):
         fixture = patterned_tkg()
         assert len(fixture.lines) == 600
         assert len(fixture.heldout) == 60
-        assert len(fixture.train_indices) == 540
+        assert len(train_indices(fixture)) == 540
 
     def test_covers_whole_vocabulary(self, tmp_path):
         fixture = patterned_tkg()
@@ -31,7 +37,7 @@ class TestPatternedTkg:
     def test_heldout_entities_survive_in_training_split(self, tmp_path):
         """Held-out facts only make sense if their vocabulary stays learnable."""
         fixture = patterned_tkg()
-        train_lines = [fixture.lines[i] for i in fixture.train_indices]
+        train_lines = [fixture.lines[i] for i in train_indices(fixture)]
         tmp = tmp_path / "train.txt"
         tmp.write_text("\n".join(train_lines) + "\n", encoding="utf-8")
         train_store = load_tkg(tmp)
@@ -44,9 +50,9 @@ class TestPatternedTkg:
 
     def test_heldout_facts_absent_but_their_pattern_present(self):
         fixture = patterned_tkg()
-        train_lines = {fixture.lines[i] for i in fixture.train_indices}
+        train_lines = {fixture.lines[i] for i in train_indices(fixture)}
         train_triples = {
-            tuple(fixture.lines[i].split("|")[:3]) for i in fixture.train_indices
+            tuple(fixture.lines[i].split("|")[:3]) for i in train_indices(fixture)
         }
         for index in fixture.heldout:
             line = fixture.lines[index]
